@@ -7,21 +7,18 @@ node-feature analysis, behind one `tgl` command-line tool.
 """
 from .analysis import ClusterReport, NodeFeatureStack, compare_force_traces, \
     extract_node_features, pca_node_map, silhouette
-from .base import NotFittedError, check_array, check_X_y
 from .dataset import Dataset, Pair, PairSet, Trial, TrajectoryRecord, downsample, \
     encode_labels, make_pairs, preprocess, preprocess_dataset, read_trial_csv, smooth, \
     split, trim_static, write_trial_csv
-from .estimator import MotionRegressor, PrincipalComponents
 from .models import MODEL_TABLE, ModelParams, ModelSpec, build_from_spec, build_model, \
-    conv_features, forward, forward_batch, graph_conv_forward, load_checkpoint, \
-    model_spec, save_checkpoint
+    conv_features, forward, forward_batch, load_checkpoint, model_spec, save_checkpoint
 from .optim import AdamConfig, Parameter, adam_step, glorot_uniform, zero_grad
 from .pca import pca
 from .plant import Plant, PlantConfig, PlantState, SyntheticObject, apply_disturbance, \
-    generate_dataset_trials, generate_trial, initial_state, make_object, make_plant, \
-    object_catalog, plant_step
+    generate_dataset_trials, generate_object_trial, generate_trial, initial_state, make_object, \
+    make_plant, object_catalog, plant_step
 from .rollout import Disturbance, RolloutConfig, RolloutTrace, Verdict, judge_success, \
-    rollout, total_grip_force, write_trace
+    read_trace_forces, rollout, total_grip_force, write_trace
 from .tensor import NonFiniteError, Tensor, backward, concat, matmul, mse_loss, no_grad, \
     relu, reshape
 from .topology import HandTopology, PropagationMatrix, SensorNode, build_default_hand, \

@@ -136,11 +136,14 @@ class ForceComparison:
     mean_final_quarter_b: float
 
 
-def compare_force_traces(trace_a, trace_b) -> ForceComparison:
-    """Compare total-grip-force series of two rollouts of equal length."""
-    fa, fb = trace_a.grip_forces(), trace_b.grip_forces()
+def compare_force_traces(force_a, force_b) -> ForceComparison:
+    """Compare two total-grip-force series of equal, nonzero length (e.g. grip_forces())."""
+    fa = np.asarray(force_a, dtype=np.float64)
+    fb = np.asarray(force_b, dtype=np.float64)
     if fa.shape != fb.shape:
         raise ValueError(f"trace lengths differ: {fa.shape[0]} vs {fb.shape[0]}")
+    if fa.size == 0:
+        raise ValueError("force series are empty")
     diff = fb - fa
     strict = diff != 0
     frac = float((diff > 0).sum() / strict.sum()) if strict.any() else 0.5

@@ -15,10 +15,9 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
-import numpy as np
-
 from . import analysis, dataset, models, plant, topology as topo_mod, training
-from .rollout import Disturbance, RolloutConfig, rollout as run_rollout, write_trace
+from .rollout import Disturbance, RolloutConfig, read_trace_forces, rollout as run_rollout, \
+    write_trace
 from .optim import AdamConfig
 from .tensor import NonFiniteError
 
@@ -116,13 +115,15 @@ def _plant_config(path: str | None, noise: float | None) -> plant.PlantConfig:
     return cfg
 
 
-def _read_trials(data_dir: str) -> list[dataset.Trial]:
+def _read_dataset(data_dir: str, target_length: int) -> dataset.Dataset:
+    """Every trial CSV in data_dir, preprocessed to target_length."""
     if not os.path.isdir(data_dir):
         raise CliError(f"data directory not found: {data_dir}")
     paths = sorted(p for p in os.listdir(data_dir) if p.endswith(".csv"))
     if not paths:
         raise CliError(f"no trial CSVs in {data_dir}")
-    return [dataset.read_trial_csv(os.path.join(data_dir, p)) for p in paths]
+    trials = [dataset.read_trial_csv(os.path.join(data_dir, p)) for p in paths]
+    return dataset.preprocess_dataset(dataset.Dataset(trials, target_length=target_length))
 
 
 def _maybe_config(path: str | None) -> dict:
@@ -180,20 +181,10 @@ def cmd_gen_data(args) -> int:
     catalog = plant.object_catalog(pcfg)
     if not (1 <= n_objects <= len(catalog)):
         raise CliError(f"--objects must lie in 1..{len(catalog)}, got {n_objects}")
-    objects = catalog[:n_objects]
-
-    jobs = []
-    for oi, obj in enumerate(objects):
-        for k in range(trials_per):
-            jobs.append((oi, obj, k))
+    jobs = [(obj, oi, k) for oi, obj in enumerate(catalog[:n_objects]) for k in range(trials_per)]
 
     def run(job):
-        oi, obj, k = job
-        rng = np.random.default_rng((303, seed, oi, k))
-        radius = pcfg.base_radius + pcfg.radius_jitter * float(rng.uniform(-1.0, 1.0))
-        tobj = replace(obj, radius=radius, name=f"{obj.name}_t{k:02d}")
-        trial = plant.generate_trial(plant.make_plant(topo, tobj, pcfg),
-                                     seed=int(rng.integers(2 ** 31)), length=length)
+        trial = plant.generate_object_trial(topo, *job, seed=seed, length=length, cfg=pcfg)
         path = os.path.join(out, f"{trial.object_name}.csv")
         dataset.write_trial_csv(trial, path)
         return path
@@ -231,9 +222,7 @@ def cmd_train(args) -> int:
     target_length = _resolve(args, cfgfile, "target-length", dataset.DEFAULT_TARGET_LENGTH)
     topo_spec = _resolve(args, cfgfile, "topology", "default")
     topo = _load_topology(topo_spec)
-    trials = _read_trials(args.data)
-    ds = dataset.Dataset(trials, target_length=target_length)
-    ds = dataset.preprocess_dataset(ds)
+    ds = _read_dataset(args.data, target_length)
     cfg = training.TrainConfig(model=model, batch_size=batch, epochs=epochs,
                                adam=AdamConfig(learning_rate=lr), seed=seed,
                                checkpoint_every=args.checkpoint_every or 0,
@@ -254,9 +243,7 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     out = _ensure_out(args.out)
     topo = _load_topology(args.topology or "default")
-    trials = _read_trials(args.data)
-    ds = dataset.preprocess_dataset(
-        dataset.Dataset(trials, target_length=args.target_length))
+    ds = _read_dataset(args.data, args.target_length)
     train_pairs, val_pairs = dataset.split(ds, args.seed)
     pairs = train_pairs if args.split == "train" else val_pairs
     loss = training.evaluate(args.ckpt, pairs, topo)
@@ -302,9 +289,7 @@ def cmd_pca(args) -> int:
     out = _ensure_out(args.out)
     topo = _load_topology(args.topology or "default")
     params, _ = models.load_checkpoint(args.ckpt, topo)
-    trials = _read_trials(args.data)
-    ds = dataset.preprocess_dataset(
-        dataset.Dataset(trials, target_length=args.target_length))
+    ds = _read_dataset(args.data, args.target_length)
     if args.window:
         try:
             start, stop = (int(x) for x in args.window.split(":"))
@@ -329,28 +314,10 @@ def cmd_pca(args) -> int:
     return 0
 
 
-class _StoredTrace:
-    def __init__(self, forces: np.ndarray):
-        self._forces = forces
-
-    def grip_forces(self) -> np.ndarray:
-        return self._forces
-
-
-def _read_trace_forces(path: str) -> np.ndarray:
-    with open(path) as f:
-        header = f.readline().rstrip("\n").split(",")
-        try:
-            col = header.index("grip_force")
-        except ValueError:
-            raise CliError(f"{path} has no grip_force column") from None
-        return np.array([float(line.split(",")[col]) for line in f if line.strip()])
-
-
 def cmd_compare_forces(args) -> int:
     out = _ensure_out(args.out)
-    fa, fb = _read_trace_forces(args.trace_a), _read_trace_forces(args.trace_b)
-    cmp = analysis.compare_force_traces(_StoredTrace(fa), _StoredTrace(fb))
+    cmp = analysis.compare_force_traces(read_trace_forces(args.trace_a),
+                                        read_trace_forces(args.trace_b))
     path = os.path.join(out, "force_comparison.json")
     with open(path, "w") as f:
         json.dump({"fraction_b_higher": cmp.fraction_b_higher,

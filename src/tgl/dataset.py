@@ -8,7 +8,7 @@ at t+horizon) pairs.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -251,57 +251,67 @@ class PairSet:
 
 
 # ---------------------------------------------------------------------------
-# CSV interchange: t, j00..j15, s000x,s000y,s000z, ..., l0..l5
+# CSV interchange: t, j00..j15, s000x,s000y,s000z, ..., l0..l5 [, extra columns]
+# Trial files and rollout traces share this codec; traces append extra columns.
 
-def _header(n_nodes: int) -> list[str]:
+def csv_header(n_nodes: int, extra: tuple[str, ...] = ()) -> list[str]:
     cols = ["t"] + [f"j{i:02d}" for i in range(JOINT_DIM)]
     for node in range(n_nodes):
         cols.extend(f"s{node:03d}{axis}" for axis in "xyz")
     cols.extend(f"l{i}" for i in range(LABEL_DIM))
+    cols.extend(extra)
     return cols
 
 
+def csv_line(t: int, joints: np.ndarray, tactile: np.ndarray, labels: np.ndarray,
+             extra: tuple[str, ...] = ()) -> str:
+    """One row; repr(float) cells read back to the same bits."""
+    return ",".join([str(t), *map(repr, joints.tolist()), *map(repr, tactile.ravel().tolist()),
+                     *map(repr, labels.tolist()), *extra]) + "\n"
+
+
 def write_trial_csv(trial: Trial, path: str) -> None:
-    n = trial.n_nodes
     with open(path, "w") as f:
-        f.write(",".join(_header(n)) + "\n")
+        f.write(",".join(csv_header(trial.n_nodes)) + "\n")
         for r in trial.records:
-            vals = [str(r.t)]
-            vals.extend(repr(float(v)) for v in r.joints)
-            vals.extend(repr(float(v)) for v in r.tactile.reshape(-1))
-            vals.extend(repr(float(v)) for v in r.labels)
-            f.write(",".join(vals) + "\n")
+            f.write(csv_line(r.t, r.joints, r.tactile, r.labels))
 
 
-def read_trial_csv(path: str, object_name: str | None = None) -> Trial:
+def read_csv(path: str, extra: tuple[str, ...] = ()) -> tuple[int, list[int], np.ndarray]:
+    """Parse a file laid out as csv_header(nodes, extra): (nodes, t per row, cells [rows, width-1]).
+
+    The header must match exactly and every row must have its full cell
+    count; errors name path:line.  Blank lines are skipped.
+    """
     with open(path) as f:
         header = f.readline().rstrip("\n").split(",")
-        extra = len(header) - 1 - JOINT_DIM - LABEL_DIM
-        if extra <= 0 or extra % 3 != 0:
-            raise ValueError(f"{path}: header has {len(header)} columns, "
-                             f"not 1 + {JOINT_DIM} + 3*nodes + {LABEL_DIM}")
-        n = extra // 3
-        if header != _header(n):
-            raise ValueError(f"{path}: header does not match the trial CSV layout for {n} nodes")
-        records = []
+        width = len(header)
+        n, rem = divmod(width - 1 - JOINT_DIM - LABEL_DIM - len(extra), 3)
+        if n < 1 or rem or header != csv_header(n, extra):
+            raise ValueError(f"{path}: header is not t, j00..j15, s<node><x|y|z> per node, "
+                             f"l0..l5{''.join(', ' + c for c in extra)}")
+        ts, rows = [], []
         for lineno, line in enumerate(f, start=2):
             line = line.strip()
             if not line:
                 continue
             cells = line.split(",")
-            if len(cells) != len(header):
-                raise ValueError(f"{path}:{lineno}: expected {len(header)} cells, got {len(cells)}")
+            if len(cells) != width:
+                raise ValueError(f"{path}:{lineno}: expected {width} cells, got {len(cells)}")
             try:
-                t = int(cells[0])
-                row = np.array([float(c) for c in cells[1:]])
+                ts.append(int(cells[0]))
+                rows.append(list(map(float, cells[1:])))
             except ValueError as e:
                 raise ValueError(f"{path}:{lineno}: {e}") from None
-            records.append(TrajectoryRecord(
-                t=t,
-                joints=row[:JOINT_DIM],
-                tactile=row[JOINT_DIM:JOINT_DIM + 3 * n].reshape(n, 3),
-                labels=row[JOINT_DIM + 3 * n:],
-            ))
+    return n, ts, np.array(rows).reshape(len(rows), width - 1)
+
+
+def read_trial_csv(path: str, object_name: str | None = None) -> Trial:
+    n, ts, cells = read_csv(path)
+    records = [TrajectoryRecord(t=t, joints=row[:JOINT_DIM],
+                                tactile=row[JOINT_DIM:JOINT_DIM + 3 * n].reshape(n, 3),
+                                labels=row[JOINT_DIM + 3 * n:])
+               for t, row in zip(ts, cells)]
     if object_name is None:
         base = path.rsplit("/", 1)[-1]
         object_name = base[:-4] if base.endswith(".csv") else base

@@ -12,17 +12,17 @@ from __future__ import annotations
 
 import json
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .dataset import JOINT_DIM, LABEL_DIM
 from .optim import Parameter, glorot_uniform
-from .tensor import NonFiniteError, Tensor, concat, matmul, relu, reshape
+from .tensor import NonFiniteError, Tensor, concat, matmul, no_grad, relu, reshape
 from .topology import HandTopology, PropagationMatrix, propagation_for
 
 TACTILE_AXES = 3
-JOINT_DIM = 16
-LABEL_DIM = 6
 AUX_DIM = JOINT_DIM + LABEL_DIM
 OUTPUT_DIM = 16
 HORIZON = 10
@@ -147,28 +147,13 @@ def build_model(name: str, topology: HandTopology, seed: int) -> ModelParams:
     return build_from_spec(model_spec(name), topology, seed)
 
 
-def graph_conv_forward(s: PropagationMatrix, h: Tensor, w: Parameter, activate: bool = True) -> Tensor:
-    """One propagation step sigma(S @ H @ W); H may carry a leading batch axis."""
-    h = h if isinstance(h, Tensor) else Tensor(h)
-    if h.shape[-2] != s.n:
-        raise ValueError(f"H has {h.shape[-2]} node rows, propagation matrix has {s.n}")
-    if w.shape[0] != h.shape[-1]:
-        raise ValueError(f"W expects {w.shape[0]} input channels, H carries {h.shape[-1]}")
-    out = matmul(matmul(Tensor(s.s), h), w.value)
-    return relu(out) if activate else out
-
-
-def _layered(stage: str):
+@contextmanager
+def _named_layer(stage: str):
     """Re-raise non-finite errors naming the first offending layer."""
-    class _Ctx:
-        def __enter__(self):
-            return None
-
-        def __exit__(self, exc_type, exc, tb):
-            if exc_type is not None and issubclass(exc_type, NonFiniteError):
-                raise NonFiniteError(f"{stage}: {exc}") from exc
-            return False
-    return _Ctx()
+    try:
+        yield
+    except NonFiniteError as e:
+        raise NonFiniteError(f"{stage}: {e}") from e
 
 
 def conv_features(params: ModelParams, tactile) -> Tensor:
@@ -180,7 +165,7 @@ def conv_features(params: ModelParams, tactile) -> Tensor:
         raise ValueError(f"tactile must end in ({params.n_nodes}, {params.spec.input_channels}), "
                          f"got {x.shape}")
     for i, w in enumerate(params.conv_weights):
-        with _layered(f"conv layer {i}"):
+        with _named_layer(f"conv layer {i}"):
             x = relu(matmul(matmul(params.s_tensor, x), w.value))
     return x
 
@@ -201,7 +186,7 @@ def forward_batch(params: ModelParams, tactile, aux) -> Tensor:
     last = len(params.fc_weights) - 1
     for i, (w, b) in enumerate(zip(params.fc_weights, params.fc_biases)):
         stage = "output layer" if i == last else f"fc layer {i}"
-        with _layered(stage):
+        with _named_layer(stage):
             h = matmul(h, w.value) + b.value
             if i != last:
                 h = relu(h)
@@ -220,7 +205,6 @@ def forward(params: ModelParams, tactile, joints, labels) -> np.ndarray:
         raise ValueError(f"joints must be ({JOINT_DIM},), got {joints.shape}")
     if labels.shape != (LABEL_DIM,) or not np.isin(labels, (0.0, 1.0)).all():
         raise ValueError("labels must be 6 values in {0, 1}")
-    from .tensor import no_grad
     with no_grad():
         aux = np.concatenate([joints, labels])[None, :]
         out = forward_batch(params, tactile[None, :, :], aux)

@@ -328,23 +328,27 @@ def generate_trial(plant: Plant, seed: int, length: int = 700) -> Trial:
     return Trial(plant.obj.name, records)
 
 
-def generate_dataset_trials(topology: HandTopology, objects: list[SyntheticObject],
-                            trials_per: int, seed: int, length: int = 700,
-                            cfg: PlantConfig = PlantConfig()) -> list[Trial]:
-    """trials_per demonstrations per object, each with its own radius draw.
+def generate_object_trial(topology: HandTopology, obj: SyntheticObject, index: int, k: int,
+                          seed: int, length: int = 700,
+                          cfg: PlantConfig = PlantConfig()) -> Trial:
+    """Demonstration k of objects[index], with its own radius and seed drawn from (seed, index, k).
 
     The per-trial radius moves both contact onsets and the squeeze
     depth, so the tactile image carries grasp information the joint
     trajectory alone does not.
     """
+    rng = np.random.default_rng((303, seed, index, k))
+    radius = cfg.base_radius + cfg.radius_jitter * float(rng.uniform(-1.0, 1.0))
+    trial_obj = replace(obj, radius=radius, name=f"{obj.name}_t{k:02d}")
+    return generate_trial(make_plant(topology, trial_obj, cfg), seed=int(rng.integers(2**31)),
+                          length=length)
+
+
+def generate_dataset_trials(topology: HandTopology, objects: list[SyntheticObject],
+                            trials_per: int, seed: int, length: int = 700,
+                            cfg: PlantConfig = PlantConfig()) -> list[Trial]:
+    """trials_per demonstrations per object, object-major (see generate_object_trial)."""
     if trials_per < 1:
         raise ValueError(f"trials_per must be >= 1, got {trials_per}")
-    trials = []
-    for oi, obj in enumerate(objects):
-        for k in range(trials_per):
-            rng = np.random.default_rng((303, seed, oi, k))
-            radius = cfg.base_radius + cfg.radius_jitter * float(rng.uniform(-1.0, 1.0))
-            trial_obj = replace(obj, radius=radius, name=f"{obj.name}_t{k:02d}")
-            plant = make_plant(topology, trial_obj, cfg)
-            trials.append(generate_trial(plant, seed=int(rng.integers(2**31)), length=length))
-    return trials
+    return [generate_object_trial(topology, obj, oi, k, seed, length, cfg)
+            for oi, obj in enumerate(objects) for k in range(trials_per)]

@@ -14,12 +14,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dataset import validate_labels
+from .dataset import csv_header, csv_line, read_csv, validate_labels
 from .models import ModelParams, forward
 from .plant import Plant, PlantState, apply_disturbance, distance_to_palm, initial_state, \
     plant_step, tactile_from_contact
 
 DISTURBANCE_KINDS = ("pull_down", "pull_side")
+TRACE_COLUMNS = ("height", "tilt", "grip_force", "clamped")  # after the trial columns
 
 
 class Disturbance(NamedTuple):
@@ -128,28 +129,18 @@ def rollout(params: ModelParams, plant: Plant, cfg: RolloutConfig,
 
 
 # ---------------------------------------------------------------------------
-# trace export: trajectory-style CSV plus a JSON verdict sidecar
+# trace export: the trial CSV layout plus TRACE_COLUMNS, and a JSON verdict sidecar
 
 def write_trace(trace: RolloutTrace, csv_path: str) -> str:
     """Writes the trace CSV and `<csv_path minus .csv>.verdict.json`; returns sidecar path."""
     if not trace.steps:
         raise ValueError("empty trace")
-    n = trace.steps[0].tactile.shape[0]
-    cols = ["t"] + [f"j{i:02d}" for i in range(16)]
-    for node in range(n):
-        cols.extend(f"s{node:03d}{axis}" for axis in "xyz")
-    cols.extend(f"l{i}" for i in range(6))
-    cols.extend(["height", "tilt", "grip_force", "clamped"])
     with open(csv_path, "w") as f:
-        f.write(",".join(cols) + "\n")
+        f.write(",".join(csv_header(trace.steps[0].tactile.shape[0], TRACE_COLUMNS)) + "\n")
         for s in trace.steps:
-            vals = [str(s.t)]
-            vals.extend(repr(float(v)) for v in s.state.joints)
-            vals.extend(repr(float(v)) for v in s.tactile.reshape(-1))
-            vals.extend(repr(float(v)) for v in trace.labels)
-            vals.extend([repr(s.state.object_height), repr(s.state.object_tilt),
-                         repr(s.grip_force), str(int(s.state.clamped))])
-            f.write(",".join(vals) + "\n")
+            f.write(csv_line(s.t, s.state.joints, s.tactile, trace.labels,
+                             (repr(s.state.object_height), repr(s.state.object_tilt),
+                              repr(s.grip_force), str(int(s.state.clamped)))))
     base = csv_path[:-4] if csv_path.endswith(".csv") else csv_path
     sidecar = base + ".verdict.json"
     with open(sidecar, "w") as f:
@@ -159,3 +150,9 @@ def write_trace(trace: RolloutTrace, csv_path: str) -> str:
                    "steps": len(trace.steps)}, f, indent=1)
         f.write("\n")
     return sidecar
+
+
+def read_trace_forces(csv_path: str) -> np.ndarray:
+    """The grip_force column of a trace CSV, read through the trial codec."""
+    _, _, cells = read_csv(csv_path, TRACE_COLUMNS)
+    return cells[:, TRACE_COLUMNS.index("grip_force") - len(TRACE_COLUMNS)]

@@ -85,6 +85,10 @@ def fit_pairs(params: ModelParams, train_set: PairSet, val_set: PairSet | None,
     best_val = float("inf")
     best_path = final_path = None
     metrics_path = os.path.join(out_dir, "metrics.ndjson") if out_dir else None
+    if metrics_path:
+        kept = _metrics_before(metrics_path, start_epoch)
+        with open(metrics_path, "w") as f:
+            f.writelines(kept)
 
     for epoch in range(start_epoch, start_epoch + cfg.epochs):
         e0 = time.monotonic()
@@ -128,6 +132,18 @@ def fit_pairs(params: ModelParams, train_set: PairSet, val_set: PairSet | None,
     return TrainReport(train_losses=train_losses, val_losses=val_losses,
                        seconds=time.monotonic() - t0, final_checkpoint=final_path,
                        best_checkpoint=best_path, best_val=best_val, start_epoch=start_epoch)
+
+
+def _metrics_before(path: str, epoch: int) -> list[str]:
+    """Complete lines of an earlier run's metrics for epochs before `epoch`.
+
+    A fresh run (epoch 0) keeps none and a resumed one keeps the history
+    up to its checkpoint, so the file never mixes two runs.
+    """
+    if epoch == 0 or not os.path.exists(path):
+        return []
+    with open(path) as f:  # a last line without its newline was cut off mid-write
+        return [line for line in f if line.endswith("\n") and json.loads(line)["epoch"] < epoch]
 
 
 def _extra(cfg: TrainConfig, epoch: int) -> dict:

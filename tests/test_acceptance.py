@@ -209,7 +209,7 @@ def test_criterion_07_label_conditioning_grip_force(catalog_fixture):
             pl = plant.make_plant(topo, obj, pcfg)
             cfg = RolloutConfig(max_steps=250, labels=labels)
             traces.append(rollout(params, pl, cfg, seed=seed))
-        cmp = analysis.compare_force_traces(*traces)
+        cmp = analysis.compare_force_traces(*(t.grip_forces() for t in traces))
         pairs.append((cmp.mean_final_quarter_a, cmp.mean_final_quarter_b))
         wins += cmp.mean_final_quarter_b > cmp.mean_final_quarter_a
     _note(f"criterion 7: wrong-label force higher in {wins}/10 runs; "

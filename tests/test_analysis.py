@@ -18,16 +18,6 @@ from tgl.models import ModelSpec, build_from_spec
 LABELS = encode_labels(heavy=False, soft=False, slippery=False)
 
 
-class SeriesTrace:
-    """grip_forces()-shaped stand-in for a rollout trace."""
-
-    def __init__(self, forces):
-        self._f = np.asarray(forces, dtype=np.float64)
-
-    def grip_forces(self):
-        return self._f
-
-
 def make_trial(tactile_per_t: np.ndarray, name: str = "obj") -> Trial:
     records = [TrajectoryRecord(t, np.zeros(16), tac, LABELS)
                for t, tac in enumerate(tactile_per_t)]
@@ -123,27 +113,32 @@ def test_centroids_are_cluster_means():
 
 
 def test_compare_force_traces_fraction_and_quarter():
-    a = SeriesTrace([1.0, 1.0, 1.0, 1.0, 2.0, 2.0, 2.0, 2.0])
-    b = SeriesTrace([2.0, 2.0, 0.5, 1.0, 3.0, 3.0, 3.0, 3.0])
+    a = np.array([1.0, 1.0, 1.0, 1.0, 2.0, 2.0, 2.0, 2.0])
+    b = np.array([2.0, 2.0, 0.5, 1.0, 3.0, 3.0, 3.0, 3.0])
     cmp = compare_force_traces(a, b)
     # one tie excluded; 6 of 7 strict differences favor b
     assert cmp.fraction_b_higher == pytest.approx(6 / 7)
     assert cmp.mean_final_quarter_a == pytest.approx(2.0)
     assert cmp.mean_final_quarter_b == pytest.approx(3.0)
-    np.testing.assert_allclose(cmp.differences, b.grip_forces() - a.grip_forces())
+    np.testing.assert_allclose(cmp.differences, b - a)
 
 
 def test_compare_force_traces_all_ties_and_single_step():
-    same = SeriesTrace([1.0, 2.0, 3.0])
+    same = [1.0, 2.0, 3.0]
     assert compare_force_traces(same, same).fraction_b_higher == 0.5
-    one = compare_force_traces(SeriesTrace([1.0]), SeriesTrace([4.0]))
+    one = compare_force_traces([1.0], [4.0])
     assert one.fraction_b_higher == 1.0
     assert one.mean_final_quarter_b == 4.0
 
 
 def test_compare_force_traces_length_mismatch():
     with pytest.raises(ValueError, match="length"):
-        compare_force_traces(SeriesTrace([1.0, 2.0]), SeriesTrace([1.0]))
+        compare_force_traces([1.0, 2.0], [1.0])
+
+
+def test_compare_force_traces_empty():
+    with pytest.raises(ValueError, match="empty"):
+        compare_force_traces(np.array([]), np.array([]))
 
 
 def test_exports_round_trip(tmp_path):

@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 
 from tgl.cli import main
-from tgl.topology import load_topology
+from tgl.dataset import write_trial_csv
+from tgl.plant import PlantConfig, generate_dataset_trials, object_catalog
+from tgl.topology import build_small_hand, load_topology
 
 GEN = ["gen-data", "--topology", "small", "--objects", "2", "--trials-per", "2",
        "--seed", "5", "--length", "700"]
@@ -63,6 +65,22 @@ def test_gen_data_reproducible(pipeline, tmp_path):
         assert (tmp_path / name).read_bytes() == (data / name).read_bytes()
 
 
+def test_gen_data_matches_generate_dataset_trials(tmp_path):
+    """Each gen-data job writes exactly the trial the library generator draws."""
+    out = tmp_path / "data"
+    assert main(["gen-data", "--topology", "small", "--objects", "2", "--trials-per", "2",
+                 "--seed", "5", "--length", "200", "--out", str(out)]) == 0
+    cfg = PlantConfig()
+    trials = generate_dataset_trials(build_small_hand(), object_catalog(cfg)[:2], 2,
+                                     seed=5, length=200, cfg=cfg)
+    assert sorted(p for p in os.listdir(out) if p.endswith(".csv")) == \
+        sorted(f"{t.object_name}.csv" for t in trials)
+    for trial in trials:
+        ref = tmp_path / "ref.csv"
+        write_trial_csv(trial, str(ref))
+        assert (out / f"{trial.object_name}.csv").read_bytes() == ref.read_bytes()
+
+
 def test_gen_data_validation_exit_1(tmp_path):
     assert main(["gen-data", "--out", str(tmp_path), "--objects", "0"]) == 1
     assert main(["gen-data", "--out", str(tmp_path), "--objects", "9"]) == 1
@@ -78,6 +96,17 @@ def test_train_outputs(pipeline):
     assert "metrics.ndjson" not in manifest["outputs"]  # timing lines are not hashed
     lines = (run / "metrics.ndjson").read_text().splitlines()
     assert len(lines) == 12
+
+
+def test_train_twice_into_one_directory_keeps_one_run(pipeline, tmp_path):
+    _, data, _ = pipeline
+    out = tmp_path / "run"
+    argv = ["train", "--topology", "small", "--conv", "5", "--fc", "8", "--epochs", "2",
+            "--lr", "1e-3", "--seed", "0", "--data", str(data), "--out", str(out)]
+    assert main(argv) == 0
+    assert main(argv) == 0
+    lines = (out / "metrics.ndjson").read_text().splitlines()
+    assert [json.loads(l)["epoch"] for l in lines] == [0, 1]
 
 
 def test_train_missing_data_exit_1(tmp_path):
@@ -138,6 +167,32 @@ def test_rollout_and_compare_forces(pipeline, tmp_path):
     doc = json.loads((cmp_dir / "force_comparison.json").read_text())
     assert doc["steps"] == 60
     assert 0.0 <= doc["fraction_b_higher"] <= 1.0
+
+
+def test_compare_forces_bad_traces_exit_1(pipeline, tmp_path, capsys):
+    _, _, run = pipeline
+    good = tmp_path / "good"
+    assert main(["rollout", "--ckpt", str(run / "final.ckpt.json"), "--topology", "small",
+                 "--object", "light,hard,nonslip", "--max-steps", "5", "--out", str(good)]) == 0
+    lines = (good / "trace.csv").read_text().splitlines()
+    short = tmp_path / "short.csv"
+    short.write_text("\n".join(lines[:3] + [lines[3].rsplit(",", 2)[0]] + lines[4:]) + "\n")
+    header_only = tmp_path / "header_only.csv"
+    header_only.write_text(lines[0] + "\n")
+    # a short row names file:line; two header-only traces have no forces to compare
+    for a, b, where in ((good / "trace.csv", short, f"{short}:4"),
+                        (header_only, header_only, "empty")):
+        cmp_dir = tmp_path / f"cmp_{b.stem}"
+        capsys.readouterr()
+        assert main(["compare-forces", "--trace-a", str(a), "--trace-b", str(b),
+                     "--out", str(cmp_dir)]) == 1
+        assert where in capsys.readouterr().err
+        assert not (cmp_dir / "force_comparison.json").exists()
+    # a trial CSV lacks the trace columns
+    trial_csv = tmp_path / "trial.csv"
+    trial_csv.write_text(",".join(lines[0].split(",")[:-4]) + "\n")
+    assert main(["compare-forces", "--trace-a", str(good / "trace.csv"),
+                 "--trace-b", str(trial_csv), "--out", str(tmp_path / "cmp_trial")]) == 1
 
 
 def test_rollout_disturb_parsing(pipeline, tmp_path):

@@ -8,8 +8,9 @@ import pytest
 
 import tgl
 from tgl.plant import PlantState
-from tgl.rollout import (Disturbance, RolloutConfig, judge_success, rollout,
-                         total_grip_force, write_trace)
+from tgl.dataset import write_trial_csv
+from tgl.rollout import (TRACE_COLUMNS, Disturbance, RolloutConfig, judge_success,
+                         read_trace_forces, rollout, total_grip_force, write_trace)
 
 LABELS = tgl.encode_labels(heavy=False, soft=False, slippery=False)
 
@@ -142,3 +143,25 @@ def test_write_trace_csv_and_sidecar(trained, tmp_path):
                    "final_distance": trace.verdict.final_distance,
                    "final_angle": trace.verdict.final_angle,
                    "steps": 25}
+
+
+def test_trace_csv_extends_the_trial_layout(trained, tmp_path):
+    _, plant, params = trained
+    trace = rollout(params, plant, RolloutConfig(max_steps=30, labels=LABELS), seed=1)
+    write_trace(trace, str(tmp_path / "trace.csv"))
+    trial = tgl.generate_trial(plant, seed=0, length=50)
+    write_trial_csv(trial, str(tmp_path / "trial.csv"))
+    trial_header = (tmp_path / "trial.csv").read_text().splitlines()[0].split(",")
+    trace_header = (tmp_path / "trace.csv").read_text().splitlines()[0].split(",")
+    assert trace_header == trial_header + list(TRACE_COLUMNS)
+
+
+def test_trace_grip_force_reads_back_exactly(trained, tmp_path):
+    _, plant, params = trained
+    trace = rollout(params, plant, RolloutConfig(max_steps=40, labels=LABELS), seed=3)
+    path = str(tmp_path / "trace.csv")
+    write_trace(trace, path)
+    forces = read_trace_forces(path)
+    assert forces.shape == (40,)
+    assert forces.max() > 0.0
+    np.testing.assert_array_equal(forces, trace.grip_forces())

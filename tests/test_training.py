@@ -86,6 +86,26 @@ def test_resume_matches_straight_run(world, tmp_path):
         assert x.step_count == y.step_count
 
 
+def test_metrics_hold_one_run(world, tmp_path):
+    """A fresh run replaces old metrics; a resume keeps the epochs before its checkpoint."""
+    topo, ds = world
+    out = tmp_path / "run"
+
+    def epochs():
+        return [json.loads(l)["epoch"] for l in (out / "metrics.ndjson").read_text().splitlines()]
+
+    train(ds, cfg(epochs=4, checkpoint_every=2), topo, out_dir=str(out))
+    train(ds, cfg(epochs=3, checkpoint_every=2), topo, out_dir=str(out))
+    assert epochs() == [0, 1, 2]
+    train(ds, cfg(epochs=2), topo, out_dir=str(out),
+          resume_from=str(out / "epoch000002.ckpt.json"))
+    assert epochs() == [0, 1, 2, 3]
+    with open(out / "metrics.ndjson", "a") as f:
+        f.write('{"epoch": 4, "train_lo')  # a line cut off mid-write
+    train(ds, cfg(epochs=1), topo, out_dir=str(out), resume_from=str(out / "final.ckpt.json"))
+    assert epochs() == [0, 1, 2, 3, 4]
+
+
 def test_resume_rejects_architecture_mismatch(world, tmp_path):
     topo, ds = world
     out = tmp_path / "run"
