@@ -170,18 +170,30 @@ def cmd_topology(args) -> int:
 
 def cmd_gen_data(args) -> int:
     cfgfile = _maybe_config(args.config)
-    out = _ensure_out(args.out)
     seed = _resolve(args, cfgfile, "seed", 7)
     n_objects = _resolve(args, cfgfile, "objects", 8)
     trials_per = _resolve(args, cfgfile, "trials-per", 10)
     length = _resolve(args, cfgfile, "length", 700)
     topo_spec = _resolve(args, cfgfile, "topology", "default")
+    if trials_per < 1:
+        raise CliError(f"--trials-per must be >= 1, got {trials_per}")
+    if length < plant.MIN_TRIAL_LENGTH:
+        raise CliError(f"--length must be >= {plant.MIN_TRIAL_LENGTH}, got {length}")
     topo = _load_topology(topo_spec)
     pcfg = _plant_config(args.plant_config, args.noise)
     catalog = plant.object_catalog(pcfg)
     if not (1 <= n_objects <= len(catalog)):
         raise CliError(f"--objects must lie in 1..{len(catalog)}, got {n_objects}")
     jobs = [(obj, oi, k) for oi, obj in enumerate(catalog[:n_objects]) for k in range(trials_per)]
+    workers = min(thread_cap(), len(jobs))
+    # train, eval and pca read every CSV in a data directory: another run's would join this one
+    wanted = {f"{plant.trial_name(obj, k)}.csv" for obj, _, k in jobs}
+    stale = sorted(p for p in os.listdir(args.out) if p.endswith(".csv") and p not in wanted) \
+        if os.path.isdir(args.out) else []
+    if stale:
+        raise CliError(f"{args.out} holds trial CSVs this run would not write: "
+                       f"{', '.join(stale)}; remove them or choose another --out")
+    out = _ensure_out(args.out)
 
     def run(job):
         trial = plant.generate_object_trial(topo, *job, seed=seed, length=length, cfg=pcfg)
@@ -189,7 +201,7 @@ def cmd_gen_data(args) -> int:
         dataset.write_trial_csv(trial, path)
         return path
 
-    with ThreadPoolExecutor(max_workers=min(thread_cap(), len(jobs))) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         paths = list(pool.map(run, jobs))
     cfg_path = os.path.join(out, "plant_config.json")
     pcfg.to_json(cfg_path)
@@ -213,7 +225,7 @@ def _custom_spec(conv: str | None, fc: str | None) -> models.ModelSpec | None:
 
 def cmd_train(args) -> int:
     cfgfile = _maybe_config(args.config)
-    out = _ensure_out(args.out)
+    out = args.out   # training.train creates it once the run is set up
     seed = _resolve(args, cfgfile, "seed", 0)
     epochs = _resolve(args, cfgfile, "epochs", 200)
     batch = _resolve(args, cfgfile, "batch-size", 100)
@@ -241,12 +253,12 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    out = _ensure_out(args.out)
     topo = _load_topology(args.topology or "default")
     ds = _read_dataset(args.data, args.target_length)
     train_pairs, val_pairs = dataset.split(ds, args.seed)
     pairs = train_pairs if args.split == "train" else val_pairs
     loss = training.evaluate(args.ckpt, pairs, topo)
+    out = _ensure_out(args.out)
     path = os.path.join(out, "eval.json")
     with open(path, "w") as f:
         json.dump({"split": args.split, "pairs": len(pairs), "mse": loss}, f, indent=1)
@@ -259,9 +271,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_rollout(args) -> int:
-    out = _ensure_out(args.out)
     topo = _load_topology(args.topology or "default")
-    params, _ = models.load_checkpoint(args.ckpt, topo)
     pcfg = _plant_config(args.plant_config, None)
     heavy, soft, slippery = _parse_triple(args.object)
     obj = plant.make_object(heavy, soft, slippery, pcfg, radius=args.radius)
@@ -271,8 +281,10 @@ def cmd_rollout(args) -> int:
         max_steps=args.max_steps, labels=labels,
         disturbance=_parse_disturbance(args.disturb) if args.disturb else None,
         command_stride=args.stride)
+    params, _ = models.load_checkpoint(args.ckpt, topo)
     pl = plant.make_plant(topo, obj, pcfg)
     trace = run_rollout(params, pl, cfg, seed=args.seed)
+    out = _ensure_out(args.out)
     csv_path = os.path.join(out, "trace.csv")
     sidecar = write_trace(trace, csv_path)
     config = {"ckpt": os.path.abspath(args.ckpt), "object": args.object,
@@ -286,7 +298,6 @@ def cmd_rollout(args) -> int:
 
 
 def cmd_pca(args) -> int:
-    out = _ensure_out(args.out)
     topo = _load_topology(args.topology or "default")
     params, _ = models.load_checkpoint(args.ckpt, topo)
     ds = _read_dataset(args.data, args.target_length)
@@ -299,6 +310,7 @@ def cmd_pca(args) -> int:
         start, stop = max(0, args.target_length - 45), args.target_length
     stack = analysis.extract_node_features(params, topo, ds.trials, (start, stop))
     report = analysis.pca_node_map(stack)
+    out = _ensure_out(args.out)
     csv_path = os.path.join(out, "node_map.csv")
     svg_path = os.path.join(out, "node_map.svg")
     json_path = os.path.join(out, "cluster_report.json")
@@ -315,9 +327,9 @@ def cmd_pca(args) -> int:
 
 
 def cmd_compare_forces(args) -> int:
-    out = _ensure_out(args.out)
     cmp = analysis.compare_force_traces(read_trace_forces(args.trace_a),
                                         read_trace_forces(args.trace_b))
+    out = _ensure_out(args.out)
     path = os.path.join(out, "force_comparison.json")
     with open(path, "w") as f:
         json.dump({"fraction_b_higher": cmp.fraction_b_higher,

@@ -19,7 +19,8 @@ import numpy as np
 
 from .dataset import JOINT_DIM, LABEL_DIM
 from .optim import Parameter, glorot_uniform
-from .tensor import NonFiniteError, Tensor, concat, matmul, no_grad, relu, reshape
+from .tensor import NonFiniteError, SymmetricOperator, Tensor, concat, matmul, no_grad, relu, \
+    reshape
 from .topology import HandTopology, PropagationMatrix, propagation_for
 
 TACTILE_AXES = 3
@@ -93,14 +94,14 @@ class ModelParams:
     fc_weights: list[Parameter]
     fc_biases: list[Parameter]
     propagation: PropagationMatrix | None
-    s_tensor: Tensor | None = field(default=None, repr=False)
+    s_tensor: SymmetricOperator | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.spec.kind == "GCN":
             if self.propagation is None:
                 raise ValueError("GCN models need a propagation matrix")
             if self.s_tensor is None:
-                self.s_tensor = Tensor(self.propagation.s)
+                self.s_tensor = SymmetricOperator(self.propagation.s)
         c_in = self.spec.input_channels
         for i, (w, c_out) in enumerate(zip(self.conv_weights, self.spec.conv_channels)):
             if w.shape != (c_in, c_out):

@@ -7,6 +7,11 @@ import numpy as np
 
 from .tensor import NonFiniteError, Tensor
 
+# Elements per block of the Adam update: value, gradient, both moments and the
+# two scratch buffers then take 768 KiB, inside a core's L2 cache.  On 2.6 M
+# parameters (one BLAS thread, 2-core Xeon VM) blocks of 4k/16k/64k elements
+# took 37/30/31 ms against 64 ms for the whole-array update.
+ADAM_BLOCK = 16384
 
 @dataclass(frozen=True)
 class AdamConfig:
@@ -33,7 +38,8 @@ class Parameter:
 
     def __init__(self, value, name: str = ""):
         self.name = name
-        self.value = Tensor(value, requires_grad=True)
+        # contiguous, so adam_step can update flat views of it in place
+        self.value = Tensor(np.asarray(value, dtype=np.float64, order="C"), requires_grad=True)
         self.adam_m = np.zeros_like(self.value.data)
         self.adam_v = np.zeros_like(self.value.data)
         self.step_count = 0
@@ -80,18 +86,41 @@ def adam_step(params: list[Parameter], cfg: AdamConfig) -> None:
         if not np.isfinite(g).all():
             raise NonFiniteError(f"non-finite gradient in {label}; step aborted")
 
+    a, b = np.empty(ADAM_BLOCK), np.empty(ADAM_BLOCK)
     for i, p in enumerate(params):
-        g = p.value.grad
         t = p.step_count + 1
-        # in-place moment updates to avoid transient copies of the big fc weights
-        p.adam_m *= cfg.beta1
-        p.adam_m += (1.0 - cfg.beta1) * g
-        p.adam_v *= cfg.beta2
-        p.adam_v += (1.0 - cfg.beta2) * (g * g)
-        m_hat = p.adam_m / (1.0 - cfg.beta1 ** t)
-        v_hat = p.adam_v / (1.0 - cfg.beta2 ** t)
-        p.value.data -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.epsilon)
+        _adam_update(p.value.data.reshape(-1), p.value.grad.reshape(-1), p.adam_m.reshape(-1),
+                     p.adam_v.reshape(-1), cfg, t, a, b)
         p.step_count = t
         p.value.grad = None
         if not np.isfinite(p.value.data).all():
             raise NonFiniteError(f"non-finite value in parameter {i} after Adam step {t}")
+
+
+def _adam_update(x, g, m, v, cfg: AdamConfig, t: int, a: np.ndarray, b: np.ndarray) -> None:
+    """Adam step t on flat views, in place, ADAM_BLOCK elements at a time.
+
+    Op for op the textbook update, so every bit matches it:
+    m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g^2;
+    x -= lr (m / (1 - b1^t)) / (sqrt(v / (1 - b2^t)) + eps).
+    `a` and `b` are the only scratch; no full-size temporary is made.
+    """
+    c1, c2 = 1.0 - cfg.beta1 ** t, 1.0 - cfg.beta2 ** t
+    for s in range(0, x.size, ADAM_BLOCK):
+        xs, gs, ms, vs = x[s:s + ADAM_BLOCK], g[s:s + ADAM_BLOCK], m[s:s + ADAM_BLOCK], \
+            v[s:s + ADAM_BLOCK]
+        sa, sb = a[:xs.size], b[:xs.size]
+        ms *= cfg.beta1
+        np.multiply(gs, 1.0 - cfg.beta1, out=sa)
+        ms += sa
+        vs *= cfg.beta2
+        np.multiply(gs, gs, out=sa)
+        sa *= 1.0 - cfg.beta2
+        vs += sa
+        np.divide(ms, c1, out=sa)           # m_hat
+        sa *= cfg.learning_rate
+        np.divide(vs, c2, out=sb)           # v_hat
+        np.sqrt(sb, out=sb)
+        sb += cfg.epsilon
+        sa /= sb
+        xs -= sa

@@ -295,6 +295,9 @@ def closure_target(plant: Plant) -> float:
     return min(target, cfg.joint_max)
 
 
+MIN_TRIAL_LENGTH = 50
+
+
 def generate_trial(plant: Plant, seed: int, length: int = 700) -> Trial:
     """Open-loop demonstration: seeded sigmoidal closure plus contact tactile.
 
@@ -302,8 +305,8 @@ def generate_trial(plant: Plant, seed: int, length: int = 700) -> Trial:
     grip never sags and tactile is a pure function of closure.  Sensor
     noise (if configured) applies only where a node is in contact.
     """
-    if length < 50:
-        raise ValueError(f"trial length must be >= 50, got {length}")
+    if length < MIN_TRIAL_LENGTH:
+        raise ValueError(f"trial length must be >= {MIN_TRIAL_LENGTH}, got {length}")
     cfg = plant.cfg
     rng = np.random.default_rng((202, seed))
     target = closure_target(plant)
@@ -328,6 +331,11 @@ def generate_trial(plant: Plant, seed: int, length: int = 700) -> Trial:
     return Trial(plant.obj.name, records)
 
 
+def trial_name(obj: SyntheticObject, k: int) -> str:
+    """Name of demonstration k of obj, and the stem of its CSV."""
+    return f"{obj.name}_t{k:02d}"
+
+
 def generate_object_trial(topology: HandTopology, obj: SyntheticObject, index: int, k: int,
                           seed: int, length: int = 700,
                           cfg: PlantConfig = PlantConfig()) -> Trial:
@@ -339,7 +347,7 @@ def generate_object_trial(topology: HandTopology, obj: SyntheticObject, index: i
     """
     rng = np.random.default_rng((303, seed, index, k))
     radius = cfg.base_radius + cfg.radius_jitter * float(rng.uniform(-1.0, 1.0))
-    trial_obj = replace(obj, radius=radius, name=f"{obj.name}_t{k:02d}")
+    trial_obj = replace(obj, radius=radius, name=trial_name(obj, k))
     return generate_trial(make_plant(topology, trial_obj, cfg), seed=int(rng.integers(2**31)),
                           length=length)
 

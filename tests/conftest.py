@@ -8,6 +8,7 @@ from __future__ import annotations
 from dataclasses import replace
 
 import pytest
+from hypothesis import settings
 
 import tgl
 from tgl.dataset import Dataset, PairSet, preprocess, split
@@ -15,6 +16,10 @@ from tgl.plant import (PlantConfig, generate_dataset_trials, generate_trial,
                        make_object, make_plant, object_catalog)
 from tgl.topology import HandTopology, SensorNode
 from tgl.training import TrainConfig, fit_pairs
+
+# property tests draw the same examples on every run and keep no example database
+settings.register_profile("tgl", derandomize=True, database=None, deadline=None)
+settings.load_profile("tgl")
 
 # toy-scale training setup used everywhere a real model is needed quickly
 TOY_ADAM = tgl.AdamConfig(learning_rate=1e-3)

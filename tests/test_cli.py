@@ -9,7 +9,7 @@ import pytest
 
 from tgl.cli import main
 from tgl.dataset import write_trial_csv
-from tgl.plant import PlantConfig, generate_dataset_trials, object_catalog
+from tgl.plant import PlantConfig, generate_dataset_trials, object_catalog, trial_name
 from tgl.topology import build_small_hand, load_topology
 
 GEN = ["gen-data", "--topology", "small", "--objects", "2", "--trials-per", "2",
@@ -81,9 +81,40 @@ def test_gen_data_matches_generate_dataset_trials(tmp_path):
         assert (out / f"{trial.object_name}.csv").read_bytes() == ref.read_bytes()
 
 
-def test_gen_data_validation_exit_1(tmp_path):
+def test_gen_data_validation_exit_1(pipeline, tmp_path, capsys):
     assert main(["gen-data", "--out", str(tmp_path), "--objects", "0"]) == 1
     assert main(["gen-data", "--out", str(tmp_path), "--objects", "9"]) == 1
+    # each names what is wrong and leaves no directory behind
+    _, _, run = pipeline
+    rollout = ["rollout", "--ckpt", str(run / "final.ckpt.json"), "--topology", "small",
+               "--object", "light,hard,nonslip"]
+    for i, (argv, named) in enumerate(((["gen-data", "--trials-per", "0"], "--trials-per"),
+                                       (["gen-data", "--length", "10"], "--length"),
+                                       (rollout + ["--stride", "0"], "stride"))):
+        out = tmp_path / f"bad{i}"
+        capsys.readouterr()
+        assert main(argv + ["--out", str(out)]) == 1
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_gen_data_refuses_a_directory_holding_other_trials(tmp_path, capsys):
+    out = tmp_path / "data"
+    first = ["gen-data", "--topology", "small", "--objects", "2", "--trials-per", "2",
+             "--seed", "5", "--length", "100", "--out", str(out)]
+    assert main(first) == 0
+    manifest = (out / "manifest.json").read_bytes()
+    assert main(first) == 0                      # the same run again is fine
+    assert (out / "manifest.json").read_bytes() == manifest
+    capsys.readouterr()
+    smaller = ["gen-data", "--topology", "small", "--objects", "1", "--trials-per", "1",
+               "--seed", "5", "--length", "100", "--out", str(out)]
+    assert main(smaller) == 1
+    err = capsys.readouterr().err
+    kept = f"{trial_name(object_catalog(PlantConfig())[0], 0)}.csv"
+    stale = [p for p in os.listdir(out) if p.endswith(".csv") and p != kept]
+    assert len(stale) == 3 and all(name in err for name in stale) and kept not in err
+    assert (out / "manifest.json").read_bytes() == manifest   # nothing was written
 
 
 def test_train_outputs(pipeline):

@@ -8,7 +8,7 @@ import tgl
 from tgl.models import (MODEL_TABLE, ModelSpec, build_from_spec, build_model,
                         conv_features, forward, forward_batch,
                         load_checkpoint, model_spec, save_checkpoint)
-from tgl.tensor import NonFiniteError, Tensor
+from tgl.tensor import NonFiniteError, Tensor, backward, matmul, mse_loss, no_grad
 from tgl.topology import HandTopology, SensorNode, normalize_adjacency
 
 
@@ -138,11 +138,52 @@ def test_conv_features_rejects_mlp(tiny_topo):
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
-def test_overflow_names_the_layer(tiny_topo):
-    m = build_from_spec(TOY, tiny_topo, seed=0)
-    m.conv_weights[1].value.data[:] = 1e300
-    with pytest.raises(NonFiniteError, match="conv layer 1"):
-        forward_batch(m, np.full((1, 6, 3), 1e10), np.zeros((1, 22)))
+def test_overflow_names_the_layer(tiny_topo, default_topo):
+    # the 6-node graph propagates with BLAS, the 384-node hand with the table op
+    for topo in (tiny_topo, default_topo):
+        m = build_from_spec(TOY, topo, seed=0)
+        m.conv_weights[1].value.data[:] = 1e300
+        with pytest.raises(NonFiniteError, match="conv layer 1"):
+            forward_batch(m, np.full((1, topo.n, 3), 1e10), np.zeros((1, 22)))
+
+
+def test_propagation_of_a_sample_ignores_its_batch(default_topo):
+    m = build_from_spec(TOY, default_topo, seed=0)
+    assert m.s_tensor.sparse
+    h = np.random.default_rng(3).normal(size=(100, default_topo.n, 14))
+    batch = matmul(m.s_tensor, Tensor(h)).data
+    for i in (0, 37, 99):
+        alone = matmul(m.s_tensor, Tensor(h[i:i + 1])).data
+        assert np.array_equal(batch[i], alone[0])
+
+
+def test_conv_gradients_on_the_default_hand_match_finite_differences(default_topo):
+    """One conv layer on the 384-node hand: both the weight and the input
+    gradient go through the sparse propagation op."""
+    m = build_from_spec(ModelSpec("GCN", (4,), (8,)), default_topo, seed=2)
+    assert m.s_tensor.sparse
+    rng = np.random.default_rng(8)
+    tactile = Tensor(rng.uniform(-1.0, 1.0, (2, default_topo.n, 3)), requires_grad=True)
+    aux = rng.uniform(-1.0, 1.0, (2, 22))
+    target = rng.uniform(-1.0, 1.0, (2, 16))
+    backward(mse_loss(forward_batch(m, tactile, aux), target))
+
+    def loss_value() -> float:
+        with no_grad():
+            return mse_loss(forward_batch(m, Tensor(tactile.data), aux), target).item()
+
+    h = 1e-5
+    for arr, grad in ((m.conv_weights[0].value.data, m.conv_weights[0].grad),
+                      (tactile.data, tactile.grad)):
+        for idx in rng.choice(arr.size, size=6, replace=False):
+            orig = arr.flat[idx]
+            arr.flat[idx] = orig + h
+            up = loss_value()
+            arr.flat[idx] = orig - h
+            down = loss_value()
+            arr.flat[idx] = orig
+            fd = (up - down) / (2.0 * h)
+            assert grad.flat[idx] == pytest.approx(fd, rel=1e-4, abs=1e-9)
 
 
 def test_checkpoint_round_trip_bitwise(tmp_path, tiny_topo):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import tgl
-from tgl.optim import AdamConfig, Parameter, adam_step, glorot_uniform, zero_grad
+from tgl.optim import ADAM_BLOCK, AdamConfig, Parameter, adam_step, glorot_uniform, zero_grad
 from tgl.tensor import NonFiniteError, Tensor, backward, mse_loss
 
 
@@ -44,6 +44,28 @@ def test_many_steps_match_reference_implementation():
         v_hat = ref_v / (1 - cfg.beta2 ** t)
         ref_w = ref_w - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.epsilon)
         np.testing.assert_allclose(p.value.data, ref_w, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("shape", [(1,), (ADAM_BLOCK - 1,), (ADAM_BLOCK + 1,), (130, 257)])
+def test_blocked_step_is_bitwise_textbook_adam(shape):
+    cfg = AdamConfig(learning_rate=3e-3)
+    rng = np.random.default_rng(shape[0])
+    p = Parameter(rng.normal(size=shape), name="w")
+    x, m, v = p.value.data.copy(), np.zeros(shape), np.zeros(shape)
+    for t in range(1, 6):
+        g = rng.normal(size=shape)
+        p.value.grad = g.copy()
+        adam_step([p], cfg)
+        # Kingma & Ba, Algorithm 1, written out whole-array
+        m = cfg.beta1 * m + (1.0 - cfg.beta1) * g
+        v = cfg.beta2 * v + (1.0 - cfg.beta2) * (g * g)
+        m_hat = m / (1.0 - cfg.beta1 ** t)
+        v_hat = v / (1.0 - cfg.beta2 ** t)
+        x = x - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.epsilon)
+        np.testing.assert_array_equal(p.value.data, x)
+        np.testing.assert_array_equal(p.adam_m, m)
+        np.testing.assert_array_equal(p.adam_v, v)
+    assert p.step_count == 5
 
 
 def test_converges_on_scalar_quadratic():

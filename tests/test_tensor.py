@@ -3,9 +3,10 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from tgl import tensor as T
-from tgl.tensor import NonFiniteError, Tensor, backward
+from tgl.tensor import NonFiniteError, SymmetricOperator, Tensor, backward
 
 
 def test_matmul_forward_and_grads():
@@ -149,3 +150,54 @@ def test_backward_requires_scalar():
     x = Tensor([1.0, 2.0], requires_grad=True)
     with pytest.raises(ValueError):
         backward(x * x)
+
+
+def random_symmetric(n: int, edge_p: float, diag_p: float, seed: int,
+                     isolated: bool) -> np.ndarray:
+    """Random weights on a random symmetric pattern; node 0 loses its edges if isolated."""
+    rng = np.random.default_rng(seed)
+    upper = np.triu(rng.random((n, n)) < edge_p, 1) * rng.normal(size=(n, n))
+    s = upper + upper.T + np.diag((rng.random(n) < diag_p) * rng.normal(size=n))
+    if isolated:
+        s[0, 1:] = s[1:, 0] = 0.0
+    return s
+
+
+@given(n=st.integers(1, 150), edge_p=st.sampled_from([0.0, 0.005, 0.01, 0.03, 0.3]),
+       diag_p=st.sampled_from([0.0, 0.5, 1.0]), seed=st.integers(0, 2**32 - 1),
+       isolated=st.booleans(), lead=st.sampled_from([(), (1,), (4,), (2, 3)]),
+       channels=st.integers(1, 5))
+@example(n=24, edge_p=0.3, diag_p=1.0, seed=0, isolated=False, lead=(3,), channels=2)   # BLAS
+@example(n=120, edge_p=0.01, diag_p=1.0, seed=1, isolated=True, lead=(), channels=3)    # table
+def test_symmetric_operator_matches_dense_product(n, edge_p, diag_p, seed, isolated, lead,
+                                                  channels):
+    s = random_symmetric(n, edge_p, diag_p, seed, isolated)
+    op = SymmetricOperator(s)
+    assert op.sparse == (np.count_nonzero(s) <= T.SPARSE_MAX_DENSITY * s.size)
+    rng = np.random.default_rng(seed + 1)
+    h = Tensor(rng.normal(size=lead + (n, channels)), requires_grad=True)
+    g = rng.normal(size=h.shape)
+    out = T.matmul(op, h)
+    np.testing.assert_allclose(out.data, s @ h.data, rtol=0, atol=1e-12)
+    backward((out * Tensor(g)).sum())
+    np.testing.assert_allclose(h.grad, s @ g, rtol=0, atol=1e-12)
+
+
+def test_symmetric_operator_examples_take_both_paths():
+    assert not SymmetricOperator(random_symmetric(24, 0.3, 1.0, 0, False)).sparse
+    table = SymmetricOperator(random_symmetric(120, 0.01, 1.0, 1, True))
+    assert table.sparse
+    # the isolated node keeps only its diagonal; its padding slots weigh nothing
+    assert table.index[:, 0].tolist() == [0] * table.index.shape[0]
+    assert not table.weight[1:, 0].any()
+
+
+def test_symmetric_operator_rejects_asymmetric_and_non_finite():
+    with pytest.raises(ValueError, match="symmetric"):
+        SymmetricOperator([[1.0, 2.0], [0.0, 1.0]])
+    with pytest.raises(ValueError, match="square"):
+        SymmetricOperator(np.ones((2, 3)))
+    with pytest.raises(NonFiniteError):
+        SymmetricOperator([[float("nan")]])
+    with pytest.raises(ValueError, match="mismatch"):
+        T.matmul(SymmetricOperator(np.eye(3)), Tensor(np.ones((2, 4))))

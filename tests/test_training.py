@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 
 import tgl
-from tgl.dataset import Dataset, PairSet, preprocess, split
+from tgl.dataset import Dataset, PairSet, make_pairs, preprocess, split
 from tgl.models import load_checkpoint
-from tgl.plant import PlantConfig, generate_trial, make_object, make_plant
+from tgl.plant import PlantConfig, generate_object_trial, generate_trial, make_object, \
+    make_plant, object_catalog
 from tgl.tensor import NonFiniteError
 from tgl.training import TrainConfig, evaluate, fit_pairs, train
 
@@ -168,3 +169,25 @@ def test_fit_pairs_without_validation_set(world):
     report = fit_pairs(params, PairSet(tr), None, cfg(epochs=2))
     assert report.val_losses == []
     assert report.best_checkpoint is None
+
+
+def test_default_hand_trains_and_repeats_bitwise(default_topo):
+    """The 384-node hand, whose propagation runs on the sparse table op."""
+    pcfg = PlantConfig()
+    trial = generate_object_trial(default_topo, object_catalog(pcfg)[0], 0, 0, seed=4,
+                                  length=700, cfg=pcfg)
+    pairs = PairSet(make_pairs(preprocess(trial, target_length=210)))
+    assert len(pairs) == 200
+    spec = tgl.ModelSpec("GCN", (14, 28, 56), (120, 50))
+    runs = []
+    for _ in range(2):
+        params = tgl.build_from_spec(spec, default_topo, seed=0)
+        report = fit_pairs(params, pairs, None, cfg(spec=spec, epochs=3))
+        runs.append((params, report.train_losses))
+    (a, losses_a), (b, losses_b) = runs
+    assert losses_a[-1] < losses_a[0]
+    assert losses_a == losses_b
+    for pa, pb in zip(a.parameters(), b.parameters()):
+        assert np.array_equal(pa.value.data, pb.value.data)
+        assert np.array_equal(pa.adam_m, pb.adam_m)
+        assert np.array_equal(pa.adam_v, pb.adam_v)
