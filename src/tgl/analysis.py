@@ -89,20 +89,22 @@ def silhouette(points: np.ndarray, labels: list) -> float:
         raise ValueError("silhouette needs at least 2 clusters")
     if len(keys) >= n:
         raise ValueError("silhouette needs fewer clusters than samples")
-    idx = {k: np.array([i for i, l in enumerate(labels) if l == k]) for k in keys}
+    index = {k: j for j, k in enumerate(keys)}
+    cluster = np.array([index[l] for l in labels])
+    rows = np.arange(n)
+    member = np.zeros((n, len(keys)))
+    member[rows, cluster] = 1.0
     d2 = ((points[:, None, :] - points[None, :, :]) ** 2).sum(axis=2)
     dist = np.sqrt(np.maximum(d2, 0.0))
-    scores = np.zeros(n)
-    for k in keys:
-        members = idx[k]
-        for i in members:
-            if members.size == 1:
-                scores[i] = 0.0
-                continue
-            a = dist[i, members].sum() / (members.size - 1)
-            b = min(dist[i, idx[other]].mean() for other in keys if other != k)
-            denom = max(a, b)
-            scores[i] = 0.0 if denom == 0 else (b - a) / denom
+    sums = dist @ member                  # [n, clusters]: distance to each cluster
+    size = member.sum(axis=0)
+    own = size[cluster]
+    a = sums[rows, cluster] / np.maximum(own - 1.0, 1.0)
+    means = sums / size
+    means[rows, cluster] = np.inf
+    b = means.min(axis=1)
+    denom = np.maximum(a, b)
+    scores = np.divide(b - a, denom, out=np.zeros(n), where=(own > 1) & (denom != 0))
     return float(scores.mean())
 
 

@@ -141,14 +141,27 @@ def _maybe_config(path: str | None) -> dict:
     return doc
 
 
+# JSON types a config value may take, by the type of the flag's default
+_CONFIG_TYPES = {int: ((int,), "an integer"), float: ((int, float), "a number"),
+                 str: ((str,), "a string")}
+
+
 def _resolve(args: argparse.Namespace, config: dict, key: str, default):
-    """Precedence: explicit flag > config file > default."""
+    """Precedence: explicit flag > config file > default.
+
+    A config value must have the default's type; an int stands for a float
+    as is, and a JSON true/false is never a number.
+    """
     flag = getattr(args, key.replace("-", "_"), None)
     if flag is not None:
         return flag
-    if key in config:
-        return config[key]
-    return default
+    if key not in config:
+        return default
+    value = config[key]
+    allowed, name = _CONFIG_TYPES[type(default)]
+    if isinstance(value, bool) or not isinstance(value, allowed):
+        raise CliError(f"config key {key!r} must be {name}, got {json.dumps(value)}")
+    return value
 
 
 # ---------------------------------------------------------------------------

@@ -283,7 +283,8 @@ def relu(x) -> Tensor:
     def back(g):
         return (g * mask,) if x.requires_grad else (None,)
 
-    return Tensor._from_op(np.where(mask, x.data, 0.0), (x,), back)
+    # maximum(x, 0.0) returns +0.0 for -0.0, matching where(mask, x, 0.0) bit for bit
+    return Tensor._from_op(np.maximum(x.data, 0.0), (x,), back)
 
 
 def tensor_sum(x) -> Tensor:

@@ -6,6 +6,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 import tgl
 from tgl.analysis import (ClusterReport, NodeFeatureStack, compare_force_traces,
@@ -75,6 +76,47 @@ def test_silhouette_matches_sklearn_on_blobs():
     ours = silhouette(points, labels)
     ref = float(sklearn_metrics.silhouette_score(points, labels))
     assert ours == pytest.approx(ref, abs=1e-12)
+
+
+def loop_silhouette(points: np.ndarray, labels: list) -> float:
+    """Reference: the per-sample double loop, one distance row at a time."""
+    points = np.asarray(points, dtype=np.float64)
+    keys = sorted(set(labels))
+    idx = {k: np.array([i for i, l in enumerate(labels) if l == k]) for k in keys}
+    d2 = ((points[:, None, :] - points[None, :, :]) ** 2).sum(axis=2)
+    dist = np.sqrt(np.maximum(d2, 0.0))
+    scores = np.zeros(points.shape[0])
+    for k in keys:
+        members = idx[k]
+        for i in members:
+            if members.size == 1:
+                scores[i] = 0.0
+                continue
+            a = dist[i, members].sum() / (members.size - 1)
+            b = min(dist[i, idx[other]].mean() for other in keys if other != k)
+            denom = max(a, b)
+            scores[i] = 0.0 if denom == 0 else (b - a) / denom
+    return float(scores.mean())
+
+
+@given(n=st.integers(3, 40), clusters_from_top=st.integers(0, 40), dim=st.integers(1, 3),
+       grid=st.sampled_from([0, 1, 2, 4]), tuples=st.booleans(), seed=st.integers(0, 2**32 - 1))
+@example(n=3, clusters_from_top=0, dim=2, grid=0, tuples=False, seed=0)    # a singleton
+@example(n=6, clusters_from_top=3, dim=2, grid=1, tuples=True, seed=1)     # all coincident
+@example(n=9, clusters_from_top=0, dim=1, grid=2, tuples=False, seed=2)    # n - 1 clusters
+def test_silhouette_matches_the_loop(n, clusters_from_top, dim, grid, tuples, seed):
+    """grid 0 draws continuous points; grid g > 0 draws from {0..g-1}^dim, so points coincide."""
+    rng = np.random.default_rng(seed)
+    clusters = max(2, n - 1 - clusters_from_top)
+    cluster = np.concatenate([np.arange(clusters), rng.integers(0, clusters, n - clusters)])
+    cluster = rng.permutation(cluster)
+    labels = [(f"f{c % 3}", int(c)) if tuples else int(c) for c in cluster]
+    if grid:
+        points = rng.integers(0, grid, size=(n, dim)).astype(np.float64)
+    else:
+        points = rng.normal(size=(n, dim)) + cluster[:, None]
+    assert silhouette(points, labels) == pytest.approx(loop_silhouette(points, labels),
+                                                       rel=0, abs=1e-12)
 
 
 def test_silhouette_validation():

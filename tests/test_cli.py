@@ -1,13 +1,14 @@
 """Command-line pipeline: subcommands, exit codes, manifests, reproducibility."""
 from __future__ import annotations
 
+import argparse
 import json
 import os
 
 import numpy as np
 import pytest
 
-from tgl.cli import main
+from tgl.cli import _resolve, main
 from tgl.dataset import write_trial_csv
 from tgl.plant import PlantConfig, generate_dataset_trials, object_catalog, trial_name
 from tgl.topology import build_small_hand, load_topology
@@ -167,6 +168,34 @@ def test_config_file_supplies_defaults_flags_win(pipeline, tmp_path):
     assert len(lines) == 3  # flag beats config
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["config"]["seed"] == 1  # config beats default
+
+
+@pytest.mark.parametrize("command, key, value, expected", [
+    ("gen-data", "trials-per", "2", "an integer"),
+    ("gen-data", "seed", True, "an integer"),
+    ("train", "epochs", 2.5, "an integer"),
+    ("train", "lr", "1e-3", "a number"),
+    ("train", "seed", False, "an integer"),
+])
+def test_config_value_of_the_wrong_type_exit_1(pipeline, tmp_path, capsys, command, key,
+                                               value, expected):
+    _, data, _ = pipeline
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: value}))
+    out = tmp_path / "out"
+    argv = GEN if command == "gen-data" else TRAIN + ["--data", str(data)]
+    at = argv.index(f"--{key}")              # the flag would beat the config value
+    argv = argv[:at] + argv[at + 2:]
+    capsys.readouterr()
+    assert main(argv + ["--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert repr(key) in err and expected in err
+    assert not out.exists()
+
+
+def test_config_int_stands_for_a_float_unchanged():
+    value = _resolve(argparse.Namespace(lr=None), {"lr": 1}, "lr", 1e-5)
+    assert value == 1 and type(value) is int
 
 
 def test_eval_writes_json(pipeline, tmp_path):

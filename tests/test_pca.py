@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from tgl.pca import pca
 
@@ -91,3 +92,43 @@ def test_input_validation():
     bad[0, 0] = np.nan
     with pytest.raises(ValueError):
         pca(bad, 1)
+
+
+def pca_inputs(n: int, d: int, kind: str, seed: int) -> np.ndarray:
+    """Gaussian data with uneven column scales, or one of three rank-deficient shapes."""
+    rng = np.random.default_rng(seed)
+    data = rng.normal(size=(n, d)) * rng.uniform(0.1, 10.0, size=d) + rng.normal(size=d)
+    if kind == "duplicate rows":
+        data[n // 2:] = data[:n - n // 2]
+    elif kind == "zero columns":
+        data[:, ::2] = 0.0
+    elif kind == "one spread column":
+        data[:] = 3.0
+        data[:, seed % d] = rng.normal(size=n)
+    return data
+
+
+@given(n=st.integers(2, 40), d=st.integers(1, 40), k_from_top=st.integers(0, 40),
+       kind=st.sampled_from(["full", "duplicate rows", "zero columns", "one spread column"]),
+       seed=st.integers(0, 2**32 - 1))
+@example(n=2, d=9, k_from_top=0, kind="full", seed=0)                # two samples
+@example(n=30, d=5, k_from_top=0, kind="full", seed=1)               # n > d, k = d
+@example(n=12, d=12, k_from_top=0, kind="duplicate rows", seed=2)    # n = d, k = n
+@example(n=25, d=8, k_from_top=0, kind="zero columns", seed=3)
+@example(n=8, d=25, k_from_top=0, kind="one spread column", seed=4)
+def test_matches_the_full_svd(n, d, k_from_top, kind, seed):
+    data = pca_inputs(n, d, kind, seed)
+    k = max(1, min(n, d) - k_from_top)
+    comps, proj, variances = pca(data, k)
+    centered = data - data.mean(axis=0)
+    _, s, vt_ref = np.linalg.svd(centered, full_matrices=False)
+    np.testing.assert_allclose(variances, s[:k] ** 2 / (n - 1),
+                               rtol=1e-9, atol=1e-12 * s[0] ** 2)
+    np.testing.assert_allclose(comps @ comps.T, np.eye(k), rtol=0, atol=1e-10)
+    gap = s[k - 1] - (s[k] if k < s.size else 0.0)
+    if gap > 1e-6 * s[0]:
+        np.testing.assert_allclose(np.abs(comps @ vt_ref[:k].T), np.eye(k), rtol=0, atol=1e-8)
+    again = pca(data.copy(), k)
+    assert comps.tobytes() == again[0].tobytes()
+    assert proj.tobytes() == again[1].tobytes()
+    assert variances == again[2]

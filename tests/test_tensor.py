@@ -28,6 +28,22 @@ def test_relu_value_and_subgradient():
     assert x.grad.tolist() == [0.0, 0.0, 1.0]
 
 
+@pytest.mark.parametrize("shape", [(7, 5), (3, 24, 6)])
+def test_relu_bits_match_where_including_signed_zeros(shape):
+    rng = np.random.default_rng(0)
+    data = rng.normal(size=shape)
+    data.flat[::3] = -0.0
+    data.flat[1::7] = 0.0
+    x = Tensor(data, requires_grad=True)
+    y = T.relu(x)
+    ref = np.where(data > 0, data, 0.0)
+    assert y.data.tobytes() == ref.tobytes()
+    assert not np.signbit(y.data).any()
+    g = rng.normal(size=shape)
+    backward((y * Tensor(g)).sum())
+    assert x.grad.tobytes() == (g * (data > 0)).tobytes()
+
+
 def test_mse_loss_value_and_grad():
     pred = Tensor([1.0, 1.0], requires_grad=True)
     target = Tensor([0.0, 2.0])
