@@ -70,8 +70,7 @@ def extract_node_features(params: ModelParams, topology: HandTopology,
             if trial.n_nodes != params.n_nodes:
                 raise ValueError(f"trial {trial.object_name!r} carries {trial.n_nodes} nodes, "
                                  f"model expects {params.n_nodes}")
-            batch = np.stack([trial.records[t].tactile for t in range(start, stop)])
-            feats = conv_features(params, batch).data     # [steps, nodes, c]
+            feats = conv_features(params, trial.tactile[start:stop]).data     # [steps, nodes, c]
             blocks.append(np.transpose(feats, (1, 0, 2)).reshape(params.n_nodes, -1))
     features = np.concatenate(blocks, axis=1)
     labels = [(nd.finger, nd.segment) for nd in topology.nodes]

@@ -126,19 +126,27 @@ def _read_dataset(data_dir: str, target_length: int) -> dataset.Dataset:
     return dataset.preprocess_dataset(dataset.Dataset(trials, target_length=target_length))
 
 
-def _maybe_config(path: str | None) -> dict:
-    if path is None:
-        return {}
-    if not os.path.exists(path):
-        raise CliError(f"config file not found: {path}")
-    with open(path) as f:
-        try:
-            doc = json.load(f)
-        except json.JSONDecodeError as e:
-            raise CliError(f"config {path} is not valid JSON: {e}") from None
-    if not isinstance(doc, dict):
-        raise CliError(f"config {path} must hold a JSON object")
-    return doc
+def _settings(args: argparse.Namespace, defaults: dict) -> dict:
+    """Each key of defaults, resolved from its flag, the --config file or the default.
+
+    The config file may hold only these keys; it is checked before anything
+    is resolved.
+    """
+    path, config = args.config, {}
+    if path is not None:
+        if not os.path.exists(path):
+            raise CliError(f"config file not found: {path}")
+        with open(path) as f:
+            try:
+                config = json.load(f)
+            except json.JSONDecodeError as e:
+                raise CliError(f"config {path} is not valid JSON: {e}") from None
+        if not isinstance(config, dict):
+            raise CliError(f"config {path} must hold a JSON object")
+    unknown = sorted(set(config) - set(defaults))
+    if unknown:
+        raise CliError(f"config {path} has unknown keys {unknown}; accepted: {sorted(defaults)}")
+    return {key: _resolve(args, config, key, default) for key, default in defaults.items()}
 
 
 # JSON types a config value may take, by the type of the flag's default
@@ -182,12 +190,8 @@ def cmd_topology(args) -> int:
 
 
 def cmd_gen_data(args) -> int:
-    cfgfile = _maybe_config(args.config)
-    seed = _resolve(args, cfgfile, "seed", 7)
-    n_objects = _resolve(args, cfgfile, "objects", 8)
-    trials_per = _resolve(args, cfgfile, "trials-per", 10)
-    length = _resolve(args, cfgfile, "length", 700)
-    topo_spec = _resolve(args, cfgfile, "topology", "default")
+    seed, n_objects, trials_per, length, topo_spec = _settings(args, {
+        "seed": 7, "objects": 8, "trials-per": 10, "length": 700, "topology": "default"}).values()
     if trials_per < 1:
         raise CliError(f"--trials-per must be >= 1, got {trials_per}")
     if length < plant.MIN_TRIAL_LENGTH:
@@ -237,15 +241,10 @@ def _custom_spec(conv: str | None, fc: str | None) -> models.ModelSpec | None:
 
 
 def cmd_train(args) -> int:
-    cfgfile = _maybe_config(args.config)
     out = args.out   # training.train creates it once the run is set up
-    seed = _resolve(args, cfgfile, "seed", 0)
-    epochs = _resolve(args, cfgfile, "epochs", 200)
-    batch = _resolve(args, cfgfile, "batch-size", 100)
-    lr = _resolve(args, cfgfile, "lr", 1e-5)
-    model = _resolve(args, cfgfile, "model", "III")
-    target_length = _resolve(args, cfgfile, "target-length", dataset.DEFAULT_TARGET_LENGTH)
-    topo_spec = _resolve(args, cfgfile, "topology", "default")
+    seed, epochs, batch, lr, model, target_length, topo_spec = _settings(args, {
+        "seed": 0, "epochs": 200, "batch-size": 100, "lr": 1e-5, "model": "III",
+        "target-length": dataset.DEFAULT_TARGET_LENGTH, "topology": "default"}).values()
     topo = _load_topology(topo_spec)
     ds = _read_dataset(args.data, target_length)
     cfg = training.TrainConfig(model=model, batch_size=batch, epochs=epochs,

@@ -8,8 +8,9 @@ at t+horizon) pairs.
 """
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, replace
-from typing import NamedTuple
+from typing import NamedTuple, NoReturn
 
 import numpy as np
 
@@ -68,50 +69,53 @@ class TrajectoryRecord:
 
 @dataclass
 class Trial:
+    """One demonstration as whole arrays, validated once."""
     object_name: str
-    records: list[TrajectoryRecord]
+    t: np.ndarray        # (T,) strictly increasing integer time steps
+    joints: np.ndarray   # (T, 16)
+    tactile: np.ndarray  # (T, nodes, 3)
+    labels: np.ndarray   # (6,) one bit per property pair, constant over the trial
     smoothed: bool = False
 
     def __post_init__(self):
-        if not self.records:
-            raise ValueError(f"trial {self.object_name!r} has no records")
-        n = self.records[0].tactile.shape[0]
-        labels = self.records[0].labels
-        prev_t = None
-        for r in self.records:
-            if prev_t is not None and r.t <= prev_t:
-                raise ValueError(f"trial {self.object_name!r}: time steps must strictly increase "
-                                 f"({prev_t} then {r.t})")
-            prev_t = r.t
-            if r.tactile.shape[0] != n:
-                raise ValueError(f"trial {self.object_name!r}: inconsistent node counts "
-                                 f"({n} vs {r.tactile.shape[0]})")
-            if not np.array_equal(r.labels, labels):
-                raise ValueError(f"trial {self.object_name!r}: labels must be constant per trial")
+        self.t = np.asarray(self.t)
+        self.joints = np.asarray(self.joints, dtype=np.float64)
+        self.tactile = np.asarray(self.tactile, dtype=np.float64)
+        self.labels = np.asarray(self.labels, dtype=np.float64)
+        length = self.t.shape[0] if self.t.ndim == 1 else 0
+        if not (length and self.t.dtype.kind in "iu" and self.joints.shape == (length, JOINT_DIM)
+                and self.tactile.ndim == 3 and self.tactile.shape[::2] == (length, 3)):
+            raise ValueError(f"trial {self.object_name!r} needs t [T] of integers, joints [T, 16], "
+                             f"tactile [T, nodes, 3], T >= 1; got {self.t.dtype} t {self.t.shape}, "
+                             f"joints {self.joints.shape}, tactile {self.tactile.shape}")
+        validate_labels(self.labels)
+        back = np.flatnonzero(self.t[1:] <= self.t[:-1])
+        if back.size:
+            raise ValueError(f"trial {self.object_name!r}: time steps must strictly increase "
+                             f"({self.t[back[0]]} then {self.t[back[0] + 1]})")
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.t)
 
     @property
     def n_nodes(self) -> int:
-        return self.records[0].tactile.shape[0]
+        return self.tactile.shape[1]
+
+    def take(self, idx) -> "Trial":
+        """The frames at idx (a slice or an index array)."""
+        return replace(self, t=self.t[idx], joints=self.joints[idx], tactile=self.tactile[idx])
 
     @property
-    def labels(self) -> np.ndarray:
-        return self.records[0].labels
+    def records(self) -> list[TrajectoryRecord]:
+        """Per-frame view for callers that read frame by frame; the pipeline reads the arrays."""
+        return [TrajectoryRecord(t, j, x, self.labels)
+                for t, j, x in zip(self.t.tolist(), self.joints, self.tactile)]
 
     def joints_array(self) -> np.ndarray:
-        return np.stack([r.joints for r in self.records])
+        return self.joints
 
     def tactile_array(self) -> np.ndarray:
-        return np.stack([r.tactile for r in self.records])
-
-    def _rebuild(self, joints: np.ndarray, tactile: np.ndarray, ts=None, smoothed=None) -> "Trial":
-        ts = ts if ts is not None else [r.t for r in self.records]
-        recs = [TrajectoryRecord(t=int(t), joints=j, tactile=x, labels=self.labels)
-                for t, j, x in zip(ts, joints, tactile)]
-        return Trial(self.object_name, recs,
-                     smoothed=self.smoothed if smoothed is None else smoothed)
+        return self.tactile
 
 
 @dataclass
@@ -131,21 +135,11 @@ def trim_static(trial: Trial, velocity_eps: float = DEFAULT_VELOCITY_EPS) -> Tri
     """
     if velocity_eps <= 0:
         raise ValueError(f"velocity_eps must be positive, got {velocity_eps}")
-    joints = trial.joints_array()
-    if len(trial) < 2:
-        raise ValueError("no motion detected: trial has a single frame")
-    step = np.abs(np.diff(joints, axis=0)).max(axis=1)  # (L-1,)
-    moving_edge = step >= velocity_eps
-    frame_moving = np.zeros(len(trial), dtype=bool)
-    frame_moving[:-1] |= moving_edge
-    frame_moving[1:] |= moving_edge
-    idx = np.nonzero(frame_moving)[0]
-    if idx.size == 0:
+    moving = np.flatnonzero(np.abs(np.diff(trial.joints, axis=0)).max(axis=1) >= velocity_eps)
+    if moving.size == 0:
         raise ValueError(f"no motion detected in trial {trial.object_name!r} "
                          f"(velocity_eps={velocity_eps})")
-    lo, hi = int(idx[0]), int(idx[-1])
-    records = trial.records[lo:hi + 1]
-    return Trial(trial.object_name, list(records), smoothed=trial.smoothed)
+    return trial.take(slice(moving[0], moving[-1] + 2))
 
 
 def smooth(trial: Trial) -> Trial:
@@ -155,18 +149,14 @@ def smooth(trial: Trial) -> Trial:
     length = len(trial)
     if length < SMOOTH_MIN_LEN:
         raise ValueError(f"smoothing needs at least {SMOOTH_MIN_LEN} frames, got {length}")
-    joints = trial.joints_array()
-    tactile = trial.tactile_array()
-    flat = tactile.reshape(length, -1)
-    jp = np.vstack([np.zeros((1, joints.shape[1])), np.cumsum(joints, axis=0)])
-    tp = np.vstack([np.zeros((1, flat.shape[1])), np.cumsum(flat, axis=0)])
+    flat = np.concatenate([trial.joints, trial.tactile.reshape(length, -1)], axis=1)
+    prefix = np.vstack([np.zeros((1, flat.shape[1])), np.cumsum(flat, axis=0)])
     t = np.arange(length)
     lo = np.maximum(0, t - SMOOTH_BEFORE)
-    hi = np.minimum(length - 1, t + SMOOTH_AFTER)
-    count = (hi + 1 - lo)[:, None].astype(np.float64)
-    sj = (jp[hi + 1] - jp[lo]) / count
-    st = ((tp[hi + 1] - tp[lo]) / count).reshape(tactile.shape)
-    return trial._rebuild(sj, st, smoothed=True)
+    hi = np.minimum(length, t + SMOOTH_AFTER + 1)   # exclusive
+    mean = (prefix[hi] - prefix[lo]) / (hi - lo)[:, None].astype(np.float64)
+    return replace(trial, joints=mean[:, :JOINT_DIM],
+                   tactile=mean[:, JOINT_DIM:].reshape(trial.tactile.shape), smoothed=True)
 
 
 def downsample(trial: Trial, target_length: int = DEFAULT_TARGET_LENGTH) -> Trial:
@@ -179,8 +169,7 @@ def downsample(trial: Trial, target_length: int = DEFAULT_TARGET_LENGTH) -> Tria
     if length == target_length:
         return trial
     idx = np.rint(np.arange(target_length) * (length - 1) / (target_length - 1)).astype(int)
-    records = [trial.records[i] for i in idx]
-    return Trial(trial.object_name, records, smoothed=trial.smoothed)
+    return trial.take(idx)
 
 
 def preprocess(trial: Trial, target_length: int = DEFAULT_TARGET_LENGTH,
@@ -205,11 +194,9 @@ def make_pairs(trial: Trial, horizon: int = DEFAULT_HORIZON) -> list[Pair]:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
     if len(trial) <= horizon:
         raise ValueError(f"trial of {len(trial)} frames yields no pairs at horizon {horizon}")
-    out = []
-    for i in range(len(trial) - horizon):
-        r = trial.records[i]
-        out.append(Pair(r.tactile, r.joints, r.labels, trial.records[i + horizon].joints))
-    return out
+    end = len(trial) - horizon
+    return [Pair(x, j, trial.labels, y)
+            for x, j, y in zip(trial.tactile[:end], trial.joints[:end], trial.joints[horizon:])]
 
 
 def split(ds: Dataset, seed: int) -> tuple[list[Pair], list[Pair]]:
@@ -273,15 +260,17 @@ def csv_line(t: int, joints: np.ndarray, tactile: np.ndarray, labels: np.ndarray
 def write_trial_csv(trial: Trial, path: str) -> None:
     with open(path, "w") as f:
         f.write(",".join(csv_header(trial.n_nodes)) + "\n")
-        for r in trial.records:
-            f.write(csv_line(r.t, r.joints, r.tactile, r.labels))
+        f.writelines(csv_line(t, j, x, trial.labels)
+                     for t, j, x in zip(trial.t.tolist(), trial.joints, trial.tactile))
 
 
-def read_csv(path: str, extra: tuple[str, ...] = ()) -> tuple[int, list[int], np.ndarray]:
-    """Parse a file laid out as csv_header(nodes, extra): (nodes, t per row, cells [rows, width-1]).
+def read_csv(path: str, extra: tuple[str, ...] = ()) -> tuple[int, np.ndarray, np.ndarray]:
+    """Parse a file laid out as csv_header(nodes, extra): (nodes, t [rows], cells [rows, width-1]).
 
-    The header must match exactly and every row must have its full cell
-    count; errors name path:line.  Blank lines are skipped.
+    The header must match exactly; every row must have its full cell
+    count, an integer t above the last row's, and the first row's labels,
+    which must be one-hot pairs.  Errors name path:line.  Blank lines are
+    skipped.  The checked lines are parsed in one np.loadtxt call.
     """
     with open(path) as f:
         header = f.readline().rstrip("\n").split(",")
@@ -290,29 +279,47 @@ def read_csv(path: str, extra: tuple[str, ...] = ()) -> tuple[int, list[int], np
         if n < 1 or rem or header != csv_header(n, extra):
             raise ValueError(f"{path}: header is not t, j00..j15, s<node><x|y|z> per node, "
                              f"l0..l5{''.join(', ' + c for c in extra)}")
-        ts, rows = [], []
-        for lineno, line in enumerate(f, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            cells = line.split(",")
-            if len(cells) != width:
-                raise ValueError(f"{path}:{lineno}: expected {width} cells, got {len(cells)}")
+        rows = [(lineno, line) for lineno, line in enumerate(map(str.strip, f), start=2) if line]
+    ts: list[int] = []
+
+    def fail(row: int, message) -> NoReturn:
+        raise ValueError(f"{path}:{rows[row][0]}: {message}") from None
+
+    for row, (_, line) in enumerate(rows):
+        try:
+            if line.count(",") + 1 != width:
+                raise ValueError(f"expected {width} cells, got {line.count(',') + 1}")
+            ts.append(int(line[:line.index(",")]))
+        except ValueError as e:
+            fail(row, e)
+        if row and ts[-1] <= ts[-2]:
+            fail(row, f"t must strictly increase, got {ts[-2]} then {ts[-1]}")
+    if not rows:
+        return n, np.zeros(0, dtype=np.int64), np.zeros((0, width - 1))
+    try:
+        cells = np.loadtxt([line for _, line in rows], delimiter=",", comments=None,
+                           usecols=range(1, width), ndmin=2)
+    except ValueError as e:
+        for row, (_, line) in enumerate(rows):   # name the first line float() rejects
             try:
-                ts.append(int(cells[0]))
-                rows.append(list(map(float, cells[1:])))
-            except ValueError as e:
-                raise ValueError(f"{path}:{lineno}: {e}") from None
-    return n, ts, np.array(rows).reshape(len(rows), width - 1)
+                list(map(float, line.split(",")[1:]))
+            except ValueError as bad:
+                fail(row, bad)
+        raise ValueError(f"{path}: {e}") from None
+    labels = cells[:, JOINT_DIM + 3 * n:JOINT_DIM + 3 * n + LABEL_DIM]
+    try:
+        validate_labels(labels[0])
+    except ValueError as e:
+        fail(0, e)
+    changed = np.flatnonzero((labels != labels[0]).any(axis=1))
+    if changed.size:
+        fail(changed[0], f"labels {labels[changed[0]].tolist()} differ from the first row's")
+    return n, np.array(ts, dtype=np.int64), cells
 
 
 def read_trial_csv(path: str, object_name: str | None = None) -> Trial:
-    n, ts, cells = read_csv(path)
-    records = [TrajectoryRecord(t=t, joints=row[:JOINT_DIM],
-                                tactile=row[JOINT_DIM:JOINT_DIM + 3 * n].reshape(n, 3),
-                                labels=row[JOINT_DIM + 3 * n:])
-               for t, row in zip(ts, cells)]
-    if object_name is None:
-        base = path.rsplit("/", 1)[-1]
-        object_name = base[:-4] if base.endswith(".csv") else base
-    return Trial(object_name, records)
+    n, t, cells = read_csv(path)
+    end = JOINT_DIM + 3 * n   # the labels follow the tactile cells
+    name = os.path.basename(path).removesuffix(".csv") if object_name is None else object_name
+    return Trial(name, t, cells[:, :JOINT_DIM], cells[:, JOINT_DIM:end].reshape(-1, n, 3),
+                 cells[:1, end:].ravel())

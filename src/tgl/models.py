@@ -228,7 +228,7 @@ def save_checkpoint(params: ModelParams, path: str, extra: dict | None = None) -
         for p in params.parameters():
             for stream, arr in (("value", p.value.data), ("adam_m", p.adam_m), ("adam_v", p.adam_v)):
                 arr = np.ascontiguousarray(arr, dtype="<f8")
-                f.write(arr.tobytes())
+                f.write(memoryview(arr))
                 tensors.append({"name": f"{p.name}/{stream}", "shape": list(arr.shape),
                                 "offset": offset})
                 offset += arr.size
@@ -286,8 +286,8 @@ def load_checkpoint(path: str, topology: HandTopology) -> tuple[ModelParams, dic
     def rebuild(name: str) -> Parameter:
         got = take(name)
         p = Parameter(got["value"], name=name)
-        p.adam_m = got["adam_m"].astype(np.float64).copy()
-        p.adam_v = got["adam_v"].astype(np.float64).copy()
+        p.adam_m = got["adam_m"].astype(np.float64)
+        p.adam_v = got["adam_v"].astype(np.float64)
         return p
 
     conv_weights = [rebuild(f"conv{i}") for i in range(len(spec.conv_channels))]

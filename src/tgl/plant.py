@@ -26,7 +26,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .dataset import Trial, TrajectoryRecord, encode_labels
+from .dataset import Trial, encode_labels
 from .topology import HandTopology
 
 GOLDEN_ANGLE = 2.399963229728653
@@ -190,12 +190,10 @@ def make_plant(topology: HandTopology, obj: SyntheticObject,
 
 
 def _closures(plant: Plant, joints: np.ndarray) -> np.ndarray:
-    """Per-node driving closure: the node's finger block mean, or hand mean."""
-    blocks = joints.reshape(4, 4).mean(axis=1)
-    hand = joints.mean()
-    per_node = np.where(plant.finger_block >= 0,
-                        blocks[np.clip(plant.finger_block, 0, 3)], hand)
-    return per_node
+    """Per-node driving closure: the node's finger block mean, or hand mean; joints (..., 16)."""
+    blocks = joints.reshape(*joints.shape[:-1], 4, 4).mean(axis=-1)
+    hand = joints.mean(axis=-1, keepdims=True)
+    return np.where(plant.finger_block >= 0, blocks[..., np.clip(plant.finger_block, 0, 3)], hand)
 
 
 def _penetration(plant: Plant, joints: np.ndarray, sag: float) -> np.ndarray:
@@ -203,10 +201,10 @@ def _penetration(plant: Plant, joints: np.ndarray, sag: float) -> np.ndarray:
 
 
 def tactile_from_contact(plant: Plant, contact_map: np.ndarray) -> np.ndarray:
-    """(nodes, 3) readings: x,y tangential, z normal = stiffness * penetration."""
+    """(..., nodes, 3) readings: x,y tangential, z normal = stiffness * penetration."""
     normal = plant.obj.stiffness * contact_map
-    tang = plant.cfg.tangential_gain * plant.obj.friction * normal[:, None] * plant.tangential
-    return np.concatenate([tang, normal[:, None]], axis=1)
+    tang = plant.cfg.tangential_gain * plant.obj.friction * normal[..., None] * plant.tangential
+    return np.concatenate([tang, normal[..., None]], axis=-1)
 
 
 def _support(plant: Plant, contact_map: np.ndarray) -> float:
@@ -318,17 +316,12 @@ def generate_trial(plant: Plant, seed: int, length: int = 700) -> Trial:
     steps = np.arange(length)[:, None]
     joints = cfg.open_pose + (tgt - cfg.open_pose) / (1.0 + np.exp(-(steps - t0) / tau))
 
-    noise = rng.normal(0.0, cfg.sensor_noise, (length, plant.n_nodes, 3)) \
-        if cfg.sensor_noise > 0 else None
-    labels = plant.obj.labels
-    records = []
-    for t in range(length):
-        contact = _penetration(plant, joints[t], sag=0.0)
-        tactile = tactile_from_contact(plant, contact)
-        if noise is not None:
-            tactile = tactile + noise[t] * (contact > 0)[:, None]
-        records.append(TrajectoryRecord(t=t, joints=joints[t], tactile=tactile, labels=labels))
-    return Trial(plant.obj.name, records)
+    contact = _penetration(plant, joints, sag=0.0)   # (length, nodes)
+    tactile = tactile_from_contact(plant, contact)
+    if cfg.sensor_noise > 0:
+        noise = rng.normal(0.0, cfg.sensor_noise, (length, plant.n_nodes, 3))
+        tactile = tactile + noise * (contact > 0)[..., None]
+    return Trial(plant.obj.name, np.arange(length), joints, tactile, plant.obj.labels)
 
 
 def trial_name(obj: SyntheticObject, k: int) -> str:

@@ -278,7 +278,8 @@ def mul(a, b) -> Tensor:
 
 def relu(x) -> Tensor:
     x = as_tensor(x)
-    mask = x.data > 0  # gradient is exactly 0 at the kink
+    # gradient is exactly 0 at the kink; only a recorded op's backward reads the mask
+    mask = x.data > 0 if _grad_enabled and x.requires_grad else None
 
     def back(g):
         return (g * mask,) if x.requires_grad else (None,)

@@ -21,6 +21,24 @@ from tgl.training import TrainConfig, fit_pairs
 settings.register_profile("tgl", derandomize=True, database=None, deadline=None)
 settings.load_profile("tgl")
 
+_module_seconds: dict[str, float] = {}
+
+
+def pytest_runtest_logreport(report):
+    """Sum setup, call and teardown time per module; a shared fixture counts where it is built."""
+    module = report.nodeid.split("::", 1)[0]
+    _module_seconds[module] = _module_seconds.get(module, 0.0) + report.duration
+
+
+def pytest_terminal_summary(terminalreporter):
+    if not _module_seconds:
+        return
+    terminalreporter.section("wall time per test module")
+    for module, seconds in sorted(_module_seconds.items(), key=lambda kv: -kv[1]):
+        terminalreporter.write_line(f"{seconds:8.1f} s  {module}")
+    terminalreporter.write_line(f"{sum(_module_seconds.values()):8.1f} s  total")
+
+
 # toy-scale training setup used everywhere a real model is needed quickly
 TOY_ADAM = tgl.AdamConfig(learning_rate=1e-3)
 TOY_GCN3 = tgl.ModelSpec("GCN", (14, 28, 56), (120, 50))

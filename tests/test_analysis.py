@@ -13,16 +13,15 @@ from tgl.analysis import (ClusterReport, NodeFeatureStack, compare_force_traces,
                           extract_node_features, pca_node_map, silhouette,
                           write_cluster_report_json, write_node_map_csv,
                           write_node_map_svg)
-from tgl.dataset import Trial, TrajectoryRecord, encode_labels
+from tgl.dataset import Trial, encode_labels
 from tgl.models import ModelSpec, build_from_spec
 
 LABELS = encode_labels(heavy=False, soft=False, slippery=False)
 
 
 def make_trial(tactile_per_t: np.ndarray, name: str = "obj") -> Trial:
-    records = [TrajectoryRecord(t, np.zeros(16), tac, LABELS)
-               for t, tac in enumerate(tactile_per_t)]
-    return Trial(name, records)
+    length = len(tactile_per_t)
+    return Trial(name, np.arange(length), np.zeros((length, 16)), tactile_per_t, LABELS)
 
 
 def blob_stack(rng, separation: float) -> NodeFeatureStack:

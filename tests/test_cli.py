@@ -193,6 +193,26 @@ def test_config_value_of_the_wrong_type_exit_1(pipeline, tmp_path, capsys, comma
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, doc, accepted", [
+    ("gen-data", {"trials_per": 1, "seed": 2},
+     "'length', 'objects', 'seed', 'topology', 'trials-per'"),
+    ("train", {"epoch": 3}, "'batch-size', 'epochs', 'lr', 'model', 'seed', 'target-length', "
+                            "'topology'"),
+])
+def test_config_unknown_key_exit_1(pipeline, tmp_path, capsys, command, doc, accepted):
+    _, data, _ = pipeline
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    argv = GEN if command == "gen-data" else TRAIN + ["--data", str(data)]
+    capsys.readouterr()
+    assert main(argv + ["--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    unknown = sorted(set(doc) - {"seed"})
+    assert f"unknown keys {unknown}" in err and f"accepted: [{accepted}]" in err
+    assert not out.exists()
+
+
 def test_config_int_stands_for_a_float_unchanged():
     value = _resolve(argparse.Namespace(lr=None), {"lr": 1}, "lr", 1e-5)
     assert value == 1 and type(value) is int

@@ -1,22 +1,22 @@
-"""Trajectory records, preprocessing pipeline, pairing, CSV interchange."""
+"""Array-backed trials, preprocessing pipeline, pairing, CSV interchange."""
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
+from hypothesis.extra.numpy import arrays
 
-from tgl.dataset import (Dataset, PairSet, Trial, TrajectoryRecord, downsample,
-                         encode_labels, make_pairs, preprocess, read_trial_csv,
-                         smooth, split, trim_static, validate_labels,
-                         write_trial_csv)
+from tgl.dataset import (Dataset, PairSet, Trial, downsample, encode_labels, make_pairs,
+                         preprocess, read_trial_csv, smooth, split, trim_static,
+                         validate_labels, write_trial_csv)
 
 LABELS = encode_labels(heavy=False, soft=False, slippery=False)
 
 
 def make_trial(joints_per_t: np.ndarray, n_nodes: int = 4, name: str = "obj",
                labels: np.ndarray = LABELS) -> Trial:
-    records = [TrajectoryRecord(t, j, np.zeros((n_nodes, 3)), labels)
-               for t, j in enumerate(joints_per_t)]
-    return Trial(name, records)
+    length = len(joints_per_t)
+    return Trial(name, np.arange(length), joints_per_t, np.zeros((length, n_nodes, 3)), labels)
 
 
 def ramp_trial(length: int, start: int, stop: int) -> Trial:
@@ -51,8 +51,8 @@ def test_trim_static_cuts_leading_and_trailing_rest():
     trial = ramp_trial(329, 50, 250)
     trimmed = trim_static(trial)
     assert len(trimmed) == 200
-    assert trimmed.records[0].t == 50
-    assert trimmed.records[-1].t == 249
+    assert trimmed.t[0] == 50
+    assert trimmed.t[-1] == 249
 
 
 def test_trim_static_keeps_always_moving_trial():
@@ -73,7 +73,7 @@ def test_smooth_is_windowed_mean():
     joints[20] = 1.0
     sm = smooth(make_trial(joints))
     assert sm.smoothed
-    got = sm.joints_array()[:, 0]
+    got = sm.joints[:, 0]
     # window [t-5, t+4] clipped to the trial, so frame 16 onward sees frame 20
     for t in range(60):
         lo, hi = max(0, t - 5), min(60, t + 5)
@@ -84,7 +84,7 @@ def test_smooth_is_windowed_mean():
 def test_smooth_constant_trial_unchanged():
     joints = np.full((30, 16), 0.7)
     sm = smooth(make_trial(joints))
-    np.testing.assert_allclose(sm.joints_array(), joints, atol=1e-12)
+    np.testing.assert_allclose(sm.joints, joints, atol=1e-12)
 
 
 def test_smooth_twice_rejected():
@@ -103,11 +103,12 @@ def test_downsample_endpoints_and_count():
     down = downsample(make_trial(joints), 330)
     assert len(down) == 330
     # first and last frames always survive
-    assert down.records[0].joints[0] == 0.0
-    assert down.records[-1].joints[0] == 659.0
+    assert down.joints[0, 0] == 0.0
+    assert down.joints[-1, 0] == 659.0
     # uniform stride: index i maps to round(i * 659 / 329)
     idx = np.rint(np.arange(330) * 659.0 / 329.0).astype(int)
-    np.testing.assert_array_equal(down.joints_array()[:, 0], idx.astype(float))
+    np.testing.assert_array_equal(down.joints[:, 0], idx.astype(float))
+    np.testing.assert_array_equal(down.t, idx)
 
 
 def test_downsample_identity_when_equal():
@@ -183,34 +184,111 @@ def test_pair_set_stacks_and_aux():
 
 
 def test_trial_validation():
-    records = [TrajectoryRecord(0, np.zeros(16), np.zeros((4, 3)), LABELS),
-               TrajectoryRecord(0, np.zeros(16), np.zeros((4, 3)), LABELS)]
-    with pytest.raises(ValueError):
-        Trial("x", records)  # non-increasing timestamps
-    other = encode_labels(heavy=True, soft=False, slippery=False)
-    records = [TrajectoryRecord(0, np.zeros(16), np.zeros((4, 3)), LABELS),
-               TrajectoryRecord(1, np.zeros(16), np.zeros((4, 3)), other)]
-    with pytest.raises(ValueError):
-        Trial("x", records)  # labels change mid-trial
-    records = [TrajectoryRecord(0, np.zeros(16), np.zeros((4, 3)), LABELS),
-               TrajectoryRecord(1, np.zeros(16), np.zeros((5, 3)), LABELS)]
-    with pytest.raises(ValueError):
-        Trial("x", records)  # node count changes
+    t, joints, tactile = np.arange(3), np.zeros((3, 16)), np.zeros((3, 4, 3))
+    Trial("x", t, joints, tactile, LABELS)
+    with pytest.raises(ValueError, match="strictly increase"):
+        Trial("x", np.array([0, 1, 1]), joints, tactile, LABELS)
+    with pytest.raises(ValueError, match="exactly one"):
+        Trial("x", t, joints, tactile, np.array([1.0, 1.0, 1.0, 0.0, 1.0, 0.0]))
+    with pytest.raises(ValueError, match="integers"):
+        Trial("x", t.astype(float), joints, tactile, LABELS)
+    with pytest.raises(ValueError, match="joints"):
+        Trial("x", t, np.zeros((2, 16)), tactile, LABELS)   # frame counts disagree
+    with pytest.raises(ValueError, match="tactile"):
+        Trial("x", t, joints, np.zeros((3, 4, 2)), LABELS)
+    with pytest.raises(ValueError, match="T >= 1"):
+        Trial("x", t[:0], joints[:0], tactile[:0], LABELS)
+
+
+def test_records_are_a_view_of_the_arrays():
+    rng = np.random.default_rng(3)
+    trial = Trial("x", np.array([2, 5, 9]), rng.normal(size=(3, 16)), rng.normal(size=(3, 4, 3)),
+                  LABELS)
+    records = trial.records
+    assert [r.t for r in records] == [2, 5, 9]
+    np.testing.assert_array_equal(np.stack([r.joints for r in records]), trial.joints_array())
+    np.testing.assert_array_equal(np.stack([r.tactile for r in records]), trial.tactile_array())
+    assert all(np.array_equal(r.labels, trial.labels) for r in records)
 
 
 def test_csv_round_trip_bit_exact(tmp_path):
     rng = np.random.default_rng(8)
-    records = [TrajectoryRecord(t, rng.normal(size=16), rng.normal(size=(3, 3)), LABELS)
-               for t in range(20)]
-    trial = Trial("sample", records)
+    trial = Trial("sample", np.arange(20), rng.normal(size=(20, 16)), rng.normal(size=(20, 3, 3)),
+                  LABELS)
     path = tmp_path / "sample.csv"
     write_trial_csv(trial, str(path))
     back = read_trial_csv(str(path))
     assert back.object_name == "sample"
     assert len(back) == 20
-    np.testing.assert_array_equal(back.joints_array(), trial.joints_array())
-    np.testing.assert_array_equal(back.tactile_array(), trial.tactile_array())
+    np.testing.assert_array_equal(back.t, trial.t)
+    np.testing.assert_array_equal(back.joints, trial.joints)
+    np.testing.assert_array_equal(back.tactile, trial.tactile)
     np.testing.assert_array_equal(back.labels, trial.labels)
+
+
+EDGE_BITS = np.array([-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072009e-308, -1e-310,
+                      np.finfo(float).max, -np.finfo(float).max, np.finfo(float).tiny, 0.1])
+
+
+@given(bits=arrays(np.uint64, (7, 16 + 2 * 3), elements=st.integers(0, 2**64 - 1)),
+       start=st.integers(-10**6, 10**6), gaps=st.lists(st.integers(1, 10**4), min_size=6,
+                                                        max_size=6))
+@example(bits=np.resize(EDGE_BITS, (7, 22)).view(np.uint64), start=0, gaps=[1] * 6)
+def test_csv_round_trip_over_random_float64_bit_patterns(tmp_path_factory, bits, start, gaps):
+    cells = bits.view(np.float64)
+    cells = np.where(np.isfinite(cells), cells, -0.0)   # every finite pattern, -0.0 for the rest
+    trial = Trial("bits", np.cumsum([start] + gaps), cells[:, :16], cells[:, 16:].reshape(7, 2, 3),
+                  encode_labels(heavy=True, soft=False, slippery=True))
+    path = str(tmp_path_factory.mktemp("bits") / "bits.csv")
+    write_trial_csv(trial, path)
+    back = read_trial_csv(path)
+    assert back.t.tolist() == trial.t.tolist()
+    for got, want in ((back.joints, trial.joints), (back.tactile, trial.tactile),
+                      (back.labels, trial.labels)):
+        assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
+
+
+def _written(tmp_path, rows: int = 4) -> tuple[str, list[str]]:
+    rng = np.random.default_rng(1)
+    trial = Trial("w", np.arange(rows), rng.normal(size=(rows, 16)),
+                  rng.normal(size=(rows, 2, 3)), LABELS)
+    path = tmp_path / "w.csv"
+    write_trial_csv(trial, str(path))
+    return str(path), path.read_text().splitlines()
+
+
+def _cells(line: str, replace_at: dict) -> str:
+    cells = line.split(",")
+    for i, value in replace_at.items():
+        cells[i] = value
+    return ",".join(cells)
+
+
+@pytest.mark.parametrize("mutate, line, message", [
+    (lambda ls: ls[:2] + [ls[2].rsplit(",", 1)[0]] + ls[3:], 3, "expected 29 cells, got 28"),
+    (lambda ls: ls[:3] + [_cells(ls[3], {0: "2.5"})] + ls[4:], 4, "invalid literal for int"),
+    (lambda ls: ls[:3] + [_cells(ls[3], {0: "1"})] + ls[4:], 4, "t must strictly increase"),
+    (lambda ls: ls[:4] + [_cells(ls[4], {5: "x"})] + ls[5:], 5, "could not convert"),
+    (lambda ls: ls[:4] + [_cells(ls[4], {-6: "0.0", -5: "1.0"})] + ls[5:], 5, "labels"),
+    (lambda ls: [ls[0]] + [_cells(l, {-1: "1.0"}) for l in ls[1:]], 2, "exactly one bit"),
+])
+def test_read_trial_csv_errors_name_path_and_line(tmp_path, mutate, line, message):
+    path, lines = _written(tmp_path)
+    with open(path, "w") as f:
+        f.write("\n".join(mutate(lines)) + "\n")
+    with pytest.raises(ValueError, match=message) as err:
+        read_trial_csv(path)
+    assert str(err.value).startswith(f"{path}:{line}: ")
+
+
+def test_read_trial_csv_skips_blank_lines(tmp_path):
+    path, lines = _written(tmp_path)
+    want = read_trial_csv(path)
+    with open(path, "w") as f:
+        f.write("\n".join([lines[0], "", lines[1], "  ", *lines[2:], ""]) + "\n\n")
+    back = read_trial_csv(path)
+    np.testing.assert_array_equal(back.t, want.t)
+    np.testing.assert_array_equal(back.tactile, want.tactile)
 
 
 def test_csv_rejects_malformed(tmp_path):

@@ -200,10 +200,54 @@ def test_generate_trial_deterministic(topo):
     plant = make_plant(topo, make_object(False, False, False), PlantConfig())
     a = generate_trial(plant, seed=3, length=120)
     b = generate_trial(plant, seed=3, length=120)
-    np.testing.assert_array_equal(a.joints_array(), b.joints_array())
-    np.testing.assert_array_equal(a.tactile_array(), b.tactile_array())
+    np.testing.assert_array_equal(a.joints, b.joints)
+    np.testing.assert_array_equal(a.tactile, b.tactile)
     c = generate_trial(plant, seed=4, length=120)
-    assert not np.array_equal(a.joints_array(), c.joints_array())
+    assert not np.array_equal(a.joints, c.joints)
+
+
+def generate_trial_per_frame(plant, seed: int, length: int):
+    """Reference: the demonstration built one frame at a time, as generate_trial once did."""
+    cfg = plant.cfg
+    rng = np.random.default_rng((202, seed))
+    target = closure_target(plant)
+    t0 = cfg.mid_fraction * length * (1.0 + cfg.phase_jitter * rng.uniform(-1.0, 1.0, 16))
+    tgt = np.clip(target * (1.0 + cfg.target_jitter * rng.uniform(-1.0, 1.0, 16)),
+                  cfg.joint_min, cfg.joint_max)
+    steps = np.arange(length)[:, None]
+    tau = cfg.sigmoid_tau_fraction * length
+    joints = cfg.open_pose + (tgt - cfg.open_pose) / (1.0 + np.exp(-(steps - t0) / tau))
+    noise = rng.normal(0.0, cfg.sensor_noise, (length, plant.n_nodes, 3)) \
+        if cfg.sensor_noise > 0 else None
+    frames = []
+    for t in range(length):
+        blocks = joints[t].reshape(4, 4).mean(axis=1)
+        closure = np.where(plant.finger_block >= 0,
+                           blocks[np.clip(plant.finger_block, 0, 3)], joints[t].mean())
+        contact = np.maximum(0.0, closure - plant.onsets - 0.0)
+        normal = plant.obj.stiffness * contact
+        tang = cfg.tangential_gain * plant.obj.friction * normal[:, None] * plant.tangential
+        tactile = np.concatenate([tang, normal[:, None]], axis=1)
+        if noise is not None:
+            tactile = tactile + noise[t] * (contact > 0)[:, None]
+        frames.append(tactile)
+    return joints, np.stack(frames)
+
+
+@pytest.mark.parametrize("hand", ["small", "default"])
+@pytest.mark.parametrize("noise", [0.0, 0.15])
+def test_generate_trial_matches_the_per_frame_reference_bitwise(hand, noise):
+    topo = tgl.build_small_hand() if hand == "small" else tgl.build_default_hand()
+    cfg = replace(PlantConfig(), sensor_noise=noise)
+    for obj in object_catalog(cfg)[::3]:
+        plant = make_plant(topo, replace(obj, radius=0.93), cfg)
+        trial = generate_trial(plant, seed=9, length=150)
+        joints, tactile = generate_trial_per_frame(plant, seed=9, length=150)
+        assert trial.t.tolist() == list(range(150))
+        assert trial.joints.tobytes() == joints.tobytes()
+        assert trial.tactile.tobytes() == tactile.tobytes()
+        assert trial.labels.tobytes() == obj.labels.tobytes()
+        assert tactile[-1].any() and (noise == 0.0 or (tactile[:, :, 2] < 0).any())
 
 
 def test_generate_trial_shape_and_motion(topo):
@@ -211,12 +255,12 @@ def test_generate_trial_shape_and_motion(topo):
     trial = generate_trial(plant, seed=0, length=200)
     assert len(trial) == 200
     assert trial.n_nodes == topo.n
-    joints = trial.joints_array()
+    joints = trial.joints
     # starts open, ends near the demonstrated closure
     assert joints[0].max() < 0.2
     assert joints[-1].mean() == pytest.approx(closure_target(plant), rel=0.1)
     # tactile silent early, active late
-    tac = trial.tactile_array()
+    tac = trial.tactile
     assert not tac[0].any()
     assert tac[-1].any()
 
@@ -237,7 +281,7 @@ def test_generate_dataset_trials_radius_jitter(topo):
     rerun = generate_dataset_trials(topo, object_catalog(cfg)[:2], 3, seed=5,
                                     length=120, cfg=cfg)
     for a, b in zip(trials, rerun):
-        np.testing.assert_array_equal(a.joints_array(), b.joints_array())
+        np.testing.assert_array_equal(a.joints, b.joints)
 
 
 def test_config_json_round_trip(tmp_path):
