@@ -12,7 +12,6 @@ import hashlib
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 from . import analysis, dataset, models, plant, topology as topo_mod, training
@@ -32,19 +31,6 @@ class CliError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse would exit(2); usage errors are validation errors
         raise CliError(message)
-
-
-def thread_cap() -> int:
-    raw = os.environ.get("TGL_THREADS", "").strip()
-    if raw:
-        try:
-            cap = int(raw)
-        except ValueError:
-            raise CliError(f"TGL_THREADS must be an integer, got {raw!r}") from None
-        if cap < 1:
-            raise CliError(f"TGL_THREADS must be >= 1, got {cap}")
-        return cap
-    return os.cpu_count() or 1
 
 
 def _sha256(path: str) -> str:
@@ -202,7 +188,6 @@ def cmd_gen_data(args) -> int:
     if not (1 <= n_objects <= len(catalog)):
         raise CliError(f"--objects must lie in 1..{len(catalog)}, got {n_objects}")
     jobs = [(obj, oi, k) for oi, obj in enumerate(catalog[:n_objects]) for k in range(trials_per)]
-    workers = min(thread_cap(), len(jobs))
     # train, eval and pca read every CSV in a data directory: another run's would join this one
     wanted = {f"{plant.trial_name(obj, k)}.csv" for obj, _, k in jobs}
     stale = sorted(p for p in os.listdir(args.out) if p.endswith(".csv") and p not in wanted) \
@@ -211,15 +196,11 @@ def cmd_gen_data(args) -> int:
         raise CliError(f"{args.out} holds trial CSVs this run would not write: "
                        f"{', '.join(stale)}; remove them or choose another --out")
     out = _ensure_out(args.out)
-
-    def run(job):
+    paths = []
+    for job in jobs:
         trial = plant.generate_object_trial(topo, *job, seed=seed, length=length, cfg=pcfg)
-        path = os.path.join(out, f"{trial.object_name}.csv")
-        dataset.write_trial_csv(trial, path)
-        return path
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        paths = list(pool.map(run, jobs))
+        paths.append(os.path.join(out, f"{trial.object_name}.csv"))
+        dataset.write_trial_csv(trial, paths[-1])
     cfg_path = os.path.join(out, "plant_config.json")
     pcfg.to_json(cfg_path)
     config = {"seed": seed, "objects": n_objects, "trials_per": trials_per,

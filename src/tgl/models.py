@@ -11,9 +11,10 @@ layer is linear.
 from __future__ import annotations
 
 import json
+import math
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -29,6 +30,8 @@ OUTPUT_DIM = 16
 HORIZON = 10
 
 CHECKPOINT_FORMAT_VERSION = 1
+BLOB_DTYPE = "<f8"
+STREAMS = ("value", "adam_m", "adam_v")   # a parameter's block in the buffer, in order
 
 
 @dataclass(frozen=True)
@@ -85,16 +88,36 @@ def model_spec(name: str) -> ModelSpec:
         raise ValueError(f"unknown model name {name!r}; expected one of {sorted(MODEL_TABLE)}") from None
 
 
-@dataclass
+def parameter_layout(spec: ModelSpec, n_nodes: int) -> tuple[list[tuple[str, tuple, int]], int]:
+    """(name, shape, offset) of each parameter in `ModelParams.parameters()` order, and the total.
+
+    A parameter's block is its value, adam_m and adam_v; the blocks end to end, in
+    float64 elements, are the model's buffer and its checkpoint blob alike.
+    """
+    widths = (spec.input_channels, *spec.conv_channels)
+    shapes = [(f"conv{i}", (a, b)) for i, (a, b) in enumerate(zip(widths, widths[1:]))]
+    for i, (a, b) in enumerate(spec.fc_layer_sizes(n_nodes)):
+        shapes += [(f"fc{i}.weight", (a, b)), (f"fc{i}.bias", (b,))]
+    layout, offset = [], 0
+    for name, shape in shapes:
+        layout.append((name, shape, offset))
+        offset += len(STREAMS) * math.prod(shape)
+    return layout, offset
+
+
+@dataclass(eq=False)   # a model is equal only to itself, as its Parameters are
 class ModelParams:
+    """Parameters and Adam moments, all views into `buffer`, laid out by `parameter_layout`."""
     spec: ModelSpec
     n_nodes: int
     seed: int
-    conv_weights: list[Parameter]
-    fc_weights: list[Parameter]
-    fc_biases: list[Parameter]
+    buffer: np.ndarray = field(repr=False)
     propagation: PropagationMatrix | None
     s_tensor: SymmetricOperator | None = field(default=None, repr=False)
+    conv_weights: list[Parameter] = field(init=False, repr=False)
+    fc_weights: list[Parameter] = field(init=False, repr=False)
+    fc_biases: list[Parameter] = field(init=False, repr=False)
+    _parameters: list[Parameter] = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.spec.kind == "GCN":
@@ -102,46 +125,31 @@ class ModelParams:
                 raise ValueError("GCN models need a propagation matrix")
             if self.s_tensor is None:
                 self.s_tensor = SymmetricOperator(self.propagation.s)
-        c_in = self.spec.input_channels
-        for i, (w, c_out) in enumerate(zip(self.conv_weights, self.spec.conv_channels)):
-            if w.shape != (c_in, c_out):
-                raise ValueError(f"conv weight {i} has shape {w.shape}, expected {(c_in, c_out)}")
-            c_in = c_out
-        expected = self.spec.fc_layer_sizes(self.n_nodes)
-        if len(self.fc_weights) != len(expected):
-            raise ValueError(f"expected {len(expected)} fc layers, got {len(self.fc_weights)}")
-        for i, ((a, b), w, bias) in enumerate(zip(expected, self.fc_weights, self.fc_biases)):
-            if w.shape != (a, b):
-                raise ValueError(f"fc weight {i} has shape {w.shape}, expected {(a, b)}")
-            if bias.shape != (b,):
-                raise ValueError(f"fc bias {i} has shape {bias.shape}, expected {(b,)}")
+        params = self._parameters = [
+            Parameter.view(self.buffer[offset:offset + len(STREAMS) * math.prod(shape)]
+                           .reshape(len(STREAMS), *shape), name)
+            for name, shape, offset in parameter_layout(self.spec, self.n_nodes)[0]]
+        n_conv = len(self.spec.conv_channels)
+        self.conv_weights = params[:n_conv]
+        self.fc_weights, self.fc_biases = params[n_conv::2], params[n_conv + 1::2]
 
     def parameters(self) -> list[Parameter]:
-        out = list(self.conv_weights)
-        for w, b in zip(self.fc_weights, self.fc_biases):
-            out.append(w)
-            out.append(b)
-        return out
+        return list(self._parameters)
 
     def parameter_count(self) -> int:
-        return sum(p.value.size for p in self.parameters())
+        return self.buffer.size // len(STREAMS)
 
 
 def build_from_spec(spec: ModelSpec, topology: HandTopology, seed: int) -> ModelParams:
-    """Seeded glorot-uniform weights, zero biases; draw order is fixed."""
+    """Seeded glorot-uniform weights, zero biases and moments; draw order is fixed."""
+    _, total = parameter_layout(spec, topology.n)
+    params = ModelParams(spec=spec, n_nodes=topology.n, seed=seed, buffer=np.zeros(total),
+                         propagation=propagation_for(topology) if spec.kind == "GCN" else None)
     rng = np.random.default_rng(seed)
-    conv_weights = []
-    c_in = spec.input_channels
-    for i, c_out in enumerate(spec.conv_channels):
-        conv_weights.append(Parameter(glorot_uniform(rng, c_in, c_out), name=f"conv{i}"))
-        c_in = c_out
-    fc_weights, fc_biases = [], []
-    for i, (a, b) in enumerate(spec.fc_layer_sizes(topology.n)):
-        fc_weights.append(Parameter(glorot_uniform(rng, a, b), name=f"fc{i}.weight"))
-        fc_biases.append(Parameter(np.zeros(b), name=f"fc{i}.bias"))
-    prop = propagation_for(topology) if spec.kind == "GCN" else None
-    return ModelParams(spec=spec, n_nodes=topology.n, seed=seed, conv_weights=conv_weights,
-                       fc_weights=fc_weights, fc_biases=fc_biases, propagation=prop)
+    for p in params.parameters():
+        if p.value.ndim == 2:   # a weight; biases stay zero
+            p.value.data[:] = glorot_uniform(rng, *p.shape)
+    return params
 
 
 def build_model(name: str, topology: HandTopology, seed: int) -> ModelParams:
@@ -215,39 +223,26 @@ def forward(params: ModelParams, tactile, joints, labels) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # checkpoints: manifest JSON + one raw little-endian float64 blob
 
-def _blob_path(manifest_path: str) -> str:
-    base = manifest_path[:-5] if manifest_path.endswith(".json") else manifest_path
-    return base + ".bin"
+def _blob_tensors(layout: list) -> list[dict]:
+    """The manifest's `tensors`: each stream of each parameter, in blob order."""
+    return [{"name": f"{name}/{stream}", "shape": list(shape),
+             "offset": offset + k * math.prod(shape)}
+            for name, shape, offset in layout for k, stream in enumerate(STREAMS)]
 
 
 def save_checkpoint(params: ModelParams, path: str, extra: dict | None = None) -> None:
-    blob = _blob_path(path)
-    tensors = []
-    offset = 0  # in elements
-    with open(blob, "wb") as f:
-        for p in params.parameters():
-            for stream, arr in (("value", p.value.data), ("adam_m", p.adam_m), ("adam_v", p.adam_v)):
-                arr = np.ascontiguousarray(arr, dtype="<f8")
-                f.write(memoryview(arr))
-                tensors.append({"name": f"{p.name}/{stream}", "shape": list(arr.shape),
-                                "offset": offset})
-                offset += arr.size
+    blob = (path[:-5] if path.endswith(".json") else path) + ".bin"
+    params.buffer.astype(BLOB_DTYPE, copy=False).tofile(blob)   # one write
     manifest = {
         "format_version": CHECKPOINT_FORMAT_VERSION,
-        "kind": params.spec.kind,
-        "conv_channels": list(params.spec.conv_channels),
-        "fc_sizes": list(params.spec.fc_sizes),
-        "input_channels": params.spec.input_channels,
-        "aux_input": params.spec.aux_input,
-        "output_dim": params.spec.output_dim,
-        "horizon": params.spec.horizon,
+        **asdict(params.spec),   # every ModelSpec field, under its own name
         "n_nodes": params.n_nodes,
         "seed": params.seed,
-        "dtype": "<f8",
+        "dtype": BLOB_DTYPE,
         "blob": os.path.basename(blob),
-        "total_elements": offset,
+        "total_elements": params.buffer.size,
         "step_counts": [p.step_count for p in params.parameters()],
-        "tensors": tensors,
+        "tensors": _blob_tensors(parameter_layout(params.spec, params.n_nodes)[0]),
         "extra": extra or {},
     }
     with open(path, "w") as f:
@@ -256,48 +251,44 @@ def save_checkpoint(params: ModelParams, path: str, extra: dict | None = None) -
 
 
 def load_checkpoint(path: str, topology: HandTopology) -> tuple[ModelParams, dict]:
+    """The model a checkpoint holds, with the blob as its buffer, and the manifest's extra.
+
+    ValueError names the file and the field when a field is missing or the manifest
+    disagrees with the layout of its own model spec.
+    """
     with open(path) as f:
         man = json.load(f)
-    if man.get("format_version") != CHECKPOINT_FORMAT_VERSION:
-        raise ValueError(f"unsupported checkpoint format version {man.get('format_version')!r}")
-    if man["n_nodes"] != topology.n:
-        raise ValueError(f"checkpoint was built for {man['n_nodes']} nodes, "
-                         f"topology has {topology.n}")
-    spec = ModelSpec(kind=man["kind"], conv_channels=tuple(man["conv_channels"]),
-                     fc_sizes=tuple(man["fc_sizes"]), input_channels=man["input_channels"],
-                     aux_input=man["aux_input"], output_dim=man["output_dim"],
-                     horizon=man["horizon"])
-    blob = os.path.join(os.path.dirname(path) or ".", man["blob"])
-    flat = np.fromfile(blob, dtype="<f8")
-    if flat.size != man["total_elements"]:
-        raise ValueError(f"blob holds {flat.size} elements, manifest says {man['total_elements']}")
-    streams = {}
-    for entry in man["tensors"]:
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        streams[entry["name"]] = flat[entry["offset"]:entry["offset"] + count].reshape(shape)
 
-    def take(name: str) -> dict[str, np.ndarray]:
-        try:
-            return {s: streams[f"{name}/{s}"] for s in ("value", "adam_m", "adam_v")}
-        except KeyError as e:
-            raise ValueError(f"checkpoint is missing tensor {e.args[0]!r}") from e
+    def entry(key: str, expected=None):
+        if not isinstance(man, dict) or key not in man:
+            raise ValueError(f"checkpoint {path}: manifest has no {key!r}")
+        if expected is not None and man[key] != expected:
+            raise ValueError(f"checkpoint {path}: {key!r} is {man[key]!r}, expected {expected!r}")
+        return man[key]
 
-    def rebuild(name: str) -> Parameter:
-        got = take(name)
-        p = Parameter(got["value"], name=name)
-        p.adam_m = got["adam_m"].astype(np.float64)
-        p.adam_v = got["adam_v"].astype(np.float64)
-        return p
-
-    conv_weights = [rebuild(f"conv{i}") for i in range(len(spec.conv_channels))]
-    n_fc = len(spec.fc_sizes) + 1
-    fc_weights = [rebuild(f"fc{i}.weight") for i in range(n_fc)]
-    fc_biases = [rebuild(f"fc{i}.bias") for i in range(n_fc)]
-    prop = propagation_for(topology) if spec.kind == "GCN" else None
-    params = ModelParams(spec=spec, n_nodes=topology.n, seed=man["seed"],
-                         conv_weights=conv_weights, fc_weights=fc_weights,
-                         fc_biases=fc_biases, propagation=prop)
-    for p, steps in zip(params.parameters(), man["step_counts"]):
-        p.step_count = int(steps)
+    entry("format_version", CHECKPOINT_FORMAT_VERSION)
+    entry("dtype", BLOB_DTYPE)
+    entry("n_nodes", topology.n)
+    spec_fields = {f.name: entry(f.name) for f in fields(ModelSpec)}
+    try:
+        spec = ModelSpec(**spec_fields | {k: tuple(spec_fields[k])
+                                          for k in ("conv_channels", "fc_sizes")})
+    except (TypeError, ValueError) as e:
+        raise ValueError(f"checkpoint {path}: bad model spec: {e}") from None
+    layout, total = parameter_layout(spec, topology.n)
+    if entry("tensors") != _blob_tensors(layout):
+        raise ValueError(f"checkpoint {path}: 'tensors' do not match the layout of its model")
+    entry("total_elements", total)
+    steps, seed = entry("step_counts"), entry("seed")
+    if not (isinstance(steps, list) and len(steps) == len(layout)
+            and all(isinstance(count, int) and count >= 0 for count in steps)):
+        raise ValueError(f"checkpoint {path}: 'step_counts' must be {len(layout)} counts >= 0")
+    blob = os.path.join(os.path.dirname(path) or ".", entry("blob"))
+    buffer = np.fromfile(blob, dtype=BLOB_DTYPE)
+    if buffer.size != total:
+        raise ValueError(f"checkpoint blob {blob} holds {buffer.size} elements, expected {total}")
+    params = ModelParams(spec=spec, n_nodes=topology.n, seed=seed, buffer=buffer,
+                         propagation=propagation_for(topology) if spec.kind == "GCN" else None)
+    for p, count in zip(params.parameters(), steps):
+        p.step_count = count
     return params, man.get("extra", {})

@@ -44,6 +44,14 @@ class Parameter:
         self.adam_v = np.zeros_like(self.value.data)
         self.step_count = 0
 
+    @classmethod
+    def view(cls, block: np.ndarray, name: str) -> Parameter:
+        """A parameter whose value, adam_m and adam_v are the rows of `block` [3, *shape]."""
+        p = cls.__new__(cls)
+        p.name, p.value, p.step_count = name, Tensor(block[0], requires_grad=True), 0
+        p.adam_m, p.adam_v = block[1], block[2]
+        return p
+
     @property
     def shape(self) -> tuple[int, ...]:
         return self.value.shape
@@ -61,13 +69,12 @@ def zero_grad(params) -> None:
         p.value.grad = None
 
 
-def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int,
-                   shape: tuple[int, ...] | None = None) -> np.ndarray:
+def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
     """Uniform(-a, a) with a = sqrt(6/(fan_in+fan_out))."""
     if fan_in <= 0 or fan_out <= 0:
         raise ValueError(f"fans must be positive, got ({fan_in}, {fan_out})")
     a = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-a, a, size=shape if shape is not None else (fan_in, fan_out))
+    return rng.uniform(-a, a, size=(fan_in, fan_out))
 
 
 def adam_step(params: list[Parameter], cfg: AdamConfig) -> None:

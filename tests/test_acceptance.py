@@ -275,8 +275,7 @@ def _assert_params_bitwise_equal(a, b) -> None:
         assert x.step_count == y.step_count
 
 
-def test_criterion_10_determinism_and_round_trips(overfit_fixture, tmp_path,
-                                                  monkeypatch):
+def test_criterion_10_determinism_and_round_trips(overfit_fixture, tmp_path):
     fx = overfit_fixture
     ckpt = str(tmp_path / "model.ckpt.json")
     save_checkpoint(fx["params"], ckpt)
@@ -299,7 +298,6 @@ def test_criterion_10_determinism_and_round_trips(overfit_fixture, tmp_path,
     assert extra["epoch"] == 20
     _assert_params_bitwise_equal(straight, resumed)
 
-    monkeypatch.setenv("TGL_THREADS", "1")
     gen = ["gen-data", "--topology", "small", "--objects", "1", "--trials-per",
            "2", "--seed", "9", "--length", "700"]
     run_a, run_b = str(tmp_path / "a"), str(tmp_path / "b")

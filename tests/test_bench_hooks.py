@@ -1,0 +1,44 @@
+"""The benchmark's layer tracer still finds the calls it wraps.
+
+`bench/spans.py` times layers by swapping wrappers into the namespaces of
+the tgl modules that make each call (`training.adam_step`,
+`models.propagation_for`, ...).  A refactor that moves one of those calls
+would leave its span silent, and only a traced benchmark run would notice.
+"""
+from __future__ import annotations
+
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+
+from tgl import AdamConfig, ModelSpec, build_from_spec
+from tgl.dataset import Pair, PairSet
+from tgl.training import TrainConfig, evaluate, fit_pairs
+
+SPANS_PY = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+HOOKED = ("topology.propagation", "models.propagate", "models.channel_mix", "models.fc",
+          "optim.adam_step", "models.save_checkpoint", "models.load_checkpoint")
+
+
+def _load_spans():
+    spec = importlib.util.spec_from_file_location("bench_spans", SPANS_PY)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_hooked_span_fires(tmp_path, tiny_topo):
+    spans = _load_spans()
+    rng = np.random.default_rng(0)
+    labels = np.array([1.0, 0.0, 1.0, 0.0, 1.0, 0.0])
+    pairs = [Pair(rng.normal(size=(tiny_topo.n, 3)), rng.normal(size=16), labels,
+                  rng.normal(size=16)) for _ in range(8)]
+    spec = ModelSpec("GCN", (4,), (8,))
+    cfg = TrainConfig(spec=spec, epochs=1, batch_size=8, adam=AdamConfig(learning_rate=1e-3))
+    with spans.installed(spans.Tracer()) as tracer:
+        params = build_from_spec(spec, tiny_topo, seed=0)
+        report = fit_pairs(params, PairSet(pairs), None, cfg, str(tmp_path))
+        evaluate(report.final_checkpoint, pairs, tiny_topo)
+    fired = {name for name, *_ in tracer.spans}
+    assert fired >= set(HOOKED), sorted(set(HOOKED) - fired)

@@ -4,12 +4,15 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
+import shutil
 
 import numpy as np
 import pytest
 
 from tgl.cli import _resolve, main
 from tgl.dataset import write_trial_csv
+from tgl.models import load_checkpoint
 from tgl.plant import PlantConfig, generate_dataset_trials, object_catalog, trial_name
 from tgl.topology import build_small_hand, load_topology
 
@@ -17,13 +20,6 @@ GEN = ["gen-data", "--topology", "small", "--objects", "2", "--trials-per", "2",
        "--seed", "5", "--length", "700"]
 TRAIN = ["train", "--topology", "small", "--conv", "5,9", "--fc", "30",
          "--epochs", "12", "--lr", "1e-3", "--seed", "3"]
-
-
-@pytest.fixture(scope="module", autouse=True)
-def single_thread():
-    os.environ["TGL_THREADS"] = "1"
-    yield
-    os.environ.pop("TGL_THREADS", None)
 
 
 @pytest.fixture(scope="module")
@@ -324,14 +320,49 @@ def test_missing_checkpoint_exit_1(tmp_path):
                  "--out", str(tmp_path / "out")]) == 1
 
 
+def _swap_conv0_value_and_adam_m(manifest):
+    value, adam_m = manifest["tensors"][:2]
+    value["offset"], adam_m["offset"] = adam_m["offset"], value["offset"]
+
+
+def _transpose_conv0(manifest):
+    for entry in manifest["tensors"][:3]:
+        entry["shape"].reverse()
+
+
+# (manifest edit, the field the error names)
+MALFORMED_MANIFESTS = {
+    "no-seed": (lambda m: m.pop("seed"), "seed"),
+    "no-n_nodes": (lambda m: m.pop("n_nodes"), "n_nodes"),
+    "no-tensors": (lambda m: m.pop("tensors"), "tensors"),
+    "swapped-offsets": (_swap_conv0_value_and_adam_m, "tensors"),
+    "wrong-shape": (_transpose_conv0, "tensors"),
+    "total-elements": (lambda m: m.update(total_elements=m["total_elements"] - 1),
+                       "total_elements"),
+    "negative-step-count": (lambda m: m["step_counts"].__setitem__(0, -5), "step_counts"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_MANIFESTS))
+def test_malformed_checkpoint_exit_1(pipeline, tmp_path, capsys, case):
+    _, data, run = pipeline
+    edit, named = MALFORMED_MANIFESTS[case]
+    manifest = json.loads((run / "final.ckpt.json").read_text())
+    edit(manifest)
+    ckpt = tmp_path / "final.ckpt.json"
+    ckpt.write_text(json.dumps(manifest))
+    shutil.copy(run / "final.ckpt.bin", tmp_path / "final.ckpt.bin")
+    with pytest.raises(ValueError, match=rf"{re.escape(str(ckpt))}.*'{named}'"):
+        load_checkpoint(str(ckpt), build_small_hand())
+    for argv in (["eval", "--data", str(data)],
+                 ["rollout", "--object", "light,hard,nonslip"]):
+        capsys.readouterr()
+        assert main(argv + ["--ckpt", str(ckpt), "--topology", "small",
+                            "--out", str(tmp_path / argv[0])]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"'{named}'" in err and "Traceback" not in err
+
+
 def test_unknown_flag_exit_1(tmp_path):
     assert main(["topology", "--tiny", "--out", str(tmp_path)]) == 1
     assert main(["no-such-command"]) == 1
-
-
-def test_bad_thread_env(tmp_path):
-    os.environ["TGL_THREADS"] = "zero"
-    try:
-        assert main(GEN + ["--out", str(tmp_path)]) == 1
-    finally:
-        os.environ["TGL_THREADS"] = "1"

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import example, given, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from tgl.dataset import (Dataset, PairSet, Trial, downsample, encode_labels, make_pairs,
-                         preprocess, read_trial_csv, smooth, split, trim_static,
+from tgl.dataset import (SMOOTH_MIN_LEN, Dataset, PairSet, Trial, downsample, encode_labels,
+                         make_pairs, preprocess, read_trial_csv, smooth, split, trim_static,
                          validate_labels, write_trial_csv)
 
 LABELS = encode_labels(heavy=False, soft=False, slippery=False)
@@ -126,6 +126,33 @@ def test_preprocess_chain():
     out = preprocess(trial, target_length=330)
     assert len(out) == 330
     assert out.smoothed
+
+
+# up to 5 rest frames at each end still leave smooth its SMOOTH_MIN_LEN frames
+@given(gaps=st.lists(st.integers(1, 50), min_size=SMOOTH_MIN_LEN + 10, max_size=80),
+       lead=st.integers(0, 5), tail=st.integers(0, 5), seed=st.integers(0, 2**32 - 1),
+       bits=st.tuples(st.booleans(), st.booleans(), st.booleans()), data=st.data())
+def test_preprocessing_keeps_time_order_labels_and_endpoints(gaps, lead, tail, seed, bits, data):
+    """Whatever the time steps and rest frames, each stage keeps t strictly
+    increasing and the labels as they were; downsample hits its length
+    exactly and keeps both endpoints."""
+    length = len(gaps)
+    rng = np.random.default_rng(seed)
+    joints = rng.normal(size=(length, 16))
+    joints[:lead] = joints[lead]                             # the hand rests before it moves
+    joints[length - tail:] = joints[length - tail - 1]       # and after
+    labels = encode_labels(*bits)
+    trial = Trial("prop", np.cumsum(gaps), joints, rng.normal(size=(length, 2, 3)), labels)
+    trimmed = trim_static(trial)
+    smoothed = smooth(trimmed)
+    target = data.draw(st.integers(2, len(smoothed)), label="target_length")
+    down = downsample(smoothed, target)
+    for stage in (trimmed, smoothed, down):
+        assert (np.diff(stage.t) > 0).all()
+        assert stage.labels.tolist() == labels.tolist()
+    assert smoothed.t.tolist() == trimmed.t.tolist()
+    assert len(down) == target
+    assert (down.t[0], down.t[-1]) == (smoothed.t[0], smoothed.t[-1])
 
 
 def test_make_pairs_horizon():

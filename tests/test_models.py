@@ -1,6 +1,9 @@
 """Motion-generation models: architecture table, forward pass, checkpoints."""
 from __future__ import annotations
 
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -186,23 +189,62 @@ def test_conv_gradients_on_the_default_hand_match_finite_differences(default_top
             assert grad.flat[idx] == pytest.approx(fd, rel=1e-4, abs=1e-9)
 
 
-def test_checkpoint_round_trip_bitwise(tmp_path, tiny_topo):
-    m = build_from_spec(TOY, tiny_topo, seed=6)
-    for i, p in enumerate(m.parameters()):
-        p.adam_m[:] = np.float64(i) + 0.125
-        p.adam_v[:] = np.float64(i) * 2.0 + 0.25
-        p.step_count = 10 + i
-    path = tmp_path / "model.ckpt.json"
-    save_checkpoint(m, str(path), extra={"epoch": 7, "note": "x"})
-    assert (tmp_path / "model.ckpt.bin").exists()
-    loaded, extra = load_checkpoint(str(path), tiny_topo)
-    assert extra == {"epoch": 7, "note": "x"}
-    assert loaded.spec == m.spec
-    for a, b in zip(m.parameters(), loaded.parameters()):
-        np.testing.assert_array_equal(a.value.data, b.value.data)
-        np.testing.assert_array_equal(a.adam_m, b.adam_m)
-        np.testing.assert_array_equal(a.adam_v, b.adam_v)
-        assert a.step_count == b.step_count
+def test_checkpoint_round_trip_bitwise(tmp_path, tiny_topo, default_topo):
+    for topo in (tiny_topo, default_topo):
+        m = build_from_spec(TOY, topo, seed=6)
+        for i, p in enumerate(m.parameters()):
+            p.adam_m[:] = np.float64(i) + 0.125
+            p.adam_v[:] = np.float64(i) * 2.0 + 0.25
+            p.step_count = 10 + i
+        path = tmp_path / f"model{topo.n}.ckpt.json"
+        save_checkpoint(m, str(path), extra={"epoch": 7, "note": "x"})
+        assert (tmp_path / f"model{topo.n}.ckpt.bin").exists()
+        loaded, extra = load_checkpoint(str(path), topo)
+        assert extra == {"epoch": 7, "note": "x"}
+        assert loaded.spec == m.spec
+        for a, b in zip(m.parameters(), loaded.parameters(), strict=True):
+            assert a.name == b.name
+            np.testing.assert_array_equal(a.value.data, b.value.data)
+            np.testing.assert_array_equal(a.adam_m, b.adam_m)
+            np.testing.assert_array_equal(a.adam_v, b.adam_v)
+            assert a.step_count == b.step_count
+
+
+def test_values_and_moments_are_views_of_one_buffer_laid_out_as_the_blob(tmp_path, tiny_topo):
+    built = build_from_spec(TOY, tiny_topo, seed=0)
+    path = tmp_path / "m.ckpt.json"
+    save_checkpoint(built, str(path))
+    loaded, _ = load_checkpoint(str(path), tiny_topo)
+    assert (tmp_path / "m.ckpt.bin").read_bytes() == built.buffer.tobytes()
+    for model in (built, loaded):
+        offset = 0   # elements: every parameter's value, adam_m, adam_v, end to end
+        for p in model.parameters():
+            for arr in (p.value.data, p.adam_m, p.adam_v):
+                assert np.shares_memory(arr, model.buffer)
+                assert arr.ctypes.data == model.buffer.ctypes.data + offset * 8
+                offset += arr.size
+        assert offset == model.buffer.size == 3 * model.parameter_count()
+
+
+def test_load_holds_little_more_than_the_blob(tmp_path, default_topo):
+    """The blob is three float64 copies of the parameters (value, adam_m,
+    adam_v); loading reads it once and copies nothing."""
+    m = build_from_spec(ModelSpec("GCN", (14, 28, 56), (120, 50)), default_topo, seed=0)
+    path = str(tmp_path / "m.ckpt.json")
+    save_checkpoint(m, path)
+    param_bytes = 8 * m.parameter_count()
+    del m
+    gc.collect()
+    tracemalloc.start()
+    try:
+        loaded, _ = load_checkpoint(path, default_topo)
+        gc.collect()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert 8 * loaded.parameter_count() == param_bytes
+    assert held <= 3.25 * param_bytes
+    assert peak <= 3.5 * param_bytes
 
 
 def test_checkpoint_topology_mismatch(tmp_path, tiny_topo, small_topo):
