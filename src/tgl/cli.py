@@ -94,11 +94,8 @@ def _parse_disturbance(text: str) -> Disturbance:
     return Disturbance(step=step, kind=parts[1], magnitude=mag)
 
 
-def _plant_config(path: str | None, noise: float | None) -> plant.PlantConfig:
-    cfg = plant.PlantConfig.from_json(path) if path else plant.PlantConfig()
-    if noise is not None:
-        cfg = replace(cfg, sensor_noise=noise)
-    return cfg
+def _plant_config(path: str | None) -> plant.PlantConfig:
+    return plant.PlantConfig.from_json(path) if path else plant.PlantConfig()
 
 
 def _read_dataset(data_dir: str, target_length: int) -> dataset.Dataset:
@@ -176,14 +173,16 @@ def cmd_topology(args) -> int:
 
 
 def cmd_gen_data(args) -> int:
-    seed, n_objects, trials_per, length, topo_spec = _settings(args, {
-        "seed": 7, "objects": 8, "trials-per": 10, "length": 700, "topology": "default"}).values()
+    base = _plant_config(args.plant_config)
+    settings = _settings(args, {"seed": 7, "objects": 8, "trials-per": 10, "length": 700,
+                                "topology": "default", "noise": base.sensor_noise})
+    seed, n_objects, trials_per, length, topo_spec, noise = settings.values()
     if trials_per < 1:
         raise CliError(f"--trials-per must be >= 1, got {trials_per}")
     if length < plant.MIN_TRIAL_LENGTH:
         raise CliError(f"--length must be >= {plant.MIN_TRIAL_LENGTH}, got {length}")
     topo = _load_topology(topo_spec)
-    pcfg = _plant_config(args.plant_config, args.noise)
+    pcfg = replace(base, sensor_noise=noise)
     catalog = plant.object_catalog(pcfg)
     if not (1 <= n_objects <= len(catalog)):
         raise CliError(f"--objects must lie in 1..{len(catalog)}, got {n_objects}")
@@ -203,9 +202,8 @@ def cmd_gen_data(args) -> int:
         dataset.write_trial_csv(trial, paths[-1])
     cfg_path = os.path.join(out, "plant_config.json")
     pcfg.to_json(cfg_path)
-    config = {"seed": seed, "objects": n_objects, "trials_per": trials_per,
-              "length": length, "topology": topo_spec, "sensor_noise": pcfg.sensor_noise}
-    _write_manifest(out, "gen-data", config, paths + [cfg_path])
+    # the keys --config reads, so this config reproduces the run
+    _write_manifest(out, "gen-data", settings, paths + [cfg_path])
     print(f"wrote {len(paths)} trial CSVs to {out}")
     return 0
 
@@ -265,7 +263,7 @@ def cmd_eval(args) -> int:
 
 def cmd_rollout(args) -> int:
     topo = _load_topology(args.topology or "default")
-    pcfg = _plant_config(args.plant_config, None)
+    pcfg = _plant_config(args.plant_config)
     heavy, soft, slippery = _parse_triple(args.object)
     obj = plant.make_object(heavy, soft, slippery, pcfg, radius=args.radius)
     labels = dataset.encode_labels(*_parse_triple(args.labels)) if args.labels \

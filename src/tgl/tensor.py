@@ -5,7 +5,9 @@ stacks, the Adam updates) differentiates through the ops defined here.
 Arrays are float64 throughout; matmul follows numpy semantics, so a
 leading batch dimension broadcasts against a plain 2-D operand.  A fixed
 symmetric operator (`SymmetricOperator`, the graph propagation S) is
-applied by `matmul(S, H)` through its own op, sparse when S is.
+applied by `matmul(S, H)` through its own op: a sparse S multiplies as a
+block-diagonal `scipy.sparse` CSR matrix over a block of samples, a dense
+S with BLAS.
 """
 from __future__ import annotations
 
@@ -15,18 +17,19 @@ import numpy as np
 
 
 # Nonzero fraction above which a SymmetricOperator multiplies with BLAS.  Set
-# from the crossover of S @ H summed over C = 3, 14 and 28, batch 100, one BLAS
-# thread, on a 2-core Xeon VM.  Graphs whose degree is even (ring lattices)
-# cross at 4.4% nonzeros for n = 384 (0.90x at 3.4%, 1.08x at 4.4%), 5.3% for
-# n = 768 and 3.1% for n = 96; random graphs, whose maximum degree sets the
-# table width, cross at 2.4% for n = 384 (0.85x at 1.9%, 1.01x at 2.4%).  The
-# 384-node hand (1.2%, 6 slots) ran 0.41x, 27 against 66 ms; the 24-node
-# hand (16%) would run 4.6x and stays on BLAS.
-SPARSE_MAX_DENSITY = 0.02
-# Bytes of H one block of the table op covers, so that a block, its gather
-# scratch and its output stay in a core's L2 cache.  On the 384-node hand:
-# 35/31/27/27 ms for 32/128/256/1024 KiB (same setup as above).
-PROPAGATE_BLOCK_BYTES = 256 * 1024
+# from the crossover of the CSR product and BLAS, S @ H summed over C = 3, 14
+# and 28, batch 100, one BLAS thread, on a 2-core Xeon VM.  Ring lattices and
+# Erdos-Renyi graphs cross at 9.4% and 8.5% nonzeros for n = 96 (0.87x at
+# 7.5%, 1.10x at 10.1%), at 15-20% for n = 384 and at 19-21% for n = 768, so
+# 8% sits below every crossover.  The 384-node hand (1.2%) runs 0.13x, 6.3
+# against 50 ms; the 24-node hand (16%) would run 2.0x and stays on BLAS.
+SPARSE_MAX_DENSITY = 0.08
+# Samples one block-diagonal CSR product covers: 32 copies of the 384-node
+# hand's S hold 55,040 nonzeros, about 0.7 MB with int32 indices.  On that
+# hand (same setup as above) blocks of 16, 32 and 64 samples ran alike, 6.3 to
+# 7.8 ms; 128 ran 12 to 17 ms and held a loaded toy GCN at 3.31x its
+# parameter bytes, past the 3.25x that tests/test_models.py allows.
+CSR_BLOCK_SAMPLES = 32
 
 
 class NonFiniteError(ArithmeticError):
@@ -69,9 +72,10 @@ class Tensor:
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
-    def __init__(self, data, requires_grad: bool = False):
+    def __init__(self, data, requires_grad: bool = False, *, known_finite: bool = False):
         arr = np.asarray(data, dtype=np.float64)
-        _check_finite(arr, "tensor data")
+        if not known_finite:
+            _check_finite(arr, "tensor data")
         self.data = arr
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
@@ -79,8 +83,10 @@ class Tensor:
         self._backward = None
 
     @classmethod
-    def _from_op(cls, data: np.ndarray, parents: tuple["Tensor", ...], backward) -> "Tensor":
-        out = cls(data)
+    def _from_op(cls, data: np.ndarray, parents: tuple["Tensor", ...], backward,
+                 known_finite: bool = False) -> "Tensor":
+        """An op's output; known_finite skips the scan where finite inputs give finite data."""
+        out = cls(data, known_finite=known_finite)
         if _grad_enabled and any(p.requires_grad for p in parents):
             out.requires_grad = True
             out._parents = parents
@@ -153,14 +159,16 @@ def as_tensor(x) -> Tensor:
 class SymmetricOperator:
     """A fixed symmetric n x n matrix S; `matmul(S, H)` computes S @ H for H [..., n, C].
 
-    When at most SPARSE_MAX_DENSITY of S is nonzero, S is held as a padded
-    neighbour table: `index[k, i]` is row i's k-th column and `weight[k, i]`
-    the entry there.  Slot 0 is the diagonal; the other slots hold the
-    off-diagonal nonzeros in column order, padded with i at weight 0 up to
-    max-degree + 1 slots.  Denser operators multiply with BLAS.
+    When at most SPARSE_MAX_DENSITY of S is nonzero, `block` holds
+    CSR_BLOCK_SAMPLES copies of S down the diagonal of one `scipy.sparse`
+    CSR matrix, and each chunk of that many samples of H, reshaped to
+    (samples * n, C), is one product with it.  Every row stores its
+    diagonal first, zero or not, then its off-diagonal nonzeros in column
+    order, and the product sums them in that order.  Denser operators
+    multiply with BLAS and leave `block` None.
     """
 
-    __slots__ = ("dense", "sparse", "index", "weight")
+    __slots__ = ("dense", "block", "_blocks")
 
     def __init__(self, s):
         s = np.asarray(s, dtype=np.float64)
@@ -171,19 +179,26 @@ class SymmetricOperator:
             raise ValueError("operator must be symmetric")
         self.dense = s
         n = s.shape[0]
-        self.sparse = n > 0 and np.count_nonzero(s) <= SPARSE_MAX_DENSITY * s.size
-        self.index = self.weight = None
-        if self.sparse:
-            off = s != 0.0
-            np.fill_diagonal(off, False)
-            degree = off.sum(axis=1)
-            rows, cols = np.nonzero(off)                       # row-major: columns ascend
-            slot = 1 + np.arange(rows.size) - (np.cumsum(degree) - degree)[rows]
-            self.index = np.tile(np.arange(n), (int(degree.max()) + 1, 1))
-            self.weight = np.zeros(self.index.shape + (1,))
-            self.weight[0, :, 0] = np.diag(s)
-            self.index[slot, rows] = cols
-            self.weight[slot, rows, 0] = s[rows, cols]
+        self.block = None
+        self._blocks = {}   # `block` and its leading diagonal blocks, by sample count
+        if n > 0 and np.count_nonzero(s) <= SPARSE_MAX_DENSITY * s.size:
+            from scipy.sparse import csr_array   # only sparse operators load scipy
+            pattern = s != 0.0
+            np.fill_diagonal(pattern, True)                    # stored even where it is 0
+            rows, cols = np.nonzero(pattern)
+            order = np.lexsort((cols, rows != cols, rows))     # by row, diagonal first
+            rows, cols = rows[order], cols[order]
+            copies = n * np.arange(CSR_BLOCK_SAMPLES, dtype=np.int32)[:, None]
+            indices = (cols.astype(np.int32) + copies).ravel()
+            counts = np.tile(np.bincount(rows, minlength=n), CSR_BLOCK_SAMPLES)
+            indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int32)
+            self.block = csr_array((np.tile(s[rows, cols], CSR_BLOCK_SAMPLES), indices, indptr),
+                                   shape=(n * CSR_BLOCK_SAMPLES,) * 2)
+            self._blocks[CSR_BLOCK_SAMPLES] = self.block
+
+    @property
+    def sparse(self) -> bool:
+        return self.block is not None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -193,24 +208,27 @@ class SymmetricOperator:
     def ndim(self) -> int:
         return 2
 
+    def _block_of(self, samples: int):
+        """The leading `samples` diagonal blocks of `block`, built on first use."""
+        if samples not in self._blocks:
+            rows = samples * self.shape[0]
+            nnz = self.block.indptr[rows]
+            self._blocks[samples] = type(self.block)(
+                (self.block.data[:nnz], self.block.indices[:nnz], self.block.indptr[:rows + 1]),
+                shape=(rows, rows))
+        return self._blocks[samples]
+
     def apply(self, h: np.ndarray, transpose: bool = False) -> np.ndarray:
         """S @ h (S.T @ h with transpose, the same product for sparse S)."""
-        if not self.sparse:
+        if self.block is None:
             return (self.dense.swapaxes(-1, -2) if transpose else self.dense) @ h
         n, c = h.shape[-2], h.shape[-1]
         flat = np.ascontiguousarray(h).reshape(-1, n, c)
         out = np.empty_like(flat)
-        block = max(1, PROPAGATE_BLOCK_BYTES // max(1, n * c * flat.itemsize))
-        scratch = np.empty((min(block, len(flat)), n, c))
-        for s in range(0, len(flat), block):
-            hb, ob = flat[s:s + block], out[s:s + block]
-            gathered = scratch[:len(hb)]
-            np.multiply(hb, self.weight[0], out=ob)
-            for idx, w in zip(self.index[1:], self.weight[1:]):
-                # take buffers its output under mode="raise"; every index is in range
-                np.take(hb, idx, axis=1, out=gathered, mode="clip")
-                gathered *= w
-                ob += gathered
+        for s in range(0, len(flat), CSR_BLOCK_SAMPLES):
+            chunk = flat[s:s + CSR_BLOCK_SAMPLES]
+            out[s:s + len(chunk)] = (self._block_of(len(chunk)) @ chunk.reshape(-1, c)) \
+                .reshape(chunk.shape)
         return out.reshape(h.shape)
 
 
@@ -285,7 +303,7 @@ def relu(x) -> Tensor:
         return (g * mask,) if x.requires_grad else (None,)
 
     # maximum(x, 0.0) returns +0.0 for -0.0, matching where(mask, x, 0.0) bit for bit
-    return Tensor._from_op(np.maximum(x.data, 0.0), (x,), back)
+    return Tensor._from_op(np.maximum(x.data, 0.0), (x,), back, known_finite=True)
 
 
 def tensor_sum(x) -> Tensor:
@@ -318,7 +336,7 @@ def reshape(x, *shape) -> Tensor:
     def back(g):
         return (g.reshape(old),) if x.requires_grad else (None,)
 
-    return Tensor._from_op(x.data.reshape(shape), (x,), back)
+    return Tensor._from_op(x.data.reshape(shape), (x,), back, known_finite=True)
 
 
 def concat(tensors, axis: int = 0) -> Tensor:
@@ -332,7 +350,8 @@ def concat(tensors, axis: int = 0) -> Tensor:
         pieces = np.split(g, bounds, axis=axis)
         return tuple(p if t.requires_grad else None for t, p in zip(ts, pieces))
 
-    return Tensor._from_op(np.concatenate([t.data for t in ts], axis=axis), tuple(ts), back)
+    return Tensor._from_op(np.concatenate([t.data for t in ts], axis=axis), tuple(ts), back,
+                           known_finite=True)
 
 
 def mse_loss(pred, target) -> Tensor:
@@ -352,11 +371,13 @@ def mse_loss(pred, target) -> Tensor:
 
 
 def backward(loss: Tensor) -> None:
-    """Reverse-mode sweep from a scalar loss; accumulates into .grad.
+    """Reverse-mode sweep from a scalar loss; accumulates into the .grad of leaves.
 
-    Repeated calls without zeroing add another full gradient (the local
-    flow table below keeps the retained .grad of intermediate nodes from
-    being propagated twice).
+    A leaf is a tensor no op produced (`_backward is None`), such as a
+    parameter value or an input.  Intermediates hand their gradient to
+    their parents through the local flow table and keep no .grad.  Each
+    call adds one full gradient to the leaves' .grad, so repeated calls
+    without zeroing accumulate once per call.
     """
     if loss.data.size != 1:
         raise ValueError(f"backward requires a scalar loss, got shape {loss.shape}")
@@ -384,8 +405,8 @@ def backward(loss: Tensor) -> None:
         g = flow.pop(id(node), None)
         if g is None:
             continue
-        node.grad = g if node.grad is None else node.grad + g
         if node._backward is None:
+            node.grad = g if node.grad is None else node.grad + g
             continue
         for parent, gp in zip(node._parents, node._backward(g)):
             if gp is None or not parent.requires_grad:

@@ -11,6 +11,7 @@ import importlib.util
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from tgl import AdamConfig, ModelSpec, build_from_spec
 from tgl.dataset import Pair, PairSet
@@ -28,17 +29,20 @@ def _load_spans():
     return module
 
 
-def test_every_hooked_span_fires(tmp_path, tiny_topo):
+@pytest.mark.parametrize("topo_name", ["tiny_topo", "default_topo"])
+def test_every_hooked_span_fires(tmp_path, request, topo_name):
+    """On the 6-node graph S·H runs on BLAS, on the 384-node hand on the CSR op."""
+    topo = request.getfixturevalue(topo_name)
     spans = _load_spans()
     rng = np.random.default_rng(0)
     labels = np.array([1.0, 0.0, 1.0, 0.0, 1.0, 0.0])
-    pairs = [Pair(rng.normal(size=(tiny_topo.n, 3)), rng.normal(size=16), labels,
+    pairs = [Pair(rng.normal(size=(topo.n, 3)), rng.normal(size=16), labels,
                   rng.normal(size=16)) for _ in range(8)]
     spec = ModelSpec("GCN", (4,), (8,))
     cfg = TrainConfig(spec=spec, epochs=1, batch_size=8, adam=AdamConfig(learning_rate=1e-3))
     with spans.installed(spans.Tracer()) as tracer:
-        params = build_from_spec(spec, tiny_topo, seed=0)
+        params = build_from_spec(spec, topo, seed=0)
         report = fit_pairs(params, PairSet(pairs), None, cfg, str(tmp_path))
-        evaluate(report.final_checkpoint, pairs, tiny_topo)
+        evaluate(report.final_checkpoint, pairs, topo)
     fired = {name for name, *_ in tracer.spans}
     assert fired >= set(HOOKED), sorted(set(HOOKED) - fired)

@@ -62,6 +62,33 @@ def test_gen_data_reproducible(pipeline, tmp_path):
         assert (tmp_path / name).read_bytes() == (data / name).read_bytes()
 
 
+def test_gen_data_manifest_config_reruns_the_run(tmp_path):
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert main(["gen-data", "--topology", "small", "--objects", "2", "--trials-per", "1",
+                 "--length", "100", "--seed", "2", "--noise", "0.05", "--out", str(first)]) == 0
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(json.loads((first / "manifest.json").read_text())["config"]))
+    assert main(["gen-data", "--config", str(config), "--out", str(second)]) == 0
+    assert sorted(os.listdir(first)) == sorted(os.listdir(second))
+    for name in os.listdir(first):
+        assert (first / name).read_bytes() == (second / name).read_bytes(), name
+
+
+def test_gen_data_noise_from_flag_then_config_then_plant_config(tmp_path):
+    plant_cfg = tmp_path / "plant.json"
+    plant_cfg.write_text(json.dumps({"sensor_noise": 0.1}))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"noise": 0.2}))
+    base = ["gen-data", "--topology", "small", "--objects", "1", "--trials-per", "1",
+            "--length", "100", "--plant-config", str(plant_cfg)]
+    for extra, noise in (([], 0.1), (["--config", str(config)], 0.2),
+                         (["--config", str(config), "--noise", "0.3"], 0.3)):
+        out = tmp_path / f"noise{noise}"
+        assert main(base + extra + ["--out", str(out)]) == 0
+        assert json.loads((out / "manifest.json").read_text())["config"]["noise"] == noise
+        assert json.loads((out / "plant_config.json").read_text())["sensor_noise"] == noise
+
+
 def test_gen_data_matches_generate_dataset_trials(tmp_path):
     """Each gen-data job writes exactly the trial the library generator draws."""
     out = tmp_path / "data"
@@ -191,7 +218,7 @@ def test_config_value_of_the_wrong_type_exit_1(pipeline, tmp_path, capsys, comma
 
 @pytest.mark.parametrize("command, doc, accepted", [
     ("gen-data", {"trials_per": 1, "seed": 2},
-     "'length', 'objects', 'seed', 'topology', 'trials-per'"),
+     "'length', 'noise', 'objects', 'seed', 'topology', 'trials-per'"),
     ("train", {"epoch": 3}, "'batch-size', 'epochs', 'lr', 'model', 'seed', 'target-length', "
                             "'topology'"),
 ])

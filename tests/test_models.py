@@ -11,7 +11,8 @@ import tgl
 from tgl.models import (MODEL_TABLE, ModelSpec, build_from_spec, build_model,
                         conv_features, forward, forward_batch,
                         load_checkpoint, model_spec, save_checkpoint)
-from tgl.tensor import NonFiniteError, Tensor, backward, matmul, mse_loss, no_grad
+from tgl.tensor import CSR_BLOCK_SAMPLES, NonFiniteError, Tensor, backward, matmul, mse_loss, \
+    no_grad
 from tgl.topology import HandTopology, SensorNode, normalize_adjacency
 
 
@@ -142,7 +143,7 @@ def test_conv_features_rejects_mlp(tiny_topo):
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_overflow_names_the_layer(tiny_topo, default_topo):
-    # the 6-node graph propagates with BLAS, the 384-node hand with the table op
+    # the 6-node graph propagates with BLAS, the 384-node hand with the CSR op
     for topo in (tiny_topo, default_topo):
         m = build_from_spec(TOY, topo, seed=0)
         m.conv_weights[1].value.data[:] = 1e300
@@ -153,11 +154,27 @@ def test_overflow_names_the_layer(tiny_topo, default_topo):
 def test_propagation_of_a_sample_ignores_its_batch(default_topo):
     m = build_from_spec(TOY, default_topo, seed=0)
     assert m.s_tensor.sparse
-    h = np.random.default_rng(3).normal(size=(100, default_topo.n, 14))
+    block = CSR_BLOCK_SAMPLES
+    h = np.random.default_rng(3).normal(size=(2 * block + 5, default_topo.n, 14))
     batch = matmul(m.s_tensor, Tensor(h)).data
-    for i in (0, 37, 99):
+    # first and last of the first two blocks, and the partial block at the end
+    for i in (0, block - 1, block, 2 * block - 1, 2 * block, len(h) - 1):
         alone = matmul(m.s_tensor, Tensor(h[i:i + 1])).data
         assert np.array_equal(batch[i], alone[0])
+
+
+def test_propagation_sums_each_row_diagonal_first_then_by_column(default_topo):
+    m = build_from_spec(TOY, default_topo, seed=0)
+    s = m.propagation.s
+    h = np.random.default_rng(4).normal(size=(3, default_topo.n, 5))
+    expect = np.empty_like(h)
+    for i in range(default_topo.n):
+        acc = s[i, i] * h[:, i]
+        for j in np.flatnonzero(s[i]):
+            if j != i:
+                acc = acc + s[i, j] * h[:, j]
+        expect[:, i] = acc
+    assert np.array_equal(matmul(m.s_tensor, Tensor(h)).data, expect)
 
 
 def test_conv_gradients_on_the_default_hand_match_finite_differences(default_topo):

@@ -181,10 +181,14 @@ def random_symmetric(n: int, edge_p: float, diag_p: float, seed: int,
 
 @given(n=st.integers(1, 150), edge_p=st.sampled_from([0.0, 0.005, 0.01, 0.03, 0.3]),
        diag_p=st.sampled_from([0.0, 0.5, 1.0]), seed=st.integers(0, 2**32 - 1),
-       isolated=st.booleans(), lead=st.sampled_from([(), (1,), (4,), (2, 3)]),
+       isolated=st.booleans(),
+       lead=st.sampled_from([(), (0,), (1,), (4,), (2, 3), (T.CSR_BLOCK_SAMPLES + 3,)]),
        channels=st.integers(1, 5))
 @example(n=24, edge_p=0.3, diag_p=1.0, seed=0, isolated=False, lead=(3,), channels=2)   # BLAS
-@example(n=120, edge_p=0.01, diag_p=1.0, seed=1, isolated=True, lead=(), channels=3)    # table
+@example(n=120, edge_p=0.01, diag_p=1.0, seed=1, isolated=True, lead=(), channels=3)    # CSR
+@example(n=120, edge_p=0.01, diag_p=0.5, seed=2, isolated=True,                       # 2 blocks
+         lead=(T.CSR_BLOCK_SAMPLES + 3,), channels=2)
+@example(n=120, edge_p=0.01, diag_p=1.0, seed=3, isolated=False, lead=(0,), channels=2)
 def test_symmetric_operator_matches_dense_product(n, edge_p, diag_p, seed, isolated, lead,
                                                   channels):
     s = random_symmetric(n, edge_p, diag_p, seed, isolated)
@@ -194,6 +198,7 @@ def test_symmetric_operator_matches_dense_product(n, edge_p, diag_p, seed, isola
     h = Tensor(rng.normal(size=lead + (n, channels)), requires_grad=True)
     g = rng.normal(size=h.shape)
     out = T.matmul(op, h)
+    assert out.shape == h.shape
     np.testing.assert_allclose(out.data, s @ h.data, rtol=0, atol=1e-12)
     backward((out * Tensor(g)).sum())
     np.testing.assert_allclose(h.grad, s @ g, rtol=0, atol=1e-12)
@@ -201,11 +206,21 @@ def test_symmetric_operator_matches_dense_product(n, edge_p, diag_p, seed, isola
 
 def test_symmetric_operator_examples_take_both_paths():
     assert not SymmetricOperator(random_symmetric(24, 0.3, 1.0, 0, False)).sparse
-    table = SymmetricOperator(random_symmetric(120, 0.01, 1.0, 1, True))
-    assert table.sparse
-    # the isolated node keeps only its diagonal; its padding slots weigh nothing
-    assert table.index[:, 0].tolist() == [0] * table.index.shape[0]
-    assert not table.weight[1:, 0].any()
+    s = random_symmetric(120, 0.01, 0.5, 1, True)
+    op = SymmetricOperator(s)
+    assert op.sparse
+    n, block = len(s), op.block
+    assert block.shape == (n * T.CSR_BLOCK_SAMPLES,) * 2
+    starts, ends = block.indptr[:-1], block.indptr[1:]
+    # every row stores its diagonal first, zero or not, then its neighbours by column
+    assert np.array_equal(block.indices[starts], np.arange(block.shape[0]))
+    assert np.array_equal(block.data[starts], np.tile(np.diag(s), T.CSR_BLOCK_SAMPLES))
+    for i in range(block.shape[0]):
+        copy, row = divmod(i, n)
+        cols = np.flatnonzero(s[row])
+        assert np.array_equal(block.indices[starts[i] + 1:ends[i]], cols[cols != row] + copy * n)
+    # the isolated node's row holds only its diagonal, in every copy of S
+    assert (ends - starts)[::n].tolist() == [1] * T.CSR_BLOCK_SAMPLES
 
 
 def test_symmetric_operator_rejects_asymmetric_and_non_finite():

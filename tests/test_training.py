@@ -3,6 +3,10 @@ from __future__ import annotations
 
 import json
 import os
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -172,7 +176,7 @@ def test_fit_pairs_without_validation_set(world):
 
 
 def test_default_hand_trains_and_repeats_bitwise(default_topo):
-    """The 384-node hand, whose propagation runs on the sparse table op."""
+    """The 384-node hand, whose propagation runs on the sparse CSR op."""
     pcfg = PlantConfig()
     trial = generate_object_trial(default_topo, object_catalog(pcfg)[0], 0, 0, seed=4,
                                   length=700, cfg=pcfg)
@@ -191,3 +195,46 @@ def test_default_hand_trains_and_repeats_bitwise(default_topo):
         assert np.array_equal(pa.value.data, pb.value.data)
         assert np.array_equal(pa.adam_m, pb.adam_m)
         assert np.array_equal(pa.adam_v, pb.adam_v)
+
+
+def test_default_hand_resume_matches_straight_run(default_topo, tmp_path):
+    """Backward through the CSR op on the 384-node hand, across a checkpoint."""
+    pcfg = PlantConfig()
+    objects = object_catalog(pcfg)
+    trials = [generate_object_trial(default_topo, objects[i], i, 0, seed=5, length=300, cfg=pcfg)
+              for i in range(3)]
+    ds = Dataset([preprocess(t, target_length=110) for t in trials], target_length=110)
+    run = cfg(spec=tgl.ModelSpec("GCN", (14, 28), (30,)), epochs=2, batch_size=64)
+    a, b, c = tmp_path / "straight", tmp_path / "first", tmp_path / "resumed"
+    straight = train(ds, run, default_topo, out_dir=str(a))
+    first = train(ds, replace(run, epochs=1), default_topo, out_dir=str(b))
+    resumed = train(ds, replace(run, epochs=1), default_topo, out_dir=str(c),
+                    resume_from=str(b / "final.ckpt.json"))
+    assert first.train_losses + resumed.train_losses == straight.train_losses
+    assert first.val_losses + resumed.val_losses == straight.val_losses
+    for name in ("final.ckpt.json", "final.ckpt.bin"):
+        assert (a / name).read_bytes() == (c / name).read_bytes()
+
+
+def test_small_hand_never_loads_scipy(tmp_path):
+    """Only a sparse propagation operator imports scipy.sparse; the 24-node hand's is dense."""
+    script = """
+import sys
+import tgl
+from tgl.dataset import PairSet, make_pairs, preprocess
+from tgl.plant import object_catalog, generate_object_trial
+from tgl.training import TrainConfig, fit_pairs
+topo = tgl.build_small_hand()
+trial = generate_object_trial(topo, object_catalog()[0], 0, 0, seed=1, length=200)
+pairs = PairSet(make_pairs(preprocess(trial, target_length=60)))
+spec = tgl.ModelSpec("GCN", (4,), (8,))
+params = tgl.build_from_spec(spec, topo, seed=0)
+fit_pairs(params, pairs, None, TrainConfig(spec=spec, epochs=1, batch_size=16))
+print("scipy.sparse" in sys.modules)
+"""
+    src = str(Path(tgl.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    out = subprocess.run([sys.executable, "-c", script], env=env, cwd=tmp_path,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
