@@ -10,9 +10,9 @@ from .analysis import ClusterReport, NodeFeatureStack, compare_force_traces, \
 from .dataset import Dataset, Pair, PairSet, Trial, TrajectoryRecord, downsample, \
     encode_labels, make_pairs, preprocess, preprocess_dataset, read_trial_csv, smooth, \
     split, trim_static, write_trial_csv
-from .models import MODEL_TABLE, ModelParams, ModelSpec, build_from_spec, build_model, \
-    conv_features, forward, forward_batch, load_checkpoint, model_spec, save_checkpoint
-from .optim import AdamConfig, Parameter, adam_step, glorot_uniform, zero_grad
+from .models import MODEL_TABLE, ModelParams, ModelSpec, build_from_spec, conv_features, \
+    forward, forward_batch, load_checkpoint, model_spec, save_checkpoint
+from .optim import AdamConfig, Parameter, adam_step, glorot_uniform
 from .pca import pca
 from .plant import Plant, PlantConfig, PlantState, SyntheticObject, apply_disturbance, \
     generate_dataset_trials, generate_object_trial, generate_trial, initial_state, make_object, \
@@ -21,9 +21,8 @@ from .rollout import Disturbance, RolloutConfig, RolloutTrace, Verdict, judge_su
     read_trace_forces, rollout, total_grip_force, write_trace
 from .tensor import NonFiniteError, Tensor, backward, concat, matmul, mse_loss, no_grad, \
     relu, reshape
-from .topology import HandTopology, PropagationMatrix, SensorNode, build_default_hand, \
-    build_small_hand, load_topology, normalize_adjacency, propagation_for, save_topology, \
-    spectral_norm_bound
+from .topology import HandTopology, SensorNode, build_default_hand, build_small_hand, \
+    load_topology, normalize_adjacency, propagation_for, save_topology, spectral_norm_bound
 from .training import TrainConfig, TrainReport, evaluate, fit_pairs, train
 
 __version__ = "0.1.0"

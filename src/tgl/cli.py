@@ -425,16 +425,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except CliError as e:
+    except (CliError, ValueError, FileNotFoundError, NotADirectoryError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    except (ValueError, FileNotFoundError, NotADirectoryError, json.JSONDecodeError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except NonFiniteError as e:
-        print(f"runtime failure: {e}", file=sys.stderr)
-        return 2
-    except OSError as e:
+    except (NonFiniteError, OSError) as e:
         print(f"runtime failure: {e}", file=sys.stderr)
         return 2
 

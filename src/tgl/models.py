@@ -14,20 +14,19 @@ import json
 import math
 import os
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import InitVar, asdict, dataclass, field, fields
 
 import numpy as np
 
-from .dataset import JOINT_DIM, LABEL_DIM
+from .dataset import DEFAULT_HORIZON as HORIZON, JOINT_DIM, LABEL_DIM
 from .optim import Parameter, glorot_uniform
 from .tensor import NonFiniteError, SymmetricOperator, Tensor, concat, matmul, no_grad, relu, \
     reshape
-from .topology import HandTopology, PropagationMatrix, propagation_for
+from .topology import HandTopology, propagation_for
 
 TACTILE_AXES = 3
 AUX_DIM = JOINT_DIM + LABEL_DIM
-OUTPUT_DIM = 16
-HORIZON = 10
+OUTPUT_DIM = JOINT_DIM
 
 CHECKPOINT_FORMAT_VERSION = 1
 BLOB_DTYPE = "<f8"
@@ -107,27 +106,28 @@ def parameter_layout(spec: ModelSpec, n_nodes: int) -> tuple[list[tuple[str, tup
 
 @dataclass(eq=False)   # a model is equal only to itself, as its Parameters are
 class ModelParams:
-    """Parameters and Adam moments, all views into `buffer`, laid out by `parameter_layout`."""
+    """Parameters and Adam moments, all views into `buffer`, laid out by `parameter_layout`.
+
+    A GCN also holds its graph's propagation matrix S as `s_tensor`.
+    """
     spec: ModelSpec
-    n_nodes: int
+    topology: InitVar[HandTopology]
     seed: int
     buffer: np.ndarray = field(repr=False)
-    propagation: PropagationMatrix | None
-    s_tensor: SymmetricOperator | None = field(default=None, repr=False)
+    n_nodes: int = field(init=False)
+    s_tensor: SymmetricOperator | None = field(init=False, repr=False)
     conv_weights: list[Parameter] = field(init=False, repr=False)
     fc_weights: list[Parameter] = field(init=False, repr=False)
     fc_biases: list[Parameter] = field(init=False, repr=False)
     _parameters: list[Parameter] = field(init=False, repr=False)
 
-    def __post_init__(self):
-        if self.spec.kind == "GCN":
-            if self.propagation is None:
-                raise ValueError("GCN models need a propagation matrix")
-            if self.s_tensor is None:
-                self.s_tensor = SymmetricOperator(self.propagation.s)
+    def __post_init__(self, topology: HandTopology):
+        self.n_nodes = topology.n
+        self.s_tensor = SymmetricOperator(propagation_for(topology)) \
+            if self.spec.kind == "GCN" else None
         params = self._parameters = [
-            Parameter.view(self.buffer[offset:offset + len(STREAMS) * math.prod(shape)]
-                           .reshape(len(STREAMS), *shape), name)
+            Parameter(self.buffer[offset:offset + len(STREAMS) * math.prod(shape)]
+                      .reshape(len(STREAMS), *shape), name)
             for name, shape, offset in parameter_layout(self.spec, self.n_nodes)[0]]
         n_conv = len(self.spec.conv_channels)
         self.conv_weights = params[:n_conv]
@@ -143,17 +143,12 @@ class ModelParams:
 def build_from_spec(spec: ModelSpec, topology: HandTopology, seed: int) -> ModelParams:
     """Seeded glorot-uniform weights, zero biases and moments; draw order is fixed."""
     _, total = parameter_layout(spec, topology.n)
-    params = ModelParams(spec=spec, n_nodes=topology.n, seed=seed, buffer=np.zeros(total),
-                         propagation=propagation_for(topology) if spec.kind == "GCN" else None)
+    params = ModelParams(spec=spec, topology=topology, seed=seed, buffer=np.zeros(total))
     rng = np.random.default_rng(seed)
     for p in params.parameters():
         if p.value.ndim == 2:   # a weight; biases stay zero
             p.value.data[:] = glorot_uniform(rng, *p.shape)
     return params
-
-
-def build_model(name: str, topology: HandTopology, seed: int) -> ModelParams:
-    return build_from_spec(model_spec(name), topology, seed)
 
 
 @contextmanager
@@ -253,8 +248,8 @@ def save_checkpoint(params: ModelParams, path: str, extra: dict | None = None) -
 def load_checkpoint(path: str, topology: HandTopology) -> tuple[ModelParams, dict]:
     """The model a checkpoint holds, with the blob as its buffer, and the manifest's extra.
 
-    ValueError names the file and the field when a field is missing or the manifest
-    disagrees with the layout of its own model spec.
+    ValueError names the file and the field when a field is missing or of the wrong
+    type, or the manifest disagrees with the layout of its own model spec.
     """
     with open(path) as f:
         man = json.load(f)
@@ -279,16 +274,24 @@ def load_checkpoint(path: str, topology: HandTopology) -> tuple[ModelParams, dic
     if entry("tensors") != _blob_tensors(layout):
         raise ValueError(f"checkpoint {path}: 'tensors' do not match the layout of its model")
     entry("total_elements", total)
-    steps, seed = entry("step_counts"), entry("seed")
+    steps, seed, name = entry("step_counts"), entry("seed"), entry("blob")
     if not (isinstance(steps, list) and len(steps) == len(layout)
-            and all(isinstance(count, int) and count >= 0 for count in steps)):
+            and all(type(count) is int and count >= 0 for count in steps)):
         raise ValueError(f"checkpoint {path}: 'step_counts' must be {len(layout)} counts >= 0")
-    blob = os.path.join(os.path.dirname(path) or ".", entry("blob"))
+    if type(seed) is not int:   # a JSON integer, not true or false
+        raise ValueError(f"checkpoint {path}: 'seed' must be an integer, got {seed!r}")
+    if not (isinstance(name, str) and name not in ("", ".", "..")
+            and os.path.basename(name) == name):
+        raise ValueError(f"checkpoint {path}: 'blob' must name a file beside the manifest, "
+                         f"got {name!r}")
+    extra = man.get("extra", {})
+    if not isinstance(extra, dict):
+        raise ValueError(f"checkpoint {path}: 'extra' must be a JSON object, got {extra!r}")
+    blob = os.path.join(os.path.dirname(path) or ".", name)
     buffer = np.fromfile(blob, dtype=BLOB_DTYPE)
     if buffer.size != total:
         raise ValueError(f"checkpoint blob {blob} holds {buffer.size} elements, expected {total}")
-    params = ModelParams(spec=spec, n_nodes=topology.n, seed=seed, buffer=buffer,
-                         propagation=propagation_for(topology) if spec.kind == "GCN" else None)
+    params = ModelParams(spec=spec, topology=topology, seed=seed, buffer=buffer)
     for p, count in zip(params.parameters(), steps):
         p.step_count = count
-    return params, man.get("extra", {})
+    return params, extra

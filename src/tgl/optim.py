@@ -32,25 +32,20 @@ class AdamConfig:
 
 
 class Parameter:
-    """A trainable tensor plus its Adam moment buffers."""
+    """A trainable tensor and its Adam moments: the rows of one block [3, *shape].
+
+    `value.data`, `adam_m` and `adam_v` are views of block[0], block[1] and
+    block[2], so `adam_step` updates the block in place.
+    """
 
     __slots__ = ("name", "value", "adam_m", "adam_v", "step_count")
 
-    def __init__(self, value, name: str = ""):
-        self.name = name
-        # contiguous, so adam_step can update flat views of it in place
-        self.value = Tensor(np.asarray(value, dtype=np.float64, order="C"), requires_grad=True)
-        self.adam_m = np.zeros_like(self.value.data)
-        self.adam_v = np.zeros_like(self.value.data)
-        self.step_count = 0
-
-    @classmethod
-    def view(cls, block: np.ndarray, name: str) -> Parameter:
-        """A parameter whose value, adam_m and adam_v are the rows of `block` [3, *shape]."""
-        p = cls.__new__(cls)
-        p.name, p.value, p.step_count = name, Tensor(block[0], requires_grad=True), 0
-        p.adam_m, p.adam_v = block[1], block[2]
-        return p
+    def __init__(self, block: np.ndarray, name: str):
+        if block.dtype != np.float64 or not block.flags.c_contiguous or block.shape[:1] != (3,):
+            raise ValueError(f"parameter {name!r} needs a C-contiguous float64 block "
+                             f"[3, *shape], got {block.dtype} {block.shape}")
+        self.name, self.value, self.step_count = name, Tensor(block[0], requires_grad=True), 0
+        self.adam_m, self.adam_v = block[1], block[2]
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -61,12 +56,7 @@ class Parameter:
         return self.value.grad
 
     def __repr__(self) -> str:
-        return f"Parameter({self.name or 'unnamed'}, shape={self.shape}, steps={self.step_count})"
-
-
-def zero_grad(params) -> None:
-    for p in params:
-        p.value.grad = None
+        return f"Parameter({self.name}, shape={self.shape}, steps={self.step_count})"
 
 
 def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
@@ -85,7 +75,7 @@ def adam_step(params: list[Parameter], cfg: AdamConfig) -> None:
     """
     for i, p in enumerate(params):
         g = p.value.grad
-        label = f"parameter {i}" + (f" ({p.name})" if p.name else "")
+        label = f"parameter {i} ({p.name})"
         if g is None:
             raise ValueError(f"{label} has no gradient; run backward before adam_step")
         if g.shape != p.value.shape:

@@ -22,7 +22,8 @@ bitwise.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, replace
+import math
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -85,6 +86,24 @@ class PlantConfig:
     target_jitter: float = 0.03
     sensor_noise: float = 0.0
 
+    def __post_init__(self):
+        """ValueError naming the field unless every number is finite and every onset a pair."""
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name != "segment_onsets" and not _finite_number(value):
+                raise ValueError(f"plant config field {f.name!r} must be a finite number, "
+                                 f"got {value!r}")
+        onsets = self.segment_onsets
+        if not (isinstance(onsets, (list, tuple))
+                and all(isinstance(p, (list, tuple)) and len(p) == 2 and isinstance(p[0], str)
+                        and _finite_number(p[1]) for p in onsets)):
+            raise ValueError(f"plant config field 'segment_onsets' must be [segment, onset] "
+                             f"pairs with finite onsets, got {onsets!r}")
+        object.__setattr__(self, "segment_onsets", tuple((k, float(v)) for k, v in onsets))
+        if self.sensor_noise < 0:
+            raise ValueError(f"plant config field 'sensor_noise' must be >= 0, "
+                             f"got {self.sensor_noise}")
+
     def to_json(self, path: str) -> None:
         with open(path, "w") as f:
             json.dump(asdict(self), f, indent=1)
@@ -94,13 +113,18 @@ class PlantConfig:
     def from_json(cls, path: str) -> "PlantConfig":
         with open(path) as f:
             raw = json.load(f)
-        known = {f.name for f in cls.__dataclass_fields__.values()}  # type: ignore[attr-defined]
-        unknown = set(raw) - known
+        if not isinstance(raw, dict):
+            raise ValueError(f"plant config {path} must hold a JSON object")
+        unknown = set(raw) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown plant config fields: {sorted(unknown)}")
-        if "segment_onsets" in raw:
-            raw["segment_onsets"] = tuple((str(k), float(v)) for k, v in raw["segment_onsets"])
         return cls(**raw)
+
+
+def _finite_number(value) -> bool:
+    """An int or float that is finite; true and false are not numbers."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) \
+        and math.isfinite(value)
 
 
 @dataclass(frozen=True)
@@ -121,14 +145,16 @@ class SyntheticObject:
 
 def make_object(heavy: bool, soft: bool, slippery: bool, cfg: PlantConfig = PlantConfig(),
                 radius: float | None = None, name: str | None = None) -> SyntheticObject:
+    radius = cfg.base_radius if radius is None else radius
+    if not (math.isfinite(radius) and radius > 0):
+        raise ValueError(f"object radius must be finite and > 0, got {radius}")
     stiffness = cfg.hard_stiffness * (cfg.soft_stiffness_factor if soft else 1.0)
     friction = cfg.base_friction * (cfg.slippery_friction_factor if slippery else 1.0)
     mass = cfg.light_mass * (cfg.heavy_mass_factor if heavy else 1.0)
     if name is None:
         name = "_".join(("heavy" if heavy else "light", "soft" if soft else "hard",
                          "slippery" if slippery else "nonslip"))
-    return SyntheticObject(name=name, heavy=heavy, soft=soft, slippery=slippery,
-                           radius=cfg.base_radius if radius is None else radius,
+    return SyntheticObject(name=name, heavy=heavy, soft=soft, slippery=slippery, radius=radius,
                            stiffness=stiffness, friction=friction, mass_proxy=mass)
 
 
@@ -269,8 +295,8 @@ def plant_step(plant: Plant, state: PlantState,
 def apply_disturbance(plant: Plant, state: PlantState, kind: str,
                       magnitude: float) -> PlantState:
     """External pull on the grasped object; contact is recomputed afterwards."""
-    if magnitude <= 0:
-        raise ValueError(f"disturbance magnitude must be positive, got {magnitude}")
+    if not (math.isfinite(magnitude) and magnitude > 0):
+        raise ValueError(f"disturbance magnitude must be finite and positive, got {magnitude}")
     if kind == "pull_down":
         height, tilt = max(0.0, state.object_height - magnitude), state.object_tilt
     elif kind == "pull_side":

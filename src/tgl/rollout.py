@@ -9,6 +9,7 @@ object tilt both ended below their thresholds.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -51,8 +52,9 @@ class RolloutConfig:
                 raise ValueError(f"unknown disturbance kind {d.kind!r}")
             if not (0 <= d.step < self.max_steps):
                 raise ValueError(f"disturbance step {d.step} outside 0..{self.max_steps - 1}")
-            if d.magnitude <= 0:
-                raise ValueError(f"disturbance magnitude must be positive, got {d.magnitude}")
+            if not (math.isfinite(d.magnitude) and d.magnitude > 0):
+                raise ValueError(f"disturbance magnitude must be finite and positive, "
+                                 f"got {d.magnitude}")
 
 
 @dataclass(frozen=True)

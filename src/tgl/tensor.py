@@ -1,7 +1,7 @@
 """Dense float64 tensors with a reverse-mode gradient tape.
 
-Every learned quantity downstream (graph convolutions, fully connected
-stacks, the Adam updates) differentiates through the ops defined here.
+The tape has the six ops the models run: matmul, add, relu, reshape,
+concat and mse_loss; `backward` sweeps it from a scalar loss.
 Arrays are float64 throughout; matmul follows numpy semantics, so a
 leading batch dimension broadcasts against a plain 2-D operand.  A fixed
 symmetric operator (`SymmetricOperator`, the graph propagation S) is
@@ -114,42 +114,9 @@ class Tensor:
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}{flag})"
 
-    # -- operator sugar; the module-level functions hold the real logic --
-    def __matmul__(self, other):
-        return matmul(self, other)
-
+    # `models` writes fc layers as `matmul(h, w) + b`
     def __add__(self, other):
         return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def sum(self):
-        return tensor_sum(self)
-
-    def mean(self):
-        return tensor_mean(self)
-
-    def reshape(self, *shape):
-        return reshape(self, *shape)
-
-    def backward(self) -> None:
-        backward(self)
 
 
 def as_tensor(x) -> Tensor:
@@ -271,29 +238,6 @@ def add(a, b) -> Tensor:
     return Tensor._from_op(a.data + b.data, (a, b), back)
 
 
-def sub(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-
-    def back(g):
-        ga = _unbroadcast(g, a.shape) if a.requires_grad else None
-        gb = _unbroadcast(-g, b.shape) if b.requires_grad else None
-        return ga, gb
-
-    return Tensor._from_op(a.data - b.data, (a, b), back)
-
-
-def mul(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    ad, bd = a.data, b.data
-
-    def back(g):
-        ga = _unbroadcast(g * bd, a.shape) if a.requires_grad else None
-        gb = _unbroadcast(g * ad, b.shape) if b.requires_grad else None
-        return ga, gb
-
-    return Tensor._from_op(ad * bd, (a, b), back)
-
-
 def relu(x) -> Tensor:
     x = as_tensor(x)
     # gradient is exactly 0 at the kink; only a recorded op's backward reads the mask
@@ -306,31 +250,8 @@ def relu(x) -> Tensor:
     return Tensor._from_op(np.maximum(x.data, 0.0), (x,), back, known_finite=True)
 
 
-def tensor_sum(x) -> Tensor:
+def reshape(x, shape) -> Tensor:
     x = as_tensor(x)
-
-    def back(g):
-        return (np.broadcast_to(g, x.shape).copy(),) if x.requires_grad else (None,)
-
-    return Tensor._from_op(np.asarray(x.data.sum()), (x,), back)
-
-
-def tensor_mean(x) -> Tensor:
-    x = as_tensor(x)
-    n = x.data.size
-    if n == 0:
-        raise ValueError("mean of an empty tensor")
-
-    def back(g):
-        return (np.broadcast_to(g / n, x.shape).copy(),) if x.requires_grad else (None,)
-
-    return Tensor._from_op(np.asarray(x.data.mean()), (x,), back)
-
-
-def reshape(x, *shape) -> Tensor:
-    x = as_tensor(x)
-    if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-        shape = tuple(shape[0])
     old = x.shape
 
     def back(g):

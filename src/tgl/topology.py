@@ -84,22 +84,8 @@ class HandTopology:
         return self.nodes[i].finger
 
 
-@dataclass(frozen=True)
-class PropagationMatrix:
-    """Adjacency with self-loops, its degree, and the symmetric-normalized operator."""
-
-    a: np.ndarray       # original adjacency, no self-loops
-    a_hat: np.ndarray   # a + I
-    d_hat: np.ndarray   # row sums of a_hat (1-D)
-    s: np.ndarray       # d_hat^-1/2 * a_hat * d_hat^-1/2
-
-    @property
-    def n(self) -> int:
-        return self.a.shape[0]
-
-
-def normalize_adjacency(adj: np.ndarray) -> PropagationMatrix:
-    """Build the symmetric-normalized propagation operator from a 0/1 adjacency."""
+def normalize_adjacency(adj: np.ndarray) -> np.ndarray:
+    """S = D̂^-1/2 (A + I) D̂^-1/2 of a symmetric 0/1 adjacency A with zero diagonal."""
     a = np.asarray(adj, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"adjacency must be square, got shape {a.shape}")
@@ -112,11 +98,11 @@ def normalize_adjacency(adj: np.ndarray) -> PropagationMatrix:
     a_hat = a + np.eye(a.shape[0])
     d_hat = a_hat.sum(axis=1)
     # dividing by sqrt(outer(d, d)) keeps S exactly symmetric in floating point
-    s = a_hat / np.sqrt(np.outer(d_hat, d_hat))
-    return PropagationMatrix(a=a, a_hat=a_hat, d_hat=d_hat, s=s)
+    return a_hat / np.sqrt(np.outer(d_hat, d_hat))
 
 
-def propagation_for(topology: HandTopology) -> PropagationMatrix:
+def propagation_for(topology: HandTopology) -> np.ndarray:
+    """The graph's propagation matrix S (see normalize_adjacency)."""
     return normalize_adjacency(topology.adjacency())
 
 

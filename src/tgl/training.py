@@ -11,7 +11,7 @@ import numpy as np
 from .dataset import Dataset, Pair, PairSet, split
 from .models import ModelParams, ModelSpec, build_from_spec, forward_batch, load_checkpoint, \
     model_spec, save_checkpoint
-from .optim import AdamConfig, adam_step, zero_grad
+from .optim import AdamConfig, adam_step
 from .tensor import NonFiniteError, Tensor, backward, mse_loss, no_grad
 from .topology import HandTopology
 
@@ -103,7 +103,6 @@ def fit_pairs(params: ModelParams, train_set: PairSet, val_set: PairSet | None,
             except NonFiniteError as e:
                 raise NonFiniteError(
                     f"non-finite training loss at epoch {epoch}, batch {b}: {e}") from e
-            zero_grad(params.parameters())
             backward(loss)
             adam_step(params.parameters(), cfg.adam)
             sq_sum += loss.item() * idx.size

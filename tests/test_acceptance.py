@@ -18,12 +18,11 @@ import tgl
 from tgl import analysis, plant, training
 from tgl.cli import main as cli_main
 from tgl.dataset import Dataset, encode_labels, preprocess, split
-from tgl.models import (ModelSpec, build_from_spec, build_model, forward,
-                        forward_batch, load_checkpoint, model_spec,
-                        save_checkpoint)
+from tgl.models import (ModelSpec, build_from_spec, forward, forward_batch,
+                        load_checkpoint, model_spec, save_checkpoint)
 from tgl.optim import AdamConfig
 from tgl.rollout import Disturbance, RolloutConfig, rollout
-from tgl.tensor import mse_loss, no_grad
+from tgl.tensor import backward, mse_loss, no_grad
 from tgl.topology import (HandTopology, SensorNode, propagation_for,
                           spectral_norm_bound)
 from tgl.training import TrainConfig
@@ -52,8 +51,7 @@ def test_criterion_01_propagation_operator_properties(default_topo):
     topologies.append(default_topo)
     worst_asym, worst_norm = 0.0, 0.0
     for topo in topologies:
-        prop = propagation_for(topo)
-        s = prop.s
+        s = propagation_for(topo)
         worst_asym = max(worst_asym, float(np.abs(s - s.T).max()))
         worst_norm = max(worst_norm, spectral_norm_bound(s),
                          float(np.linalg.norm(s, 2)))
@@ -65,7 +63,7 @@ def test_criterion_01_propagation_operator_properties(default_topo):
     assert worst_norm <= 1.0 + 1e-10
     pair = HandTopology([SensorNode(0, "patch", "grid", 0, 0),
                          SensorNode(1, "patch", "grid", 0, 1)], [(0, 1)])
-    assert np.array_equal(propagation_for(pair).s, np.full((2, 2), 0.5))
+    assert np.array_equal(propagation_for(pair), np.full((2, 2), 0.5))
     elapsed = perf_counter() - t0
     _note(f"criterion 1: asym {worst_asym:.2e}, norm {worst_norm:.12f}, "
           f"{elapsed:.2f}s")
@@ -84,7 +82,7 @@ def test_criterion_02_gradient_fidelity_vs_finite_differences(tiny_topo):
             [data_rng.uniform(-1.0, 1.0, (3, 16)),
              data_rng.integers(0, 2, (3, 6)).astype(float)], axis=1)
         target = data_rng.uniform(-1.0, 1.0, (3, 16))
-        mse_loss(forward_batch(params, tactile, aux), target).backward()
+        backward(mse_loss(forward_batch(params, tactile, aux), target))
 
         def loss_value() -> float:
             with no_grad():
@@ -129,7 +127,7 @@ def test_criterion_03_architecture_table_conformance(default_topo):
     assert mlp.aux_input == 16 + 6
     assert mlp.fc_input_width(default_topo.n) == 1152 + 16 + 6 == 1174
 
-    params = build_model("IV", default_topo, seed=0)
+    params = build_from_spec(model_spec("IV"), default_topo, seed=0)
     assert params.parameter_count() == 12_104_016
     assert params.fc_weights[-1].value.shape[1] == 16
     out = forward(params, np.zeros((default_topo.n, 3)), np.zeros(16),

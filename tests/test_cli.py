@@ -112,9 +112,23 @@ def test_gen_data_validation_exit_1(pipeline, tmp_path, capsys):
     _, _, run = pipeline
     rollout = ["rollout", "--ckpt", str(run / "final.ckpt.json"), "--topology", "small",
                "--object", "light,hard,nonslip"]
-    for i, (argv, named) in enumerate(((["gen-data", "--trials-per", "0"], "--trials-per"),
-                                       (["gen-data", "--length", "10"], "--length"),
-                                       (rollout + ["--stride", "0"], "stride"))):
+    docs = {"noise": {"noise": -0.5}, "rate": {"rate_limit": "x"}, "gravity": {"gravity": True},
+            "onsets": {"segment_onsets": [[1, 0.3]]}}
+    for name, doc in docs.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+    gen = ["gen-data", "--topology", "small"]
+    for i, (argv, named) in enumerate((
+            (["gen-data", "--trials-per", "0"], "--trials-per"),
+            (["gen-data", "--length", "10"], "--length"),
+            (gen + ["--noise", "-1"], "'sensor_noise'"),
+            (gen + ["--noise", "nan"], "'sensor_noise'"),
+            (gen + ["--config", str(tmp_path / "noise.json")], "'sensor_noise'"),
+            (gen + ["--plant-config", str(tmp_path / "rate.json")], "'rate_limit'"),
+            (gen + ["--plant-config", str(tmp_path / "gravity.json")], "'gravity'"),
+            (gen + ["--plant-config", str(tmp_path / "onsets.json")], "'segment_onsets'"),
+            (rollout + ["--stride", "0"], "stride"),
+            (rollout + ["--radius", "-3"], "radius"),
+            (rollout + ["--disturb", "5:pull_side:nan"], "magnitude"))):
         out = tmp_path / f"bad{i}"
         capsys.readouterr()
         assert main(argv + ["--out", str(out)]) == 1
@@ -367,6 +381,12 @@ MALFORMED_MANIFESTS = {
     "total-elements": (lambda m: m.update(total_elements=m["total_elements"] - 1),
                        "total_elements"),
     "negative-step-count": (lambda m: m["step_counts"].__setitem__(0, -5), "step_counts"),
+    "bool-step-count": (lambda m: m["step_counts"].__setitem__(0, True), "step_counts"),
+    "string-seed": (lambda m: m.update(seed="x"), "seed"),
+    "bool-seed": (lambda m: m.update(seed=False), "seed"),
+    "number-blob": (lambda m: m.update(blob=5), "blob"),
+    "blob-path": (lambda m: m.update(blob=os.path.join("..", m["blob"])), "blob"),
+    "list-extra": (lambda m: m.update(extra=[1]), "extra"),
 }
 
 

@@ -8,12 +8,11 @@ import numpy as np
 import pytest
 
 import tgl
-from tgl.models import (MODEL_TABLE, ModelSpec, build_from_spec, build_model,
-                        conv_features, forward, forward_batch,
-                        load_checkpoint, model_spec, save_checkpoint)
+from tgl.models import (MODEL_TABLE, ModelSpec, build_from_spec, conv_features, forward,
+                        forward_batch, load_checkpoint, model_spec, save_checkpoint)
 from tgl.tensor import CSR_BLOCK_SAMPLES, NonFiniteError, Tensor, backward, matmul, mse_loss, \
     no_grad
-from tgl.topology import HandTopology, SensorNode, normalize_adjacency
+from tgl.topology import HandTopology, SensorNode, normalize_adjacency, propagation_for
 
 
 TOY = ModelSpec("GCN", (4, 5), (8,))
@@ -99,8 +98,8 @@ def test_conv_features_permutation_equivariant():
     pmat = np.eye(6)[perm]
     w = Tensor(rng.normal(size=(3, 4)))
     h = rng.normal(size=(6, 3))
-    s = Tensor(normalize_adjacency(adj).s)
-    s_perm = Tensor(normalize_adjacency(pmat @ adj @ pmat.T).s)
+    s = Tensor(normalize_adjacency(adj))
+    s_perm = Tensor(normalize_adjacency(pmat @ adj @ pmat.T))
     from tgl.tensor import matmul, relu
     base = relu(matmul(matmul(s, Tensor(h)), w)).data
     permuted = relu(matmul(matmul(s_perm, Tensor(h[perm])), w)).data
@@ -165,7 +164,7 @@ def test_propagation_of_a_sample_ignores_its_batch(default_topo):
 
 def test_propagation_sums_each_row_diagonal_first_then_by_column(default_topo):
     m = build_from_spec(TOY, default_topo, seed=0)
-    s = m.propagation.s
+    s = propagation_for(default_topo)
     h = np.random.default_rng(4).normal(size=(3, default_topo.n, 5))
     expect = np.empty_like(h)
     for i in range(default_topo.n):
@@ -273,7 +272,7 @@ def test_checkpoint_topology_mismatch(tmp_path, tiny_topo, small_topo):
 
 
 def test_build_model_on_small_hand(small_topo):
-    m = build_model("III", small_topo, seed=0)
+    m = build_from_spec(model_spec("III"), small_topo, seed=0)
     assert m.spec is model_spec("III")
     assert [w.value.shape for w in m.conv_weights] == [(3, 14), (14, 28), (28, 56)]
     assert m.fc_weights[0].value.shape == (24 * 56 + 22, 8000)

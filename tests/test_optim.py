@@ -5,8 +5,14 @@ import numpy as np
 import pytest
 
 import tgl
-from tgl.optim import ADAM_BLOCK, AdamConfig, Parameter, adam_step, glorot_uniform, zero_grad
+from tgl.optim import ADAM_BLOCK, AdamConfig, Parameter, adam_step, glorot_uniform
 from tgl.tensor import NonFiniteError, Tensor, backward, mse_loss
+
+
+def _param(value, name: str) -> Parameter:
+    """A fresh parameter over its own [value, adam_m, adam_v] block."""
+    value = np.asarray(value, dtype=np.float64)
+    return Parameter(np.stack([value, np.zeros_like(value), np.zeros_like(value)]), name)
 
 
 def quadratic_grad(p: Parameter, target: np.ndarray) -> None:
@@ -16,7 +22,7 @@ def quadratic_grad(p: Parameter, target: np.ndarray) -> None:
 
 def test_first_step_matches_hand_computed_update():
     cfg = AdamConfig(learning_rate=0.1)
-    p = Parameter(np.array([1.0, -2.0]), name="w")
+    p = _param(np.array([1.0, -2.0]), "w")
     p.value.grad = np.array([0.5, -0.25])
     g = p.value.grad.copy()
     adam_step([p], cfg)
@@ -29,7 +35,7 @@ def test_first_step_matches_hand_computed_update():
 
 def test_many_steps_match_reference_implementation():
     cfg = AdamConfig(learning_rate=0.05)
-    p = Parameter(np.array([[0.3, -1.2], [2.0, 0.0]]), name="w")
+    p = _param(np.array([[0.3, -1.2], [2.0, 0.0]]), "w")
     ref_w = p.value.data.copy()
     ref_m = np.zeros_like(ref_w)
     ref_v = np.zeros_like(ref_w)
@@ -50,7 +56,7 @@ def test_many_steps_match_reference_implementation():
 def test_blocked_step_is_bitwise_textbook_adam(shape):
     cfg = AdamConfig(learning_rate=3e-3)
     rng = np.random.default_rng(shape[0])
-    p = Parameter(rng.normal(size=shape), name="w")
+    p = _param(rng.normal(size=shape), "w")
     x, m, v = p.value.data.copy(), np.zeros(shape), np.zeros(shape)
     for t in range(1, 6):
         g = rng.normal(size=shape)
@@ -70,7 +76,7 @@ def test_blocked_step_is_bitwise_textbook_adam(shape):
 
 def test_converges_on_scalar_quadratic():
     cfg = AdamConfig(learning_rate=0.05)
-    p = Parameter(np.array([10.0]), name="w")
+    p = _param(np.array([10.0]), "w")
     target = np.array([3.0])
     for _ in range(400):
         quadratic_grad(p, target)
@@ -80,8 +86,8 @@ def test_converges_on_scalar_quadratic():
 
 def test_missing_gradient_aborts_whole_step():
     cfg = AdamConfig()
-    a = Parameter(np.array([1.0]), name="a")
-    b = Parameter(np.array([2.0]), name="b")
+    a = _param(np.array([1.0]), "a")
+    b = _param(np.array([2.0]), "b")
     a.value.grad = np.array([0.5])
     with pytest.raises(ValueError, match="no gradient"):
         adam_step([a, b], cfg)
@@ -92,8 +98,8 @@ def test_missing_gradient_aborts_whole_step():
 
 def test_non_finite_gradient_aborts_whole_step():
     cfg = AdamConfig()
-    a = Parameter(np.array([1.0]), name="a")
-    b = Parameter(np.array([2.0]), name="b")
+    a = _param(np.array([1.0]), "a")
+    b = _param(np.array([2.0]), "b")
     a.value.grad = np.array([0.5])
     b.value.grad = np.array([float("nan")])
     with pytest.raises(NonFiniteError):
@@ -104,17 +110,21 @@ def test_non_finite_gradient_aborts_whole_step():
 
 def test_shape_mismatch_rejected():
     cfg = AdamConfig()
-    a = Parameter(np.array([1.0, 2.0]), name="a")
+    a = _param(np.array([1.0, 2.0]), "a")
     a.value.grad = np.array([0.5])
     with pytest.raises(ValueError, match="shape"):
         adam_step([a], cfg)
 
 
-def test_zero_grad_clears_all():
-    a = Parameter(np.array([1.0]), name="a")
-    a.value.grad = np.array([0.5])
-    zero_grad([a])
-    assert a.grad is None
+def test_parameter_needs_a_contiguous_three_row_block():
+    """adam_step updates flat views of the block, which a strided block would not give."""
+    with pytest.raises(ValueError, match="block"):
+        Parameter(np.zeros((3, 4, 2))[:, :, 0], "w")
+    with pytest.raises(ValueError, match="block"):
+        Parameter(np.zeros((2, 4)), "w")
+    block = np.zeros((3, 4))
+    p = Parameter(block, "w")
+    assert np.shares_memory(p.value.data, block) and p.adam_v.base is block
 
 
 def test_config_validation():

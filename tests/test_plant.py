@@ -47,6 +47,14 @@ def test_object_constants():
     assert slick.friction == pytest.approx(hard.friction * cfg.slippery_friction_factor)
 
 
+def test_object_radius_must_be_finite_and_positive():
+    for radius in (-3.0, 0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="radius"):
+            make_object(False, False, False, radius=radius)
+    with pytest.raises(ValueError, match="radius"):
+        object_catalog(PlantConfig(base_radius=-1.0))
+
+
 def test_initial_state_open_and_on_desk(topo):
     plant = make_plant(topo, make_object(False, False, False), PlantConfig())
     st = initial_state(plant, seed=0)
@@ -184,6 +192,8 @@ def test_disturbance_validation(topo):
         apply_disturbance(plant, state, "pull_down", 0.0)
     with pytest.raises(ValueError):
         apply_disturbance(plant, state, "shake", 1.0)
+    with pytest.raises(ValueError):
+        apply_disturbance(plant, state, "pull_side", float("nan"))
 
 
 def test_recovery_after_pull_down(topo):
@@ -285,7 +295,9 @@ def test_generate_dataset_trials_radius_jitter(topo):
 
 
 def test_config_json_round_trip(tmp_path):
-    cfg = replace(PlantConfig(), sensor_noise=0.2, base_radius=1.1)
+    cfg = replace(PlantConfig(), sensor_noise=0.2, base_radius=1.1,
+                  segment_onsets=[["palm", 1], ["fingertip", 0.25]])
+    assert cfg.segment_onsets == (("palm", 1.0), ("fingertip", 0.25))
     path = tmp_path / "plant.json"
     cfg.to_json(str(path))
     assert PlantConfig.from_json(str(path)) == cfg

@@ -111,9 +111,10 @@ def test_config_validation():
     with pytest.raises(ValueError):
         RolloutConfig(max_steps=10, labels=LABELS,
                       disturbance=Disturbance(5, "shake", 1.0))
-    with pytest.raises(ValueError):
-        RolloutConfig(max_steps=10, labels=LABELS,
-                      disturbance=Disturbance(5, "pull_down", 0.0))
+    for magnitude in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="magnitude"):
+            RolloutConfig(max_steps=10, labels=LABELS,
+                          disturbance=Disturbance(5, "pull_side", magnitude))
 
 
 def test_node_count_mismatch(trained, tiny_topo):

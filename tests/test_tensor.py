@@ -9,12 +9,17 @@ from tgl import tensor as T
 from tgl.tensor import NonFiniteError, SymmetricOperator, Tensor, backward
 
 
+def _dot(y: Tensor, g: np.ndarray) -> Tensor:
+    """The scalar sum(y * g) on the tape, so backward hands y the gradient g."""
+    return T.matmul(T.reshape(y, (1, y.size)), Tensor(g.reshape(-1, 1)))
+
+
 def test_matmul_forward_and_grads():
     a = Tensor([[1.0, 2.0]], requires_grad=True)
     b = Tensor([[3.0], [4.0]], requires_grad=True)
     out = T.matmul(a, b)
     assert out.data.tolist() == [[11.0]]
-    backward(out.sum())
+    backward(out)
     assert a.grad.tolist() == [[3.0, 4.0]]
     assert b.grad.tolist() == [[1.0], [2.0]]
 
@@ -23,7 +28,7 @@ def test_relu_value_and_subgradient():
     x = Tensor([-1.0, 0.0, 2.0], requires_grad=True)
     y = T.relu(x)
     assert y.data.tolist() == [0.0, 0.0, 2.0]
-    backward(y.sum())
+    backward(_dot(y, np.ones(3)))
     # subgradient at the kink is 0
     assert x.grad.tolist() == [0.0, 0.0, 1.0]
 
@@ -40,7 +45,7 @@ def test_relu_bits_match_where_including_signed_zeros(shape):
     assert y.data.tobytes() == ref.tobytes()
     assert not np.signbit(y.data).any()
     g = rng.normal(size=shape)
-    backward((y * Tensor(g)).sum())
+    backward(_dot(y, g))
     assert x.grad.tobytes() == (g * (data > 0)).tobytes()
 
 
@@ -54,25 +59,9 @@ def test_mse_loss_value_and_grad():
     assert pred.grad.tolist() == [1.0, -1.0]
 
 
-def test_add_mul_sub_grads():
-    x = Tensor([2.0, -3.0], requires_grad=True)
-    y = Tensor([5.0, 7.0], requires_grad=True)
-    out = ((x * y) + x - y).sum()
-    backward(out)
-    np.testing.assert_allclose(x.grad, y.data + 1.0)
-    np.testing.assert_allclose(y.grad, x.data - 1.0)
-
-
-def test_mean_grad_is_uniform():
-    x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
-    backward(x.mean())
-    np.testing.assert_allclose(x.grad, np.full((2, 3), 1.0 / 6.0))
-
-
 def test_reshape_grad_restores_shape():
     x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
-    y = T.reshape(x, 6) * Tensor(np.arange(6.0))
-    backward(y.sum())
+    backward(_dot(T.reshape(x, 6), np.arange(6.0)))
     assert x.grad.shape == (2, 3)
     np.testing.assert_allclose(x.grad, np.arange(6.0).reshape(2, 3))
 
@@ -82,16 +71,16 @@ def test_concat_routes_grads_to_parents():
     b = Tensor(np.ones((3, 2)), requires_grad=True)
     out = T.concat([a, b], axis=0)
     assert out.shape == (5, 2)
-    w = Tensor(np.arange(10.0).reshape(5, 2))
-    backward((out * w).sum())
-    np.testing.assert_allclose(a.grad, w.data[:2])
-    np.testing.assert_allclose(b.grad, w.data[2:])
+    w = np.arange(10.0).reshape(5, 2)
+    backward(_dot(out, w))
+    np.testing.assert_allclose(a.grad, w[:2])
+    np.testing.assert_allclose(b.grad, w[2:])
 
 
 def test_broadcast_add_unbroadcasts_grad():
     x = Tensor(np.ones((4, 3)), requires_grad=True)
     bias = Tensor(np.zeros(3), requires_grad=True)
-    backward((x + bias).sum())
+    backward(_dot(x + bias, np.ones((4, 3))))
     assert bias.grad.shape == (3,)
     np.testing.assert_allclose(bias.grad, [4.0, 4.0, 4.0])
 
@@ -131,7 +120,7 @@ def test_batched_matmul_grad_matches_finite_differences():
 
 def test_repeated_backward_accumulates_once_per_call():
     x = Tensor([3.0], requires_grad=True)
-    y = (x * x).sum()  # reused node: grad must not double-count within a call
+    y = _dot(x + x, np.array([3.0]))  # reused node: grad must not double-count within a call
     backward(y)
     np.testing.assert_allclose(x.grad, [6.0])
     backward(y)
@@ -139,17 +128,17 @@ def test_repeated_backward_accumulates_once_per_call():
 
 
 def test_diamond_graph_accumulates_through_both_paths():
-    x = Tensor([2.0], requires_grad=True)
-    a = x * Tensor([3.0])
-    b = x * Tensor([5.0])
-    backward((a + b).sum())
-    np.testing.assert_allclose(x.grad, [8.0])
+    x = Tensor([[2.0]], requires_grad=True)
+    a = T.matmul(x, Tensor([[3.0]]))
+    b = T.matmul(x, Tensor([[5.0]]))
+    backward(a + b)
+    np.testing.assert_allclose(x.grad, [[8.0]])
 
 
 def test_no_grad_blocks_graph_construction():
     x = Tensor([1.0], requires_grad=True)
     with T.no_grad():
-        y = (x * x).sum()
+        y = x + x
     assert not y.requires_grad
     with pytest.raises(ValueError):
         backward(y)
@@ -165,7 +154,7 @@ def test_non_finite_inputs_rejected():
 def test_backward_requires_scalar():
     x = Tensor([1.0, 2.0], requires_grad=True)
     with pytest.raises(ValueError):
-        backward(x * x)
+        backward(x + x)
 
 
 def random_symmetric(n: int, edge_p: float, diag_p: float, seed: int,
@@ -200,7 +189,7 @@ def test_symmetric_operator_matches_dense_product(n, edge_p, diag_p, seed, isola
     out = T.matmul(op, h)
     assert out.shape == h.shape
     np.testing.assert_allclose(out.data, s @ h.data, rtol=0, atol=1e-12)
-    backward((out * Tensor(g)).sum())
+    backward(_dot(out, g))
     np.testing.assert_allclose(h.grad, s @ g, rtol=0, atol=1e-12)
 
 

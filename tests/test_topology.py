@@ -68,24 +68,26 @@ def test_grid_degree_bounds():
 def test_two_node_propagation_exact():
     nodes = [SensorNode(0, "palm", "palm", 0, 0), SensorNode(1, "palm", "palm", 0, 1)]
     topo = HandTopology(nodes, [(0, 1)])
-    s = propagation_for(topo).s
+    s = propagation_for(topo)
     assert s.tolist() == [[0.5, 0.5], [0.5, 0.5]]
 
 
 def test_propagation_symmetric_and_contractive(default_topo):
-    prop = propagation_for(default_topo)
-    assert np.array_equal(prop.s, prop.s.T)
-    assert spectral_norm_bound(prop.s) <= 1.0 + 1e-10
+    s = propagation_for(default_topo)
+    assert np.array_equal(s, s.T)
+    assert spectral_norm_bound(s) <= 1.0 + 1e-10
     # row sums of the self-looped adjacency drive the normalization
-    np.testing.assert_array_equal(prop.d_hat, prop.a_hat.sum(axis=1))
+    a_hat = default_topo.adjacency() + np.eye(default_topo.n)
+    d_hat = a_hat.sum(axis=1)
+    np.testing.assert_allclose(s * np.sqrt(np.outer(d_hat, d_hat)), a_hat, rtol=0, atol=1e-15)
 
 
 def test_isolated_node_keeps_self_loop_weight_one():
     adj = np.zeros((3, 3))
     adj[0, 1] = adj[1, 0] = 1.0
-    prop = normalize_adjacency(adj)
-    assert prop.s[2, 2] == 1.0
-    assert prop.s[2, 0] == 0.0
+    s = normalize_adjacency(adj)
+    assert s[2, 2] == 1.0
+    assert s[2, 0] == 0.0
 
 
 def test_normalize_adjacency_validation():
@@ -157,9 +159,9 @@ def test_packaged_default_hand_matches_builder(default_topo):
 
 def test_tiny_topology_propagation_properties():
     topo = build_tiny_topology()
-    prop = propagation_for(topo)
-    assert np.array_equal(prop.s, prop.s.T)
-    assert spectral_norm_bound(prop.s) <= 1.0 + 1e-10
+    s = propagation_for(topo)
+    assert np.array_equal(s, s.T)
+    assert spectral_norm_bound(s) <= 1.0 + 1e-10
     # numpy's dense SVD agrees with the power-iteration bound
-    top = float(np.linalg.svd(prop.s, compute_uv=False)[0])
-    assert spectral_norm_bound(prop.s) == pytest.approx(top, abs=1e-8)
+    top = float(np.linalg.svd(s, compute_uv=False)[0])
+    assert spectral_norm_bound(s) == pytest.approx(top, abs=1e-8)
