@@ -44,19 +44,23 @@ class ModelSpec:
     horizon: int = HORIZON
 
     def __post_init__(self):
-        if self.kind not in ("GCN", "MLP"):
-            raise ValueError(f"kind must be GCN or MLP, got {self.kind!r}")
+        """ValueError naming the field unless every size is a positive int (not a bool)."""
+        if type(self.kind) is not str or self.kind not in ("GCN", "MLP"):
+            raise ValueError(f"model spec field 'kind' must be GCN or MLP, got {self.kind!r}")
         if self.kind == "GCN" and not self.conv_channels:
             raise ValueError("GCN models need at least one conv layer")
         if self.kind == "MLP" and self.conv_channels:
             raise ValueError("MLP models must not have conv layers")
-        for w in (*self.conv_channels, *self.fc_sizes):
-            if w < 1:
-                raise ValueError(f"layer widths must be positive, got {w}")
+        sizes = {"conv_channels": self.conv_channels, "fc_sizes": self.fc_sizes,
+                 "input_channels": (self.input_channels,), "aux_input": (self.aux_input,),
+                 "output_dim": (self.output_dim,), "horizon": (self.horizon,)}
+        for name, values in sizes.items():
+            if not all(type(v) is int and v >= 1 for v in values):
+                raise ValueError(f"model spec field {name!r} must hold integers >= 1, "
+                                 f"got {getattr(self, name)!r}")
         if self.output_dim != OUTPUT_DIM:
-            raise ValueError(f"output_dim must be {OUTPUT_DIM}, got {self.output_dim}")
-        if self.horizon < 1:
-            raise ValueError(f"horizon must be >= 1, got {self.horizon}")
+            raise ValueError(f"model spec field 'output_dim' must be {OUTPUT_DIM}, "
+                             f"got {self.output_dim}")
 
     def flat_width(self, n_nodes: int) -> int:
         """Width of the flattened per-node features entering the fc stack."""

@@ -34,6 +34,11 @@ GOLDEN_ANGLE = 2.399963229728653
 
 FINGER_JOINT_BLOCK = {"thumb": 0, "index": 1, "middle": 2, "ring": 3}
 
+# PlantConfig fields this module divides by: the support ratio by mass * gravity,
+# the sag by grasp_span and the demonstrator's sigmoid by its time constant.
+_DIVISOR_FIELDS = ("gravity", "light_mass", "heavy_mass_factor", "grasp_span",
+                   "sigmoid_tau_fraction")
+
 
 @dataclass(frozen=True)
 class PlantConfig:
@@ -87,7 +92,9 @@ class PlantConfig:
     sensor_noise: float = 0.0
 
     def __post_init__(self):
-        """ValueError naming the field unless every number is finite and every onset a pair."""
+        """ValueError naming the field unless every number is finite, every onset a pair,
+        every divisor > 0, joint_min < joint_max, lift_start < lift_full and the tilt cap
+        a tilt PlantState holds."""
         for f in fields(self):
             value = getattr(self, f.name)
             if f.name != "segment_onsets" and not _finite_number(value):
@@ -103,6 +110,17 @@ class PlantConfig:
         if self.sensor_noise < 0:
             raise ValueError(f"plant config field 'sensor_noise' must be >= 0, "
                              f"got {self.sensor_noise}")
+        for name in _DIVISOR_FIELDS:
+            if getattr(self, name) <= 0:
+                raise ValueError(f"plant config field {name!r} must be > 0, "
+                                 f"got {getattr(self, name)}")
+        for low, high in (("joint_min", "joint_max"), ("lift_start", "lift_full")):
+            if not getattr(self, low) < getattr(self, high):
+                raise ValueError(f"plant config field {low!r} must be below {high!r}, "
+                                 f"got {getattr(self, low)} >= {getattr(self, high)}")
+        if not 0.0 <= self.tilt_cap < 180.0:     # the range PlantState holds a tilt to
+            raise ValueError(f"plant config field 'tilt_cap' must lie in [0, 180), "
+                             f"got {self.tilt_cap}")
 
     def to_json(self, path: str) -> None:
         with open(path, "w") as f:

@@ -113,7 +113,10 @@ def test_gen_data_validation_exit_1(pipeline, tmp_path, capsys):
     rollout = ["rollout", "--ckpt", str(run / "final.ckpt.json"), "--topology", "small",
                "--object", "light,hard,nonslip"]
     docs = {"noise": {"noise": -0.5}, "rate": {"rate_limit": "x"}, "gravity": {"gravity": True},
-            "onsets": {"segment_onsets": [[1, 0.3]]}}
+            "onsets": {"segment_onsets": [[1, 0.3]]}, "joint-box": {"joint_min": 2.0},
+            "no-gravity": {"gravity": 0.0}, "lift": {"lift_full": 0.45},
+            "mass": {"heavy_mass_factor": 0}, "tau": {"sigmoid_tau_fraction": -0.1},
+            "span": {"grasp_span": 0.0}, "tilt": {"tilt_cap": 400.0}}
     for name, doc in docs.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(doc))
     gen = ["gen-data", "--topology", "small"]
@@ -126,6 +129,13 @@ def test_gen_data_validation_exit_1(pipeline, tmp_path, capsys):
             (gen + ["--plant-config", str(tmp_path / "rate.json")], "'rate_limit'"),
             (gen + ["--plant-config", str(tmp_path / "gravity.json")], "'gravity'"),
             (gen + ["--plant-config", str(tmp_path / "onsets.json")], "'segment_onsets'"),
+            (gen + ["--plant-config", str(tmp_path / "joint-box.json")], "'joint_min'"),
+            (gen + ["--plant-config", str(tmp_path / "no-gravity.json")], "'gravity'"),
+            (gen + ["--plant-config", str(tmp_path / "lift.json")], "'lift_full'"),
+            (gen + ["--plant-config", str(tmp_path / "mass.json")], "'heavy_mass_factor'"),
+            (gen + ["--plant-config", str(tmp_path / "tau.json")], "'sigmoid_tau_fraction'"),
+            (gen + ["--plant-config", str(tmp_path / "span.json")], "'grasp_span'"),
+            (rollout + ["--plant-config", str(tmp_path / "tilt.json")], "'tilt_cap'"),
             (rollout + ["--stride", "0"], "stride"),
             (rollout + ["--radius", "-3"], "radius"),
             (rollout + ["--disturb", "5:pull_side:nan"], "magnitude"))):
@@ -387,6 +397,8 @@ MALFORMED_MANIFESTS = {
     "number-blob": (lambda m: m.update(blob=5), "blob"),
     "blob-path": (lambda m: m.update(blob=os.path.join("..", m["blob"])), "blob"),
     "list-extra": (lambda m: m.update(extra=[1]), "extra"),
+    "bool-horizon": (lambda m: m.update(horizon=True), "horizon"),
+    "float-width": (lambda m: m.update(fc_sizes=[float(w) for w in m["fc_sizes"]]), "fc_sizes"),
 }
 
 

@@ -55,6 +55,13 @@ def test_spec_validation():
         ModelSpec("GCN", (), (8,))  # GCN needs at least one conv layer
     with pytest.raises(ValueError):
         ModelSpec("GCN", (0,), (8,))
+    # sizes are ints: a bool or a float fails here, naming the field, not in build_from_spec
+    for kwargs, field in (({"horizon": True}, "horizon"),
+                          ({"input_channels": 3.0}, "input_channels"),
+                          ({"conv_channels": (14.5,)}, "conv_channels"),
+                          ({"fc_sizes": (8.0,)}, "fc_sizes"), ({"kind": b"GCN"}, "kind")):
+        with pytest.raises(ValueError, match=f"'{field}'"):
+            ModelSpec(**{"kind": "GCN", "conv_channels": (14,), "fc_sizes": (8,)} | kwargs)
 
 
 def test_build_deterministic(tiny_topo):
