@@ -165,28 +165,29 @@ def write_node_map_csv(report: ClusterReport, path: str) -> None:
                     f"{float(report.coordinates[i, 0])!r},{float(report.coordinates[i, 1])!r}\n")
 
 
+SVG_SIZE = 640   # the node map's width and height, in SVG user units
 _PALETTE = ("#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd",
             "#8c564b", "#e377c2", "#7f7f7f")
 
 
-def write_node_map_svg(report: ClusterReport, path: str, size: int = 640) -> None:
+def write_node_map_svg(report: ClusterReport, path: str) -> None:
     coords = report.coordinates
     fingers = sorted({f for f, _ in report.node_labels})
     color = {f: _PALETTE[i % len(_PALETTE)] for i, f in enumerate(fingers)}
     lo = coords.min(axis=0)
     hi = coords.max(axis=0)
     span = np.maximum(hi - lo, 1e-9)
-    pad, plot = 40, size - 80
+    pad, plot = 40, SVG_SIZE - 80
 
     def sx(v):
         return pad + plot * (v - lo[0]) / span[0]
 
     def sy(v):
-        return size - pad - plot * (v - lo[1]) / span[1]
+        return SVG_SIZE - pad - plot * (v - lo[1]) / span[1]
 
-    parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
-             f'viewBox="0 0 {size} {size}">',
-             f'<rect width="{size}" height="{size}" fill="white"/>']
+    parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{SVG_SIZE}" height="{SVG_SIZE}" '
+             f'viewBox="0 0 {SVG_SIZE} {SVG_SIZE}">',
+             f'<rect width="{SVG_SIZE}" height="{SVG_SIZE}" fill="white"/>']
     for i, (finger, _) in enumerate(report.node_labels):
         parts.append(f'<circle cx="{sx(coords[i, 0]):.2f}" cy="{sy(coords[i, 1]):.2f}" '
                      f'r="4" fill="{color[finger]}" fill-opacity="0.8"/>')

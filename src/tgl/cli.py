@@ -232,7 +232,7 @@ def cmd_train(args) -> int:
                                spec=_custom_spec(args.conv, args.fc))
     report = training.train(ds, cfg, topo, out_dir=out, resume_from=args.resume)
     outputs = [p for base in (report.final_checkpoint, report.best_checkpoint) if base
-               for p in (base, base[:-5] + ".bin")]
+               for p in (base, models.checkpoint_blob(base))]
     config = {"seed": seed, "epochs": epochs, "batch_size": batch, "lr": lr,
               "model": model, "conv": args.conv, "fc": args.fc,
               "target_length": target_length, "topology": topo_spec,

@@ -19,9 +19,9 @@ LABEL_DIM = 6
 LABEL_NAMES = ("light", "heavy", "hard", "soft", "non_slippery", "slippery")
 
 DEFAULT_TARGET_LENGTH = 330
-DEFAULT_HORIZON = 10
-DEFAULT_SPLIT_RATIO = 0.70
-DEFAULT_VELOCITY_EPS = 1e-4
+HORIZON = 10          # a pair's target is the joints this many frames later
+SPLIT_RATIO = 0.70    # share of whole trials on the training side
+VELOCITY_EPS = 1e-4   # least per-step joint change that counts as motion
 
 SMOOTH_BEFORE = 5   # window [t-5, t+4]: 10 samples including the center
 SMOOTH_AFTER = 4
@@ -122,23 +122,19 @@ class Trial:
 class Dataset:
     trials: list[Trial]
     target_length: int = DEFAULT_TARGET_LENGTH
-    horizon: int = DEFAULT_HORIZON
-    split_ratio: float = DEFAULT_SPLIT_RATIO
 
 
-def trim_static(trial: Trial, velocity_eps: float = DEFAULT_VELOCITY_EPS) -> Trial:
+def trim_static(trial: Trial) -> Trial:
     """Drop the leading and trailing runs where no joint moves.
 
     A frame counts as moving when either adjacent per-step joint delta
-    reaches velocity_eps; the kept range spans the first through last
+    reaches VELOCITY_EPS; the kept range spans the first through last
     moving frame.
     """
-    if velocity_eps <= 0:
-        raise ValueError(f"velocity_eps must be positive, got {velocity_eps}")
-    moving = np.flatnonzero(np.abs(np.diff(trial.joints, axis=0)).max(axis=1) >= velocity_eps)
+    moving = np.flatnonzero(np.abs(np.diff(trial.joints, axis=0)).max(axis=1) >= VELOCITY_EPS)
     if moving.size == 0:
         raise ValueError(f"no motion detected in trial {trial.object_name!r} "
-                         f"(velocity_eps={velocity_eps})")
+                         f"(velocity_eps={VELOCITY_EPS})")
     return trial.take(slice(moving[0], moving[-1] + 2))
 
 
@@ -172,13 +168,12 @@ def downsample(trial: Trial, target_length: int = DEFAULT_TARGET_LENGTH) -> Tria
     return trial.take(idx)
 
 
-def preprocess(trial: Trial, target_length: int = DEFAULT_TARGET_LENGTH,
-               velocity_eps: float = DEFAULT_VELOCITY_EPS) -> Trial:
-    return downsample(smooth(trim_static(trial, velocity_eps)), target_length)
+def preprocess(trial: Trial, target_length: int = DEFAULT_TARGET_LENGTH) -> Trial:
+    return downsample(smooth(trim_static(trial)), target_length)
 
 
-def preprocess_dataset(ds: Dataset, velocity_eps: float = DEFAULT_VELOCITY_EPS) -> Dataset:
-    trials = [preprocess(t, ds.target_length, velocity_eps) for t in ds.trials]
+def preprocess_dataset(ds: Dataset) -> Dataset:
+    trials = [preprocess(t, ds.target_length) for t in ds.trials]
     return replace(ds, trials=trials)
 
 
@@ -189,18 +184,19 @@ class Pair(NamedTuple):
     target: np.ndarray   # (16,) joints at t + horizon
 
 
-def make_pairs(trial: Trial, horizon: int = DEFAULT_HORIZON) -> list[Pair]:
-    if horizon < 1:
-        raise ValueError(f"horizon must be >= 1, got {horizon}")
-    if len(trial) <= horizon:
-        raise ValueError(f"trial of {len(trial)} frames yields no pairs at horizon {horizon}")
-    end = len(trial) - horizon
+def make_pairs(trial: Trial) -> list[Pair]:
+    if len(trial) <= HORIZON:
+        raise ValueError(f"trial of {len(trial)} frames yields no pairs at horizon {HORIZON}")
+    end = len(trial) - HORIZON
     return [Pair(x, j, trial.labels, y)
-            for x, j, y in zip(trial.tactile[:end], trial.joints[:end], trial.joints[horizon:])]
+            for x, j, y in zip(trial.tactile[:end], trial.joints[:end], trial.joints[HORIZON:])]
 
 
 def split(ds: Dataset, seed: int) -> tuple[list[Pair], list[Pair]]:
-    """Assign whole trials to train/validation at split_ratio, then expand pairs."""
+    """Assign whole trials to train/validation at SPLIT_RATIO, then expand pairs.
+
+    With n >= 2 trials, round(SPLIT_RATIO * n) leaves each side at least one.
+    """
     n = len(ds.trials)
     if n < 2:
         raise ValueError(f"need at least 2 trials to split, got {n}")
@@ -208,14 +204,12 @@ def split(ds: Dataset, seed: int) -> tuple[list[Pair], list[Pair]]:
         if len(trial) != ds.target_length:
             raise ValueError(f"trial {trial.object_name!r} has {len(trial)} frames; "
                              f"preprocess to {ds.target_length} before splitting")
-    n_train = int(round(ds.split_ratio * n))
-    if n_train == 0 or n_train == n:
-        raise ValueError(f"split_ratio {ds.split_ratio} leaves one side empty for {n} trials")
+    n_train = int(round(SPLIT_RATIO * n))
     perm = np.random.default_rng(seed).permutation(n)
     train, val = [], []
     for pos, trial_idx in enumerate(perm):
         side = train if pos < n_train else val
-        side.extend(make_pairs(ds.trials[trial_idx], ds.horizon))
+        side.extend(make_pairs(ds.trials[trial_idx]))
     return train, val
 
 
@@ -317,9 +311,10 @@ def read_csv(path: str, extra: tuple[str, ...] = ()) -> tuple[int, np.ndarray, n
     return n, np.array(ts, dtype=np.int64), cells
 
 
-def read_trial_csv(path: str, object_name: str | None = None) -> Trial:
+def read_trial_csv(path: str) -> Trial:
+    """The trial a CSV holds, named after its file without `.csv`."""
     n, t, cells = read_csv(path)
     end = JOINT_DIM + 3 * n   # the labels follow the tactile cells
-    name = os.path.basename(path).removesuffix(".csv") if object_name is None else object_name
+    name = os.path.basename(path).removesuffix(".csv")
     return Trial(name, t, cells[:, :JOINT_DIM], cells[:, JOINT_DIM:end].reshape(-1, n, 3),
                  cells[:1, end:].ravel())

@@ -14,23 +14,26 @@ import json
 import math
 import os
 from contextlib import contextmanager
-from dataclasses import InitVar, asdict, dataclass, field, fields
+from dataclasses import InitVar, asdict, dataclass, field
 
 import numpy as np
 
-from .dataset import DEFAULT_HORIZON as HORIZON, JOINT_DIM, LABEL_DIM
+from .dataset import HORIZON, JOINT_DIM, LABEL_DIM
 from .optim import Parameter, glorot_uniform
 from .tensor import NonFiniteError, SymmetricOperator, Tensor, concat, matmul, no_grad, relu, \
     reshape
 from .topology import HandTopology, propagation_for
 
-TACTILE_AXES = 3
-AUX_DIM = JOINT_DIM + LABEL_DIM
+TACTILE_AXES = 3                  # input channels per node: a tri-axial reading
+AUX_DIM = JOINT_DIM + LABEL_DIM   # current joints and property labels beside the node features
 OUTPUT_DIM = JOINT_DIM
 
 CHECKPOINT_FORMAT_VERSION = 1
 BLOB_DTYPE = "<f8"
 STREAMS = ("value", "adam_m", "adam_v")   # a parameter's block in the buffer, in order
+# Manifest entries that every checkpoint holds at these values, after the spec's own fields
+_FIXED_ENTRIES = {"input_channels": TACTILE_AXES, "aux_input": AUX_DIM,
+                  "output_dim": OUTPUT_DIM, "horizon": HORIZON}
 
 
 @dataclass(frozen=True)
@@ -38,10 +41,6 @@ class ModelSpec:
     kind: str                        # "GCN" | "MLP"
     conv_channels: tuple[int, ...]   # output width per graph-conv layer
     fc_sizes: tuple[int, ...]        # hidden fc widths (output layer excluded)
-    input_channels: int = TACTILE_AXES
-    aux_input: int = AUX_DIM
-    output_dim: int = OUTPUT_DIM
-    horizon: int = HORIZON
 
     def __post_init__(self):
         """ValueError naming the field unless every size is a positive int (not a bool)."""
@@ -51,27 +50,21 @@ class ModelSpec:
             raise ValueError("GCN models need at least one conv layer")
         if self.kind == "MLP" and self.conv_channels:
             raise ValueError("MLP models must not have conv layers")
-        sizes = {"conv_channels": self.conv_channels, "fc_sizes": self.fc_sizes,
-                 "input_channels": (self.input_channels,), "aux_input": (self.aux_input,),
-                 "output_dim": (self.output_dim,), "horizon": (self.horizon,)}
-        for name, values in sizes.items():
-            if not all(type(v) is int and v >= 1 for v in values):
+        for name in ("conv_channels", "fc_sizes"):
+            if not all(type(v) is int and v >= 1 for v in getattr(self, name)):
                 raise ValueError(f"model spec field {name!r} must hold integers >= 1, "
                                  f"got {getattr(self, name)!r}")
-        if self.output_dim != OUTPUT_DIM:
-            raise ValueError(f"model spec field 'output_dim' must be {OUTPUT_DIM}, "
-                             f"got {self.output_dim}")
 
     def flat_width(self, n_nodes: int) -> int:
         """Width of the flattened per-node features entering the fc stack."""
-        per_node = self.conv_channels[-1] if self.kind == "GCN" else self.input_channels
+        per_node = self.conv_channels[-1] if self.kind == "GCN" else TACTILE_AXES
         return n_nodes * per_node
 
     def fc_input_width(self, n_nodes: int) -> int:
-        return self.flat_width(n_nodes) + self.aux_input
+        return self.flat_width(n_nodes) + AUX_DIM
 
     def fc_layer_sizes(self, n_nodes: int) -> list[tuple[int, int]]:
-        widths = [self.fc_input_width(n_nodes), *self.fc_sizes, self.output_dim]
+        widths = [self.fc_input_width(n_nodes), *self.fc_sizes, OUTPUT_DIM]
         return list(zip(widths[:-1], widths[1:]))
 
 
@@ -97,7 +90,7 @@ def parameter_layout(spec: ModelSpec, n_nodes: int) -> tuple[list[tuple[str, tup
     A parameter's block is its value, adam_m and adam_v; the blocks end to end, in
     float64 elements, are the model's buffer and its checkpoint blob alike.
     """
-    widths = (spec.input_channels, *spec.conv_channels)
+    widths = (TACTILE_AXES, *spec.conv_channels)
     shapes = [(f"conv{i}", (a, b)) for i, (a, b) in enumerate(zip(widths, widths[1:]))]
     for i, (a, b) in enumerate(spec.fc_layer_sizes(n_nodes)):
         shapes += [(f"fc{i}.weight", (a, b)), (f"fc{i}.bias", (b,))]
@@ -169,9 +162,8 @@ def conv_features(params: ModelParams, tactile) -> Tensor:
     if params.spec.kind != "GCN":
         raise ValueError("no conv features: model has no graph-conv layers")
     x = tactile if isinstance(tactile, Tensor) else Tensor(tactile)
-    if x.shape[-2] != params.n_nodes or x.shape[-1] != params.spec.input_channels:
-        raise ValueError(f"tactile must end in ({params.n_nodes}, {params.spec.input_channels}), "
-                         f"got {x.shape}")
+    if x.shape[-2:] != (params.n_nodes, TACTILE_AXES):
+        raise ValueError(f"tactile must end in ({params.n_nodes}, {TACTILE_AXES}), got {x.shape}")
     for i, w in enumerate(params.conv_weights):
         with _named_layer(f"conv layer {i}"):
             x = relu(matmul(matmul(params.s_tensor, x), w.value))
@@ -181,8 +173,8 @@ def conv_features(params: ModelParams, tactile) -> Tensor:
 def forward_batch(params: ModelParams, tactile, aux) -> Tensor:
     """Batched forward: tactile [B, nodes, 3], aux [B, 22] -> joints [B, 16]."""
     aux_t = aux if isinstance(aux, Tensor) else Tensor(aux)
-    if aux_t.ndim != 2 or aux_t.shape[1] != params.spec.aux_input:
-        raise ValueError(f"aux must be [batch, {params.spec.aux_input}], got {aux_t.shape}")
+    if aux_t.ndim != 2 or aux_t.shape[1] != AUX_DIM:
+        raise ValueError(f"aux must be [batch, {AUX_DIM}], got {aux_t.shape}")
     batch = aux_t.shape[0]
     if params.spec.kind == "GCN":
         feats = conv_features(params, tactile)
@@ -206,9 +198,8 @@ def forward(params: ModelParams, tactile, joints, labels) -> np.ndarray:
     tactile = np.asarray(tactile, dtype=np.float64)
     joints = np.asarray(joints, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.float64)
-    if tactile.shape != (params.n_nodes, params.spec.input_channels):
-        raise ValueError(f"tactile must be ({params.n_nodes}, {params.spec.input_channels}), "
-                         f"got {tactile.shape}")
+    if tactile.shape != (params.n_nodes, TACTILE_AXES):
+        raise ValueError(f"tactile must be ({params.n_nodes}, {TACTILE_AXES}), got {tactile.shape}")
     if joints.shape != (JOINT_DIM,):
         raise ValueError(f"joints must be ({JOINT_DIM},), got {joints.shape}")
     if labels.shape != (LABEL_DIM,) or not np.isin(labels, (0.0, 1.0)).all():
@@ -229,12 +220,18 @@ def _blob_tensors(layout: list) -> list[dict]:
             for name, shape, offset in layout for k, stream in enumerate(STREAMS)]
 
 
+def checkpoint_blob(path: str) -> str:
+    """The blob file written beside the manifest at `path`."""
+    return (path[:-5] if path.endswith(".json") else path) + ".bin"
+
+
 def save_checkpoint(params: ModelParams, path: str, extra: dict | None = None) -> None:
-    blob = (path[:-5] if path.endswith(".json") else path) + ".bin"
+    blob = checkpoint_blob(path)
     params.buffer.astype(BLOB_DTYPE, copy=False).tofile(blob)   # one write
     manifest = {
         "format_version": CHECKPOINT_FORMAT_VERSION,
         **asdict(params.spec),   # every ModelSpec field, under its own name
+        **_FIXED_ENTRIES,
         "n_nodes": params.n_nodes,
         "seed": params.seed,
         "dtype": BLOB_DTYPE,
@@ -249,6 +246,11 @@ def save_checkpoint(params: ModelParams, path: str, extra: dict | None = None) -
         f.write("\n")
 
 
+def _same_json(value, expected) -> bool:
+    """Equal as JSON text, so that 24.0 or true does not pass for 24 or 1."""
+    return json.dumps(value, sort_keys=True) == json.dumps(expected, sort_keys=True)
+
+
 def load_checkpoint(path: str, topology: HandTopology) -> tuple[ModelParams, dict]:
     """The model a checkpoint holds, with the blob as its buffer, and the manifest's extra.
 
@@ -261,21 +263,22 @@ def load_checkpoint(path: str, topology: HandTopology) -> tuple[ModelParams, dic
     def entry(key: str, expected=None):
         if not isinstance(man, dict) or key not in man:
             raise ValueError(f"checkpoint {path}: manifest has no {key!r}")
-        if expected is not None and man[key] != expected:
+        if expected is not None and not _same_json(man[key], expected):
             raise ValueError(f"checkpoint {path}: {key!r} is {man[key]!r}, expected {expected!r}")
         return man[key]
 
     entry("format_version", CHECKPOINT_FORMAT_VERSION)
     entry("dtype", BLOB_DTYPE)
     entry("n_nodes", topology.n)
-    spec_fields = {f.name: entry(f.name) for f in fields(ModelSpec)}
+    for key, value in _FIXED_ENTRIES.items():
+        entry(key, value)
+    kind, conv, fc = entry("kind"), entry("conv_channels"), entry("fc_sizes")
     try:
-        spec = ModelSpec(**spec_fields | {k: tuple(spec_fields[k])
-                                          for k in ("conv_channels", "fc_sizes")})
+        spec = ModelSpec(kind, tuple(conv), tuple(fc))
     except (TypeError, ValueError) as e:
         raise ValueError(f"checkpoint {path}: bad model spec: {e}") from None
     layout, total = parameter_layout(spec, topology.n)
-    if entry("tensors") != _blob_tensors(layout):
+    if not _same_json(entry("tensors"), _blob_tensors(layout)):
         raise ValueError(f"checkpoint {path}: 'tensors' do not match the layout of its model")
     entry("total_elements", total)
     steps, seed, name = entry("step_counts"), entry("seed"), entry("blob")

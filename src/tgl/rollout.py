@@ -22,6 +22,8 @@ from .plant import Plant, PlantState, apply_disturbance, distance_to_palm, initi
 
 DISTURBANCE_KINDS = ("pull_down", "pull_side")
 TRACE_COLUMNS = ("height", "tilt", "grip_force", "clamped")  # after the trial columns
+SUCCESS_DISTANCE = 2.0   # a success ends with the palm-object distance below this
+SUCCESS_ANGLE = 15.0     # and the object tilt below this many degrees
 
 
 class Disturbance(NamedTuple):
@@ -35,8 +37,6 @@ class RolloutConfig:
     max_steps: int
     labels: np.ndarray
     disturbance: Disturbance | None = None
-    success_distance: float = 2.0
-    success_angle: float = 15.0
     command_stride: int = 1   # re-predict every step by default
 
     def __post_init__(self):
@@ -100,19 +100,17 @@ def total_grip_force(tactile: np.ndarray) -> float:
     return float(np.sqrt((t * t).sum(axis=1)).sum())
 
 
-def judge_success(final: PlantState, cfg: RolloutConfig, plant: Plant) -> Verdict:
+def judge_success(final: PlantState, plant: Plant) -> Verdict:
     distance = distance_to_palm(final, plant.cfg)
-    return Verdict(success=bool(distance < cfg.success_distance
-                                and final.object_tilt < cfg.success_angle),
+    return Verdict(success=bool(distance < SUCCESS_DISTANCE and final.object_tilt < SUCCESS_ANGLE),
                    final_distance=distance, final_angle=final.object_tilt)
 
 
-def rollout(params: ModelParams, plant: Plant, cfg: RolloutConfig,
-            state: PlantState | None = None, seed: int = 0) -> RolloutTrace:
+def rollout(params: ModelParams, plant: Plant, cfg: RolloutConfig, seed: int = 0) -> RolloutTrace:
+    """Run cfg.max_steps steps from the plant's seeded initial state."""
     if params.n_nodes != plant.n_nodes:
         raise ValueError(f"model expects {params.n_nodes} nodes, plant has {plant.n_nodes}")
-    if state is None:
-        state = initial_state(plant, seed)
+    state = initial_state(plant, seed)
     tactile = tactile_from_contact(plant, state.contact_map)
     command = state.joints.copy()
     steps: list[RolloutStep] = []
@@ -126,7 +124,7 @@ def rollout(params: ModelParams, plant: Plant, cfg: RolloutConfig,
         state, tactile = plant_step(plant, state, command)
         steps.append(RolloutStep(t=t, commanded=command.copy(), state=state,
                                  tactile=tactile, grip_force=total_grip_force(tactile)))
-    return RolloutTrace(steps=steps, verdict=judge_success(state, cfg, plant),
+    return RolloutTrace(steps=steps, verdict=judge_success(state, plant),
                         labels=cfg.labels.copy())
 
 

@@ -44,7 +44,6 @@ class TrainConfig:
 class TrainReport:
     train_losses: list[float]
     val_losses: list[float]
-    seconds: float
     final_checkpoint: str | None
     best_checkpoint: str | None
     best_val: float
@@ -77,7 +76,6 @@ def fit_pairs(params: ModelParams, train_set: PairSet, val_set: PairSet | None,
     from a checkpoint replays exactly the batches a straight-through run
     would have seen.
     """
-    t0 = time.monotonic()
     n = len(train_set)
     aux_all = train_set.aux()
     train_losses: list[float] = []
@@ -129,8 +127,8 @@ def fit_pairs(params: ModelParams, train_set: PairSet, val_set: PairSet | None,
         final_path = os.path.join(out_dir, "final.ckpt.json")
         save_checkpoint(params, final_path, extra=_extra(cfg, start_epoch + cfg.epochs))
     return TrainReport(train_losses=train_losses, val_losses=val_losses,
-                       seconds=time.monotonic() - t0, final_checkpoint=final_path,
-                       best_checkpoint=best_path, best_val=best_val, start_epoch=start_epoch)
+                       final_checkpoint=final_path, best_checkpoint=best_path,
+                       best_val=best_val, start_epoch=start_epoch)
 
 
 def _metrics_before(path: str, epoch: int) -> list[str]:

@@ -18,7 +18,7 @@ import tgl
 from tgl import analysis, plant, training
 from tgl.cli import main as cli_main
 from tgl.dataset import Dataset, encode_labels, preprocess, split
-from tgl.models import (ModelSpec, build_from_spec, forward, forward_batch,
+from tgl.models import (AUX_DIM, ModelSpec, build_from_spec, forward, forward_batch,
                         load_checkpoint, model_spec, save_checkpoint)
 from tgl.optim import AdamConfig
 from tgl.rollout import Disturbance, RolloutConfig, rollout
@@ -124,7 +124,7 @@ def test_criterion_03_architecture_table_conformance(default_topo):
         assert spec.fc_input_width(default_topo.n) == fc_input
     mlp = model_spec("IV")
     assert mlp.flat_width(default_topo.n) == default_topo.n * 3 == 1152
-    assert mlp.aux_input == 16 + 6
+    assert AUX_DIM == 16 + 6
     assert mlp.fc_input_width(default_topo.n) == 1152 + 16 + 6 == 1174
 
     params = build_from_spec(model_spec("IV"), default_topo, seed=0)

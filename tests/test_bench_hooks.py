@@ -1,13 +1,17 @@
-"""The benchmark's layer tracer still finds the calls it wraps.
+"""The benchmark still drives tgl, and its layer tracer still finds the calls it wraps.
 
+`bench/pipeline.py` calls tgl's public functions the way the CLI does, so a
+refactor that removes a name or a parameter it passes breaks the benchmark.
 `bench/spans.py` times layers by swapping wrappers into the namespaces of
 the tgl modules that make each call (`training.adam_step`,
 `models.propagation_for`, ...).  A refactor that moves one of those calls
-would leave its span silent, and only a traced benchmark run would notice.
+would leave its span silent.  Without these tests only a benchmark run
+would notice either.
 """
 from __future__ import annotations
 
 import importlib.util
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -18,22 +22,33 @@ from tgl.dataset import Pair, PairSet
 from tgl.training import TrainConfig, evaluate, fit_pairs
 
 SPANS_PY = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+PIPELINE_PY = SPANS_PY.with_name("pipeline.py")
 HOOKED = ("topology.propagation", "models.propagate", "models.channel_mix", "models.fc",
           "optim.adam_step", "models.save_checkpoint", "models.load_checkpoint")
 
 
-def _load_spans():
-    spec = importlib.util.spec_from_file_location("bench_spans", SPANS_PY)
+def _load(path: Path):
+    spec = importlib.util.spec_from_file_location(f"bench_{path.stem}", path)
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module   # dataclasses look up their module there
     spec.loader.exec_module(module)
     return module
+
+
+def test_benchmark_pipeline_passes_its_checks(tmp_path):
+    """The untraced smoke pass of the train-24 workload, as `bench/run.py --smoke` runs it."""
+    bench = _load(PIPELINE_PY)
+    run = bench.Pipeline(bench.smoke_plan(bench.WORKLOADS["train-24"]), 5, 0.5, str(tmp_path))
+    run.run()
+    failed = [name for name, ok in run.checks if not ok]
+    assert run.checks and not failed, failed
 
 
 @pytest.mark.parametrize("topo_name", ["tiny_topo", "default_topo"])
 def test_every_hooked_span_fires(tmp_path, request, topo_name):
     """On the 6-node graph S·H runs on BLAS, on the 384-node hand on the CSR op."""
     topo = request.getfixturevalue(topo_name)
-    spans = _load_spans()
+    spans = _load(SPANS_PY)
     rng = np.random.default_rng(0)
     labels = np.array([1.0, 0.0, 1.0, 0.0, 1.0, 0.0])
     pairs = [Pair(rng.normal(size=(topo.n, 3)), rng.normal(size=16), labels,

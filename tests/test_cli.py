@@ -398,6 +398,10 @@ MALFORMED_MANIFESTS = {
     "blob-path": (lambda m: m.update(blob=os.path.join("..", m["blob"])), "blob"),
     "list-extra": (lambda m: m.update(extra=[1]), "extra"),
     "bool-horizon": (lambda m: m.update(horizon=True), "horizon"),
+    "other-horizon": (lambda m: m.update(horizon=5), "horizon"),
+    "bool-format-version": (lambda m: m.update(format_version=True), "format_version"),
+    "float-format-version": (lambda m: m.update(format_version=1.0), "format_version"),
+    "float-n_nodes": (lambda m: m.update(n_nodes=24.0), "n_nodes"),
     "float-width": (lambda m: m.update(fc_sizes=[float(w) for w in m["fc_sizes"]]), "fc_sizes"),
 }
 

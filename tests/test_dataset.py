@@ -157,7 +157,7 @@ def test_preprocessing_keeps_time_order_labels_and_endpoints(gaps, lead, tail, s
 
 def test_make_pairs_horizon():
     joints = np.arange(50.0)[:, None] * np.ones(16)
-    pairs = make_pairs(make_trial(joints), horizon=10)
+    pairs = make_pairs(make_trial(joints))
     assert len(pairs) == 40
     assert pairs[0].joints[0] == 0.0
     assert pairs[0].target[0] == 10.0
@@ -167,7 +167,7 @@ def test_make_pairs_horizon():
 
 def test_make_pairs_too_short():
     with pytest.raises(ValueError):
-        make_pairs(make_trial(np.zeros((10, 16))), horizon=10)
+        make_pairs(make_trial(np.zeros((10, 16))))
 
 
 def test_split_whole_trials_and_ratio():
@@ -204,7 +204,7 @@ def test_paper_scale_step_budget():
 
 def test_pair_set_stacks_and_aux():
     joints = np.arange(50.0)[:, None] * np.ones(16)
-    ps = PairSet(make_pairs(make_trial(joints), horizon=10))
+    ps = PairSet(make_pairs(make_trial(joints)))
     assert ps.tactile.shape == (40, 4, 3)
     assert ps.aux().shape == (40, 22)
     np.testing.assert_array_equal(ps.aux()[:, 16:], np.tile(LABELS, (40, 1)))

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 import tgl
-from tgl.optim import ADAM_BLOCK, AdamConfig, Parameter, adam_step, glorot_uniform
+from tgl.optim import ADAM_BLOCK, BETA1, BETA2, EPSILON, AdamConfig, Parameter, adam_step, \
+    glorot_uniform
 from tgl.tensor import NonFiniteError, Tensor, backward, mse_loss
 
 
@@ -27,7 +28,7 @@ def test_first_step_matches_hand_computed_update():
     g = p.value.grad.copy()
     adam_step([p], cfg)
     # fresh moments: m_hat = g, v_hat = g^2, so step = lr * g / (|g| + eps)
-    expect = np.array([1.0, -2.0]) - cfg.learning_rate * g / (np.abs(g) + cfg.epsilon)
+    expect = np.array([1.0, -2.0]) - cfg.learning_rate * g / (np.abs(g) + EPSILON)
     np.testing.assert_allclose(p.value.data, expect, rtol=0, atol=1e-12)
     assert p.step_count == 1
     assert p.grad is None  # consumed by the step
@@ -44,11 +45,11 @@ def test_many_steps_match_reference_implementation():
         g = rng.normal(size=ref_w.shape)
         p.value.grad = g.copy()
         adam_step([p], cfg)
-        ref_m = cfg.beta1 * ref_m + (1 - cfg.beta1) * g
-        ref_v = cfg.beta2 * ref_v + (1 - cfg.beta2) * g * g
-        m_hat = ref_m / (1 - cfg.beta1 ** t)
-        v_hat = ref_v / (1 - cfg.beta2 ** t)
-        ref_w = ref_w - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.epsilon)
+        ref_m = BETA1 * ref_m + (1 - BETA1) * g
+        ref_v = BETA2 * ref_v + (1 - BETA2) * g * g
+        m_hat = ref_m / (1 - BETA1 ** t)
+        v_hat = ref_v / (1 - BETA2 ** t)
+        ref_w = ref_w - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + EPSILON)
         np.testing.assert_allclose(p.value.data, ref_w, rtol=0, atol=1e-12)
 
 
@@ -63,11 +64,11 @@ def test_blocked_step_is_bitwise_textbook_adam(shape):
         p.value.grad = g.copy()
         adam_step([p], cfg)
         # Kingma & Ba, Algorithm 1, written out whole-array
-        m = cfg.beta1 * m + (1.0 - cfg.beta1) * g
-        v = cfg.beta2 * v + (1.0 - cfg.beta2) * (g * g)
-        m_hat = m / (1.0 - cfg.beta1 ** t)
-        v_hat = v / (1.0 - cfg.beta2 ** t)
-        x = x - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.epsilon)
+        m = BETA1 * m + (1.0 - BETA1) * g
+        v = BETA2 * v + (1.0 - BETA2) * (g * g)
+        m_hat = m / (1.0 - BETA1 ** t)
+        v_hat = v / (1.0 - BETA2 ** t)
+        x = x - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + EPSILON)
         np.testing.assert_array_equal(p.value.data, x)
         np.testing.assert_array_equal(p.adam_m, m)
         np.testing.assert_array_equal(p.adam_v, v)
@@ -130,12 +131,6 @@ def test_parameter_needs_a_contiguous_three_row_block():
 def test_config_validation():
     with pytest.raises(ValueError):
         AdamConfig(learning_rate=0.0)
-    with pytest.raises(ValueError):
-        AdamConfig(beta1=1.0)
-    with pytest.raises(ValueError):
-        AdamConfig(beta2=-0.1)
-    with pytest.raises(ValueError):
-        AdamConfig(epsilon=0.0)
 
 
 def test_glorot_uniform_bound_and_determinism():

@@ -9,8 +9,9 @@ import pytest
 import tgl
 from tgl.plant import PlantState
 from tgl.dataset import write_trial_csv
-from tgl.rollout import (TRACE_COLUMNS, Disturbance, RolloutConfig, judge_success,
-                         read_trace_forces, rollout, total_grip_force, write_trace)
+from tgl.rollout import (SUCCESS_ANGLE, SUCCESS_DISTANCE, TRACE_COLUMNS, Disturbance,
+                         RolloutConfig, judge_success, read_trace_forces, rollout,
+                         total_grip_force, write_trace)
 
 LABELS = tgl.encode_labels(heavy=False, soft=False, slippery=False)
 
@@ -62,18 +63,17 @@ def test_rollout_deterministic(trained):
 
 def test_judge_uses_strict_inequalities(trained):
     _, plant, _ = trained
-    cfg = RolloutConfig(max_steps=1, labels=LABELS)
     span = plant.cfg.grasp_span
-    at_boundary = PlantState(joints=np.zeros(16), object_height=span - cfg.success_distance,
+    at_boundary = PlantState(joints=np.zeros(16), object_height=span - SUCCESS_DISTANCE,
                              object_tilt=0.0, contact_map=np.zeros(plant.n_nodes))
-    assert not judge_success(at_boundary, cfg, plant).success
+    assert not judge_success(at_boundary, plant).success
     tilted = PlantState(joints=np.zeros(16), object_height=span,
-                        object_tilt=cfg.success_angle, contact_map=np.zeros(plant.n_nodes))
-    assert not judge_success(tilted, cfg, plant).success
-    inside = PlantState(joints=np.zeros(16), object_height=span - cfg.success_distance + 0.01,
-                        object_tilt=cfg.success_angle - 0.01,
+                        object_tilt=SUCCESS_ANGLE, contact_map=np.zeros(plant.n_nodes))
+    assert not judge_success(tilted, plant).success
+    inside = PlantState(joints=np.zeros(16), object_height=span - SUCCESS_DISTANCE + 0.01,
+                        object_tilt=SUCCESS_ANGLE - 0.01,
                         contact_map=np.zeros(plant.n_nodes))
-    assert judge_success(inside, cfg, plant).success
+    assert judge_success(inside, plant).success
 
 
 def test_disturbance_dips_then_recovers(trained):
