@@ -7,9 +7,8 @@ node-feature analysis, behind one `tgl` command-line tool.
 """
 from .analysis import ClusterReport, NodeFeatureStack, compare_force_traces, \
     extract_node_features, pca_node_map, silhouette
-from .dataset import Dataset, Pair, PairSet, Trial, TrajectoryRecord, downsample, \
-    encode_labels, make_pairs, preprocess, preprocess_dataset, read_trial_csv, smooth, \
-    split, trim_static, write_trial_csv
+from .dataset import Dataset, PairSet, Trial, TrajectoryRecord, downsample, encode_labels, \
+    preprocess, preprocess_dataset, read_trial_csv, smooth, split, trim_static, write_trial_csv
 from .models import MODEL_TABLE, ModelParams, ModelSpec, build_from_spec, conv_features, \
     forward, forward_batch, load_checkpoint, model_spec, save_checkpoint
 from .optim import AdamConfig, Parameter, adam_step, glorot_uniform
@@ -22,7 +21,7 @@ from .rollout import Disturbance, RolloutConfig, RolloutTrace, Verdict, judge_su
 from .tensor import NonFiniteError, Tensor, backward, concat, matmul, mse_loss, no_grad, \
     relu, reshape
 from .topology import HandTopology, SensorNode, build_default_hand, build_small_hand, \
-    load_topology, normalize_adjacency, propagation_for, save_topology, spectral_norm_bound
+    load_topology, normalize_adjacency, propagation_for, save_topology
 from .training import TrainConfig, TrainReport, evaluate, fit_pairs, train
 
 __version__ = "0.1.0"

@@ -246,8 +246,8 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     topo = _load_topology(args.topology or "default")
     ds = _read_dataset(args.data, args.target_length)
-    train_pairs, val_pairs = dataset.split(ds, args.seed)
-    pairs = train_pairs if args.split == "train" else val_pairs
+    train_set, val_set = dataset.split(ds, args.seed)
+    pairs = train_set if args.split == "train" else val_set
     loss = training.evaluate(args.ckpt, pairs, topo)
     out = _ensure_out(args.out)
     path = os.path.join(out, "eval.json")

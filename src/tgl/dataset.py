@@ -3,14 +3,14 @@
 Stages mirror the data pipeline used for training: trim static ends,
 attach property labels, smooth with a 10-sample moving average, and
 downsample every trial to a fixed length; trials are then split whole
-into train/validation sides and expanded into (input at t, joint target
+into train/validation sides, each sliced into (input at t, joint target
 at t+horizon) pairs.
 """
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass, replace
-from typing import NamedTuple, NoReturn
+from typing import NoReturn
 
 import numpy as np
 
@@ -177,23 +177,8 @@ def preprocess_dataset(ds: Dataset) -> Dataset:
     return replace(ds, trials=trials)
 
 
-class Pair(NamedTuple):
-    tactile: np.ndarray  # (nodes, 3) at time t
-    joints: np.ndarray   # (16,) at time t
-    labels: np.ndarray   # (6,)
-    target: np.ndarray   # (16,) joints at t + horizon
-
-
-def make_pairs(trial: Trial) -> list[Pair]:
-    if len(trial) <= HORIZON:
-        raise ValueError(f"trial of {len(trial)} frames yields no pairs at horizon {HORIZON}")
-    end = len(trial) - HORIZON
-    return [Pair(x, j, trial.labels, y)
-            for x, j, y in zip(trial.tactile[:end], trial.joints[:end], trial.joints[HORIZON:])]
-
-
-def split(ds: Dataset, seed: int) -> tuple[list[Pair], list[Pair]]:
-    """Assign whole trials to train/validation at SPLIT_RATIO, then expand pairs.
+def split(ds: Dataset, seed: int) -> tuple[PairSet, PairSet]:
+    """Assign whole trials to train/validation at SPLIT_RATIO: (train set, validation set).
 
     With n >= 2 trials, round(SPLIT_RATIO * n) leaves each side at least one.
     """
@@ -205,27 +190,43 @@ def split(ds: Dataset, seed: int) -> tuple[list[Pair], list[Pair]]:
             raise ValueError(f"trial {trial.object_name!r} has {len(trial)} frames; "
                              f"preprocess to {ds.target_length} before splitting")
     n_train = int(round(SPLIT_RATIO * n))
-    perm = np.random.default_rng(seed).permutation(n)
-    train, val = [], []
-    for pos, trial_idx in enumerate(perm):
-        side = train if pos < n_train else val
-        side.extend(make_pairs(ds.trials[trial_idx]))
-    return train, val
+    order = [ds.trials[i] for i in np.random.default_rng(seed).permutation(n)]
+    return PairSet(order[:n_train]), PairSet(order[n_train:])
 
 
 class PairSet:
-    """Pairs stacked into contiguous arrays for batched training."""
+    """Pairs (tactile and joints at t, labels) -> joints at t + HORIZON, as arrays.
 
-    def __init__(self, pairs: list[Pair]):
-        if not pairs:
-            raise ValueError("empty pair list")
-        self.tactile = np.stack([p.tactile for p in pairs])
-        self.joints = np.stack([p.joints for p in pairs])
-        self.labels = np.stack([p.labels for p in pairs])
-        self.targets = np.stack([p.target for p in pairs])
+    A trial of T frames gives its T - HORIZON pairs in frame order, one
+    trial after another.  `PairSet(other)` shares other's arrays; only the
+    benchmark, written for the pair lists `split` once returned, calls it so.
+    """
+
+    def __init__(self, trials: list[Trial] | PairSet):
+        if isinstance(trials, PairSet):
+            self.tactile, self.joints, self.labels, self.targets = \
+                trials.tactile, trials.joints, trials.labels, trials.targets
+            return
+        for trial in trials:
+            if len(trial) <= HORIZON:
+                raise ValueError(f"trial of {len(trial)} frames yields no pairs at horizon {HORIZON}")
+        self.tactile = np.concatenate([trial.tactile[:-HORIZON] for trial in trials])
+        self.joints = np.concatenate([trial.joints[:-HORIZON] for trial in trials])
+        self.labels = np.repeat([trial.labels for trial in trials],
+                                [len(trial) - HORIZON for trial in trials], axis=0)
+        self.targets = np.concatenate([trial.joints[HORIZON:] for trial in trials])
 
     def __len__(self) -> int:
         return self.tactile.shape[0]
+
+    def __getitem__(self, idx) -> PairSet:
+        """The pairs at idx (a slice or an index array)."""
+        part = object.__new__(PairSet)
+        part.tactile, part.joints, part.labels, part.targets = \
+            self.tactile[idx], self.joints[idx], self.labels[idx], self.targets[idx]
+        if not len(part):
+            raise ValueError("empty pair selection")
+        return part
 
     def aux(self) -> np.ndarray:
         return np.concatenate([self.joints, self.labels], axis=1)
@@ -261,10 +262,11 @@ def write_trial_csv(trial: Trial, path: str) -> None:
 def read_csv(path: str, extra: tuple[str, ...] = ()) -> tuple[int, np.ndarray, np.ndarray]:
     """Parse a file laid out as csv_header(nodes, extra): (nodes, t [rows], cells [rows, width-1]).
 
-    The header must match exactly; every row must have its full cell
-    count, an integer t above the last row's, and the first row's labels,
-    which must be one-hot pairs.  Errors name path:line.  Blank lines are
-    skipped.  The checked lines are parsed in one np.loadtxt call.
+    The header must match exactly, and at least one row must follow it.
+    Every row must have its full cell count, an integer t above the last
+    row's, and the first row's labels, which must be one-hot pairs.  Errors
+    name path:line.  Blank lines are skipped.  The checked lines are parsed
+    in one np.loadtxt call.
     """
     with open(path) as f:
         header = f.readline().rstrip("\n").split(",")
@@ -289,7 +291,7 @@ def read_csv(path: str, extra: tuple[str, ...] = ()) -> tuple[int, np.ndarray, n
         if row and ts[-1] <= ts[-2]:
             fail(row, f"t must strictly increase, got {ts[-2]} then {ts[-1]}")
     if not rows:
-        return n, np.zeros(0, dtype=np.int64), np.zeros((0, width - 1))
+        raise ValueError(f"{path}: no rows")
     try:
         cells = np.loadtxt([line for _, line in rows], delimiter=",", comments=None,
                            usecols=range(1, width), ndmin=2)

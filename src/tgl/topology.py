@@ -20,8 +20,6 @@ FINGERS = ("thumb", "index", "middle", "ring", "palm")
 FINGERTIP_ROWS = 6
 PHALANX_ROWS = 4
 STRIP_COLS = 4
-POWER_ITERATIONS = 200      # steps of spectral_norm_bound, from a seeded random start
-POWER_ITERATION_SEED = 0
 
 
 @dataclass(frozen=True)
@@ -106,22 +104,6 @@ def normalize_adjacency(adj: np.ndarray) -> np.ndarray:
 def propagation_for(topology: HandTopology) -> np.ndarray:
     """The graph's propagation matrix S (see normalize_adjacency)."""
     return normalize_adjacency(topology.adjacency())
-
-
-def spectral_norm_bound(matrix: np.ndarray) -> float:
-    """Power-iteration estimate of the spectral norm of a symmetric matrix."""
-    m = np.asarray(matrix, dtype=np.float64)
-    rng = np.random.default_rng(POWER_ITERATION_SEED)
-    v = rng.standard_normal(m.shape[0])
-    v /= np.linalg.norm(v)
-    est = 0.0
-    for _ in range(POWER_ITERATIONS):
-        w = m @ v
-        est = np.linalg.norm(w)
-        if est == 0.0:
-            return 0.0
-        v = w / est
-    return float(est)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import Dataset, Pair, PairSet, split
+from .dataset import Dataset, PairSet, split
 from .models import ModelParams, ModelSpec, build_from_spec, forward_batch, load_checkpoint, \
     model_spec, save_checkpoint
 from .optim import AdamConfig, adam_step
@@ -58,11 +58,10 @@ def _epoch_loss(params: ModelParams, pairs: PairSet, batch_size: int) -> float:
     """Mean MSE over all pairs, computed in batches without touching grads."""
     total = 0.0
     with no_grad():
-        aux = pairs.aux()
         for s in range(0, len(pairs), batch_size):
-            idx = slice(s, min(s + batch_size, len(pairs)))
-            pred = forward_batch(params, Tensor(pairs.tactile[idx]), Tensor(aux[idx]))
-            diff = pred.data - pairs.targets[idx]
+            batch = pairs[s:s + batch_size]
+            pred = forward_batch(params, Tensor(batch.tactile), Tensor(batch.aux()))
+            diff = pred.data - batch.targets
             total += float((diff * diff).sum())
     return total / (len(pairs) * pairs.targets.shape[1])
 
@@ -77,7 +76,6 @@ def fit_pairs(params: ModelParams, train_set: PairSet, val_set: PairSet | None,
     would have seen.
     """
     n = len(train_set)
-    aux_all = train_set.aux()
     train_losses: list[float] = []
     val_losses: list[float] = []
     best_val = float("inf")
@@ -87,23 +85,23 @@ def fit_pairs(params: ModelParams, train_set: PairSet, val_set: PairSet | None,
         kept = _metrics_before(metrics_path, start_epoch)
         with open(metrics_path, "w") as f:
             f.writelines(kept)
+        best_val, best_path = _best_before(kept, out_dir)
 
     for epoch in range(start_epoch, start_epoch + cfg.epochs):
         e0 = time.monotonic()
         perm = np.random.default_rng((cfg.seed, epoch)).permutation(n)
         sq_sum = 0.0
         for b, s in enumerate(range(0, n, cfg.batch_size)):
-            idx = perm[s:s + cfg.batch_size]
+            batch = train_set[perm[s:s + cfg.batch_size]]
             try:
-                pred = forward_batch(params, Tensor(train_set.tactile[idx]),
-                                     Tensor(aux_all[idx]))
-                loss = mse_loss(pred, Tensor(train_set.targets[idx]))
+                pred = forward_batch(params, Tensor(batch.tactile), Tensor(batch.aux()))
+                loss = mse_loss(pred, Tensor(batch.targets))
             except NonFiniteError as e:
                 raise NonFiniteError(
                     f"non-finite training loss at epoch {epoch}, batch {b}: {e}") from e
             backward(loss)
             adam_step(params.parameters(), cfg.adam)
-            sq_sum += loss.item() * idx.size
+            sq_sum += loss.item() * len(batch)
         train_loss = sq_sum / n
         train_losses.append(train_loss)
 
@@ -143,6 +141,24 @@ def _metrics_before(path: str, epoch: int) -> list[str]:
         return [line for line in f if line.endswith("\n") and json.loads(line)["epoch"] < epoch]
 
 
+def _best_before(kept: list[str], out_dir: str) -> tuple[float, str | None]:
+    """The least val_loss of the kept metrics lines, and best.ckpt.json if it was saved then.
+
+    So a resumed run keeps the best checkpoint a straight run keeps.  A best
+    checkpoint of any other epoch belongs to another run: start afresh.
+    """
+    path = os.path.join(out_dir, "best.ckpt.json")
+    scored = [(m["val_loss"], m["epoch"] + 1) for m in map(json.loads, kept)
+              if m["val_loss"] is not None]
+    best = min(scored, default=None)   # a tie keeps the first epoch, as `<` does when training
+    try:
+        with open(path) as f:
+            saved = json.load(f)["extra"]["epoch"]
+    except (OSError, ValueError, KeyError, TypeError):   # no best checkpoint that can be read
+        saved = None
+    return (best[0], path) if best and saved == best[1] else (float("inf"), None)
+
+
 def _extra(cfg: TrainConfig, epoch: int) -> dict:
     return {"epoch": epoch, "model": cfg.model if cfg.spec is None else "custom",
             "train_seed": cfg.seed}
@@ -155,8 +171,7 @@ def train(ds: Dataset, cfg: TrainConfig, topo: HandTopology, out_dir: str | None
     When resuming, cfg.epochs counts the additional epochs to run; the
     shuffle schedule continues from the checkpoint's epoch counter.
     """
-    train_pairs, val_pairs = split(ds, cfg.seed)
-    train_set, val_set = PairSet(train_pairs), PairSet(val_pairs)
+    train_set, val_set = split(ds, cfg.seed)
     if resume_from is not None:
         params, extra = load_checkpoint(resume_from, topo)
         start_epoch = int(extra.get("epoch", 0))
@@ -169,12 +184,11 @@ def train(ds: Dataset, cfg: TrainConfig, topo: HandTopology, out_dir: str | None
     return fit_pairs(params, train_set, val_set, cfg, out_dir, start_epoch)
 
 
-def evaluate(ckpt_path: str, pairs: list[Pair], topology: HandTopology,
+def evaluate(ckpt_path: str, pairs: PairSet, topology: HandTopology,
              batch_size: int = 100) -> float:
     """Mean MSE of a stored checkpoint over pairs; read-only."""
     params, _ = load_checkpoint(ckpt_path, topology)
-    pair_set = PairSet(pairs)
-    if pair_set.tactile.shape[1] != params.n_nodes:
-        raise ValueError(f"pairs carry {pair_set.tactile.shape[1]} nodes, "
+    if pairs.tactile.shape[1] != params.n_nodes:
+        raise ValueError(f"pairs carry {pairs.tactile.shape[1]} nodes, "
                          f"model expects {params.n_nodes}")
-    return _epoch_loss(params, pair_set, batch_size)
+    return _epoch_loss(params, pairs, batch_size)

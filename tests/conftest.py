@@ -11,7 +11,7 @@ import pytest
 from hypothesis import settings
 
 import tgl
-from tgl.dataset import Dataset, PairSet, preprocess, split
+from tgl.dataset import Dataset, preprocess, split
 from tgl.plant import (PlantConfig, generate_dataset_trials, generate_trial,
                        make_object, make_plant, object_catalog)
 from tgl.topology import HandTopology, SensorNode
@@ -85,7 +85,7 @@ def overfit_fixture() -> dict:
     tr, va = split(ds, seed=0)
     params = tgl.build_from_spec(TOY_GCN3, topo, seed=0)
     report = fit_pairs(
-        params, PairSet(tr), PairSet(va),
+        params, tr, va,
         TrainConfig(spec=TOY_GCN3, epochs=300, batch_size=100, seed=0, adam=TOY_ADAM))
     return {"topo": topo, "pcfg": pcfg, "obj": obj, "plant": pl, "ds": ds,
             "spec": TOY_GCN3, "params": params, "report": report}
@@ -115,7 +115,7 @@ def catalog_fixture() -> dict:
             tr, va = split(ds, seed=seed)
             params = tgl.build_from_spec(spec, topo, seed=seed)
             report = fit_pairs(
-                params, PairSet(tr), PairSet(va),
+                params, tr, va,
                 TrainConfig(spec=spec, epochs=50, batch_size=100, seed=seed,
                             adam=TOY_ADAM))
             val[(name, seed)] = report.val_losses[-1]

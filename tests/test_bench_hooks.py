@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from tgl import AdamConfig, ModelSpec, build_from_spec
-from tgl.dataset import Pair, PairSet
+from tgl.dataset import HORIZON, PairSet, Trial
 from tgl.training import TrainConfig, evaluate, fit_pairs
 
 SPANS_PY = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
@@ -51,13 +51,14 @@ def test_every_hooked_span_fires(tmp_path, request, topo_name):
     spans = _load(SPANS_PY)
     rng = np.random.default_rng(0)
     labels = np.array([1.0, 0.0, 1.0, 0.0, 1.0, 0.0])
-    pairs = [Pair(rng.normal(size=(topo.n, 3)), rng.normal(size=16), labels,
-                  rng.normal(size=16)) for _ in range(8)]
+    length = 8 + HORIZON   # 8 pairs
+    pairs = PairSet([Trial("random", np.arange(length), rng.normal(size=(length, 16)),
+                           rng.normal(size=(length, topo.n, 3)), labels)])
     spec = ModelSpec("GCN", (4,), (8,))
     cfg = TrainConfig(spec=spec, epochs=1, batch_size=8, adam=AdamConfig(learning_rate=1e-3))
     with spans.installed(spans.Tracer()) as tracer:
         params = build_from_spec(spec, topo, seed=0)
-        report = fit_pairs(params, PairSet(pairs), None, cfg, str(tmp_path))
+        report = fit_pairs(params, pairs, None, cfg, str(tmp_path))
         evaluate(report.final_checkpoint, pairs, topo)
     fired = {name for name, *_ in tracer.spans}
     assert fired >= set(HOOKED), sorted(set(HOOKED) - fired)

@@ -306,9 +306,9 @@ def test_compare_forces_bad_traces_exit_1(pipeline, tmp_path, capsys):
     short.write_text("\n".join(lines[:3] + [lines[3].rsplit(",", 2)[0]] + lines[4:]) + "\n")
     header_only = tmp_path / "header_only.csv"
     header_only.write_text(lines[0] + "\n")
-    # a short row names file:line; two header-only traces have no forces to compare
+    # a short row names file:line; a header-only trace names its file
     for a, b, where in ((good / "trace.csv", short, f"{short}:4"),
-                        (header_only, header_only, "empty")):
+                        (header_only, header_only, f"{header_only}: no rows")):
         cmp_dir = tmp_path / f"cmp_{b.stem}"
         capsys.readouterr()
         assert main(["compare-forces", "--trace-a", str(a), "--trace-b", str(b),

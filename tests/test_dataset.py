@@ -6,8 +6,8 @@ import pytest
 from hypothesis import example, given, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from tgl.dataset import (SMOOTH_MIN_LEN, Dataset, PairSet, Trial, downsample, encode_labels,
-                         make_pairs, preprocess, read_trial_csv, smooth, split, trim_static,
+from tgl.dataset import (HORIZON, SMOOTH_MIN_LEN, Dataset, PairSet, Trial, downsample,
+                         encode_labels, preprocess, read_trial_csv, smooth, split, trim_static,
                          validate_labels, write_trial_csv)
 
 LABELS = encode_labels(heavy=False, soft=False, slippery=False)
@@ -155,19 +155,19 @@ def test_preprocessing_keeps_time_order_labels_and_endpoints(gaps, lead, tail, s
     assert (down.t[0], down.t[-1]) == (smoothed.t[0], smoothed.t[-1])
 
 
-def test_make_pairs_horizon():
+def test_pair_set_horizon():
     joints = np.arange(50.0)[:, None] * np.ones(16)
-    pairs = make_pairs(make_trial(joints))
+    pairs = PairSet([make_trial(joints)])
     assert len(pairs) == 40
-    assert pairs[0].joints[0] == 0.0
-    assert pairs[0].target[0] == 10.0
-    assert pairs[-1].joints[0] == 39.0
-    assert pairs[-1].target[0] == 49.0
+    assert pairs.joints[0, 0] == 0.0
+    assert pairs.targets[0, 0] == 10.0
+    assert pairs.joints[-1, 0] == 39.0
+    assert pairs.targets[-1, 0] == 49.0
 
 
-def test_make_pairs_too_short():
-    with pytest.raises(ValueError):
-        make_pairs(make_trial(np.zeros((10, 16))))
+def test_pair_set_rejects_short_trial():
+    with pytest.raises(ValueError, match="no pairs at horizon"):
+        PairSet([make_trial(np.zeros((10, 16)))])
 
 
 def test_split_whole_trials_and_ratio():
@@ -178,7 +178,7 @@ def test_split_whole_trials_and_ratio():
     assert len(train) == 7 * 320
     assert len(val) == 3 * 320
     t2, v2 = split(ds, seed=0)
-    np.testing.assert_array_equal(PairSet(train).joints, PairSet(t2).joints)
+    np.testing.assert_array_equal(train.joints, t2.joints)
     t3, _ = split(ds, seed=1)
     assert len(t3) == len(train)
 
@@ -204,10 +204,62 @@ def test_paper_scale_step_budget():
 
 def test_pair_set_stacks_and_aux():
     joints = np.arange(50.0)[:, None] * np.ones(16)
-    ps = PairSet(make_pairs(make_trial(joints)))
+    ps = PairSet([make_trial(joints)])
     assert ps.tactile.shape == (40, 4, 3)
     assert ps.aux().shape == (40, 22)
     np.testing.assert_array_equal(ps.aux()[:, 16:], np.tile(LABELS, (40, 1)))
+
+
+def _stacked_per_pair(trials: list[Trial]) -> tuple[np.ndarray, ...]:
+    """Oracle: one (tactile, joints, labels, target) tuple per frame, then np.stack."""
+    pairs = [(x, j, trial.labels, y) for trial in trials
+             for x, j, y in zip(trial.tactile[:-HORIZON], trial.joints[:-HORIZON],
+                                trial.joints[HORIZON:])]
+    return tuple(np.stack(column) for column in zip(*pairs))
+
+
+def _random_trials(n: int, seed: int, length: int = 40) -> list[Trial]:
+    rng = np.random.default_rng(seed)
+    return [Trial(f"t{i}", np.arange(length), rng.normal(size=(length, 16)),
+                  rng.normal(size=(length, 3, 3)),
+                  encode_labels(*(bool(b) for b in rng.integers(0, 2, size=3))))
+            for i in range(n)]
+
+
+@pytest.mark.parametrize("n", [2, 3, 10])
+@pytest.mark.parametrize("seed", [0, 1, 7, 23])
+def test_split_sets_equal_per_pair_stacking(n, seed):
+    """split's sets hold, bit for bit, the per-frame pairs of its trials stacked in split order."""
+    trials = _random_trials(n, seed)
+    ds = Dataset(trials, target_length=40)
+    n_train = int(round(0.7 * n))
+    order = [trials[i] for i in np.random.default_rng(seed).permutation(n)]
+    for got, side in zip(split(ds, seed), (order[:n_train], order[n_train:])):
+        want = _stacked_per_pair(side)
+        for array, expected in zip((got.tactile, got.joints, got.labels, got.targets), want):
+            assert array.dtype == expected.dtype and array.shape == expected.shape
+            assert array.tobytes() == expected.tobytes()
+
+
+def test_pair_set_index_by_slice_and_array():
+    pairs = PairSet(_random_trials(3, seed=5))
+    assert len(pairs) == 90
+    for idx in (slice(25, 65), np.array([89, 0, 31, 31, 60])):
+        part = pairs[idx]
+        assert len(part) == len(pairs.joints[idx])
+        for name in ("tactile", "joints", "labels", "targets"):
+            np.testing.assert_array_equal(getattr(part, name), getattr(pairs, name)[idx])
+    np.testing.assert_array_equal(pairs[:30].labels, np.tile(pairs.labels[0], (30, 1)))
+    with pytest.raises(ValueError, match="empty"):
+        pairs[5:5]
+
+
+def test_pair_set_of_a_pair_set_shares_its_arrays():
+    pairs = PairSet(_random_trials(2, seed=3))
+    again = PairSet(pairs[:20])
+    assert len(again) == 20
+    for name in ("tactile", "joints", "labels", "targets"):
+        assert np.shares_memory(getattr(again, name), getattr(pairs, name))
 
 
 def test_trial_validation():
@@ -298,6 +350,7 @@ def _cells(line: str, replace_at: dict) -> str:
     (lambda ls: ls[:4] + [_cells(ls[4], {5: "x"})] + ls[5:], 5, "could not convert"),
     (lambda ls: ls[:4] + [_cells(ls[4], {-6: "0.0", -5: "1.0"})] + ls[5:], 5, "labels"),
     (lambda ls: [ls[0]] + [_cells(l, {-1: "1.0"}) for l in ls[1:]], 2, "exactly one bit"),
+    (lambda ls: ls[:1], None, "no rows"),   # a header-only file has no line to name
 ])
 def test_read_trial_csv_errors_name_path_and_line(tmp_path, mutate, line, message):
     path, lines = _written(tmp_path)
@@ -305,7 +358,7 @@ def test_read_trial_csv_errors_name_path_and_line(tmp_path, mutate, line, messag
         f.write("\n".join(mutate(lines)) + "\n")
     with pytest.raises(ValueError, match=message) as err:
         read_trial_csv(path)
-    assert str(err.value).startswith(f"{path}:{line}: ")
+    assert str(err.value).startswith(f"{path}: " if line is None else f"{path}:{line}: ")
 
 
 def test_read_trial_csv_skips_blank_lines(tmp_path):

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import tgl
-from tgl.dataset import Dataset, PairSet, make_pairs, preprocess, split
+from tgl.dataset import Dataset, PairSet, preprocess, split
 from tgl.models import load_checkpoint
 from tgl.plant import PlantConfig, generate_object_trial, generate_trial, make_object, \
     make_plant, object_catalog
@@ -111,6 +111,38 @@ def test_metrics_hold_one_run(world, tmp_path):
     assert epochs() == [0, 1, 2, 3, 4]
 
 
+def test_resume_keeps_the_best_checkpoint_of_a_straight_run(world, tmp_path):
+    """The validation loss rises at epoch 3, so both runs keep epoch 2's model as best."""
+    topo, ds = world
+    run = cfg(epochs=4, adam=tgl.AdamConfig(learning_rate=0.1))
+    straight, resumed = tmp_path / "straight", tmp_path / "resumed"
+    report = train(ds, run, topo, out_dir=str(straight))
+    assert report.val_losses[2] < report.val_losses[3]
+    train(ds, replace(run, epochs=3), topo, out_dir=str(resumed))
+    again = train(ds, replace(run, epochs=1), topo, out_dir=str(resumed),
+                  resume_from=str(resumed / "final.ckpt.json"))
+    assert again.best_val == report.best_val
+    assert again.best_checkpoint == str(resumed / "best.ckpt.json")
+    assert (straight / "best.ckpt.bin").read_bytes() == (resumed / "best.ckpt.bin").read_bytes()
+    _, extra_straight = load_checkpoint(str(straight / "best.ckpt.json"), topo)
+    _, extra_resumed = load_checkpoint(str(resumed / "best.ckpt.json"), topo)
+    assert extra_straight["epoch"] == extra_resumed["epoch"] == 3
+
+
+def test_resume_drops_a_best_checkpoint_from_a_later_epoch(world, tmp_path):
+    """best.ckpt.json of epoch 8 is not this run's: the resumed epoch writes its own."""
+    topo, ds = world
+    run = cfg(epochs=8, checkpoint_every=1, adam=tgl.AdamConfig(learning_rate=0.1))
+    out = tmp_path / "run"
+    train(ds, run, topo, out_dir=str(out))
+    _, extra = load_checkpoint(str(out / "best.ckpt.json"), topo)
+    assert extra["epoch"] == 8
+    train(ds, replace(run, epochs=1), topo, out_dir=str(out),
+          resume_from=str(out / "epoch000003.ckpt.json"))
+    _, extra = load_checkpoint(str(out / "best.ckpt.json"), topo)
+    assert extra["epoch"] == 4
+
+
 def test_resume_rejects_architecture_mismatch(world, tmp_path):
     topo, ds = world
     out = tmp_path / "run"
@@ -170,7 +202,7 @@ def test_fit_pairs_without_validation_set(world):
     topo, ds = world
     tr, _ = split(ds, seed=7)
     params = tgl.build_from_spec(SPEC, topo, seed=7)
-    report = fit_pairs(params, PairSet(tr), None, cfg(epochs=2))
+    report = fit_pairs(params, tr, None, cfg(epochs=2))
     assert report.val_losses == []
     assert report.best_checkpoint is None
 
@@ -180,7 +212,7 @@ def test_default_hand_trains_and_repeats_bitwise(default_topo):
     pcfg = PlantConfig()
     trial = generate_object_trial(default_topo, object_catalog(pcfg)[0], 0, 0, seed=4,
                                   length=700, cfg=pcfg)
-    pairs = PairSet(make_pairs(preprocess(trial, target_length=210)))
+    pairs = PairSet([preprocess(trial, target_length=210)])
     assert len(pairs) == 200
     spec = tgl.ModelSpec("GCN", (14, 28, 56), (120, 50))
     runs = []
@@ -221,12 +253,12 @@ def test_small_hand_never_loads_scipy(tmp_path):
     script = """
 import sys
 import tgl
-from tgl.dataset import PairSet, make_pairs, preprocess
+from tgl.dataset import PairSet, preprocess
 from tgl.plant import object_catalog, generate_object_trial
 from tgl.training import TrainConfig, fit_pairs
 topo = tgl.build_small_hand()
 trial = generate_object_trial(topo, object_catalog()[0], 0, 0, seed=1, length=200)
-pairs = PairSet(make_pairs(preprocess(trial, target_length=60)))
+pairs = PairSet([preprocess(trial, target_length=60)])
 spec = tgl.ModelSpec("GCN", (4,), (8,))
 params = tgl.build_from_spec(spec, topo, seed=0)
 fit_pairs(params, pairs, None, TrainConfig(spec=spec, epochs=1, batch_size=16))
