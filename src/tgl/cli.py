@@ -12,7 +12,6 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import replace
 
 from . import analysis, dataset, models, plant, topology as topo_mod, training
 from .rollout import Disturbance, RolloutConfig, read_trace_forces, rollout as run_rollout, \
@@ -94,10 +93,6 @@ def _parse_disturbance(text: str) -> Disturbance:
     return Disturbance(step=step, kind=parts[1], magnitude=mag)
 
 
-def _plant_config(path: str | None) -> plant.PlantConfig:
-    return plant.PlantConfig.from_json(path) if path else plant.PlantConfig()
-
-
 def _read_dataset(data_dir: str, target_length: int) -> dataset.Dataset:
     """Every trial CSV in data_dir, preprocessed to target_length."""
     if not os.path.isdir(data_dir):
@@ -173,17 +168,17 @@ def cmd_topology(args) -> int:
 
 
 def cmd_gen_data(args) -> int:
-    base = _plant_config(args.plant_config)
     settings = _settings(args, {"seed": 7, "objects": 8, "trials-per": 10, "length": 700,
-                                "topology": "default", "noise": base.sensor_noise})
+                                "topology": "default",
+                                "noise": plant.PlantConfig().sensor_noise})
     seed, n_objects, trials_per, length, topo_spec, noise = settings.values()
     if trials_per < 1:
         raise CliError(f"--trials-per must be >= 1, got {trials_per}")
     if length < plant.MIN_TRIAL_LENGTH:
         raise CliError(f"--length must be >= {plant.MIN_TRIAL_LENGTH}, got {length}")
     topo = _load_topology(topo_spec)
-    pcfg = replace(base, sensor_noise=noise)
-    catalog = plant.object_catalog(pcfg)
+    pcfg = plant.PlantConfig(sensor_noise=noise)
+    catalog = plant.object_catalog()
     if not (1 <= n_objects <= len(catalog)):
         raise CliError(f"--objects must lie in 1..{len(catalog)}, got {n_objects}")
     jobs = [(obj, oi, k) for oi, obj in enumerate(catalog[:n_objects]) for k in range(trials_per)]
@@ -200,10 +195,8 @@ def cmd_gen_data(args) -> int:
         trial = plant.generate_object_trial(topo, *job, seed=seed, length=length, cfg=pcfg)
         paths.append(os.path.join(out, f"{trial.object_name}.csv"))
         dataset.write_trial_csv(trial, paths[-1])
-    cfg_path = os.path.join(out, "plant_config.json")
-    pcfg.to_json(cfg_path)
     # the keys --config reads, so this config reproduces the run
-    _write_manifest(out, "gen-data", settings, paths + [cfg_path])
+    _write_manifest(out, "gen-data", settings, paths)
     print(f"wrote {len(paths)} trial CSVs to {out}")
     return 0
 
@@ -224,12 +217,12 @@ def cmd_train(args) -> int:
     seed, epochs, batch, lr, model, target_length, topo_spec = _settings(args, {
         "seed": 0, "epochs": 200, "batch-size": 100, "lr": 1e-5, "model": "III",
         "target-length": dataset.DEFAULT_TARGET_LENGTH, "topology": "default"}).values()
-    topo = _load_topology(topo_spec)
-    ds = _read_dataset(args.data, target_length)
     cfg = training.TrainConfig(model=model, batch_size=batch, epochs=epochs,
                                adam=AdamConfig(learning_rate=lr), seed=seed,
                                checkpoint_every=args.checkpoint_every or 0,
                                spec=_custom_spec(args.conv, args.fc))
+    topo = _load_topology(topo_spec)
+    ds = _read_dataset(args.data, target_length)
     report = training.train(ds, cfg, topo, out_dir=out, resume_from=args.resume)
     outputs = [p for base in (report.final_checkpoint, report.best_checkpoint) if base
                for p in (base, models.checkpoint_blob(base))]
@@ -263,9 +256,8 @@ def cmd_eval(args) -> int:
 
 def cmd_rollout(args) -> int:
     topo = _load_topology(args.topology or "default")
-    pcfg = _plant_config(args.plant_config)
     heavy, soft, slippery = _parse_triple(args.object)
-    obj = plant.make_object(heavy, soft, slippery, pcfg, radius=args.radius)
+    obj = plant.make_object(heavy, soft, slippery, radius=args.radius)
     labels = dataset.encode_labels(*_parse_triple(args.labels)) if args.labels \
         else obj.labels
     cfg = RolloutConfig(
@@ -273,7 +265,7 @@ def cmd_rollout(args) -> int:
         disturbance=_parse_disturbance(args.disturb) if args.disturb else None,
         command_stride=args.stride)
     params, _ = models.load_checkpoint(args.ckpt, topo)
-    pl = plant.make_plant(topo, obj, pcfg)
+    pl = plant.make_plant(topo, obj)
     trace = run_rollout(params, pl, cfg, seed=args.seed)
     out = _ensure_out(args.out)
     csv_path = os.path.join(out, "trace.csv")
@@ -289,9 +281,6 @@ def cmd_rollout(args) -> int:
 
 
 def cmd_pca(args) -> int:
-    topo = _load_topology(args.topology or "default")
-    params, _ = models.load_checkpoint(args.ckpt, topo)
-    ds = _read_dataset(args.data, args.target_length)
     if args.window:
         try:
             start, stop = (int(x) for x in args.window.split(":"))
@@ -299,6 +288,9 @@ def cmd_pca(args) -> int:
             raise CliError(f"--window must look like start:stop, got {args.window!r}") from None
     else:
         start, stop = max(0, args.target_length - 45), args.target_length
+    topo = _load_topology(args.topology or "default")
+    params, _ = models.load_checkpoint(args.ckpt, topo)
+    ds = _read_dataset(args.data, args.target_length)
     stack = analysis.extract_node_features(params, topo, ds.trials, (start, stop))
     report = analysis.pca_node_map(stack)
     out = _ensure_out(args.out)
@@ -357,7 +349,6 @@ def build_parser() -> _Parser:
     sp.add_argument("--seed", type=int)
     sp.add_argument("--length", type=int, help="raw trial length before preprocessing")
     sp.add_argument("--topology", help="default | small | path to topology JSON")
-    sp.add_argument("--plant-config", help="plant constant overrides (JSON)")
     sp.add_argument("--noise", type=float, help="per-node tactile noise std while in contact")
     sp.set_defaults(func=cmd_gen_data)
 
@@ -400,7 +391,6 @@ def build_parser() -> _Parser:
     sp.add_argument("--stride", type=int, default=1)
     sp.add_argument("--radius", type=float)
     sp.add_argument("--topology")
-    sp.add_argument("--plant-config")
     sp.set_defaults(func=cmd_rollout)
 
     sp = sub.add_parser("pca", help="node-feature PCA map of a trained GCN")

@@ -264,9 +264,9 @@ def read_csv(path: str, extra: tuple[str, ...] = ()) -> tuple[int, np.ndarray, n
 
     The header must match exactly, and at least one row must follow it.
     Every row must have its full cell count, an integer t above the last
-    row's, and the first row's labels, which must be one-hot pairs.  Errors
-    name path:line.  Blank lines are skipped.  The checked lines are parsed
-    in one np.loadtxt call.
+    row's, finite cells, and the first row's labels, which must be one-hot
+    pairs.  Errors name path:line.  Blank lines are skipped.  The checked
+    lines are parsed in one np.loadtxt call.
     """
     with open(path) as f:
         header = f.readline().rstrip("\n").split(",")
@@ -302,6 +302,9 @@ def read_csv(path: str, extra: tuple[str, ...] = ()) -> tuple[int, np.ndarray, n
             except ValueError as bad:
                 fail(row, bad)
         raise ValueError(f"{path}: {e}") from None
+    if not np.isfinite(cells).all():
+        row, col = np.argwhere(~np.isfinite(cells))[0]
+        fail(row, f"{header[col + 1]} is {cells[row, col]}; every cell must be finite")
     labels = cells[:, JOINT_DIM + 3 * n:JOINT_DIM + 3 * n + LABEL_DIM]
     try:
         validate_labels(labels[0])

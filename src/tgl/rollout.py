@@ -101,7 +101,7 @@ def total_grip_force(tactile: np.ndarray) -> float:
 
 
 def judge_success(final: PlantState, plant: Plant) -> Verdict:
-    distance = distance_to_palm(final, plant.cfg)
+    distance = distance_to_palm(final)
     return Verdict(success=bool(distance < SUCCESS_DISTANCE and final.object_tilt < SUCCESS_ANGLE),
                    final_distance=distance, final_angle=final.object_tilt)
 

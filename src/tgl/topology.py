@@ -42,9 +42,11 @@ class HandTopology:
             if node.id != pos:
                 raise ValueError(f"node ids must be 0..n-1 in order, got id {node.id} at position {pos}")
             if not node.segment or not isinstance(node.segment, str):
-                raise ValueError(f"node {pos} has an empty segment label")
+                raise ValueError(f"node {pos} segment must be a non-empty string, "
+                                 f"got {node.segment!r}")
             if not node.finger or not isinstance(node.finger, str):
-                raise ValueError(f"node {pos} has an empty finger label")
+                raise ValueError(f"node {pos} finger must be a non-empty string, "
+                                 f"got {node.finger!r}")
         canon: list[tuple[int, int]] = []
         seen: set[tuple[int, int]] = set()
         for i, j in edges:
@@ -203,6 +205,9 @@ def load_topology(path: str) -> HandTopology:
             raise ValueError(f"{path} is not valid JSON: {e}") from e
     if not isinstance(doc, dict) or "nodes" not in doc or "edges" not in doc:
         raise ValueError(f"{path} must be an object with 'nodes' and 'edges'")
+    for key in ("nodes", "edges"):
+        if not isinstance(doc[key], list):
+            raise ValueError(f"{path}: {key!r} must be a list, got {json.dumps(doc[key])}")
     nodes = []
     for pos, entry in enumerate(doc["nodes"]):
         if not isinstance(entry, dict):

@@ -78,7 +78,7 @@ def overfit_fixture() -> dict:
     """One noise-free object, two demonstrations, a model overfit to them."""
     topo = tgl.build_small_hand()
     pcfg = PlantConfig()
-    obj = make_object(heavy=False, soft=False, slippery=False, cfg=pcfg, name="fixture")
+    obj = make_object(heavy=False, soft=False, slippery=False, name="fixture")
     pl = make_plant(topo, obj, pcfg)
     trials = [generate_trial(pl, seed=s, length=700) for s in (0, 1)]
     ds = Dataset([preprocess(t) for t in trials], target_length=330)
@@ -100,7 +100,7 @@ def catalog_fixture() -> dict:
     """
     topo = tgl.build_small_hand()
     pcfg = replace(PlantConfig(), sensor_noise=0.15)
-    trials = generate_dataset_trials(topo, object_catalog(pcfg), 3,
+    trials = generate_dataset_trials(topo, object_catalog(), 3,
                                      seed=11, length=700, cfg=pcfg)
     ds = Dataset([preprocess(t) for t in trials], target_length=330)
     specs = {

@@ -160,8 +160,7 @@ def test_criterion_04_preprocessing_conformance(catalog_fixture):
 def test_criterion_05_overfit_regression(small_topo):
     t0 = perf_counter()
     pcfg = plant.PlantConfig()
-    obj = plant.make_object(heavy=False, soft=False, slippery=False, cfg=pcfg,
-                            name="overfit")
+    obj = plant.make_object(heavy=False, soft=False, slippery=False, name="overfit")
     pl = plant.make_plant(small_topo, obj, pcfg)
     trials = [plant.generate_trial(pl, seed=s, length=700) for s in (0, 1)]
     ds = Dataset([preprocess(t) for t in trials], target_length=330)
@@ -194,8 +193,7 @@ def test_criterion_07_label_conditioning_grip_force(catalog_fixture):
     topo = catalog_fixture["topo"]
     params = catalog_fixture["trained_gcn3"]
     pcfg = plant.PlantConfig()  # noise-free evaluation plant
-    obj = plant.make_object(heavy=False, soft=True, slippery=False, cfg=pcfg,
-                            name="probe")
+    obj = plant.make_object(heavy=False, soft=True, slippery=False, name="probe")
     correct = encode_labels(heavy=False, soft=True, slippery=False)
     wrong = encode_labels(heavy=True, soft=False, slippery=False)
     wins, pairs = 0, []

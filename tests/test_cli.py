@@ -11,9 +11,9 @@ import numpy as np
 import pytest
 
 from tgl.cli import _resolve, main
-from tgl.dataset import write_trial_csv
+from tgl.dataset import read_trial_csv, write_trial_csv
 from tgl.models import load_checkpoint
-from tgl.plant import PlantConfig, generate_dataset_trials, object_catalog, trial_name
+from tgl.plant import generate_dataset_trials, object_catalog, trial_name
 from tgl.topology import build_small_hand, load_topology
 
 GEN = ["gen-data", "--topology", "small", "--objects", "2", "--trials-per", "2",
@@ -49,7 +49,7 @@ def test_gen_data_outputs_and_manifest(pipeline):
     manifest = json.loads((data / "manifest.json").read_text())
     assert manifest["command"] == "gen-data"
     assert manifest["config"]["seed"] == 5
-    assert set(manifest["outputs"]) == set(csvs) | {"plant_config.json"}
+    assert sorted(manifest["outputs"]) == csvs
     assert all(len(h) == 64 for h in manifest["outputs"].values())
 
 
@@ -74,19 +74,23 @@ def test_gen_data_manifest_config_reruns_the_run(tmp_path):
         assert (first / name).read_bytes() == (second / name).read_bytes(), name
 
 
-def test_gen_data_noise_from_flag_then_config_then_plant_config(tmp_path):
-    plant_cfg = tmp_path / "plant.json"
-    plant_cfg.write_text(json.dumps({"sensor_noise": 0.1}))
+def test_gen_data_noise_from_flag_then_config_then_default(tmp_path):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"noise": 0.2}))
     base = ["gen-data", "--topology", "small", "--objects", "1", "--trials-per", "1",
-            "--length", "100", "--plant-config", str(plant_cfg)]
-    for extra, noise in (([], 0.1), (["--config", str(config)], 0.2),
+            "--length", "100", "--seed", "4"]
+    trials = {}
+    for extra, noise in (([], 0.0), (["--config", str(config)], 0.2),
                          (["--config", str(config), "--noise", "0.3"], 0.3)):
         out = tmp_path / f"noise{noise}"
         assert main(base + extra + ["--out", str(out)]) == 0
         assert json.loads((out / "manifest.json").read_text())["config"]["noise"] == noise
-        assert json.loads((out / "plant_config.json").read_text())["sensor_noise"] == noise
+        trials[noise] = read_trial_csv(str(next(out.glob("*.csv"))))
+    # the noise drawn scales with the resolved std, from one seeded draw
+    clean = trials[0.0].tactile
+    touched = clean != 0
+    ratio = (trials[0.3].tactile - clean)[touched] / (trials[0.2].tactile - clean)[touched]
+    np.testing.assert_allclose(ratio, 1.5)
 
 
 def test_gen_data_matches_generate_dataset_trials(tmp_path):
@@ -94,9 +98,8 @@ def test_gen_data_matches_generate_dataset_trials(tmp_path):
     out = tmp_path / "data"
     assert main(["gen-data", "--topology", "small", "--objects", "2", "--trials-per", "2",
                  "--seed", "5", "--length", "200", "--out", str(out)]) == 0
-    cfg = PlantConfig()
-    trials = generate_dataset_trials(build_small_hand(), object_catalog(cfg)[:2], 2,
-                                     seed=5, length=200, cfg=cfg)
+    trials = generate_dataset_trials(build_small_hand(), object_catalog()[:2], 2,
+                                     seed=5, length=200)
     assert sorted(p for p in os.listdir(out) if p.endswith(".csv")) == \
         sorted(f"{t.object_name}.csv" for t in trials)
     for trial in trials:
@@ -112,13 +115,7 @@ def test_gen_data_validation_exit_1(pipeline, tmp_path, capsys):
     _, _, run = pipeline
     rollout = ["rollout", "--ckpt", str(run / "final.ckpt.json"), "--topology", "small",
                "--object", "light,hard,nonslip"]
-    docs = {"noise": {"noise": -0.5}, "rate": {"rate_limit": "x"}, "gravity": {"gravity": True},
-            "onsets": {"segment_onsets": [[1, 0.3]]}, "joint-box": {"joint_min": 2.0},
-            "no-gravity": {"gravity": 0.0}, "lift": {"lift_full": 0.45},
-            "mass": {"heavy_mass_factor": 0}, "tau": {"sigmoid_tau_fraction": -0.1},
-            "span": {"grasp_span": 0.0}, "tilt": {"tilt_cap": 400.0}}
-    for name, doc in docs.items():
-        (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+    (tmp_path / "noise.json").write_text(json.dumps({"noise": -0.5}))
     gen = ["gen-data", "--topology", "small"]
     for i, (argv, named) in enumerate((
             (["gen-data", "--trials-per", "0"], "--trials-per"),
@@ -126,16 +123,8 @@ def test_gen_data_validation_exit_1(pipeline, tmp_path, capsys):
             (gen + ["--noise", "-1"], "'sensor_noise'"),
             (gen + ["--noise", "nan"], "'sensor_noise'"),
             (gen + ["--config", str(tmp_path / "noise.json")], "'sensor_noise'"),
-            (gen + ["--plant-config", str(tmp_path / "rate.json")], "'rate_limit'"),
-            (gen + ["--plant-config", str(tmp_path / "gravity.json")], "'gravity'"),
-            (gen + ["--plant-config", str(tmp_path / "onsets.json")], "'segment_onsets'"),
-            (gen + ["--plant-config", str(tmp_path / "joint-box.json")], "'joint_min'"),
-            (gen + ["--plant-config", str(tmp_path / "no-gravity.json")], "'gravity'"),
-            (gen + ["--plant-config", str(tmp_path / "lift.json")], "'lift_full'"),
-            (gen + ["--plant-config", str(tmp_path / "mass.json")], "'heavy_mass_factor'"),
-            (gen + ["--plant-config", str(tmp_path / "tau.json")], "'sigmoid_tau_fraction'"),
-            (gen + ["--plant-config", str(tmp_path / "span.json")], "'grasp_span'"),
-            (rollout + ["--plant-config", str(tmp_path / "tilt.json")], "'tilt_cap'"),
+            (gen + ["--plant-config", "x"], "--plant-config"),
+            (rollout + ["--plant-config", "x"], "--plant-config"),
             (rollout + ["--stride", "0"], "stride"),
             (rollout + ["--radius", "-3"], "radius"),
             (rollout + ["--disturb", "5:pull_side:nan"], "magnitude"))):
@@ -159,7 +148,7 @@ def test_gen_data_refuses_a_directory_holding_other_trials(tmp_path, capsys):
                "--seed", "5", "--length", "100", "--out", str(out)]
     assert main(smaller) == 1
     err = capsys.readouterr().err
-    kept = f"{trial_name(object_catalog(PlantConfig())[0], 0)}.csv"
+    kept = f"{trial_name(object_catalog()[0], 0)}.csv"
     stale = [p for p in os.listdir(out) if p.endswith(".csv") and p != kept]
     assert len(stale) == 3 and all(name in err for name in stale) and kept not in err
     assert (out / "manifest.json").read_bytes() == manifest   # nothing was written
@@ -186,6 +175,22 @@ def test_train_twice_into_one_directory_keeps_one_run(pipeline, tmp_path):
     assert main(argv) == 0
     lines = (out / "metrics.ndjson").read_text().splitlines()
     assert [json.loads(l)["epoch"] for l in lines] == [0, 1]
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["train", "--batch-size", "0"], "batch_size must be >= 1"),
+    (["train", "--conv", "4"], "--conv requires --fc"),
+    (["pca", "--ckpt", "none.ckpt.json", "--window", "abc"], "--window must look like"),
+])
+def test_flags_are_checked_before_any_data_is_read(tmp_path, capsys, argv, named):
+    data = tmp_path / "data"
+    data.mkdir()
+    (data / "bad.csv").write_text("not,a,trial\n")
+    capsys.readouterr()
+    assert main(argv + ["--topology", "small", "--data", str(data),
+                        "--out", str(tmp_path / "out")]) == 1
+    assert named in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_train_missing_data_exit_1(tmp_path):

@@ -351,6 +351,9 @@ def _cells(line: str, replace_at: dict) -> str:
     (lambda ls: ls[:4] + [_cells(ls[4], {-6: "0.0", -5: "1.0"})] + ls[5:], 5, "labels"),
     (lambda ls: [ls[0]] + [_cells(l, {-1: "1.0"}) for l in ls[1:]], 2, "exactly one bit"),
     (lambda ls: ls[:1], None, "no rows"),   # a header-only file has no line to name
+    (lambda ls: ls[:2] + [_cells(ls[2], {20: "nan"})] + ls[3:], 3, "s001x is nan"),
+    (lambda ls: ls[:3] + [_cells(ls[3], {1: "inf"})] + ls[4:], 4, "j00 is inf"),
+    (lambda ls: ls[:4] + [_cells(ls[4], {-7: "-inf"})] + ls[5:], 5, "s001z is -inf"),
 ])
 def test_read_trial_csv_errors_name_path_and_line(tmp_path, mutate, line, message):
     path, lines = _written(tmp_path)

@@ -1,17 +1,21 @@
 """Synthetic grasping plant: contact, lift, disturbances, trial generation."""
 from __future__ import annotations
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
+from tgl import plant as P
 from tgl.plant import (PlantConfig, PlantState, apply_disturbance, closure_target,
                        distance_to_palm, generate_dataset_trials, generate_trial,
                        initial_state, make_object, make_plant, object_catalog,
                        plant_step)
 
 import tgl
+
+# the deepest deformation a demonstrated grasp of a soft object may reach
+SOFT_DEFORMATION_BOUND = 1.45
 
 
 @pytest.fixture(scope="module")
@@ -37,22 +41,19 @@ def test_object_catalog_covers_all_combos():
 
 
 def test_object_constants():
-    cfg = PlantConfig()
-    hard = make_object(heavy=False, soft=False, slippery=False, cfg=cfg)
-    soft = make_object(heavy=False, soft=True, slippery=False, cfg=cfg)
-    heavy = make_object(heavy=True, soft=False, slippery=False, cfg=cfg)
-    slick = make_object(heavy=False, soft=False, slippery=True, cfg=cfg)
-    assert soft.stiffness == pytest.approx(hard.stiffness * cfg.soft_stiffness_factor)
-    assert heavy.mass_proxy == pytest.approx(hard.mass_proxy * cfg.heavy_mass_factor)
-    assert slick.friction == pytest.approx(hard.friction * cfg.slippery_friction_factor)
+    hard = make_object(heavy=False, soft=False, slippery=False)
+    soft = make_object(heavy=False, soft=True, slippery=False)
+    heavy = make_object(heavy=True, soft=False, slippery=False)
+    slick = make_object(heavy=False, soft=False, slippery=True)
+    assert soft.stiffness == pytest.approx(hard.stiffness * P.SOFT_STIFFNESS_FACTOR)
+    assert heavy.mass_proxy == pytest.approx(hard.mass_proxy * P.HEAVY_MASS_FACTOR)
+    assert slick.friction == pytest.approx(hard.friction * P.SLIPPERY_FRICTION_FACTOR)
 
 
 def test_object_radius_must_be_finite_and_positive():
     for radius in (-3.0, 0.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="radius"):
             make_object(False, False, False, radius=radius)
-    with pytest.raises(ValueError, match="radius"):
-        object_catalog(PlantConfig(base_radius=-1.0))
 
 
 def test_initial_state_open_and_on_desk(topo):
@@ -62,7 +63,7 @@ def test_initial_state_open_and_on_desk(topo):
     assert 3.0 <= st.object_tilt <= 10.0
     assert np.all(st.joints >= 0.0) and np.all(st.joints < 0.1)
     assert not st.contact_map.any()
-    assert distance_to_palm(st, plant.cfg) == pytest.approx(5.0)
+    assert distance_to_palm(st) == pytest.approx(P.GRASP_SPAN)
 
 
 def test_open_hand_produces_no_tactile(topo):
@@ -77,17 +78,16 @@ def test_full_closure_lifts_and_straightens(topo):
     state, tactile = settle(plant, np.full(16, 1.3), 80, topo)
     assert state.object_height == pytest.approx(5.0)
     assert state.object_tilt == 0.0
-    assert distance_to_palm(state, plant.cfg) < 2.0
+    assert distance_to_palm(state) < 2.0
     assert tactile.any()
 
 
 def test_rate_limit_and_clamping(topo):
-    cfg = PlantConfig()
-    plant = make_plant(topo, make_object(False, False, False), cfg)
+    plant = make_plant(topo, make_object(False, False, False), PlantConfig())
     st = initial_state(plant, seed=0)
     before = st.joints.copy()
     st2, _ = plant_step(plant, st, np.full(16, 99.0))
-    np.testing.assert_allclose(st2.joints, before + cfg.rate_limit)
+    np.testing.assert_allclose(st2.joints, before + P.RATE_LIMIT)
     assert st2.clamped
     st3, _ = plant_step(plant, st, np.full(16, 0.06))
     assert not st3.clamped
@@ -111,15 +111,14 @@ def test_heavier_grip_gives_larger_forces(topo):
 
 
 def test_stiffer_object_pushes_back_harder(topo):
-    cfg = PlantConfig()
-    hard = make_plant(topo, make_object(False, False, False, cfg), cfg)
-    soft = make_plant(topo, make_object(False, True, False, cfg), cfg)
+    hard = make_plant(topo, make_object(False, False, False))
+    soft = make_plant(topo, make_object(False, True, False))
     _, th = settle(hard, np.full(16, 1.2), 60, topo)
     _, ts = settle(soft, np.full(16, 1.2), 60, topo)
     assert th[:, 2].max() > ts[:, 2].max()
     # normal force scales with stiffness at equal penetration
     ratio = th[:, 2].max() / ts[:, 2].max()
-    assert ratio == pytest.approx(1.0 / cfg.soft_stiffness_factor, rel=1e-6)
+    assert ratio == pytest.approx(1.0 / P.SOFT_STIFFNESS_FACTOR, rel=1e-6)
 
 
 def test_fingertips_touch_before_palm(topo):
@@ -137,34 +136,29 @@ def test_fingertips_touch_before_palm(topo):
 
 
 def test_soft_object_overSqueeze_exceeds_deformation_bound(topo):
-    cfg = PlantConfig()
-    plant = make_plant(topo, make_object(False, True, False, cfg), cfg)
-    state, _ = settle(plant, np.full(16, cfg.joint_max), 80, topo)
-    assert state.deformation > cfg.soft_deformation_bound
+    plant = make_plant(topo, make_object(False, True, False))
+    state, _ = settle(plant, np.full(16, P.JOINT_MAX), 80, topo)
+    assert state.deformation > SOFT_DEFORMATION_BOUND
     # the demonstrated closure depth stays under the bound
     demo, _ = settle(plant, np.full(16, closure_target(plant)), 80, topo)
-    assert demo.deformation < cfg.soft_deformation_bound
+    assert demo.deformation < SOFT_DEFORMATION_BOUND
 
 
 def test_closure_target_label_ordering(topo):
-    cfg = PlantConfig()
-    base = closure_target(make_plant(topo, make_object(False, True, False, cfg), cfg))
-    heavy = closure_target(make_plant(topo, make_object(True, True, False, cfg), cfg))
-    hard = closure_target(make_plant(topo, make_object(False, False, False, cfg), cfg))
-    slick = closure_target(make_plant(topo, make_object(False, True, True, cfg), cfg))
+    base = closure_target(make_plant(topo, make_object(False, True, False)))
+    heavy = closure_target(make_plant(topo, make_object(True, True, False)))
+    hard = closure_target(make_plant(topo, make_object(False, False, False)))
+    slick = closure_target(make_plant(topo, make_object(False, True, True)))
     assert heavy > base
     assert hard > base
     assert slick > base
-    assert closure_target(make_plant(topo, make_object(True, False, True, cfg), cfg)) \
-        <= cfg.joint_max
+    assert closure_target(make_plant(topo, make_object(True, False, True))) <= P.JOINT_MAX
 
 
 def test_smaller_radius_needs_deeper_closure(topo):
-    cfg = PlantConfig()
-    big = make_object(False, False, False, cfg, radius=1.1)
-    small = make_object(False, False, False, cfg, radius=0.9)
-    assert closure_target(make_plant(topo, small, cfg)) \
-        > closure_target(make_plant(topo, big, cfg))
+    big = make_object(False, False, False, radius=1.1)
+    small = make_object(False, False, False, radius=0.9)
+    assert closure_target(make_plant(topo, small)) > closure_target(make_plant(topo, big))
 
 
 def test_pull_down_arithmetic(topo):
@@ -218,17 +212,16 @@ def test_generate_trial_deterministic(topo):
 
 def generate_trial_per_frame(plant, seed: int, length: int):
     """Reference: the demonstration built one frame at a time, as generate_trial once did."""
-    cfg = plant.cfg
+    noise_std = plant.cfg.sensor_noise
     rng = np.random.default_rng((202, seed))
     target = closure_target(plant)
-    t0 = cfg.mid_fraction * length * (1.0 + cfg.phase_jitter * rng.uniform(-1.0, 1.0, 16))
-    tgt = np.clip(target * (1.0 + cfg.target_jitter * rng.uniform(-1.0, 1.0, 16)),
-                  cfg.joint_min, cfg.joint_max)
+    t0 = P.MID_FRACTION * length * (1.0 + P.PHASE_JITTER * rng.uniform(-1.0, 1.0, 16))
+    tgt = np.clip(target * (1.0 + P.TARGET_JITTER * rng.uniform(-1.0, 1.0, 16)),
+                  P.JOINT_MIN, P.JOINT_MAX)
     steps = np.arange(length)[:, None]
-    tau = cfg.sigmoid_tau_fraction * length
-    joints = cfg.open_pose + (tgt - cfg.open_pose) / (1.0 + np.exp(-(steps - t0) / tau))
-    noise = rng.normal(0.0, cfg.sensor_noise, (length, plant.n_nodes, 3)) \
-        if cfg.sensor_noise > 0 else None
+    tau = P.SIGMOID_TAU_FRACTION * length
+    joints = P.OPEN_POSE + (tgt - P.OPEN_POSE) / (1.0 + np.exp(-(steps - t0) / tau))
+    noise = rng.normal(0.0, noise_std, (length, plant.n_nodes, 3)) if noise_std > 0 else None
     frames = []
     for t in range(length):
         blocks = joints[t].reshape(4, 4).mean(axis=1)
@@ -236,7 +229,7 @@ def generate_trial_per_frame(plant, seed: int, length: int):
                            blocks[np.clip(plant.finger_block, 0, 3)], joints[t].mean())
         contact = np.maximum(0.0, closure - plant.onsets - 0.0)
         normal = plant.obj.stiffness * contact
-        tang = cfg.tangential_gain * plant.obj.friction * normal[:, None] * plant.tangential
+        tang = P.TANGENTIAL_GAIN * plant.obj.friction * normal[:, None] * plant.tangential
         tactile = np.concatenate([tang, normal[:, None]], axis=1)
         if noise is not None:
             tactile = tactile + noise[t] * (contact > 0)[:, None]
@@ -249,7 +242,7 @@ def generate_trial_per_frame(plant, seed: int, length: int):
 def test_generate_trial_matches_the_per_frame_reference_bitwise(hand, noise):
     topo = tgl.build_small_hand() if hand == "small" else tgl.build_default_hand()
     cfg = replace(PlantConfig(), sensor_noise=noise)
-    for obj in object_catalog(cfg)[::3]:
+    for obj in object_catalog()[::3]:
         plant = make_plant(topo, replace(obj, radius=0.93), cfg)
         trial = generate_trial(plant, seed=9, length=150)
         joints, tactile = generate_trial_per_frame(plant, seed=9, length=150)
@@ -282,32 +275,21 @@ def test_generate_trial_length_floor(topo):
 
 
 def test_generate_dataset_trials_radius_jitter(topo):
-    cfg = PlantConfig()
-    trials = generate_dataset_trials(topo, object_catalog(cfg)[:2], 3, seed=5,
-                                     length=120, cfg=cfg)
+    trials = generate_dataset_trials(topo, object_catalog()[:2], 3, seed=5, length=120)
     assert len(trials) == 6
     names = [t.object_name for t in trials]
     assert len(set(names)) == 6
-    rerun = generate_dataset_trials(topo, object_catalog(cfg)[:2], 3, seed=5,
-                                    length=120, cfg=cfg)
+    rerun = generate_dataset_trials(topo, object_catalog()[:2], 3, seed=5, length=120)
     for a, b in zip(trials, rerun):
         np.testing.assert_array_equal(a.joints, b.joints)
 
 
-def test_config_json_round_trip(tmp_path):
-    cfg = replace(PlantConfig(), sensor_noise=0.2, base_radius=1.1,
-                  segment_onsets=[["palm", 1], ["fingertip", 0.25]])
-    assert cfg.segment_onsets == (("palm", 1.0), ("fingertip", 0.25))
-    path = tmp_path / "plant.json"
-    cfg.to_json(str(path))
-    assert PlantConfig.from_json(str(path)) == cfg
-
-
-def test_config_json_rejects_unknown_fields(tmp_path):
-    path = tmp_path / "plant.json"
-    path.write_text('{"gravity": 0.12, "warp_drive": 1}')
-    with pytest.raises(ValueError, match="warp_drive"):
-        PlantConfig.from_json(str(path))
+def test_plant_config_holds_only_a_finite_nonnegative_sensor_noise():
+    assert [f.name for f in fields(PlantConfig)] == ["sensor_noise"]
+    assert PlantConfig(sensor_noise=0).sensor_noise == 0
+    for bad in (-0.1, float("nan"), float("inf"), True, "0.1", None):
+        with pytest.raises(ValueError, match="'sensor_noise'"):
+            PlantConfig(sensor_noise=bad)
 
 
 def test_state_validation():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import tgl
-from tgl.plant import PlantState
+from tgl.plant import GRASP_SPAN, PlantState
 from tgl.dataset import write_trial_csv
 from tgl.rollout import (SUCCESS_ANGLE, SUCCESS_DISTANCE, TRACE_COLUMNS, Disturbance,
                          RolloutConfig, judge_success, read_trace_forces, rollout,
@@ -63,14 +63,13 @@ def test_rollout_deterministic(trained):
 
 def test_judge_uses_strict_inequalities(trained):
     _, plant, _ = trained
-    span = plant.cfg.grasp_span
-    at_boundary = PlantState(joints=np.zeros(16), object_height=span - SUCCESS_DISTANCE,
+    at_boundary = PlantState(joints=np.zeros(16), object_height=GRASP_SPAN - SUCCESS_DISTANCE,
                              object_tilt=0.0, contact_map=np.zeros(plant.n_nodes))
     assert not judge_success(at_boundary, plant).success
-    tilted = PlantState(joints=np.zeros(16), object_height=span,
+    tilted = PlantState(joints=np.zeros(16), object_height=GRASP_SPAN,
                         object_tilt=SUCCESS_ANGLE, contact_map=np.zeros(plant.n_nodes))
     assert not judge_success(tilted, plant).success
-    inside = PlantState(joints=np.zeros(16), object_height=span - SUCCESS_DISTANCE + 0.01,
+    inside = PlantState(joints=np.zeros(16), object_height=GRASP_SPAN - SUCCESS_DISTANCE + 0.01,
                         object_tilt=SUCCESS_ANGLE - 0.01,
                         contact_map=np.zeros(plant.n_nodes))
     assert judge_success(inside, plant).success

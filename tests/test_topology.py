@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import importlib.resources
 import json
+import re
 from collections import deque
 
 import numpy as np
@@ -144,6 +145,15 @@ def test_json_rejects_malformed(tmp_path):
                       "row": 0, "col": 0}], "edges": []}
     path.write_text(json.dumps(doc))
     with pytest.raises(ValueError):
+        load_topology(str(path))
+    for key, doc in (("nodes", {"nodes": 5, "edges": []}), ("edges", {"nodes": [], "edges": 3})):
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: '{key}' must be a list"):
+            load_topology(str(path))
+    doc = {"nodes": [{"id": 0, "segment": ["a"], "finger": "palm", "row": 0, "col": 0}],
+           "edges": []}
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match="segment must be a non-empty string, got \\['a'\\]"):
         load_topology(str(path))
 
 
