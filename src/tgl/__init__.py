@@ -13,11 +13,11 @@ from .models import MODEL_TABLE, ModelParams, ModelSpec, build_from_spec, conv_f
     forward, forward_batch, load_checkpoint, model_spec, save_checkpoint
 from .optim import AdamConfig, Parameter, adam_step, glorot_uniform
 from .pca import pca
-from .plant import Plant, PlantConfig, PlantState, SyntheticObject, apply_disturbance, \
-    generate_dataset_trials, generate_object_trial, generate_trial, initial_state, make_object, \
-    make_plant, object_catalog, plant_step
-from .rollout import Disturbance, RolloutConfig, RolloutTrace, Verdict, judge_success, \
-    read_trace_forces, rollout, total_grip_force, write_trace
+from .plant import Disturbance, Plant, PlantConfig, PlantState, SyntheticObject, \
+    apply_disturbance, generate_dataset_trials, generate_object_trial, generate_trial, \
+    initial_state, make_object, make_plant, object_catalog, plant_step
+from .rollout import RolloutConfig, RolloutTrace, Verdict, judge_success, read_trace_forces, \
+    rollout, total_grip_force, write_trace
 from .tensor import NonFiniteError, Tensor, backward, concat, matmul, mse_loss, no_grad, \
     relu, reshape
 from .topology import HandTopology, SensorNode, build_default_hand, build_small_hand, \

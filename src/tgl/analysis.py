@@ -8,12 +8,11 @@ signature this module quantifies with a silhouette score.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import Trial
+from .dataset import Trial, write_json
 from .models import ModelParams, conv_features
 from .pca import pca
 from .tensor import no_grad
@@ -209,6 +208,4 @@ def write_cluster_report_json(report: ClusterReport, path: str) -> None:
                       for (finger, segment), c in report.centroids.items()},
         "nodes": report.coordinates.shape[0],
     }
-    with open(path, "w") as f:
-        json.dump(doc, f, indent=1)
-        f.write("\n")
+    write_json(path, doc)

@@ -46,9 +46,7 @@ def _write_manifest(out_dir: str, command: str, config: dict, outputs: list[str]
         "config": config,
         "outputs": {os.path.basename(p): _sha256(p) for p in sorted(outputs)},
     }
-    with open(os.path.join(out_dir, "manifest.json"), "w") as f:
-        json.dump(manifest, f, indent=1, sort_keys=True)
-        f.write("\n")
+    dataset.write_json(os.path.join(out_dir, "manifest.json"), manifest, sort_keys=True)
 
 
 def _ensure_out(path: str) -> str:
@@ -201,9 +199,9 @@ def cmd_gen_data(args) -> int:
     return 0
 
 
-def _custom_spec(conv: str | None, fc: str | None) -> models.ModelSpec | None:
+def _spec(model: str, conv: str | None, fc: str | None) -> models.ModelSpec:
     if conv is None and fc is None:
-        return None
+        return models.model_spec(model)
     if fc is None:
         raise CliError("--conv requires --fc")
     fc_sizes = tuple(int(x) for x in fc.split(",") if x)
@@ -217,10 +215,10 @@ def cmd_train(args) -> int:
     seed, epochs, batch, lr, model, target_length, topo_spec = _settings(args, {
         "seed": 0, "epochs": 200, "batch-size": 100, "lr": 1e-5, "model": "III",
         "target-length": dataset.DEFAULT_TARGET_LENGTH, "topology": "default"}).values()
-    cfg = training.TrainConfig(model=model, batch_size=batch, epochs=epochs,
+    cfg = training.TrainConfig(batch_size=batch, epochs=epochs,
                                adam=AdamConfig(learning_rate=lr), seed=seed,
                                checkpoint_every=args.checkpoint_every or 0,
-                               spec=_custom_spec(args.conv, args.fc))
+                               spec=_spec(model, args.conv, args.fc))
     topo = _load_topology(topo_spec)
     ds = _read_dataset(args.data, target_length)
     report = training.train(ds, cfg, topo, out_dir=out, resume_from=args.resume)
@@ -238,17 +236,17 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     topo = _load_topology(args.topology or "default")
+    params, extra = models.load_checkpoint(args.ckpt, topo)
+    seed = training.train_seed(args.ckpt, extra)   # the split the model was trained on
     ds = _read_dataset(args.data, args.target_length)
-    train_set, val_set = dataset.split(ds, args.seed)
+    train_set, val_set = dataset.split(ds, seed)
     pairs = train_set if args.split == "train" else val_set
-    loss = training.evaluate(args.ckpt, pairs, topo)
+    loss = training.mean_loss(params, pairs)
     out = _ensure_out(args.out)
     path = os.path.join(out, "eval.json")
-    with open(path, "w") as f:
-        json.dump({"split": args.split, "pairs": len(pairs), "mse": loss}, f, indent=1)
-        f.write("\n")
+    dataset.write_json(path, {"split": args.split, "pairs": len(pairs), "mse": loss})
     _write_manifest(out, "eval", {"ckpt": os.path.abspath(args.ckpt), "split": args.split,
-                                  "seed": args.seed, "data": os.path.abspath(args.data),
+                                  "seed": seed, "data": os.path.abspath(args.data),
                                   "target_length": args.target_length}, [path])
     print(f"{args.split} MSE over {len(pairs)} pairs: {loss:.6g}")
     return 0
@@ -286,6 +284,8 @@ def cmd_pca(args) -> int:
             start, stop = (int(x) for x in args.window.split(":"))
         except ValueError:
             raise CliError(f"--window must look like start:stop, got {args.window!r}") from None
+        if not 0 <= start < stop:
+            raise CliError(f"--window needs 0 <= start < stop, got {args.window!r}")
     else:
         start, stop = max(0, args.target_length - 45), args.target_length
     topo = _load_topology(args.topology or "default")
@@ -314,12 +314,10 @@ def cmd_compare_forces(args) -> int:
                                         read_trace_forces(args.trace_b))
     out = _ensure_out(args.out)
     path = os.path.join(out, "force_comparison.json")
-    with open(path, "w") as f:
-        json.dump({"fraction_b_higher": cmp.fraction_b_higher,
-                   "mean_final_quarter_a": cmp.mean_final_quarter_a,
-                   "mean_final_quarter_b": cmp.mean_final_quarter_b,
-                   "steps": int(cmp.differences.shape[0])}, f, indent=1)
-        f.write("\n")
+    dataset.write_json(path, {"fraction_b_higher": cmp.fraction_b_higher,
+                              "mean_final_quarter_a": cmp.mean_final_quarter_a,
+                              "mean_final_quarter_b": cmp.mean_final_quarter_b,
+                              "steps": int(cmp.differences.shape[0])})
     _write_manifest(out, "compare-forces",
                     {"trace_a": os.path.abspath(args.trace_a),
                      "trace_b": os.path.abspath(args.trace_b)}, [path])
@@ -334,10 +332,8 @@ def build_parser() -> _Parser:
     p = _Parser(prog="tgl", description="tactile graph-learning pipeline")
     sub = p.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("topology", help="write a sensor-graph JSON")
-    group = sp.add_mutually_exclusive_group()
-    group.add_argument("--default", action="store_true", help="384-node hand (the default)")
-    group.add_argument("--small", action="store_true", help="24-node desk-scale hand")
+    sp = sub.add_parser("topology", help="write a sensor-graph JSON (the 384-node hand by default)")
+    sp.add_argument("--small", action="store_true", help="24-node desk-scale hand")
     sp.add_argument("--out", required=True)
     sp.set_defaults(func=cmd_topology)
 
@@ -374,7 +370,6 @@ def build_parser() -> _Parser:
     sp.add_argument("--data", required=True)
     sp.add_argument("--out", required=True)
     sp.add_argument("--split", choices=("train", "val"), default="val")
-    sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--target-length", type=int, default=dataset.DEFAULT_TARGET_LENGTH)
     sp.add_argument("--topology")
     sp.set_defaults(func=cmd_eval)

@@ -8,6 +8,7 @@ at t+horizon) pairs.
 """
 from __future__ import annotations
 
+import json
 import os
 from dataclasses import dataclass, replace
 from typing import NoReturn
@@ -323,3 +324,10 @@ def read_trial_csv(path: str) -> Trial:
     name = os.path.basename(path).removesuffix(".csv")
     return Trial(name, t, cells[:, :JOINT_DIM], cells[:, JOINT_DIM:end].reshape(-1, n, 3),
                  cells[:1, end:].ravel())
+
+
+def write_json(path: str, doc, sort_keys: bool = False) -> None:
+    """Every JSON artifact's one layout: one-space indent and a closing newline."""
+    with open(path, "w") as f:
+        json.dump(doc, f, indent=1, sort_keys=sort_keys)
+        f.write("\n")

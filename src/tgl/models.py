@@ -18,7 +18,7 @@ from dataclasses import InitVar, asdict, dataclass, field
 
 import numpy as np
 
-from .dataset import HORIZON, JOINT_DIM, LABEL_DIM
+from .dataset import HORIZON, JOINT_DIM, LABEL_DIM, write_json
 from .optim import Parameter, glorot_uniform
 from .tensor import NonFiniteError, SymmetricOperator, Tensor, concat, matmul, no_grad, relu, \
     reshape
@@ -241,9 +241,7 @@ def save_checkpoint(params: ModelParams, path: str, extra: dict | None = None) -
         "tensors": _blob_tensors(parameter_layout(params.spec, params.n_nodes)[0]),
         "extra": extra or {},
     }
-    with open(path, "w") as f:
-        json.dump(manifest, f, indent=1)
-        f.write("\n")
+    write_json(path, manifest)
 
 
 def _same_json(value, expected) -> bool:

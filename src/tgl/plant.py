@@ -258,18 +258,32 @@ def plant_step(plant: Plant, state: PlantState,
     return new_state, tactile_from_contact(plant, contact)
 
 
-def apply_disturbance(plant: Plant, state: PlantState, kind: str,
-                      magnitude: float) -> PlantState:
+DISTURBANCE_KINDS = ("pull_down", "pull_side")
+
+
+@dataclass(frozen=True)
+class Disturbance:
+    """An external pull of `magnitude` on the grasped object at rollout step `step`."""
+    step: int
+    kind: str
+    magnitude: float
+
+    def __post_init__(self):
+        if self.kind not in DISTURBANCE_KINDS:
+            raise ValueError(f"unknown disturbance kind {self.kind!r}; "
+                             f"expected {' or '.join(DISTURBANCE_KINDS)}")
+        if not (math.isfinite(self.magnitude) and self.magnitude > 0):
+            raise ValueError(f"disturbance magnitude must be finite and positive, "
+                             f"got {self.magnitude}")
+
+
+def apply_disturbance(plant: Plant, state: PlantState, disturbance: Disturbance) -> PlantState:
     """External pull on the grasped object; contact is recomputed afterwards."""
-    if not (math.isfinite(magnitude) and magnitude > 0):
-        raise ValueError(f"disturbance magnitude must be finite and positive, got {magnitude}")
-    if kind == "pull_down":
+    magnitude = disturbance.magnitude
+    if disturbance.kind == "pull_down":
         height, tilt = max(0.0, state.object_height - magnitude), state.object_tilt
-    elif kind == "pull_side":
-        height = state.object_height
-        tilt = min(TILT_CAP, state.object_tilt + magnitude)
-    else:
-        raise ValueError(f"unknown disturbance kind {kind!r}; expected pull_down or pull_side")
+    else:   # pull_side
+        height, tilt = state.object_height, min(TILT_CAP, state.object_tilt + magnitude)
     contact = _penetration(plant, state.joints, _sag(plant, state.peak_height, height))
     return replace(state, object_height=height, object_tilt=tilt, contact_map=contact)
 

@@ -8,28 +8,18 @@ object tilt both ended below their thresholds.
 """
 from __future__ import annotations
 
-import json
-import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
-from .dataset import csv_header, csv_line, read_csv, validate_labels
+from .dataset import csv_header, csv_line, read_csv, validate_labels, write_json
 from .models import ModelParams, forward
-from .plant import Plant, PlantState, apply_disturbance, distance_to_palm, initial_state, \
-    plant_step, tactile_from_contact
+from .plant import Disturbance, Plant, PlantState, apply_disturbance, distance_to_palm, \
+    initial_state, plant_step, tactile_from_contact
 
-DISTURBANCE_KINDS = ("pull_down", "pull_side")
 TRACE_COLUMNS = ("height", "tilt", "grip_force", "clamped")  # after the trial columns
 SUCCESS_DISTANCE = 2.0   # a success ends with the palm-object distance below this
 SUCCESS_ANGLE = 15.0     # and the object tilt below this many degrees
-
-
-class Disturbance(NamedTuple):
-    step: int
-    kind: str
-    magnitude: float
 
 
 @dataclass(frozen=True)
@@ -47,14 +37,8 @@ class RolloutConfig:
         if self.command_stride < 1:
             raise ValueError(f"command_stride must be >= 1, got {self.command_stride}")
         d = self.disturbance
-        if d is not None:
-            if d.kind not in DISTURBANCE_KINDS:
-                raise ValueError(f"unknown disturbance kind {d.kind!r}")
-            if not (0 <= d.step < self.max_steps):
-                raise ValueError(f"disturbance step {d.step} outside 0..{self.max_steps - 1}")
-            if not (math.isfinite(d.magnitude) and d.magnitude > 0):
-                raise ValueError(f"disturbance magnitude must be finite and positive, "
-                                 f"got {d.magnitude}")
+        if d is not None and not (0 <= d.step < self.max_steps):
+            raise ValueError(f"disturbance step {d.step} outside 0..{self.max_steps - 1}")
 
 
 @dataclass(frozen=True)
@@ -117,7 +101,7 @@ def rollout(params: ModelParams, plant: Plant, cfg: RolloutConfig, seed: int = 0
     for t in range(cfg.max_steps):
         d = cfg.disturbance
         if d is not None and t == d.step:
-            state = apply_disturbance(plant, state, d.kind, d.magnitude)
+            state = apply_disturbance(plant, state, d)
             tactile = tactile_from_contact(plant, state.contact_map)
         if t % cfg.command_stride == 0:
             command = forward(params, tactile, state.joints, cfg.labels)
@@ -143,12 +127,10 @@ def write_trace(trace: RolloutTrace, csv_path: str) -> str:
                               repr(s.grip_force), str(int(s.state.clamped)))))
     base = csv_path[:-4] if csv_path.endswith(".csv") else csv_path
     sidecar = base + ".verdict.json"
-    with open(sidecar, "w") as f:
-        json.dump({"success": trace.verdict.success,
-                   "final_distance": trace.verdict.final_distance,
-                   "final_angle": trace.verdict.final_angle,
-                   "steps": len(trace.steps)}, f, indent=1)
-        f.write("\n")
+    write_json(sidecar, {"success": trace.verdict.success,
+                         "final_distance": trace.verdict.final_distance,
+                         "final_angle": trace.verdict.final_angle,
+                         "steps": len(trace.steps)})
     return sidecar
 
 

@@ -14,8 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-SEGMENTS = ("proximal_lower", "proximal_upper", "distal", "fingertip", "palm")
-FINGERS = ("thumb", "index", "middle", "ring", "palm")
+from .dataset import write_json
 
 FINGERTIP_ROWS = 6
 PHALANX_ROWS = 4
@@ -66,24 +65,12 @@ class HandTopology:
     def n(self) -> int:
         return len(self.nodes)
 
-    def neighbors(self, i: int) -> list[int]:
-        if not (0 <= i < self.n):
-            raise ValueError(f"node {i} outside 0..{self.n - 1}")
-        out = [b for a, b in self.edges if a == i] + [a for a, b in self.edges if b == i]
-        return sorted(out)
-
     def adjacency(self) -> np.ndarray:
         a = np.zeros((self.n, self.n))
         for i, j in self.edges:
             a[i, j] = 1.0
             a[j, i] = 1.0
         return a
-
-    def segment_of(self, i: int) -> str:
-        return self.nodes[i].segment
-
-    def finger_of(self, i: int) -> str:
-        return self.nodes[i].finger
 
 
 def normalize_adjacency(adj: np.ndarray) -> np.ndarray:
@@ -186,9 +173,7 @@ def save_topology(topology: HandTopology, path: str) -> None:
                    "row": nd.row, "col": nd.col} for nd in topology.nodes],
         "edges": [[i, j] for i, j in topology.edges],
     }
-    with open(path, "w") as f:
-        json.dump(doc, f, indent=1)
-        f.write("\n")
+    write_json(path, doc)
 
 
 def _require_int(value, what: str) -> int:

@@ -9,8 +9,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dataset import Dataset, PairSet, split
-from .models import ModelParams, ModelSpec, build_from_spec, forward_batch, load_checkpoint, \
-    model_spec, save_checkpoint
+from .models import MODEL_TABLE, ModelParams, ModelSpec, build_from_spec, forward_batch, \
+    load_checkpoint, save_checkpoint
 from .optim import AdamConfig, adam_step
 from .tensor import NonFiniteError, Tensor, backward, mse_loss, no_grad
 from .topology import HandTopology
@@ -18,13 +18,12 @@ from .topology import HandTopology
 
 @dataclass(frozen=True)
 class TrainConfig:
-    model: str = "III"
     batch_size: int = 100
     epochs: int = 200            # desk-scale default; full-scale runs pass 5000
     adam: AdamConfig = field(default_factory=AdamConfig)
     seed: int = 0
     checkpoint_every: int = 0    # 0 = only best + final
-    spec: ModelSpec | None = None  # overrides the named model when set
+    spec: ModelSpec = MODEL_TABLE["III"]
 
     def __post_init__(self):
         if self.batch_size < 1:
@@ -33,11 +32,6 @@ class TrainConfig:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if self.checkpoint_every < 0:
             raise ValueError(f"checkpoint_every must be >= 0, got {self.checkpoint_every}")
-        if self.spec is None:
-            model_spec(self.model)  # validates the name
-
-    def resolve_spec(self) -> ModelSpec:
-        return self.spec if self.spec is not None else model_spec(self.model)
 
 
 @dataclass
@@ -54,8 +48,11 @@ class TrainReport:
         return len(self.train_losses)
 
 
-def _epoch_loss(params: ModelParams, pairs: PairSet, batch_size: int) -> float:
+def mean_loss(params: ModelParams, pairs: PairSet, batch_size: int = 100) -> float:
     """Mean MSE over all pairs, computed in batches without touching grads."""
+    if pairs.tactile.shape[1] != params.n_nodes:
+        raise ValueError(f"pairs carry {pairs.tactile.shape[1]} nodes, "
+                         f"model expects {params.n_nodes}")
     total = 0.0
     with no_grad():
         for s in range(0, len(pairs), batch_size):
@@ -105,7 +102,7 @@ def fit_pairs(params: ModelParams, train_set: PairSet, val_set: PairSet | None,
         train_loss = sq_sum / n
         train_losses.append(train_loss)
 
-        val_loss = _epoch_loss(params, val_set, cfg.batch_size) if val_set is not None else None
+        val_loss = mean_loss(params, val_set, cfg.batch_size) if val_set is not None else None
         if val_loss is not None:
             val_losses.append(val_loss)
             if out_dir and val_loss < best_val:
@@ -160,8 +157,16 @@ def _best_before(kept: list[str], out_dir: str) -> tuple[float, str | None]:
 
 
 def _extra(cfg: TrainConfig, epoch: int) -> dict:
-    return {"epoch": epoch, "model": cfg.model if cfg.spec is None else "custom",
-            "train_seed": cfg.seed}
+    model = next((name for name, spec in MODEL_TABLE.items() if spec == cfg.spec), "custom")
+    return {"epoch": epoch, "model": model, "train_seed": cfg.seed}
+
+
+def train_seed(path: str, extra: dict) -> int:
+    """The seed the run that wrote a checkpoint split and shuffled by, from its extra."""
+    seed = extra.get("train_seed")
+    if type(seed) is not int:   # a JSON integer, not true or false
+        raise ValueError(f"checkpoint {path}: extra has no integer 'train_seed', got {seed!r}")
+    return seed
 
 
 def train(ds: Dataset, cfg: TrainConfig, topo: HandTopology, out_dir: str | None = None,
@@ -175,10 +180,12 @@ def train(ds: Dataset, cfg: TrainConfig, topo: HandTopology, out_dir: str | None
     if resume_from is not None:
         params, extra = load_checkpoint(resume_from, topo)
         start_epoch = int(extra.get("epoch", 0))
-        if params.spec != cfg.resolve_spec():
+        if params.spec != cfg.spec:
             raise ValueError("checkpoint architecture does not match the training config")
+        if train_seed(resume_from, extra) != cfg.seed:
+            raise ValueError(f"checkpoint seed {extra['train_seed']} is not the run's seed {cfg.seed}")
     else:
-        params, start_epoch = build_from_spec(cfg.resolve_spec(), topo, cfg.seed), 0
+        params, start_epoch = build_from_spec(cfg.spec, topo, cfg.seed), 0
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
     return fit_pairs(params, train_set, val_set, cfg, out_dir, start_epoch)
@@ -188,7 +195,4 @@ def evaluate(ckpt_path: str, pairs: PairSet, topology: HandTopology,
              batch_size: int = 100) -> float:
     """Mean MSE of a stored checkpoint over pairs; read-only."""
     params, _ = load_checkpoint(ckpt_path, topology)
-    if pairs.tactile.shape[1] != params.n_nodes:
-        raise ValueError(f"pairs carry {pairs.tactile.shape[1]} nodes, "
-                         f"model expects {params.n_nodes}")
-    return _epoch_loss(params, pairs, batch_size)
+    return mean_loss(params, pairs, batch_size)

@@ -137,7 +137,7 @@ def test_separable_fixture_scores_high():
 
 
 def test_degenerate_stack_flagged(tiny_topo):
-    labels = [(tiny_topo.finger_of(i), tiny_topo.segment_of(i)) for i in range(6)]
+    labels = [(node.finger, node.segment) for node in tiny_topo.nodes]
     stack = NodeFeatureStack(features=np.ones((6, 20)), node_labels=labels, meta={})
     report = pca_node_map(stack)
     assert report.degenerate

@@ -181,6 +181,8 @@ def test_train_twice_into_one_directory_keeps_one_run(pipeline, tmp_path):
     (["train", "--batch-size", "0"], "batch_size must be >= 1"),
     (["train", "--conv", "4"], "--conv requires --fc"),
     (["pca", "--ckpt", "none.ckpt.json", "--window", "abc"], "--window must look like"),
+    (["pca", "--ckpt", "none.ckpt.json", "--window", "10:5"], "--window needs 0 <= start < stop"),
+    (["train", "--model", "VII"], "invalid choice: 'VII'"),
 ])
 def test_flags_are_checked_before_any_data_is_read(tmp_path, capsys, argv, named):
     data = tmp_path / "data"
@@ -274,11 +276,58 @@ def test_eval_writes_json(pipeline, tmp_path):
     _, data, run = pipeline
     out = tmp_path / "eval"
     assert main(["eval", "--ckpt", str(run / "final.ckpt.json"), "--data", str(data),
-                 "--topology", "small", "--seed", "3", "--out", str(out)]) == 0
+                 "--topology", "small", "--out", str(out)]) == 0
     doc = json.loads((out / "eval.json").read_text())
     assert doc["split"] == "val"
     assert doc["pairs"] == 320
     assert np.isfinite(doc["mse"])
+
+
+def test_eval_splits_by_the_train_seed(pipeline, tmp_path, capsys):
+    """The validation side is the one training held out, so eval reports training's best val."""
+    _, data, run = pipeline
+    base = ["eval", "--data", str(data), "--topology", "small"]
+    assert main(base + ["--ckpt", str(run / "best.ckpt.json"), "--out", str(tmp_path / "e")]) == 0
+    assert json.loads((tmp_path / "e" / "manifest.json").read_text())["config"]["seed"] == 3
+    best_val = min(json.loads(line)["val_loss"]
+                   for line in (run / "metrics.ndjson").read_text().splitlines())
+    assert json.loads((tmp_path / "e" / "eval.json").read_text())["mse"] == best_val
+    assert main(base + ["--ckpt", str(run / "final.ckpt.json"), "--seed", "3",
+                        "--out", str(tmp_path / "flag")]) == 1
+    # a checkpoint without a train seed is refused before any data is read
+    manifest = json.loads((run / "final.ckpt.json").read_text())
+    del manifest["extra"]["train_seed"]
+    ckpt = tmp_path / "final.ckpt.json"
+    ckpt.write_text(json.dumps(manifest))
+    shutil.copy(run / "final.ckpt.bin", tmp_path / "final.ckpt.bin")
+    bad_data = tmp_path / "bad_data"
+    bad_data.mkdir()
+    (bad_data / "bad.csv").write_text("not,a,trial\n")
+    capsys.readouterr()
+    assert main(["eval", "--data", str(bad_data), "--topology", "small", "--ckpt", str(ckpt),
+                 "--out", str(tmp_path / "x")]) == 1
+    assert f"{ckpt}: extra has no integer 'train_seed'" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+def test_train_records_the_model_name(pipeline, tmp_path):
+    """A named model's checkpoint records its name, custom --conv/--fc widths record custom."""
+    _, data, run = pipeline
+    assert json.loads((run / "final.ckpt.json").read_text())["extra"]["model"] == "custom"
+    out = tmp_path / "mlp"
+    assert main(["train", "--topology", "small", "--model", "IV", "--epochs", "1",
+                 "--target-length", "60", "--data", str(data), "--out", str(out)]) == 0
+    assert json.loads((out / "final.ckpt.json").read_text())["extra"]["model"] == "IV"
+
+
+def test_resume_refuses_another_seed(pipeline, tmp_path, capsys):
+    _, data, run = pipeline
+    out = tmp_path / "resumed"
+    capsys.readouterr()
+    assert main(TRAIN[:-1] + ["9", "--resume", str(run / "final.ckpt.json"),
+                              "--data", str(data), "--out", str(out)]) == 1
+    assert "checkpoint seed 3 is not the run's seed 9" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_rollout_and_compare_forces(pipeline, tmp_path):
@@ -433,4 +482,5 @@ def test_malformed_checkpoint_exit_1(pipeline, tmp_path, capsys, case):
 
 def test_unknown_flag_exit_1(tmp_path):
     assert main(["topology", "--tiny", "--out", str(tmp_path)]) == 1
+    assert main(["topology", "--default", "--out", str(tmp_path)]) == 1
     assert main(["no-such-command"]) == 1

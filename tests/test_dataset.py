@@ -1,14 +1,19 @@
 """Array-backed trials, preprocessing pipeline, pairing, CSV interchange."""
 from __future__ import annotations
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 from hypothesis.extra.numpy import arrays
 
+import tgl
+
 from tgl.dataset import (HORIZON, SMOOTH_MIN_LEN, Dataset, PairSet, Trial, downsample,
                          encode_labels, preprocess, read_trial_csv, smooth, split, trim_static,
-                         validate_labels, write_trial_csv)
+                         validate_labels, write_json, write_trial_csv)
 
 LABELS = encode_labels(heavy=False, soft=False, slippery=False)
 
@@ -379,3 +384,25 @@ def test_csv_rejects_malformed(tmp_path):
     path.write_text("a,b,c\n1,2,3\n")
     with pytest.raises(ValueError):
         read_trial_csv(str(path))
+
+
+def test_write_json_layout(tmp_path):
+    path = tmp_path / "doc.json"
+    write_json(str(path), {"b": [1], "a": 0.5})
+    assert path.read_text() == '{\n "b": [\n  1\n ],\n "a": 0.5\n}\n'
+    write_json(str(path), {"b": 1, "a": 2}, sort_keys=True)
+    assert path.read_text() == '{\n "a": 2,\n "b": 1\n}\n'
+
+
+def test_only_write_json_calls_json_dump():
+    """Every JSON artifact goes through write_json, so a change to how they are written is one edit."""
+    found = []
+    for path in sorted(Path(tgl.__file__).parent.rglob("*.py")):
+        text = path.read_text()
+        defs = [f for f in ast.walk(ast.parse(text)) if isinstance(f, ast.FunctionDef)]
+        for lineno, line in enumerate(text.splitlines(), start=1):
+            if "json.dump(" in line:
+                owners = [f for f in defs if f.lineno <= lineno <= f.end_lineno]
+                innermost = max(owners, key=lambda f: f.lineno, default=None)
+                found.append((path.name, innermost.name if innermost else None))
+    assert found == [("dataset.py", "write_json")]

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from tgl import plant as P
-from tgl.plant import (PlantConfig, PlantState, apply_disturbance, closure_target,
+from tgl.plant import (Disturbance, PlantConfig, PlantState, apply_disturbance, closure_target,
                        distance_to_palm, generate_dataset_trials, generate_trial,
                        initial_state, make_object, make_plant, object_catalog,
                        plant_step)
@@ -130,7 +130,7 @@ def test_fingertips_touch_before_palm(topo):
         state, tactile = plant_step(plant, state, cmd)
         touched = np.nonzero(tactile[:, 2])[0]
         for i in touched:
-            seg = topo.segment_of(int(i))
+            seg = topo.nodes[i].segment
             first_touch.setdefault(seg, step)
     assert first_touch["fingertip"] < first_touch["proximal_lower"] <= first_touch["palm"]
 
@@ -164,37 +164,36 @@ def test_smaller_radius_needs_deeper_closure(topo):
 def test_pull_down_arithmetic(topo):
     plant = make_plant(topo, make_object(False, False, False), PlantConfig())
     state, _ = settle(plant, np.full(16, 1.3), 80, topo)
-    pulled = apply_disturbance(plant, state, "pull_down", 2.0)
+    pulled = apply_disturbance(plant, state, Disturbance(0, "pull_down", 2.0))
     assert pulled.object_height == pytest.approx(state.object_height - 2.0)
     assert pulled.object_tilt == state.object_tilt
-    floor = apply_disturbance(plant, state, "pull_down", 99.0)
+    floor = apply_disturbance(plant, state, Disturbance(0, "pull_down", 99.0))
     assert floor.object_height == 0.0
 
 
 def test_pull_side_arithmetic(topo):
     plant = make_plant(topo, make_object(False, False, False), PlantConfig())
     state, _ = settle(plant, np.full(16, 1.3), 80, topo)
-    pushed = apply_disturbance(plant, state, "pull_side", 30.0)
+    pushed = apply_disturbance(plant, state, Disturbance(0, "pull_side", 30.0))
     assert pushed.object_tilt == pytest.approx(state.object_tilt + 30.0)
     assert pushed.object_height == state.object_height
 
 
-def test_disturbance_validation(topo):
-    plant = make_plant(topo, make_object(False, False, False), PlantConfig())
-    state = initial_state(plant, seed=0)
-    with pytest.raises(ValueError):
-        apply_disturbance(plant, state, "pull_down", 0.0)
-    with pytest.raises(ValueError):
-        apply_disturbance(plant, state, "shake", 1.0)
-    with pytest.raises(ValueError):
-        apply_disturbance(plant, state, "pull_side", float("nan"))
+def test_disturbance_validation():
+    with pytest.raises(ValueError, match="magnitude"):
+        Disturbance(0, "pull_down", 0.0)
+    with pytest.raises(ValueError, match="kind 'shake'"):
+        Disturbance(0, "shake", 1.0)
+    for magnitude in (float("nan"), float("inf"), -1.0):
+        with pytest.raises(ValueError, match="magnitude"):
+            Disturbance(0, "pull_side", magnitude)
 
 
 def test_recovery_after_pull_down(topo):
     plant = make_plant(topo, make_object(False, False, False), PlantConfig())
     cmd = np.full(16, 1.3)
     state, _ = settle(plant, cmd, 80, topo)
-    state = apply_disturbance(plant, state, "pull_down", 2.0)
+    state = apply_disturbance(plant, state, Disturbance(0, "pull_down", 2.0))
     for _ in range(20):
         state, _ = plant_step(plant, state, cmd)
     assert state.object_height == pytest.approx(5.0)

@@ -186,16 +186,7 @@ def test_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(batch_size=0)
     with pytest.raises(ValueError):
-        TrainConfig(model="VII")
-    with pytest.raises(ValueError):
         TrainConfig(checkpoint_every=-1)
-
-
-def test_named_model_resolution():
-    c = TrainConfig(model="IV", epochs=1)
-    assert c.resolve_spec().kind == "MLP"
-    custom = TrainConfig(spec=SPEC, epochs=1)
-    assert custom.resolve_spec() is SPEC
 
 
 def test_fit_pairs_without_validation_set(world):
