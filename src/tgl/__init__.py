@@ -21,7 +21,7 @@ from .rollout import RolloutConfig, RolloutTrace, Verdict, judge_success, read_t
 from .tensor import NonFiniteError, Tensor, backward, concat, matmul, mse_loss, no_grad, \
     relu, reshape
 from .topology import HandTopology, SensorNode, build_default_hand, build_small_hand, \
-    load_topology, normalize_adjacency, propagation_for, save_topology
+    load_topology, propagation_for, save_topology
 from .training import TrainConfig, TrainReport, evaluate, fit_pairs, train
 
 __version__ = "0.1.0"

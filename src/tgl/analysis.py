@@ -51,8 +51,6 @@ def extract_node_features(params: ModelParams, topology: HandTopology,
     frames; features concatenate along the feature axis in (trial, step,
     channel) order.
     """
-    if params.spec.kind != "GCN":
-        raise ValueError("no conv features: model has no graph-conv layers")
     if topology.n != params.n_nodes:
         raise ValueError(f"topology has {topology.n} nodes, model expects {params.n_nodes}")
     if not trials:

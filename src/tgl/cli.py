@@ -235,8 +235,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    topo = _load_topology(args.topology or "default")
-    params, extra = models.load_checkpoint(args.ckpt, topo)
+    params, extra = models.load_checkpoint(args.ckpt)
     seed = training.train_seed(args.ckpt, extra)   # the split the model was trained on
     ds = _read_dataset(args.data, args.target_length)
     train_set, val_set = dataset.split(ds, seed)
@@ -253,7 +252,6 @@ def cmd_eval(args) -> int:
 
 
 def cmd_rollout(args) -> int:
-    topo = _load_topology(args.topology or "default")
     heavy, soft, slippery = _parse_triple(args.object)
     obj = plant.make_object(heavy, soft, slippery, radius=args.radius)
     labels = dataset.encode_labels(*_parse_triple(args.labels)) if args.labels \
@@ -262,8 +260,8 @@ def cmd_rollout(args) -> int:
         max_steps=args.max_steps, labels=labels,
         disturbance=_parse_disturbance(args.disturb) if args.disturb else None,
         command_stride=args.stride)
-    params, _ = models.load_checkpoint(args.ckpt, topo)
-    pl = plant.make_plant(topo, obj)
+    params, _ = models.load_checkpoint(args.ckpt)
+    pl = plant.make_plant(params.topology, obj)
     trace = run_rollout(params, pl, cfg, seed=args.seed)
     out = _ensure_out(args.out)
     csv_path = os.path.join(out, "trace.csv")
@@ -288,10 +286,9 @@ def cmd_pca(args) -> int:
             raise CliError(f"--window needs 0 <= start < stop, got {args.window!r}")
     else:
         start, stop = max(0, args.target_length - 45), args.target_length
-    topo = _load_topology(args.topology or "default")
-    params, _ = models.load_checkpoint(args.ckpt, topo)
+    params, _ = models.load_checkpoint(args.ckpt)
     ds = _read_dataset(args.data, args.target_length)
-    stack = analysis.extract_node_features(params, topo, ds.trials, (start, stop))
+    stack = analysis.extract_node_features(params, params.topology, ds.trials, (start, stop))
     report = analysis.pca_node_map(stack)
     out = _ensure_out(args.out)
     csv_path = os.path.join(out, "node_map.csv")
@@ -371,7 +368,6 @@ def build_parser() -> _Parser:
     sp.add_argument("--out", required=True)
     sp.add_argument("--split", choices=("train", "val"), default="val")
     sp.add_argument("--target-length", type=int, default=dataset.DEFAULT_TARGET_LENGTH)
-    sp.add_argument("--topology")
     sp.set_defaults(func=cmd_eval)
 
     sp = sub.add_parser("rollout", help="closed-loop rollout of a checkpoint on the plant")
@@ -385,7 +381,6 @@ def build_parser() -> _Parser:
     sp.add_argument("--disturb", help="step:kind:magnitude, e.g. 60:pull_down:2.0")
     sp.add_argument("--stride", type=int, default=1)
     sp.add_argument("--radius", type=float)
-    sp.add_argument("--topology")
     sp.set_defaults(func=cmd_rollout)
 
     sp = sub.add_parser("pca", help="node-feature PCA map of a trained GCN")
@@ -394,7 +389,6 @@ def build_parser() -> _Parser:
     sp.add_argument("--out", required=True)
     sp.add_argument("--window", help="start:stop step range (default: final 45 steps)")
     sp.add_argument("--target-length", type=int, default=dataset.DEFAULT_TARGET_LENGTH)
-    sp.add_argument("--topology")
     sp.set_defaults(func=cmd_pca)
 
     sp = sub.add_parser("compare-forces", help="compare grip-force series of two traces")

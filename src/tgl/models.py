@@ -14,21 +14,21 @@ import json
 import math
 import os
 from contextlib import contextmanager
-from dataclasses import InitVar, asdict, dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .dataset import HORIZON, JOINT_DIM, LABEL_DIM, write_json
+from .dataset import HORIZON, JOINT_DIM, LABEL_DIM, validate_labels, write_json
 from .optim import Parameter, glorot_uniform
 from .tensor import NonFiniteError, SymmetricOperator, Tensor, concat, matmul, no_grad, relu, \
     reshape
-from .topology import HandTopology, propagation_for
+from .topology import HandTopology, propagation_for, topology_doc, topology_from_doc
 
 TACTILE_AXES = 3                  # input channels per node: a tri-axial reading
 AUX_DIM = JOINT_DIM + LABEL_DIM   # current joints and property labels beside the node features
 OUTPUT_DIM = JOINT_DIM
 
-CHECKPOINT_FORMAT_VERSION = 1
+CHECKPOINT_FORMAT_VERSION = 2
 BLOB_DTYPE = "<f8"
 STREAMS = ("value", "adam_m", "adam_v")   # a parameter's block in the buffer, in order
 # Manifest entries that every checkpoint holds at these values, after the spec's own fields
@@ -108,7 +108,7 @@ class ModelParams:
     A GCN also holds its graph's propagation matrix S as `s_tensor`.
     """
     spec: ModelSpec
-    topology: InitVar[HandTopology]
+    topology: HandTopology = field(repr=False)
     seed: int
     buffer: np.ndarray = field(repr=False)
     n_nodes: int = field(init=False)
@@ -118,9 +118,9 @@ class ModelParams:
     fc_biases: list[Parameter] = field(init=False, repr=False)
     _parameters: list[Parameter] = field(init=False, repr=False)
 
-    def __post_init__(self, topology: HandTopology):
-        self.n_nodes = topology.n
-        self.s_tensor = SymmetricOperator(propagation_for(topology)) \
+    def __post_init__(self):
+        self.n_nodes = self.topology.n
+        self.s_tensor = SymmetricOperator(propagation_for(self.topology)) \
             if self.spec.kind == "GCN" else None
         params = self._parameters = [
             Parameter(self.buffer[offset:offset + len(STREAMS) * math.prod(shape)]
@@ -202,8 +202,7 @@ def forward(params: ModelParams, tactile, joints, labels) -> np.ndarray:
         raise ValueError(f"tactile must be ({params.n_nodes}, {TACTILE_AXES}), got {tactile.shape}")
     if joints.shape != (JOINT_DIM,):
         raise ValueError(f"joints must be ({JOINT_DIM},), got {joints.shape}")
-    if labels.shape != (LABEL_DIM,) or not np.isin(labels, (0.0, 1.0)).all():
-        raise ValueError("labels must be 6 values in {0, 1}")
+    validate_labels(labels)
     with no_grad():
         aux = np.concatenate([joints, labels])[None, :]
         out = forward_batch(params, tactile[None, :, :], aux)
@@ -232,7 +231,6 @@ def save_checkpoint(params: ModelParams, path: str, extra: dict | None = None) -
         "format_version": CHECKPOINT_FORMAT_VERSION,
         **asdict(params.spec),   # every ModelSpec field, under its own name
         **_FIXED_ENTRIES,
-        "n_nodes": params.n_nodes,
         "seed": params.seed,
         "dtype": BLOB_DTYPE,
         "blob": os.path.basename(blob),
@@ -240,6 +238,7 @@ def save_checkpoint(params: ModelParams, path: str, extra: dict | None = None) -
         "step_counts": [p.step_count for p in params.parameters()],
         "tensors": _blob_tensors(parameter_layout(params.spec, params.n_nodes)[0]),
         "extra": extra or {},
+        "topology": topology_doc(params.topology),
     }
     write_json(path, manifest)
 
@@ -249,9 +248,10 @@ def _same_json(value, expected) -> bool:
     return json.dumps(value, sort_keys=True) == json.dumps(expected, sort_keys=True)
 
 
-def load_checkpoint(path: str, topology: HandTopology) -> tuple[ModelParams, dict]:
+def load_checkpoint(path: str, topology: HandTopology | None = None) -> tuple[ModelParams, dict]:
     """The model a checkpoint holds, with the blob as its buffer, and the manifest's extra.
 
+    Its graph is the manifest's; a `topology` given must equal it and is used as is.
     ValueError names the file and the field when a field is missing or of the wrong
     type, or the manifest disagrees with the layout of its own model spec.
     """
@@ -267,7 +267,14 @@ def load_checkpoint(path: str, topology: HandTopology) -> tuple[ModelParams, dic
 
     entry("format_version", CHECKPOINT_FORMAT_VERSION)
     entry("dtype", BLOB_DTYPE)
-    entry("n_nodes", topology.n)
+    graph = entry("topology")
+    if topology is None:
+        try:
+            topology = topology_from_doc(graph, "the graph")
+        except ValueError as e:
+            raise ValueError(f"checkpoint {path}: bad 'topology': {e}") from None
+    elif not _same_json(graph, topology_doc(topology)):
+        raise ValueError(f"checkpoint {path}: 'topology' is not the graph given")
     for key, value in _FIXED_ENTRIES.items():
         entry(key, value)
     kind, conv, fc = entry("kind"), entry("conv_channels"), entry("fc_sizes")

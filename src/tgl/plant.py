@@ -206,13 +206,13 @@ def _support(plant: Plant, contact_map: np.ndarray) -> float:
     return plant.obj.friction * mean_force / (plant.obj.mass_proxy * GRAVITY)
 
 
-def _reference_height(plant: Plant, joints: np.ndarray) -> float:
+def _reference_height(joints: np.ndarray) -> float:
     closure = float(joints.mean())
     frac = (closure - LIFT_START) / (LIFT_FULL - LIFT_START)
     return GRASP_SPAN * float(np.clip(frac, 0.0, 1.0))
 
 
-def _sag(plant: Plant, peak_height: float, height: float) -> float:
+def _sag(peak_height: float, height: float) -> float:
     """Grip loosening when the object hangs below the highest point it reached."""
     deficit = max(0.0, peak_height - height)
     return SAG_GAIN * deficit / GRASP_SPAN
@@ -242,9 +242,9 @@ def plant_step(plant: Plant, state: PlantState,
     clamped = bool((clipped != cmd).any())
     joints = state.joints + np.clip(clipped - state.joints, -RATE_LIMIT, RATE_LIMIT)
 
-    contact = _penetration(plant, joints, _sag(plant, state.peak_height, state.object_height))
+    contact = _penetration(plant, joints, _sag(state.peak_height, state.object_height))
     supported = _support(plant, contact) >= 1.0
-    h_ref = _reference_height(plant, joints) if supported else 0.0
+    h_ref = _reference_height(joints) if supported else 0.0
     delta = np.clip(h_ref - state.object_height, -FALL_RATE, RISE_RATE)
     height = max(0.0, state.object_height + float(delta))
     if supported:
@@ -284,7 +284,7 @@ def apply_disturbance(plant: Plant, state: PlantState, disturbance: Disturbance)
         height, tilt = max(0.0, state.object_height - magnitude), state.object_tilt
     else:   # pull_side
         height, tilt = state.object_height, min(TILT_CAP, state.object_tilt + magnitude)
-    contact = _penetration(plant, state.joints, _sag(plant, state.peak_height, height))
+    contact = _penetration(plant, state.joints, _sag(state.peak_height, height))
     return replace(state, object_height=height, object_tilt=tilt, contact_map=contact)
 
 

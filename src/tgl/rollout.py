@@ -84,7 +84,7 @@ def total_grip_force(tactile: np.ndarray) -> float:
     return float(np.sqrt((t * t).sum(axis=1)).sum())
 
 
-def judge_success(final: PlantState, plant: Plant) -> Verdict:
+def judge_success(final: PlantState) -> Verdict:
     distance = distance_to_palm(final)
     return Verdict(success=bool(distance < SUCCESS_DISTANCE and final.object_tilt < SUCCESS_ANGLE),
                    final_distance=distance, final_angle=final.object_tilt)
@@ -108,7 +108,7 @@ def rollout(params: ModelParams, plant: Plant, cfg: RolloutConfig, seed: int = 0
         state, tactile = plant_step(plant, state, command)
         steps.append(RolloutStep(t=t, commanded=command.copy(), state=state,
                                  tactile=tactile, grip_force=total_grip_force(tactile)))
-    return RolloutTrace(steps=steps, verdict=judge_success(state, plant),
+    return RolloutTrace(steps=steps, verdict=judge_success(state),
                         labels=cfg.labels.copy())
 
 

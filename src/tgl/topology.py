@@ -73,26 +73,12 @@ class HandTopology:
         return a
 
 
-def normalize_adjacency(adj: np.ndarray) -> np.ndarray:
-    """S = D̂^-1/2 (A + I) D̂^-1/2 of a symmetric 0/1 adjacency A with zero diagonal."""
-    a = np.asarray(adj, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"adjacency must be square, got shape {a.shape}")
-    if not np.array_equal(a, a.T):
-        raise ValueError("adjacency must be symmetric")
-    if np.any(np.diag(a) != 0.0):
-        raise ValueError("adjacency must have a zero diagonal (self-loops are added here)")
-    if not np.isin(a, (0.0, 1.0)).all():
-        raise ValueError("adjacency entries must be 0 or 1")
-    a_hat = a + np.eye(a.shape[0])
+def propagation_for(topology: HandTopology) -> np.ndarray:
+    """The graph's propagation matrix S = D̂^-1/2 (A + I) D̂^-1/2."""
+    a_hat = topology.adjacency() + np.eye(topology.n)
     d_hat = a_hat.sum(axis=1)
     # dividing by sqrt(outer(d, d)) keeps S exactly symmetric in floating point
     return a_hat / np.sqrt(np.outer(d_hat, d_hat))
-
-
-def propagation_for(topology: HandTopology) -> np.ndarray:
-    """The graph's propagation matrix S (see normalize_adjacency)."""
-    return normalize_adjacency(topology.adjacency())
 
 
 # ---------------------------------------------------------------------------
@@ -167,13 +153,17 @@ def build_small_hand() -> HandTopology:
 # ---------------------------------------------------------------------------
 # JSON round-trip
 
-def save_topology(topology: HandTopology, path: str) -> None:
-    doc = {
+def topology_doc(topology: HandTopology) -> dict:
+    """The graph as a JSON document: its nodes with their placement, and its edges."""
+    return {
         "nodes": [{"id": nd.id, "segment": nd.segment, "finger": nd.finger,
                    "row": nd.row, "col": nd.col} for nd in topology.nodes],
         "edges": [[i, j] for i, j in topology.edges],
     }
-    write_json(path, doc)
+
+
+def save_topology(topology: HandTopology, path: str) -> None:
+    write_json(path, topology_doc(topology))
 
 
 def _require_int(value, what: str) -> int:
@@ -182,17 +172,13 @@ def _require_int(value, what: str) -> int:
     return value
 
 
-def load_topology(path: str) -> HandTopology:
-    with open(path) as f:
-        try:
-            doc = json.load(f)
-        except json.JSONDecodeError as e:
-            raise ValueError(f"{path} is not valid JSON: {e}") from e
+def topology_from_doc(doc, where: str) -> HandTopology:
+    """The graph a `topology_doc` describes; ValueError, naming `where` for its outer shape."""
     if not isinstance(doc, dict) or "nodes" not in doc or "edges" not in doc:
-        raise ValueError(f"{path} must be an object with 'nodes' and 'edges'")
+        raise ValueError(f"{where} must be an object with 'nodes' and 'edges'")
     for key in ("nodes", "edges"):
         if not isinstance(doc[key], list):
-            raise ValueError(f"{path}: {key!r} must be a list, got {json.dumps(doc[key])}")
+            raise ValueError(f"{where}: {key!r} must be a list, got {json.dumps(doc[key])}")
     nodes = []
     for pos, entry in enumerate(doc["nodes"]):
         if not isinstance(entry, dict):
@@ -215,3 +201,12 @@ def load_topology(path: str) -> HandTopology:
         edges.append((_require_int(entry[0], f"edge {pos} endpoint"),
                       _require_int(entry[1], f"edge {pos} endpoint")))
     return HandTopology(nodes, edges)
+
+
+def load_topology(path: str) -> HandTopology:
+    with open(path) as f:
+        try:
+            doc = json.load(f)
+        except json.JSONDecodeError as e:
+            raise ValueError(f"{path} is not valid JSON: {e}") from e
+    return topology_from_doc(doc, path)

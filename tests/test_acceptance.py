@@ -18,7 +18,7 @@ import tgl
 from tgl import analysis, plant, training
 from tgl.cli import main as cli_main
 from tgl.dataset import Dataset, encode_labels, preprocess, split
-from tgl.models import (AUX_DIM, ModelSpec, build_from_spec, forward, forward_batch,
+from tgl.models import (AUX_DIM, ModelSpec, build_from_spec, forward_batch,
                         load_checkpoint, model_spec, save_checkpoint)
 from tgl.optim import AdamConfig
 from tgl.rollout import Disturbance, RolloutConfig, rollout
@@ -128,8 +128,9 @@ def test_criterion_03_architecture_table_conformance(default_topo):
     params = build_from_spec(model_spec("IV"), default_topo, seed=0)
     assert params.parameter_count() == 12_104_016
     assert params.fc_weights[-1].value.shape[1] == 16
-    out = forward(params, np.zeros((default_topo.n, 3)), np.zeros(16),
-                  np.zeros(6))
+    with no_grad():   # all-zero labels are no valid label vector, so forward would refuse them
+        out = forward_batch(params, np.zeros((1, default_topo.n, 3)),
+                            np.zeros((1, AUX_DIM))).data[0]
     assert out.shape == (16,)
     assert np.all(out == 0.0)
     _note("criterion 3: four model rows conform; full MLP build has "

@@ -5,16 +5,18 @@ import argparse
 import json
 import os
 import re
+import shlex
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from tgl.cli import _resolve, main
+from tgl.cli import _resolve, build_parser, main
 from tgl.dataset import read_trial_csv, write_trial_csv
 from tgl.models import load_checkpoint
 from tgl.plant import generate_dataset_trials, object_catalog, trial_name
-from tgl.topology import build_small_hand, load_topology
+from tgl.topology import HandTopology, build_small_hand, load_topology, save_topology
 
 GEN = ["gen-data", "--topology", "small", "--objects", "2", "--trials-per", "2",
        "--seed", "5", "--length", "700"]
@@ -113,8 +115,7 @@ def test_gen_data_validation_exit_1(pipeline, tmp_path, capsys):
     assert main(["gen-data", "--out", str(tmp_path), "--objects", "9"]) == 1
     # each names what is wrong and leaves no directory behind
     _, _, run = pipeline
-    rollout = ["rollout", "--ckpt", str(run / "final.ckpt.json"), "--topology", "small",
-               "--object", "light,hard,nonslip"]
+    rollout = ["rollout", "--ckpt", str(run / "final.ckpt.json"), "--object", "light,hard,nonslip"]
     (tmp_path / "noise.json").write_text(json.dumps({"noise": -0.5}))
     gen = ["gen-data", "--topology", "small"]
     for i, (argv, named) in enumerate((
@@ -189,8 +190,7 @@ def test_flags_are_checked_before_any_data_is_read(tmp_path, capsys, argv, named
     data.mkdir()
     (data / "bad.csv").write_text("not,a,trial\n")
     capsys.readouterr()
-    assert main(argv + ["--topology", "small", "--data", str(data),
-                        "--out", str(tmp_path / "out")]) == 1
+    assert main(argv + ["--data", str(data), "--out", str(tmp_path / "out")]) == 1
     assert named in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
@@ -276,7 +276,7 @@ def test_eval_writes_json(pipeline, tmp_path):
     _, data, run = pipeline
     out = tmp_path / "eval"
     assert main(["eval", "--ckpt", str(run / "final.ckpt.json"), "--data", str(data),
-                 "--topology", "small", "--out", str(out)]) == 0
+                 "--out", str(out)]) == 0
     doc = json.loads((out / "eval.json").read_text())
     assert doc["split"] == "val"
     assert doc["pairs"] == 320
@@ -286,7 +286,7 @@ def test_eval_writes_json(pipeline, tmp_path):
 def test_eval_splits_by_the_train_seed(pipeline, tmp_path, capsys):
     """The validation side is the one training held out, so eval reports training's best val."""
     _, data, run = pipeline
-    base = ["eval", "--data", str(data), "--topology", "small"]
+    base = ["eval", "--data", str(data)]
     assert main(base + ["--ckpt", str(run / "best.ckpt.json"), "--out", str(tmp_path / "e")]) == 0
     assert json.loads((tmp_path / "e" / "manifest.json").read_text())["config"]["seed"] == 3
     best_val = min(json.loads(line)["val_loss"]
@@ -304,7 +304,7 @@ def test_eval_splits_by_the_train_seed(pipeline, tmp_path, capsys):
     bad_data.mkdir()
     (bad_data / "bad.csv").write_text("not,a,trial\n")
     capsys.readouterr()
-    assert main(["eval", "--data", str(bad_data), "--topology", "small", "--ckpt", str(ckpt),
+    assert main(["eval", "--data", str(bad_data), "--ckpt", str(ckpt),
                  "--out", str(tmp_path / "x")]) == 1
     assert f"{ckpt}: extra has no integer 'train_seed'" in capsys.readouterr().err
     assert not (tmp_path / "x").exists()
@@ -330,12 +330,64 @@ def test_resume_refuses_another_seed(pipeline, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_checkpoint_carries_its_graph(pipeline, tmp_path):
+    """A checkpoint holds the same graph document that `tgl topology` writes, and no n_nodes."""
+    _, _, run = pipeline
+    assert main(["topology", "--small", "--out", str(tmp_path)]) == 0
+    manifest = json.loads((run / "final.ckpt.json").read_text())
+    assert manifest["topology"] == json.loads((tmp_path / "small_hand_24.json").read_text())
+    assert manifest["format_version"] == 2
+    assert "n_nodes" not in manifest
+
+
+def test_read_only_commands_take_the_graph_from_the_checkpoint(pipeline, tmp_path, capsys):
+    """eval, rollout and pca run a 24-node checkpoint given --ckpt alone, and have no --topology."""
+    _, data, run = pipeline
+    ckpt = ["--ckpt", str(run / "final.ckpt.json")]
+    for i, argv in enumerate((["eval", "--data", str(data)],
+                              ["rollout", "--object", "light,hard,nonslip", "--max-steps", "5"],
+                              ["pca", "--data", str(data)])):
+        assert main(argv + ckpt + ["--out", str(tmp_path / f"ok{i}")]) == 0
+        capsys.readouterr()
+        out = tmp_path / f"flag{i}"
+        assert main(argv + ckpt + ["--topology", "small", "--out", str(out)]) == 1
+        assert "unrecognized arguments: --topology small" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_resume_refuses_another_graph(pipeline, tmp_path, capsys):
+    """A 24-node graph that lacks one edge of the small hand is another graph."""
+    _, data, run = pipeline
+    small = build_small_hand()
+    other = tmp_path / "other24.json"
+    save_topology(HandTopology(small.nodes, small.edges[1:]), str(other))
+    argv = TRAIN[:1] + ["--topology", str(other)] + TRAIN[3:]
+    out = tmp_path / "resumed"
+    capsys.readouterr()
+    assert main(argv + ["--resume", str(run / "final.ckpt.json"),
+                        "--data", str(data), "--out", str(out)]) == 1
+    assert "'topology'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_readme_commands_parse():
+    """Every `tgl` command in the README's sh blocks parses, so a removed flag fails here."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```sh\n(.*?)^```", readme, flags=re.M | re.S)
+    commands = [line for block in blocks
+                for line in block.replace("\\\n", " ").splitlines()
+                if line.startswith("tgl ")]
+    assert len(commands) == 9
+    for line in commands:
+        build_parser().parse_args(shlex.split(line, comments=True)[1:])
+
+
 def test_rollout_and_compare_forces(pipeline, tmp_path):
     _, _, run = pipeline
     ckpt = str(run / "final.ckpt.json")
     a, b, cmp_dir = (tmp_path / x for x in ("a", "b", "cmp"))
-    base = ["rollout", "--ckpt", ckpt, "--topology", "small",
-            "--object", "light,hard,nonslip", "--max-steps", "60", "--seed", "2"]
+    base = ["rollout", "--ckpt", ckpt, "--object", "light,hard,nonslip", "--max-steps", "60",
+            "--seed", "2"]
     assert main(base + ["--out", str(a)]) == 0
     assert main(base + ["--labels", "heavy,hard,slippery", "--out", str(b)]) == 0
     for d in (a, b):
@@ -353,7 +405,7 @@ def test_rollout_and_compare_forces(pipeline, tmp_path):
 def test_compare_forces_bad_traces_exit_1(pipeline, tmp_path, capsys):
     _, _, run = pipeline
     good = tmp_path / "good"
-    assert main(["rollout", "--ckpt", str(run / "final.ckpt.json"), "--topology", "small",
+    assert main(["rollout", "--ckpt", str(run / "final.ckpt.json"),
                  "--object", "light,hard,nonslip", "--max-steps", "5", "--out", str(good)]) == 0
     lines = (good / "trace.csv").read_text().splitlines()
     short = tmp_path / "short.csv"
@@ -379,8 +431,8 @@ def test_compare_forces_bad_traces_exit_1(pipeline, tmp_path, capsys):
 def test_rollout_disturb_parsing(pipeline, tmp_path):
     _, _, run = pipeline
     ckpt = str(run / "final.ckpt.json")
-    base = ["rollout", "--ckpt", ckpt, "--topology", "small",
-            "--object", "light,hard,nonslip", "--max-steps", "40", "--seed", "0"]
+    base = ["rollout", "--ckpt", ckpt, "--object", "light,hard,nonslip", "--max-steps", "40",
+            "--seed", "0"]
     assert main(base + ["--disturb", "20:pull_down:1.5", "--out", str(tmp_path / "ok")]) == 0
     assert main(base + ["--disturb", "20:pull_down", "--out", str(tmp_path / "x1")]) == 1
     assert main(base + ["--disturb", "20:shake:1.5", "--out", str(tmp_path / "x2")]) == 1
@@ -390,19 +442,17 @@ def test_rollout_disturb_parsing(pipeline, tmp_path):
 def test_rollout_object_triple_validation(pipeline, tmp_path):
     _, _, run = pipeline
     ckpt = str(run / "final.ckpt.json")
-    assert main(["rollout", "--ckpt", ckpt, "--topology", "small",
-                 "--object", "light,hard", "--max-steps", "10",
+    assert main(["rollout", "--ckpt", ckpt, "--object", "light,hard", "--max-steps", "10",
                  "--out", str(tmp_path / "x")]) == 1
-    assert main(["rollout", "--ckpt", ckpt, "--topology", "small",
-                 "--object", "light,crunchy,nonslip", "--max-steps", "10",
-                 "--out", str(tmp_path / "y")]) == 1
+    assert main(["rollout", "--ckpt", ckpt, "--object", "light,crunchy,nonslip",
+                 "--max-steps", "10", "--out", str(tmp_path / "y")]) == 1
 
 
 def test_pca_outputs(pipeline, tmp_path):
     _, data, run = pipeline
     out = tmp_path / "pca"
     assert main(["pca", "--ckpt", str(run / "final.ckpt.json"), "--data", str(data),
-                 "--topology", "small", "--out", str(out)]) == 0
+                 "--out", str(out)]) == 0
     for name in ("node_map.csv", "node_map.svg", "cluster_report.json", "manifest.json"):
         assert (out / name).exists()
     doc = json.loads((out / "cluster_report.json").read_text())
@@ -416,12 +466,11 @@ def test_pca_rejects_mlp_checkpoint(pipeline, tmp_path):
                  "--lr", "1e-3", "--seed", "0", "--data", str(data),
                  "--out", str(run)]) == 0
     assert main(["pca", "--ckpt", str(run / "final.ckpt.json"), "--data", str(data),
-                 "--topology", "small", "--out", str(tmp_path / "pca")]) == 1
+                 "--out", str(tmp_path / "pca")]) == 1
 
 
 def test_missing_checkpoint_exit_1(tmp_path):
-    assert main(["eval", "--ckpt", str(tmp_path / "nope.ckpt.json"),
-                 "--data", str(tmp_path), "--topology", "small",
+    assert main(["eval", "--ckpt", str(tmp_path / "nope.ckpt.json"), "--data", str(tmp_path),
                  "--out", str(tmp_path / "out")]) == 1
 
 
@@ -438,7 +487,8 @@ def _transpose_conv0(manifest):
 # (manifest edit, the field the error names)
 MALFORMED_MANIFESTS = {
     "no-seed": (lambda m: m.pop("seed"), "seed"),
-    "no-n_nodes": (lambda m: m.pop("n_nodes"), "n_nodes"),
+    "no-topology": (lambda m: m.pop("topology"), "topology"),
+    "bool-row-topology": (lambda m: m["topology"]["nodes"][0].update(row=True), "topology"),
     "no-tensors": (lambda m: m.pop("tensors"), "tensors"),
     "swapped-offsets": (_swap_conv0_value_and_adam_m, "tensors"),
     "wrong-shape": (_transpose_conv0, "tensors"),
@@ -455,7 +505,7 @@ MALFORMED_MANIFESTS = {
     "other-horizon": (lambda m: m.update(horizon=5), "horizon"),
     "bool-format-version": (lambda m: m.update(format_version=True), "format_version"),
     "float-format-version": (lambda m: m.update(format_version=1.0), "format_version"),
-    "float-n_nodes": (lambda m: m.update(n_nodes=24.0), "n_nodes"),
+    "v1-format-version": (lambda m: m.update(format_version=1), "format_version"),
     "float-width": (lambda m: m.update(fc_sizes=[float(w) for w in m["fc_sizes"]]), "fc_sizes"),
 }
 
@@ -474,8 +524,7 @@ def test_malformed_checkpoint_exit_1(pipeline, tmp_path, capsys, case):
     for argv in (["eval", "--data", str(data)],
                  ["rollout", "--object", "light,hard,nonslip"]):
         capsys.readouterr()
-        assert main(argv + ["--ckpt", str(ckpt), "--topology", "small",
-                            "--out", str(tmp_path / argv[0])]) == 1
+        assert main(argv + ["--ckpt", str(ckpt), "--out", str(tmp_path / argv[0])]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and f"'{named}'" in err and "Traceback" not in err
 

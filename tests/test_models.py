@@ -12,7 +12,7 @@ from tgl.models import (MODEL_TABLE, OUTPUT_DIM, ModelSpec, build_from_spec, con
                         forward, forward_batch, load_checkpoint, model_spec, save_checkpoint)
 from tgl.tensor import CSR_BLOCK_SAMPLES, NonFiniteError, Tensor, backward, matmul, mse_loss, \
     no_grad
-from tgl.topology import HandTopology, SensorNode, normalize_adjacency, propagation_for
+from tgl.topology import HandTopology, SensorNode, propagation_for
 
 
 TOY = ModelSpec("GCN", (4, 5), (8,))
@@ -96,15 +96,15 @@ def test_graph_conv_two_node_by_hand():
 
 def test_conv_features_permutation_equivariant():
     rng = np.random.default_rng(5)
-    adj = np.zeros((6, 6))
-    for a, b in [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5), (1, 4)]:
-        adj[a, b] = adj[b, a] = 1.0
+    edges = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5), (1, 4)]
+    nodes = [SensorNode(i, "palm", "palm", 0, i) for i in range(6)]
     perm = rng.permutation(6)
-    pmat = np.eye(6)[perm]
     w = Tensor(rng.normal(size=(3, 4)))
     h = rng.normal(size=(6, 3))
-    s = Tensor(normalize_adjacency(adj))
-    s_perm = Tensor(normalize_adjacency(pmat @ adj @ pmat.T))
+    # node i of the permuted graph is node perm[i] of the original
+    where = np.argsort(perm)
+    s = Tensor(propagation_for(HandTopology(nodes, edges)))
+    s_perm = Tensor(propagation_for(HandTopology(nodes, [(where[a], where[b]) for a, b in edges])))
     from tgl.tensor import matmul, relu
     base = relu(matmul(matmul(s, Tensor(h)), w)).data
     permuted = relu(matmul(matmul(s_perm, Tensor(h[perm])), w)).data
@@ -124,7 +124,7 @@ def test_zero_input_zero_labels_gives_zero_output(tiny_topo):
     # biases start at zero, so an all-zero observation maps to all-zero joints
     for spec in (TOY, ModelSpec("MLP", (), (9, 5))):
         m = build_from_spec(spec, tiny_topo, seed=2)
-        out = forward(m, np.zeros((6, 3)), np.zeros(16), np.zeros(6))
+        out = forward_batch(m, np.zeros((1, 6, 3)), np.zeros((1, 22))).data[0]
         assert out.shape == (16,)
         np.testing.assert_array_equal(out, np.zeros(16))
 
@@ -137,6 +137,8 @@ def test_forward_validation(tiny_topo):
         forward(m, np.zeros((6, 3)), np.zeros(15), np.zeros(6))
     with pytest.raises(ValueError):
         forward(m, np.zeros((6, 3)), np.zeros(16), np.full(6, 0.5))
+    with pytest.raises(ValueError, match="exactly one bit set"):
+        forward(m, np.zeros((6, 3)), np.zeros(16), np.ones(6))
 
 
 def test_conv_features_rejects_mlp(tiny_topo):
@@ -272,8 +274,22 @@ def test_checkpoint_topology_mismatch(tmp_path, tiny_topo, small_topo):
     m = build_from_spec(TOY, tiny_topo, seed=0)
     path = tmp_path / "m.ckpt.json"
     save_checkpoint(m, str(path))
-    with pytest.raises(ValueError, match="nodes"):
+    with pytest.raises(ValueError, match="'topology'"):
         load_checkpoint(str(path), small_topo)
+
+
+def test_checkpoint_graph_is_the_one_it_was_trained_on(tmp_path, small_topo):
+    m = build_from_spec(TOY, small_topo, seed=0)
+    path = tmp_path / "m.ckpt.json"
+    save_checkpoint(m, str(path))
+    # without a graph, the manifest's is rebuilt; a graph given is used as it is
+    alone, _ = load_checkpoint(str(path))
+    assert (alone.topology.nodes, alone.topology.edges) == (small_topo.nodes, small_topo.edges)
+    assert load_checkpoint(str(path), small_topo)[0].topology is small_topo
+    # the same 24 nodes, less the first edge, are another graph
+    other = HandTopology(small_topo.nodes, small_topo.edges[1:])
+    with pytest.raises(ValueError, match="'topology'"):
+        load_checkpoint(str(path), other)
 
 
 def test_build_model_on_small_hand(small_topo):

@@ -65,14 +65,14 @@ def test_judge_uses_strict_inequalities(trained):
     _, plant, _ = trained
     at_boundary = PlantState(joints=np.zeros(16), object_height=GRASP_SPAN - SUCCESS_DISTANCE,
                              object_tilt=0.0, contact_map=np.zeros(plant.n_nodes))
-    assert not judge_success(at_boundary, plant).success
+    assert not judge_success(at_boundary).success
     tilted = PlantState(joints=np.zeros(16), object_height=GRASP_SPAN,
                         object_tilt=SUCCESS_ANGLE, contact_map=np.zeros(plant.n_nodes))
-    assert not judge_success(tilted, plant).success
+    assert not judge_success(tilted).success
     inside = PlantState(joints=np.zeros(16), object_height=GRASP_SPAN - SUCCESS_DISTANCE + 0.01,
                         object_tilt=SUCCESS_ANGLE - 0.01,
                         contact_map=np.zeros(plant.n_nodes))
-    assert judge_success(inside, plant).success
+    assert judge_success(inside).success
 
 
 def test_disturbance_dips_then_recovers(trained):

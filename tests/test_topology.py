@@ -10,8 +10,7 @@ import numpy as np
 import pytest
 
 import tgl
-from tgl.topology import (HandTopology, SensorNode, load_topology, normalize_adjacency,
-                          propagation_for, save_topology)
+from tgl.topology import HandTopology, SensorNode, load_topology, propagation_for, save_topology
 
 from conftest import build_tiny_topology
 
@@ -84,27 +83,10 @@ def test_propagation_symmetric_and_contractive(default_topo):
 
 
 def test_isolated_node_keeps_self_loop_weight_one():
-    adj = np.zeros((3, 3))
-    adj[0, 1] = adj[1, 0] = 1.0
-    s = normalize_adjacency(adj)
+    nodes = [SensorNode(i, "palm", "palm", 0, i) for i in range(3)]
+    s = propagation_for(HandTopology(nodes, [(0, 1)]))
     assert s[2, 2] == 1.0
     assert s[2, 0] == 0.0
-
-
-def test_normalize_adjacency_validation():
-    with pytest.raises(ValueError):
-        normalize_adjacency(np.ones((2, 3)))
-    asym = np.zeros((2, 2))
-    asym[0, 1] = 1.0
-    with pytest.raises(ValueError):
-        normalize_adjacency(asym)
-    loop = np.eye(2)
-    with pytest.raises(ValueError):
-        normalize_adjacency(loop)
-    weighted = np.zeros((2, 2))
-    weighted[0, 1] = weighted[1, 0] = 0.5
-    with pytest.raises(ValueError):
-        normalize_adjacency(weighted)
 
 
 def test_topology_validation_errors():
