@@ -175,6 +175,13 @@ def cmd_gen_data(args) -> int:
     if length < plant.MIN_TRIAL_LENGTH:
         raise CliError(f"--length must be >= {plant.MIN_TRIAL_LENGTH}, got {length}")
     topo = _load_topology(topo_spec)
+    # generate_trial holds four [length, nodes, 3] float64 arrays at once: the
+    # readings, the noise, the noise masked by contact and their sum
+    need = 4 * length * topo.n * 3 * 8
+    memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if need > memory:
+        raise CliError(f"--length {length} needs about {need / 2**30:,.0f} GiB for one trial, "
+                       f"more than this machine's {memory / 2**30:,.1f} GiB of memory")
     pcfg = plant.PlantConfig(sensor_noise=noise)
     catalog = plant.object_catalog()
     if not (1 <= n_objects <= len(catalog)):

@@ -289,6 +289,8 @@ def read_csv(path: str, extra: tuple[str, ...] = ()) -> tuple[int, np.ndarray, n
             ts.append(int(line[:line.index(",")]))
         except ValueError as e:
             fail(row, e)
+        if not -2**63 <= ts[-1] < 2**63:
+            fail(row, f"t {ts[-1]} does not fit in 64 bits")
         if row and ts[-1] <= ts[-2]:
             fail(row, f"t must strictly increase, got {ts[-2]} then {ts[-1]}")
     if not rows:

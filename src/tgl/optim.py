@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import NonFiniteError, Tensor
+from .tensor import PIECES, NonFiniteError, Tensor, _all_finite, _in_pieces, _splits
 
 # Elements per block of the Adam update: value, gradient, both moments and the
 # two scratch buffers then take 768 KiB, inside a core's L2 cache.  On 2.6 M
@@ -75,17 +75,24 @@ def adam_step(params: list[Parameter], cfg: AdamConfig) -> None:
             raise ValueError(f"{label} has no gradient; run backward before adam_step")
         if g.shape != p.value.shape:
             raise ValueError(f"{label} gradient shape {g.shape} != value shape {p.value.shape}")
-        if not np.isfinite(g).all():
+        if not _all_finite(g):
             raise NonFiniteError(f"non-finite gradient in {label}; step aborted")
 
-    a, b = np.empty(ADAM_BLOCK), np.empty(ADAM_BLOCK)
+    scratch = np.empty((PIECES, 2, ADAM_BLOCK))   # each piece's own two buffers
     for i, p in enumerate(params):
         t = p.step_count + 1
-        _adam_update(p.value.data.reshape(-1), p.value.grad.reshape(-1), p.adam_m.reshape(-1),
-                     p.adam_v.reshape(-1), cfg, t, a, b)
+        x, g, m, v = (arr.reshape(-1) for arr in (p.value.data, p.value.grad, p.adam_m, p.adam_v))
+
+        def update(k, lo, hi):
+            _adam_update(x[lo:hi], g[lo:hi], m[lo:hi], v[lo:hi], cfg, t, *scratch[k])
+
+        if _splits(x.size):   # in pieces of whole blocks
+            _in_pieces(x.size, update, ADAM_BLOCK)
+        else:
+            update(0, 0, x.size)
         p.step_count = t
         p.value.grad = None
-        if not np.isfinite(p.value.data).all():
+        if not _all_finite(p.value.data):
             raise NonFiniteError(f"non-finite value in parameter {i} after Adam step {t}")
 
 

@@ -9,13 +9,24 @@ applied by `matmul(S, H)` through its own op: a sparse S multiplies as a
 block-diagonal `scipy.sparse` CSR matrix over a block of samples, a dense
 S with BLAS.
 
+Large products, ReLU and finite checks run in PIECES fixed pieces, the
+caller taking the first and one worker thread the rest (`_in_pieces`).
+Each piece computes what the whole op computes for its part of the output,
+so the bits do not depend on whether, or on how many cores, run the pieces.
+
 Importing this module sets glibc's heap policy for the process
-(`_keep_freed_blocks_mapped`), so each step reuses the memory the last one freed.
+(`_keep_freed_blocks_mapped`), so each step reuses the memory the last one
+freed, and runs numpy's OpenBLAS on one thread (`_one_blas_thread`).
 """
 from __future__ import annotations
 
+import contextvars
 import ctypes
+import glob
+import os
 import platform
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 
 import numpy as np
@@ -48,6 +59,26 @@ def _keep_freed_blocks_mapped() -> None:
 _keep_freed_blocks_mapped()
 
 
+def _one_blas_thread() -> None:
+    """Run the OpenBLAS bundled with numpy on one thread; does nothing without it.
+
+    With more, OpenBLAS splits a product by the thread count it finds, so the
+    bits of a result would depend on the machine and OPENBLAS_NUM_THREADS.
+    """
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas64_*.so"))):
+        try:
+            setter = ctypes.CDLL(path).scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        setter.argtypes = (ctypes.c_int,)
+        setter.restype = None
+        setter(1)
+
+
+_one_blas_thread()
+
+
 # Nonzero fraction above which a SymmetricOperator multiplies with BLAS.  Set
 # from the crossover of the CSR product and BLAS, S @ H summed over C = 3, 14
 # and 28, batch 100, one BLAS thread, on a 2-core Xeon VM.  Ring lattices and
@@ -63,9 +94,148 @@ SPARSE_MAX_DENSITY = 0.08
 # parameter bytes, past the 3.25x that tests/test_models.py allows.
 CSR_BLOCK_SAMPLES = 32
 
+# Work split into pieces always uses this many, whatever the core count, so
+# the cut points and with them the bits are the same on every machine.
+PIECES = 2
+# Elements of the largest array an op reads (a product's larger operand)
+# above which it runs in pieces.  Split against whole, medians of 60
+# interleaved calls, one BLAS thread, 2-core Xeon VM while two threads ran a
+# 1000^2 DGEMM 1.8x as fast as one: products [100, k]·[k, 120] and
+# [100, n, 28]·[28, 56] ran 0.75-0.85x at 2^15 elements, 1.26-1.34x at 2^18
+# and 1.6x at 2^20; ReLU and the finite check ran 0.71-0.74x at 2^18,
+# 0.94-1.07x at 2^19 and 1.2-1.37x at 2^20.  The toy GCN has no array between
+# 2^17.4 (the 24-node hand's first fc weight) and 2^19 (the 384-node hand's
+# first conv output), so nothing of it splits on the 24-node hand.
+SPLIT_MIN_ELEMENTS = 2**18
+# A 2-D product cuts its output columns at a multiple of this many.  Cut
+# there, each column comes out of the same OpenBLAS kernel as in the whole
+# product (one BLAS thread, 2-core Xeon VM): batch 100 x 1,174 by 1,174 x
+# 1,500 matched the whole product bit for bit cut at 64 or 768 columns but
+# not at 750, and the 384-node toy GCN's input gradient, 100 x 120 by 120 x
+# 21,526, matched cut at 10,752 columns at every batch from 1 to 100 but not
+# at 10,763.  Cut into rows at 64, 512, 1,024, 1,472 or 2,048, a weight
+# gradient 3,000 x 100 by 100 x 1,500 lost the whole product's bits.
+SPLIT_ALIGN = 64
+
 
 class NonFiniteError(ArithmeticError):
     """NaN or Inf showed up where the numeric contracts forbid it."""
+
+
+_pool: ThreadPoolExecutor | None = None
+_pool_lock = threading.Lock()
+
+
+def _worker() -> ThreadPoolExecutor:
+    """The one worker thread that runs pieces beside the caller, started on first use."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="tgl-piece")
+        return _pool
+
+
+def _forget_worker() -> None:
+    """A forked child has no worker thread; it starts its own on first use."""
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_worker)
+
+
+def _splits(size: int) -> bool:
+    """Whether an op whose largest input holds `size` elements runs in pieces."""
+    return size > SPLIT_MIN_ELEMENTS
+
+
+def _in_pieces(n: int, run, multiple: int = 1) -> list:
+    """[run(k, lo, hi)] for the pieces k of range(n), cut at multiples of `multiple`.
+
+    The cuts depend on n, `multiple` and PIECES alone; an empty piece is
+    dropped.  The caller runs piece 0 while the worker works through the
+    rest from the front; then the caller takes back from the back every
+    piece the worker has not started, so a busy worker costs little more
+    than the unsplit op.  `run` may call only numpy, and must write only its
+    own part of an output the caller allocated.  No piece runs on once the
+    call returns or raises.
+    """
+    cuts = [min(n, multiple * round(k * n / (PIECES * multiple))) for k in range(PIECES)] + [n]
+    spans = [(k, lo, hi) for k, (lo, hi) in enumerate(zip(cuts, cuts[1:])) if lo < hi]
+    if len(spans) < 2:
+        return [run(0, 0, n)]
+    context = contextvars.copy_context()   # the caller's np.errstate holds in the worker too
+    futures = [_worker().submit(context.run, run, *span) for span in spans[1:]]
+    try:
+        results = [run(*spans[0])] + [None] * len(futures)
+        for i in reversed(range(len(futures))):
+            if futures[i].cancel():
+                results[i + 1] = run(*spans[i + 1])
+        for i, fut in enumerate(futures):
+            if not fut.cancelled():
+                results[i + 1] = fut.result()
+    finally:
+        for fut in futures:
+            if not fut.cancel():
+                fut.exception()   # waits for a piece still running
+    return results
+
+
+def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b, in pieces along an output axis the product does not sum over when it is large.
+
+    A stacked product splits by sample; numpy multiplies each sample on its
+    own either way.  A 2-D product splits its output columns at a multiple of
+    SPLIT_ALIGN, unless it has one row or column: numpy then makes a
+    matrix-vector product, which streams the matrix from memory once, no
+    faster in two pieces than in one.
+    """
+    if not _splits(max(a.size, b.size)):
+        return a @ b
+    if a.ndim == 2 and b.ndim == 2:
+        if a.shape[0] == 1 or b.shape[1] == 1:
+            return a @ b
+        out = np.empty((a.shape[0], b.shape[1]), np.result_type(a, b))
+
+        def columns(_, lo, hi):
+            np.matmul(a, b[:, lo:hi], out=out[:, lo:hi])
+
+        _in_pieces(b.shape[1], columns, SPLIT_ALIGN)
+        return out
+    lead = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
+    out = np.empty((*lead, a.shape[-2], b.shape[-1]), np.result_type(a, b))
+    # an operand with the output's leading axis is cut along it; one broadcast over it is not
+    cut_a = a.ndim == out.ndim and a.shape[0] == out.shape[0]
+    cut_b = b.ndim == out.ndim and b.shape[0] == out.shape[0]
+
+    def samples(_, lo, hi):
+        np.matmul(a[lo:hi] if cut_a else a, b[lo:hi] if cut_b else b, out=out[lo:hi])
+
+    _in_pieces(len(out), samples)
+    return out
+
+
+def _elementwise(ufunc, x: np.ndarray, y, dtype=np.float64) -> np.ndarray:
+    """ufunc(x, y), y a scalar or an array of x's shape; a large x runs in pieces along axis 0."""
+    if not _splits(x.size):
+        return ufunc(x, y)
+    out = np.empty(x.shape, dtype)
+    whole = np.ndim(y) == 0
+
+    def rows(_, lo, hi):
+        ufunc(x[lo:hi], y if whole else y[lo:hi], out=out[lo:hi])
+
+    _in_pieces(len(x), rows)
+    return out
+
+
+def _all_finite(arr: np.ndarray) -> bool:
+    """No NaN or Inf in arr; a large arr is scanned in pieces along axis 0."""
+    if not _splits(arr.size):
+        return bool(np.isfinite(arr).all())
+    ok = np.empty(arr.shape, bool)
+    return all(_in_pieces(len(arr), lambda _, lo, hi: np.isfinite(arr[lo:hi], out=ok[lo:hi]).all()))
 
 
 _grad_enabled = True
@@ -84,7 +254,7 @@ def no_grad():
 
 
 def _check_finite(arr: np.ndarray, what: str) -> None:
-    if not np.isfinite(arr).all():
+    if not _all_finite(arr):
         raise NonFiniteError(f"non-finite values in {what}")
 
 
@@ -220,7 +390,7 @@ class SymmetricOperator:
     def apply(self, h: np.ndarray, transpose: bool = False) -> np.ndarray:
         """S @ h (S.T @ h with transpose, the same product for sparse S)."""
         if self.block is None:
-            return (self.dense.swapaxes(-1, -2) if transpose else self.dense) @ h
+            return _product(self.dense.swapaxes(-1, -2) if transpose else self.dense, h)
         n, c = h.shape[-2], h.shape[-1]
         flat = np.ascontiguousarray(h).reshape(-1, n, c)
         out = np.empty_like(flat)
@@ -252,11 +422,11 @@ def matmul(a, b) -> Tensor:
     ad, bd = a.data, b.data
 
     def back(g):
-        ga = _unbroadcast(g @ bd.swapaxes(-1, -2), a.shape) if a.requires_grad else None
-        gb = _unbroadcast(ad.swapaxes(-1, -2) @ g, b.shape) if b.requires_grad else None
+        ga = _unbroadcast(_product(g, bd.swapaxes(-1, -2)), a.shape) if a.requires_grad else None
+        gb = _unbroadcast(_product(ad.swapaxes(-1, -2), g), b.shape) if b.requires_grad else None
         return ga, gb
 
-    return Tensor._from_op(ad @ bd, (a, b), back)
+    return Tensor._from_op(_product(ad, bd), (a, b), back)
 
 
 def add(a, b) -> Tensor:
@@ -273,13 +443,14 @@ def add(a, b) -> Tensor:
 def relu(x) -> Tensor:
     x = as_tensor(x)
     # gradient is exactly 0 at the kink; only a recorded op's backward reads the mask
-    mask = x.data > 0 if _grad_enabled and x.requires_grad else None
+    mask = _elementwise(np.greater, x.data, 0, bool) if _grad_enabled and x.requires_grad \
+        else None
 
     def back(g):
-        return (g * mask,) if x.requires_grad else (None,)
+        return (_elementwise(np.multiply, g, mask),) if x.requires_grad else (None,)
 
     # maximum(x, 0.0) returns +0.0 for -0.0, matching where(mask, x, 0.0) bit for bit
-    return Tensor._from_op(np.maximum(x.data, 0.0), (x,), back, known_finite=True)
+    return Tensor._from_op(_elementwise(np.maximum, x.data, 0.0), (x,), back, known_finite=True)
 
 
 def reshape(x, shape) -> Tensor:

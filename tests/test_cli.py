@@ -2,16 +2,20 @@
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import re
 import shlex
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tgl
 from tgl.cli import _resolve, build_parser, main
 from tgl.dataset import read_trial_csv, write_trial_csv
 from tgl.models import load_checkpoint
@@ -136,6 +140,16 @@ def test_gen_data_validation_exit_1(pipeline, tmp_path, capsys):
         assert not out.exists()
 
 
+def test_gen_data_refuses_a_length_no_memory_holds(tmp_path, capsys):
+    """One trial of 10^11 steps would need hundreds of GiB: exit 1 before --out exists."""
+    out = tmp_path / "data"
+    argv = ["gen-data", "--topology", "small", "--length", str(10**11), "--out", str(out)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: --length 100000000000 needs about ") and "GiB" in err
+    assert not out.exists()
+
+
 def test_gen_data_refuses_a_directory_holding_other_trials(tmp_path, capsys):
     out = tmp_path / "data"
     first = ["gen-data", "--topology", "small", "--objects", "2", "--trials-per", "2",
@@ -193,6 +207,22 @@ def test_flags_are_checked_before_any_data_is_read(tmp_path, capsys, argv, named
     assert main(argv + ["--data", str(data), "--out", str(tmp_path / "out")]) == 1
     assert named in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_train_names_a_t_beyond_64_bits(pipeline, tmp_path, capsys):
+    _, data, _ = pipeline
+    bad = tmp_path / "data"
+    shutil.copytree(data, bad)
+    path = sorted(bad.glob("*.csv"))[0]
+    lines = path.read_text().splitlines(keepends=True)
+    big = "99999999999999999999999"
+    lines[-1] = big + lines[-1][lines[-1].index(","):]
+    path.write_text("".join(lines))
+    capsys.readouterr()
+    assert main(TRAIN + ["--data", str(bad), "--out", str(tmp_path / "run")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert f"{path}:{len(lines)}: t {big} does not fit in 64 bits" in err
 
 
 def test_train_missing_data_exit_1(tmp_path):
@@ -533,3 +563,59 @@ def test_unknown_flag_exit_1(tmp_path):
     assert main(["topology", "--tiny", "--out", str(tmp_path)]) == 1
     assert main(["topology", "--default", "--out", str(tmp_path)]) == 1
     assert main(["no-such-command"]) == 1
+
+
+# A 24-node chain (gen-data, train, resume, eval, rollout, pca) and a one-epoch
+# 384-node toy GCN train, run through the CLI in the current directory.
+_THREAD_COUNT_RUN = """
+import sys
+from tgl.cli import main
+
+def run(*argv):
+    if main(list(argv)) != 0:
+        sys.exit(f"failed: {argv}")
+
+small = ["--topology", "small", "--target-length", "100"]
+run("gen-data", "--topology", "small", "--objects", "2", "--trials-per", "2", "--seed", "5",
+    "--length", "200", "--out", "data24")
+train = ["train", *small, "--conv", "5,9", "--fc", "30", "--lr", "1e-3", "--seed", "3",
+         "--data", "data24", "--out", "run24"]
+run(*train, "--epochs", "2", "--checkpoint-every", "1")
+run(*train, "--epochs", "1", "--resume", "run24/final.ckpt.json")
+run("eval", "--ckpt", "run24/final.ckpt.json", "--data", "data24", "--target-length", "100",
+    "--out", "eval24")
+run("rollout", "--ckpt", "run24/final.ckpt.json", "--object", "heavy,soft,slippery",
+    "--max-steps", "40", "--out", "rollout24")
+run("pca", "--ckpt", "run24/final.ckpt.json", "--data", "data24", "--target-length", "100",
+    "--out", "pca24")
+run("gen-data", "--objects", "1", "--trials-per", "2", "--seed", "5", "--length", "120",
+    "--out", "data384")
+run("train", "--conv", "14,28,56", "--fc", "120,50", "--epochs", "1", "--lr", "1e-3",
+    "--target-length", "100", "--data", "data384", "--out", "run384")
+"""
+
+
+def test_artifacts_do_not_depend_on_the_blas_thread_count(tmp_path):
+    """The same CLI runs under OPENBLAS_NUM_THREADS=1, =2 and unset write the same bytes.
+
+    Each runs in the same directory, so the absolute paths in the manifests agree;
+    metrics.ndjson holds wall times and is left out.
+    """
+    src = os.path.dirname(os.path.dirname(tgl.__file__))
+    work = tmp_path / "work"
+    hashes = {}
+    for threads in ("1", "2", None):
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        env["PYTHONPATH"] = src
+        if threads is not None:
+            env["OPENBLAS_NUM_THREADS"] = threads
+        work.mkdir()
+        subprocess.run([sys.executable, "-c", _THREAD_COUNT_RUN], cwd=work, env=env,
+                       check=True, timeout=120)
+        hashes[threads] = {str(p.relative_to(work)): hashlib.sha256(p.read_bytes()).hexdigest()
+                           for p in sorted(work.rglob("*"))
+                           if p.is_file() and p.name != "metrics.ndjson"}
+        shutil.rmtree(work)
+    assert len(hashes["1"]) > 30 and "run384/final.ckpt.bin" in hashes["1"]
+    assert hashes["2"] == hashes["1"]
+    assert hashes[None] == hashes["1"]

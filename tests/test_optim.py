@@ -1,13 +1,15 @@
 """Adam optimizer: update arithmetic, convergence, gradient validation."""
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
 import tgl
 from tgl.optim import ADAM_BLOCK, BETA1, BETA2, EPSILON, AdamConfig, Parameter, adam_step, \
     glorot_uniform
-from tgl.tensor import NonFiniteError, Tensor, backward, mse_loss
+from tgl.tensor import NonFiniteError, Tensor, _splits, backward, mse_loss
 
 
 def _param(value, name: str) -> Parameter:
@@ -53,7 +55,9 @@ def test_many_steps_match_reference_implementation():
         np.testing.assert_allclose(p.value.data, ref_w, rtol=0, atol=1e-12)
 
 
-@pytest.mark.parametrize("shape", [(1,), (ADAM_BLOCK - 1,), (ADAM_BLOCK + 1,), (130, 257)])
+# (21526, 120) is the 384-node toy GCN's first fc weight, which adam_step updates in pieces
+@pytest.mark.parametrize("shape", [(1,), (ADAM_BLOCK - 1,), (ADAM_BLOCK + 1,), (130, 257),
+                                   (21526, 120)])
 def test_blocked_step_is_bitwise_textbook_adam(shape):
     cfg = AdamConfig(learning_rate=3e-3)
     rng = np.random.default_rng(shape[0])
@@ -107,6 +111,18 @@ def test_non_finite_gradient_aborts_whole_step():
         adam_step([a, b], cfg)
     assert a.value.data.tolist() == [1.0]
     assert b.value.data.tolist() == [2.0]
+
+
+def test_non_finite_gradient_in_the_last_piece_aborts_whole_step():
+    cfg = AdamConfig()
+    shape = (21526, 120)
+    assert _splits(math.prod(shape))
+    a = _param(np.ones(shape), "a")
+    a.value.grad = np.ones(shape)
+    a.value.grad[-1, -1] = np.nan
+    with pytest.raises(NonFiniteError):
+        adam_step([a], cfg)
+    assert (a.value.data == 1.0).all() and a.step_count == 0
 
 
 def test_shape_mismatch_rejected():

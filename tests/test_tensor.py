@@ -5,11 +5,14 @@ import os
 import platform
 import subprocess
 import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
+import tgl
 from tgl import tensor as T
 from tgl.tensor import NonFiniteError, SymmetricOperator, Tensor, backward
 
@@ -252,3 +255,151 @@ def test_freed_blocks_stay_mapped_for_the_next_round():
     done = subprocess.run([sys.executable, "-c", _HEAP_ROUNDS], env=env, capture_output=True,
                           text=True, timeout=120, check=True)
     assert int(done.stdout) < 1000     # about 20,700 under glibc's default policy
+
+
+# ---------------------------------------------------------------------------
+# work in pieces: each split op gives the bits of its plain numpy form
+
+TOY_CONV = (3, 14, 28, 56)   # the toy GCN's conv widths, input channels first
+TOY_FC = 120                 # and its first fc layer's width
+
+
+def _toy_gcn_products(nodes: int, batch: int, rng) -> dict:
+    """Every product the toy GCN makes forward and backward on a hand of `nodes` nodes."""
+    s = rng.normal(size=(nodes, nodes))
+    s = s + s.T
+    pairs = {}
+    for i, (c_in, c_out) in enumerate(zip(TOY_CONV, TOY_CONV[1:])):
+        h = rng.normal(size=(batch, nodes, c_in))
+        w = rng.normal(size=(c_in, c_out))
+        g = rng.normal(size=(batch, nodes, c_out))
+        pairs[f"conv{i} S·H"] = (s, h)
+        pairs[f"conv{i} H·W"] = (h, w)
+        pairs[f"conv{i} G·Wᵀ"] = (g, w.T)
+        pairs[f"conv{i} Hᵀ·G"] = (h.swapaxes(-1, -2), g)
+    x = rng.normal(size=(batch, nodes * TOY_CONV[-1] + 22))
+    w = rng.normal(size=(x.shape[1], TOY_FC))
+    g = rng.normal(size=(batch, TOY_FC))
+    pairs.update({"fc0 X·W": (x, w), "fc0 Xᵀ·G": (x.T, g), "fc0 G·Wᵀ": (g, w.T)})
+    return pairs
+
+
+@pytest.mark.parametrize("nodes", [24, 384])
+@pytest.mark.parametrize("batch", [100, 1])
+def test_split_products_equal_numpy_bit_for_bit(monkeypatch, nodes, batch):
+    """At both toy hands' shapes, every product split in pieces gives the unsplit bits."""
+    monkeypatch.setattr(T, "SPLIT_MIN_ELEMENTS", 0)   # split whatever can be split
+    for name, (a, b) in _toy_gcn_products(nodes, batch, np.random.default_rng(nodes)).items():
+        assert T._product(a, b).tobytes() == (a @ b).tobytes(), name
+
+
+@pytest.mark.parametrize("batch", [100, 60, 1])
+def test_split_mlp_products_equal_numpy_bit_for_bit(batch):
+    """Model IV's fc products that split at the default threshold keep their bits too."""
+    rng = np.random.default_rng(batch)
+    widths = (384 * 3 + 22, *tgl.MODEL_TABLE["IV"].fc_sizes[:4])
+    for fan_in, fan_out in zip(widths, widths[1:]):
+        x, g = rng.normal(size=(batch, fan_in)), rng.normal(size=(batch, fan_out))
+        w = rng.normal(size=(fan_in, fan_out))
+        for a, b in ((x, w), (x.T, g), (g, w.T)):
+            assert T._product(a, b).tobytes() == (a @ b).tobytes(), (fan_in, fan_out, a.shape)
+
+
+@pytest.mark.parametrize("shape", [(100, 384, 56), (1, 384, 56), (100, 24, 56), (100, 120)])
+def test_split_relu_equals_numpy_bit_for_bit(monkeypatch, shape):
+    monkeypatch.setattr(T, "SPLIT_MIN_ELEMENTS", 0)
+    rng = np.random.default_rng(len(shape))
+    data = rng.normal(size=shape)
+    data.flat[::3] = -0.0
+    x = Tensor(data, requires_grad=True)
+    y = T.relu(x)
+    assert y.data.tobytes() == np.maximum(data, 0.0).tobytes()
+    g = rng.normal(size=shape)
+    backward(_dot(y, g))
+    assert x.grad.tobytes() == (g * (data > 0)).tobytes()
+
+
+@pytest.mark.parametrize("where", [0, -1])
+def test_split_finite_check_sees_every_piece(monkeypatch, where):
+    monkeypatch.setattr(T, "SPLIT_MIN_ELEMENTS", 0)
+    data = np.ones((100, 7))
+    data.flat[where] = np.inf
+    with pytest.raises(NonFiniteError):
+        Tensor(data)
+    assert T._all_finite(np.ones((100, 7)))
+
+
+def test_pieces_cover_the_range_at_the_cut_multiples():
+    """The last piece ends at n even where n is no multiple; too short a range stays whole."""
+    for n, multiple, pieces in [(21526, 64, 2), (120, 64, 2), (50, 64, 1), (2_583_120, 16384, 2),
+                                (7, 1, 2), (1, 1, 1)]:
+        spans = T._in_pieces(n, lambda k, lo, hi: (lo, hi), multiple)
+        assert spans[0][0] == 0 and spans[-1][1] == n and len(spans) == pieces
+        assert all(a[1] == b[0] and a[1] % multiple == 0 for a, b in zip(spans, spans[1:]))
+
+
+def test_pieces_the_worker_never_starts_run_in_the_caller(monkeypatch):
+    """With the worker held up, the caller takes its piece back: same bits, same thread."""
+    monkeypatch.setattr(T, "SPLIT_MIN_ELEMENTS", 0)
+    pairs = _toy_gcn_products(384, 100, np.random.default_rng(5))
+    gate = threading.Event()
+    blocker = T._worker().submit(gate.wait)
+    try:
+        for name, (a, b) in pairs.items():
+            assert T._product(a, b).tobytes() == (a @ b).tobytes(), name
+        runners = T._in_pieces(10, lambda k, lo, hi: threading.current_thread().name)
+        assert runners == [threading.current_thread().name] * T.PIECES
+    finally:
+        gate.set()
+        blocker.result(timeout=60)
+
+
+def test_a_failing_piece_raises_in_the_caller():
+    def run(k, lo, hi):
+        if k == T.PIECES - 1:
+            raise ZeroDivisionError(f"piece {k}")
+        return k
+
+    with pytest.raises(ZeroDivisionError, match=f"piece {T.PIECES - 1}"):
+        T._in_pieces(10, run)
+
+
+def test_the_worker_keeps_the_callers_errstate(monkeypatch):
+    monkeypatch.setattr(T, "SPLIT_MIN_ELEMENTS", 0)
+    x = np.ones((100, 7))
+    x[-1] = np.inf
+    with np.errstate(invalid="raise"), pytest.raises(FloatingPointError):
+        T._elementwise(np.subtract, x, x)
+
+
+def test_concurrent_split_products_match_sequential_ones(monkeypatch):
+    """200 split products from four threads at once, against the same products one by one.
+
+    Both the callers and the worker call into the bundled OpenBLAS at the same time.
+    """
+    monkeypatch.setattr(T, "SPLIT_MIN_ELEMENTS", 0)
+    rng = np.random.default_rng(9)
+    shapes = [((20, 1366), (1366, 120)), ((16, 96, 28), (28, 56)), ((1366, 20), (20, 120))]
+    pairs = [tuple(rng.normal(size=s) for s in shapes[i % len(shapes)]) for i in range(200)]
+    expected = [(a @ b).tobytes() for a, b in pairs]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)   # hand the interpreter lock around as often as it goes
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            got = list(pool.map(lambda ab: T._product(*ab).tobytes(), pairs, timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == expected
+
+
+def test_blas_runs_on_one_thread_in_a_child_whatever_the_environment():
+    """Importing tgl pins numpy's OpenBLAS to one thread (when numpy bundles it)."""
+    src = os.path.dirname(os.path.dirname(T.__file__))
+    code = ("import ctypes, glob, os, numpy as np, tgl\n"
+            "libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), 'numpy.libs')\n"
+            "paths = glob.glob(os.path.join(libs, 'libscipy_openblas64_*.so'))\n"
+            "print(ctypes.CDLL(paths[0]).scipy_openblas_get_num_threads64_() if paths else 1)\n")
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="2")
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=120, check=True)
+    assert done.stdout.strip() == "1"
