@@ -49,10 +49,11 @@ def extract_node_features(params: ModelParams, topology: HandTopology,
 
     window is (start, stop), stop exclusive, indexing preprocessed trial
     frames; features concatenate along the feature axis in (trial, step,
-    channel) order.
+    channel) order.  Nodes are labelled from the model's graph, which `topology`
+    must equal.
     """
-    if topology.n != params.n_nodes:
-        raise ValueError(f"topology has {topology.n} nodes, model expects {params.n_nodes}")
+    if topology.nodes != params.topology.nodes or topology.edges != params.topology.edges:
+        raise ValueError("topology is not the model's graph: their nodes or edges differ")
     if not trials:
         raise ValueError("no trials to extract from")
     start, stop = window
@@ -70,7 +71,7 @@ def extract_node_features(params: ModelParams, topology: HandTopology,
             feats = conv_features(params, trial.tactile[start:stop]).data     # [steps, nodes, c]
             blocks.append(np.transpose(feats, (1, 0, 2)).reshape(params.n_nodes, -1))
     features = np.concatenate(blocks, axis=1)
-    labels = [(nd.finger, nd.segment) for nd in topology.nodes]
+    labels = [(nd.finger, nd.segment) for nd in params.topology.nodes]
     return NodeFeatureStack(features=features, node_labels=labels,
                             meta={"trials": len(trials), "window": [start, stop],
                                   "channels": params.spec.conv_channels[-1]})
@@ -105,25 +106,19 @@ def silhouette(points: np.ndarray, labels: list) -> float:
 
 
 def pca_node_map(stack: NodeFeatureStack) -> ClusterReport:
-    """2-component PCA over nodes-as-samples plus (finger, segment) clustering."""
-    n = stack.features.shape[0]
-    spread = np.ptp(stack.features, axis=0).max() if n else 0.0
-    if spread == 0.0:
-        # all nodes identical: nothing to map
-        coords = np.zeros((n, 2))
-        centroids = {k: np.zeros(2) for k in sorted(set(stack.node_labels))}
-        return ClusterReport(coordinates=coords, node_labels=list(stack.node_labels),
-                             centroids=centroids, silhouette=None,
-                             explained_variance=[0.0, 0.0], degenerate=True)
-    _, coords, variances = pca(stack.features, k=2)
-    centroids = {}
-    for key in sorted(set(stack.node_labels)):
-        member = [i for i, l in enumerate(stack.node_labels) if l == key]
-        centroids[key] = coords[member].mean(axis=0)
-    score = silhouette(coords, stack.node_labels) if len(set(stack.node_labels)) >= 2 else None
-    return ClusterReport(coordinates=coords, node_labels=list(stack.node_labels),
-                         centroids=centroids, silhouette=score,
-                         explained_variance=variances, degenerate=False)
+    """2-component PCA over nodes-as-samples plus (finger, segment) clustering.
+
+    Nodes that are all identical leave nothing to map: every coordinate is 0.
+    """
+    n, labels = stack.features.shape[0], list(stack.node_labels)
+    degenerate = bool((np.ptp(stack.features, axis=0).max() if n else 0.0) == 0.0)
+    coords, variances = (np.zeros((n, 2)), [0.0, 0.0]) if degenerate \
+        else pca(stack.features, k=2)[1:]
+    centroids = {key: coords[[i for i, l in enumerate(labels) if l == key]].mean(axis=0)
+                 for key in sorted(set(labels))}
+    score = None if degenerate or len(set(labels)) < 2 else silhouette(coords, labels)
+    return ClusterReport(coordinates=coords, node_labels=labels, centroids=centroids,
+                         silhouette=score, explained_variance=variances, degenerate=degenerate)
 
 
 @dataclass(frozen=True)
@@ -175,18 +170,14 @@ def write_node_map_svg(report: ClusterReport, path: str) -> None:
     hi = coords.max(axis=0)
     span = np.maximum(hi - lo, 1e-9)
     pad, plot = 40, SVG_SIZE - 80
-
-    def sx(v):
-        return pad + plot * (v - lo[0]) / span[0]
-
-    def sy(v):
-        return SVG_SIZE - pad - plot * (v - lo[1]) / span[1]
+    xs = pad + plot * (coords[:, 0] - lo[0]) / span[0]
+    ys = SVG_SIZE - pad - plot * (coords[:, 1] - lo[1]) / span[1]
 
     parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{SVG_SIZE}" height="{SVG_SIZE}" '
              f'viewBox="0 0 {SVG_SIZE} {SVG_SIZE}">',
              f'<rect width="{SVG_SIZE}" height="{SVG_SIZE}" fill="white"/>']
     for i, (finger, _) in enumerate(report.node_labels):
-        parts.append(f'<circle cx="{sx(coords[i, 0]):.2f}" cy="{sy(coords[i, 1]):.2f}" '
+        parts.append(f'<circle cx="{xs[i]:.2f}" cy="{ys[i]:.2f}" '
                      f'r="4" fill="{color[finger]}" fill-opacity="0.8"/>')
     for k, finger in enumerate(fingers):
         y = 20 + 16 * k

@@ -55,10 +55,9 @@ def _ensure_out(path: str) -> str:
 
 
 def _load_topology(spec: str) -> topo_mod.HandTopology:
-    if spec == "default":
-        return topo_mod.build_default_hand()
-    if spec == "small":
-        return topo_mod.build_small_hand()
+    builders = {"default": topo_mod.build_default_hand, "small": topo_mod.build_small_hand}
+    if spec in builders:
+        return builders[spec]()
     if not os.path.exists(spec):
         raise CliError(f"topology file not found: {spec}")
     return topo_mod.load_topology(spec)
@@ -72,23 +71,19 @@ def _parse_triple(text: str) -> tuple[bool, bool, bool]:
     table = ({"light": False, "heavy": True},
              {"hard": False, "soft": True},
              {"non-slippery": False, "nonslip": False, "non_slippery": False, "slippery": True})
-    out = []
     for part, options in zip(parts, table):
         if part not in options:
             raise CliError(f"unknown property {part!r}; expected one of {sorted(options)}")
-        out.append(options[part])
-    return tuple(out)  # type: ignore[return-value]
+    return tuple(options[part] for part, options in zip(parts, table))  # type: ignore[return-value]
 
 
 def _parse_disturbance(text: str) -> Disturbance:
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise CliError(f"--disturb must look like step:kind:magnitude, got {text!r}")
     try:
-        step, mag = int(parts[0]), float(parts[2])
+        step, kind, mag = text.split(":")
+        step, mag = int(step), float(mag)
     except ValueError:
         raise CliError(f"--disturb must look like step:kind:magnitude, got {text!r}") from None
-    return Disturbance(step=step, kind=parts[1], magnitude=mag)
+    return Disturbance(step=step, kind=kind, magnitude=mag)
 
 
 def _read_dataset(data_dir: str, target_length: int) -> dataset.Dataset:
@@ -106,7 +101,7 @@ def _settings(args: argparse.Namespace, defaults: dict) -> dict:
     """Each key of defaults, resolved from its flag, the --config file or the default.
 
     The config file may hold only these keys; it is checked before anything
-    is resolved.
+    is resolved.  A seed must be >= 0: numpy's generators take no other.
     """
     path, config = args.config, {}
     if path is not None:
@@ -122,7 +117,10 @@ def _settings(args: argparse.Namespace, defaults: dict) -> dict:
     unknown = sorted(set(config) - set(defaults))
     if unknown:
         raise CliError(f"config {path} has unknown keys {unknown}; accepted: {sorted(defaults)}")
-    return {key: _resolve(args, config, key, default) for key, default in defaults.items()}
+    settings = {key: _resolve(args, config, key, default) for key, default in defaults.items()}
+    if settings.get("seed", 0) < 0:
+        raise CliError(f"--seed must be >= 0, got {settings['seed']}")
+    return settings
 
 
 # JSON types a config value may take, by the type of the flag's default
@@ -153,10 +151,8 @@ def _resolve(args: argparse.Namespace, config: dict, key: str, default):
 
 def cmd_topology(args) -> int:
     out = _ensure_out(args.out)
-    if args.small:
-        topo, name = topo_mod.build_small_hand(), SMALL_TOPOLOGY_FILE
-    else:
-        topo, name = topo_mod.build_default_hand(), DEFAULT_TOPOLOGY_FILE
+    topo, name = (topo_mod.build_small_hand(), SMALL_TOPOLOGY_FILE) if args.small \
+        else (topo_mod.build_default_hand(), DEFAULT_TOPOLOGY_FILE)
     path = os.path.join(out, name)
     topo_mod.save_topology(topo, path)
     _write_manifest(out, "topology", {"small": bool(args.small), "nodes": topo.n,
@@ -211,31 +207,57 @@ def _spec(model: str, conv: str | None, fc: str | None) -> models.ModelSpec:
         return models.model_spec(model)
     if fc is None:
         raise CliError("--conv requires --fc")
-    fc_sizes = tuple(int(x) for x in fc.split(",") if x)
-    conv_sizes = tuple(int(x) for x in conv.split(",") if x) if conv else ()
-    kind = "GCN" if conv_sizes else "MLP"
-    return models.ModelSpec(kind=kind, conv_channels=conv_sizes, fc_sizes=fc_sizes)
+    sizes = []
+    for flag, text in (("--conv", conv or ""), ("--fc", fc)):
+        try:
+            sizes.append(tuple(int(x) for x in text.split(",") if x))
+        except ValueError:
+            raise CliError(f"{flag} must be comma-separated integers, got {text!r}") from None
+    return models.ModelSpec("GCN" if sizes[0] else "MLP", *sizes)
+
+
+def _resumed(path: str) -> tuple[models.ModelSpec, topo_mod.HandTopology, dict]:
+    """A checkpoint's model, graph and recipe by `train` setting; its blob is let go."""
+    params, extra = models.load_checkpoint(path)
+    got = training.recipe(path, extra)
+    return params.spec, params.topology, {"seed": got["train_seed"], "lr": got["lr"],
+                                          "batch-size": got["batch_size"],
+                                          "target-length": got["target_length"]}
 
 
 def cmd_train(args) -> int:
-    out = args.out   # training.train creates it once the run is set up
-    seed, epochs, batch, lr, model, target_length, topo_spec = _settings(args, {
-        "seed": 0, "epochs": 200, "batch-size": 100, "lr": 1e-5, "model": "III",
-        "target-length": dataset.DEFAULT_TARGET_LENGTH, "topology": "default"}).values()
+    defaults = {"seed": 0, "epochs": 200, "batch-size": 100, "lr": 1e-5, "model": "III",
+                "target-length": dataset.DEFAULT_TARGET_LENGTH, "topology": "default"}
+    if args.resume:   # the checkpoint's recipe is the run's; "" stands for its model and graph
+        spec, topo, recorded = _resumed(args.resume)
+        defaults |= recorded | {"model": "", "topology": ""}
+    settings = _settings(args, defaults)
+    seed, epochs, batch, lr, model, target_length, topo_spec = settings.values()
+    if not args.resume:
+        spec, topo = _spec(model, args.conv, args.fc), _load_topology(topo_spec)
+    else:   # only a flag or --config value can differ from the checkpoint
+        where = f"--resume {args.resume}: checkpoint"
+        for key, value in recorded.items():
+            if settings[key] != value:
+                raise CliError(f"{where} {key} {value} is not the run's {key} {settings[key]}")
+        if (model or args.conv or args.fc) and _spec(model, args.conv, args.fc) != spec:
+            raise CliError(f"{where} model {spec} is not the run's --model/--conv/--fc")
+        if topo_spec and topo_mod.topology_doc(_load_topology(topo_spec)) != \
+                topo_mod.topology_doc(topo):
+            raise CliError(f"{where} 'topology' is not the graph of --topology {topo_spec}")
     cfg = training.TrainConfig(batch_size=batch, epochs=epochs,
                                adam=AdamConfig(learning_rate=lr), seed=seed,
-                               checkpoint_every=args.checkpoint_every or 0,
-                               spec=_spec(model, args.conv, args.fc))
-    topo = _load_topology(topo_spec)
+                               checkpoint_every=args.checkpoint_every or 0, spec=spec)
     ds = _read_dataset(args.data, target_length)
-    report = training.train(ds, cfg, topo, out_dir=out, resume_from=args.resume)
+    # training.train creates --out once the run is set up
+    report = training.train(ds, cfg, topo, out_dir=args.out, resume_from=args.resume)
     outputs = [p for base in (report.final_checkpoint, report.best_checkpoint) if base
                for p in (base, models.checkpoint_blob(base))]
     config = {"seed": seed, "epochs": epochs, "batch_size": batch, "lr": lr,
-              "model": model, "conv": args.conv, "fc": args.fc,
-              "target_length": target_length, "topology": topo_spec,
+              "model": model or None, "conv": args.conv, "fc": args.fc,
+              "target_length": target_length, "topology": topo_spec or None,
               "resume": args.resume, "data": os.path.abspath(args.data)}
-    _write_manifest(out, "train", config, sorted(set(outputs)))
+    _write_manifest(args.out, "train", config, sorted(set(outputs)))
     print(f"trained {report.epochs_run} epochs; final train loss "
           f"{report.train_losses[-1]:.6g}, best val {report.best_val:.6g}")
     return 0
@@ -243,8 +265,9 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     params, extra = models.load_checkpoint(args.ckpt)
-    seed = training.train_seed(args.ckpt, extra)   # the split the model was trained on
-    ds = _read_dataset(args.data, args.target_length)
+    done = training.recipe(args.ckpt, extra)   # the pairs training split and validated on
+    seed, target_length = done["train_seed"], done["target_length"]
+    ds = _read_dataset(args.data, target_length)
     train_set, val_set = dataset.split(ds, seed)
     pairs = train_set if args.split == "train" else val_set
     loss = training.mean_loss(params, pairs)
@@ -253,12 +276,14 @@ def cmd_eval(args) -> int:
     dataset.write_json(path, {"split": args.split, "pairs": len(pairs), "mse": loss})
     _write_manifest(out, "eval", {"ckpt": os.path.abspath(args.ckpt), "split": args.split,
                                   "seed": seed, "data": os.path.abspath(args.data),
-                                  "target_length": args.target_length}, [path])
+                                  "target_length": target_length}, [path])
     print(f"{args.split} MSE over {len(pairs)} pairs: {loss:.6g}")
     return 0
 
 
 def cmd_rollout(args) -> int:
+    if args.seed < 0:   # as _settings checks the other commands' seeds
+        raise CliError(f"--seed must be >= 0, got {args.seed}")
     heavy, soft, slippery = _parse_triple(args.object)
     obj = plant.make_object(heavy, soft, slippery, radius=args.radius)
     labels = dataset.encode_labels(*_parse_triple(args.labels)) if args.labels \
@@ -291,10 +316,11 @@ def cmd_pca(args) -> int:
             raise CliError(f"--window must look like start:stop, got {args.window!r}") from None
         if not 0 <= start < stop:
             raise CliError(f"--window needs 0 <= start < stop, got {args.window!r}")
-    else:
-        start, stop = max(0, args.target_length - 45), args.target_length
-    params, _ = models.load_checkpoint(args.ckpt)
-    ds = _read_dataset(args.data, args.target_length)
+    params, extra = models.load_checkpoint(args.ckpt)
+    target_length = training.recipe(args.ckpt, extra)["target_length"]
+    if not args.window:
+        start, stop = max(0, target_length - 45), target_length
+    ds = _read_dataset(args.data, target_length)
     stack = analysis.extract_node_features(params, params.topology, ds.trials, (start, stop))
     report = analysis.pca_node_map(stack)
     out = _ensure_out(args.out)
@@ -306,7 +332,7 @@ def cmd_pca(args) -> int:
     analysis.write_cluster_report_json(report, json_path)
     _write_manifest(out, "pca", {"ckpt": os.path.abspath(args.ckpt), "window": [start, stop],
                                  "data": os.path.abspath(args.data),
-                                 "target_length": args.target_length},
+                                 "target_length": target_length},
                     [csv_path, svg_path, json_path])
     sil = "undefined" if report.silhouette is None else f"{report.silhouette:.4f}"
     print(f"node map over {stack.features.shape[1]} feature dims; silhouette {sil}")
@@ -374,7 +400,6 @@ def build_parser() -> _Parser:
     sp.add_argument("--data", required=True)
     sp.add_argument("--out", required=True)
     sp.add_argument("--split", choices=("train", "val"), default="val")
-    sp.add_argument("--target-length", type=int, default=dataset.DEFAULT_TARGET_LENGTH)
     sp.set_defaults(func=cmd_eval)
 
     sp = sub.add_parser("rollout", help="closed-loop rollout of a checkpoint on the plant")
@@ -395,7 +420,6 @@ def build_parser() -> _Parser:
     sp.add_argument("--data", required=True)
     sp.add_argument("--out", required=True)
     sp.add_argument("--window", help="start:stop step range (default: final 45 steps)")
-    sp.add_argument("--target-length", type=int, default=dataset.DEFAULT_TARGET_LENGTH)
     sp.set_defaults(func=cmd_pca)
 
     sp = sub.add_parser("compare-forces", help="compare grip-force series of two traces")

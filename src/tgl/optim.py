@@ -1,6 +1,7 @@
 """Parameters and the Adam update rule."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,8 +23,9 @@ class AdamConfig:
     learning_rate: float = 1e-5
 
     def __post_init__(self):
-        if not (self.learning_rate > 0):
-            raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
+        lr = self.learning_rate
+        if isinstance(lr, bool) or not isinstance(lr, (int, float)) or not 0 < lr < math.inf:
+            raise ValueError(f"learning_rate must be a finite number > 0, got {lr!r}")
 
 
 class Parameter:

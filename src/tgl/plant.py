@@ -291,12 +291,10 @@ def apply_disturbance(plant: Plant, state: PlantState, disturbance: Disturbance)
 def closure_target(plant: Plant) -> float:
     """Demonstrator's label- and radius-conditioned final closure depth."""
     obj = plant.obj
-    target = BASE_CLOSURE
-    target += HEAVY_EXTRA if obj.heavy else 0.0
-    target += HARD_EXTRA if not obj.soft else SOFT_EXTRA
-    target += SLIPPERY_EXTRA if obj.slippery else 0.0
-    target += RADIUS_GAIN * (BASE_RADIUS - obj.radius)
-    return min(target, JOINT_MAX)
+    return min(BASE_CLOSURE + (HEAVY_EXTRA if obj.heavy else 0.0)
+               + (SOFT_EXTRA if obj.soft else HARD_EXTRA)
+               + (SLIPPERY_EXTRA if obj.slippery else 0.0)
+               + RADIUS_GAIN * (BASE_RADIUS - obj.radius), JOINT_MAX)
 
 
 MIN_TRIAL_LENGTH = 50

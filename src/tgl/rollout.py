@@ -125,8 +125,7 @@ def write_trace(trace: RolloutTrace, csv_path: str) -> str:
             f.write(csv_line(s.t, s.state.joints, s.tactile, trace.labels,
                              (repr(s.state.object_height), repr(s.state.object_tilt),
                               repr(s.grip_force), str(int(s.state.clamped)))))
-    base = csv_path[:-4] if csv_path.endswith(".csv") else csv_path
-    sidecar = base + ".verdict.json"
+    sidecar = csv_path.removesuffix(".csv") + ".verdict.json"
     write_json(sidecar, {"success": trace.verdict.success,
                          "final_distance": trace.verdict.final_distance,
                          "final_angle": trace.verdict.final_angle,

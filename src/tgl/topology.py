@@ -40,13 +40,10 @@ class HandTopology:
         for pos, node in enumerate(nodes):
             if node.id != pos:
                 raise ValueError(f"node ids must be 0..n-1 in order, got id {node.id} at position {pos}")
-            if not node.segment or not isinstance(node.segment, str):
-                raise ValueError(f"node {pos} segment must be a non-empty string, "
-                                 f"got {node.segment!r}")
-            if not node.finger or not isinstance(node.finger, str):
-                raise ValueError(f"node {pos} finger must be a non-empty string, "
-                                 f"got {node.finger!r}")
-        canon: list[tuple[int, int]] = []
+            for name in ("segment", "finger"):
+                value = getattr(node, name)
+                if not value or not isinstance(value, str):
+                    raise ValueError(f"node {pos} {name} must be a non-empty string, got {value!r}")
         seen: set[tuple[int, int]] = set()
         for i, j in edges:
             if not (0 <= i < n) or not (0 <= j < n):
@@ -57,9 +54,8 @@ class HandTopology:
             if key in seen:
                 raise ValueError(f"duplicate edge ({i}, {j})")
             seen.add(key)
-            canon.append(key)
         self.nodes = list(nodes)
-        self.edges = sorted(canon)
+        self.edges = sorted(seen)
 
     @property
     def n(self) -> int:
@@ -87,67 +83,42 @@ def propagation_for(topology: HandTopology) -> np.ndarray:
 def _strip(nodes: list[SensorNode], edges: list[tuple[int, int]], finger: str,
            bands: list[tuple[str, int]], cols: int) -> list[list[int]]:
     """Append one finger/palm strip (a stacked grid); returns ids per row."""
-    start = len(nodes)
-    rows = sum(r for _, r in bands)
-    grid: list[list[int]] = []
-    row = 0
-    for segment, nrows in bands:
-        for _ in range(nrows):
-            ids = []
-            for col in range(cols):
-                ids.append(len(nodes))
-                nodes.append(SensorNode(len(nodes), segment, finger, row, col))
-            grid.append(ids)
-            row += 1
-    for r in range(rows):
-        for c in range(cols):
-            if c + 1 < cols:
-                edges.append((grid[r][c], grid[r][c + 1]))
-            if r + 1 < rows:
-                edges.append((grid[r][c], grid[r + 1][c]))
-    assert len(nodes) - start == rows * cols
+    segments = [segment for segment, rows in bands for _ in range(rows)]
+    grid = [[len(nodes) + r * cols + c for c in range(cols)] for r in range(len(segments))]
+    nodes += [SensorNode(i, segments[r], finger, r, c)
+              for r, ids in enumerate(grid) for c, i in enumerate(ids)]
+    edges += [pair for ids in grid for pair in zip(ids, ids[1:])]     # along each row
+    edges += [pair for a, b in zip(grid, grid[1:]) for pair in zip(a, b)]   # between rows
     return grid
 
 
+def _hand(fingers: dict[str, list[tuple[str, int]]], palm_rows: int, bridges: dict[str, int],
+          cols: int) -> HandTopology:
+    """Finger strips, then the palm strip; each finger's base row bridges onto a palm row."""
+    nodes, edges = [], []   # filled in strip by strip
+    base = {finger: _strip(nodes, edges, finger, bands, cols)[0]
+            for finger, bands in fingers.items()}
+    palm = _strip(nodes, edges, "palm", [("palm", palm_rows)], cols)
+    edges += [pair for finger, row in bridges.items() for pair in zip(base[finger], palm[row])]
+    return HandTopology(nodes, edges)
+
+
 def build_default_hand() -> HandTopology:
-    """The 384-node hand: 4 fingertips x 24 + (11 phalanges + 7 palm patches) x 16."""
-    nodes: list[SensorNode] = []
-    edges: list[tuple[int, int]] = []
+    """The 384-node hand: 4 fingertips x 24 + (11 phalanges + 7 palm patches) x 16.
+
+    Each finger's base row bridges onto the top row of a distinct palm patch.
+    """
     full = [("proximal_lower", PHALANX_ROWS), ("proximal_upper", PHALANX_ROWS),
             ("distal", PHALANX_ROWS), ("fingertip", FINGERTIP_ROWS)]
-    thumb = [("proximal_lower", PHALANX_ROWS), ("distal", PHALANX_ROWS),
-             ("fingertip", FINGERTIP_ROWS)]
-    base_rows = {}
-    for finger in ("thumb", "index", "middle", "ring"):
-        grid = _strip(nodes, edges, finger, thumb if finger == "thumb" else full, STRIP_COLS)
-        base_rows[finger] = grid[0]
-    palm_grid = _strip(nodes, edges, "palm", [("palm", 7 * PHALANX_ROWS)], STRIP_COLS)
-    # bridge each finger's base row onto the top row of a distinct palm patch
-    attach = {"thumb": 0, "index": 8, "middle": 16, "ring": 24}
-    for finger, palm_row in attach.items():
-        for c in range(STRIP_COLS):
-            edges.append((base_rows[finger][c], palm_grid[palm_row][c]))
-    topo = HandTopology(nodes, edges)
-    assert topo.n == 384
-    return topo
+    thumb = [full[0], *full[2:]]
+    return _hand({"thumb": thumb, "index": full, "middle": full, "ring": full},
+                 7 * PHALANX_ROWS, {"thumb": 0, "index": 8, "middle": 16, "ring": 24}, STRIP_COLS)
 
 
 def build_small_hand() -> HandTopology:
     """A 24-node desk-scale analogue: two 4x2 finger strips plus a 4x2 palm."""
-    nodes: list[SensorNode] = []
-    edges: list[tuple[int, int]] = []
     bands = [("proximal_lower", 2), ("fingertip", 2)]
-    base_rows = {}
-    for finger in ("thumb", "index"):
-        grid = _strip(nodes, edges, finger, bands, 2)
-        base_rows[finger] = grid[0]
-    palm_grid = _strip(nodes, edges, "palm", [("palm", 4)], 2)
-    for finger, palm_row in (("thumb", 0), ("index", 2)):
-        for c in range(2):
-            edges.append((base_rows[finger][c], palm_grid[palm_row][c]))
-    topo = HandTopology(nodes, edges)
-    assert topo.n == 24
-    return topo
+    return _hand({"thumb": bands, "index": bands}, 4, {"thumb": 0, "index": 2}, 2)
 
 
 # ---------------------------------------------------------------------------

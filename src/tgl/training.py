@@ -2,15 +2,17 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 import time
+from contextlib import suppress
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .dataset import Dataset, PairSet, split
-from .models import MODEL_TABLE, ModelParams, ModelSpec, build_from_spec, forward_batch, \
-    load_checkpoint, save_checkpoint
+from .models import MODEL_TABLE, ModelParams, ModelSpec, build_from_spec, checkpoint_blob, \
+    forward_batch, load_checkpoint, save_checkpoint
 from .optim import AdamConfig, adam_step
 from .tensor import NonFiniteError, Tensor, backward, mse_loss, no_grad
 from .topology import HandTopology
@@ -26,12 +28,9 @@ class TrainConfig:
     spec: ModelSpec = MODEL_TABLE["III"]
 
     def __post_init__(self):
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.epochs < 1:
-            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
-        if self.checkpoint_every < 0:
-            raise ValueError(f"checkpoint_every must be >= 0, got {self.checkpoint_every}")
+        for name, least in (("batch_size", 1), ("epochs", 1), ("checkpoint_every", 0)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)}")
 
 
 @dataclass
@@ -64,25 +63,35 @@ def mean_loss(params: ModelParams, pairs: PairSet, batch_size: int = 100) -> flo
 
 
 def fit_pairs(params: ModelParams, train_set: PairSet, val_set: PairSet | None,
-              cfg: TrainConfig, out_dir: str | None = None,
-              start_epoch: int = 0) -> TrainReport:
+              cfg: TrainConfig, out_dir: str | None = None, start_epoch: int = 0,
+              best_val: float = math.inf, target_length: int | None = None) -> TrainReport:
     """Run cfg.epochs epochs starting at start_epoch.
 
     Shuffle order for epoch e is seeded by (cfg.seed, e), so resuming
     from a checkpoint replays exactly the batches a straight-through run
-    would have seen.
+    would have seen.  An epoch whose val loss beats best_val writes the best
+    checkpoint.  Every checkpoint records the recipe (see `recipe`).
     """
     n = len(train_set)
     train_losses: list[float] = []
     val_losses: list[float] = []
-    best_val = float("inf")
     best_path = final_path = None
+    model = next((name for name, spec in MODEL_TABLE.items() if spec == cfg.spec), "custom")
+
+    def save(name: str, epoch: int) -> str:
+        path = os.path.join(out_dir, name)
+        save_checkpoint(params, path, extra={
+            "epoch": epoch, "model": model, "train_seed": cfg.seed, "target_length": target_length,
+            "batch_size": cfg.batch_size, "lr": cfg.adam.learning_rate,
+            "best_val": best_val if best_val < math.inf else None})
+        return path
+
     metrics_path = os.path.join(out_dir, "metrics.ndjson") if out_dir else None
     if metrics_path:
         kept = _metrics_before(metrics_path, start_epoch)
         with open(metrics_path, "w") as f:
             f.writelines(kept)
-        best_val, best_path = _best_before(kept, out_dir)
+        best_path = _best_kept(out_dir, start_epoch, best_val)
 
     for epoch in range(start_epoch, start_epoch + cfg.epochs):
         e0 = time.monotonic()
@@ -107,20 +116,17 @@ def fit_pairs(params: ModelParams, train_set: PairSet, val_set: PairSet | None,
             val_losses.append(val_loss)
             if out_dir and val_loss < best_val:
                 best_val = val_loss
-                best_path = os.path.join(out_dir, "best.ckpt.json")
-                save_checkpoint(params, best_path, extra=_extra(cfg, epoch + 1))
+                best_path = save("best.ckpt.json", epoch + 1)
         if metrics_path:
             with open(metrics_path, "a") as f:
                 f.write(json.dumps({"epoch": epoch, "train_loss": train_loss,
                                     "val_loss": val_loss,
                                     "seconds": time.monotonic() - e0}) + "\n")
         if out_dir and cfg.checkpoint_every and (epoch + 1 - start_epoch) % cfg.checkpoint_every == 0:
-            save_checkpoint(params, os.path.join(out_dir, f"epoch{epoch + 1:06d}.ckpt.json"),
-                            extra=_extra(cfg, epoch + 1))
+            save(f"epoch{epoch + 1:06d}.ckpt.json", epoch + 1)
 
     if out_dir:
-        final_path = os.path.join(out_dir, "final.ckpt.json")
-        save_checkpoint(params, final_path, extra=_extra(cfg, start_epoch + cfg.epochs))
+        final_path = save("final.ckpt.json", start_epoch + cfg.epochs)
     return TrainReport(train_losses=train_losses, val_losses=val_losses,
                        final_checkpoint=final_path, best_checkpoint=best_path,
                        best_val=best_val, start_epoch=start_epoch)
@@ -138,57 +144,65 @@ def _metrics_before(path: str, epoch: int) -> list[str]:
         return [line for line in f if line.endswith("\n") and json.loads(line)["epoch"] < epoch]
 
 
-def _best_before(kept: list[str], out_dir: str) -> tuple[float, str | None]:
-    """The least val_loss of the kept metrics lines, and best.ckpt.json if it was saved then.
-
-    So a resumed run keeps the best checkpoint a straight run keeps.  A best
-    checkpoint of any other epoch belongs to another run: start afresh.
-    """
+def _best_kept(out_dir: str, epoch: int, best_val: float) -> str | None:
+    """best.ckpt.json if it holds best_val from no later epoch; another run's is removed."""
     path = os.path.join(out_dir, "best.ckpt.json")
-    scored = [(m["val_loss"], m["epoch"] + 1) for m in map(json.loads, kept)
-              if m["val_loss"] is not None]
-    best = min(scored, default=None)   # a tie keeps the first epoch, as `<` does when training
-    try:
+    with suppress(OSError, ValueError, KeyError, TypeError):   # none that can be read
         with open(path) as f:
-            saved = json.load(f)["extra"]["epoch"]
-    except (OSError, ValueError, KeyError, TypeError):   # no best checkpoint that can be read
-        saved = None
-    return (best[0], path) if best and saved == best[1] else (float("inf"), None)
+            saved = json.load(f)["extra"]
+        if saved["best_val"] == best_val and saved["epoch"] <= epoch:
+            return path
+    for stale in (path, checkpoint_blob(path)):
+        with suppress(FileNotFoundError):
+            os.remove(stale)
+    return None
 
 
-def _extra(cfg: TrainConfig, epoch: int) -> dict:
-    model = next((name for name, spec in MODEL_TABLE.items() if spec == cfg.spec), "custom")
-    return {"epoch": epoch, "model": model, "train_seed": cfg.seed}
+# The recipe's integer keys in a checkpoint's extra, each with its least value
+_RECIPE_INTEGERS = {"epoch": 0, "train_seed": 0, "target_length": 2, "batch_size": 1}
 
 
-def train_seed(path: str, extra: dict) -> int:
-    """The seed the run that wrote a checkpoint split and shuffled by, from its extra."""
-    seed = extra.get("train_seed")
-    if type(seed) is not int:   # a JSON integer, not true or false
-        raise ValueError(f"checkpoint {path}: extra has no integer 'train_seed', got {seed!r}")
-    return seed
+def recipe(path: str, extra: dict) -> dict:
+    """A checkpoint's extra once its recipe is checked, a null best_val (no val loss yet) read
+    as +inf.  The recipe's values come from a file, so ValueError names the file and the
+    missing or bad key.
+    """
+    def bad(rule: str, key: str) -> ValueError:
+        got = json.dumps(extra[key]) if key in extra else "nothing"
+        return ValueError(f"checkpoint {path}: extra has no {rule}, got {got}")
+
+    for key, least in _RECIPE_INTEGERS.items():   # JSON integers, not true or false
+        if type(extra.get(key)) is not int or extra[key] < least:
+            raise bad(f"integer {key!r} >= {least}", key)
+    try:
+        AdamConfig(learning_rate=extra.get("lr"))
+    except ValueError as e:
+        raise ValueError(f"checkpoint {path}: extra 'lr': {e}") from None
+    best = extra.get("best_val", math.nan)
+    if best is not None and not (type(best) in (int, float) and 0 <= best < math.inf):
+        raise bad("finite 'best_val' >= 0 or null", "best_val")
+    return extra | {"best_val": math.inf if best is None else best}
 
 
 def train(ds: Dataset, cfg: TrainConfig, topo: HandTopology, out_dir: str | None = None,
           resume_from: str | None = None) -> TrainReport:
     """Split the dataset, build or resume the model, and fit.
 
-    When resuming, cfg.epochs counts the additional epochs to run; the
-    shuffle schedule continues from the checkpoint's epoch counter.
+    When resuming, cfg.epochs counts the additional epochs to run; the shuffle
+    schedule and the best val loss continue from the checkpoint's.  The caller
+    sees that cfg and ds.target_length are the checkpoint's recipe.
     """
     train_set, val_set = split(ds, cfg.seed)
     if resume_from is not None:
         params, extra = load_checkpoint(resume_from, topo)
-        start_epoch = int(extra.get("epoch", 0))
-        if params.spec != cfg.spec:
-            raise ValueError("checkpoint architecture does not match the training config")
-        if train_seed(resume_from, extra) != cfg.seed:
-            raise ValueError(f"checkpoint seed {extra['train_seed']} is not the run's seed {cfg.seed}")
+        start = recipe(resume_from, extra)
+        start_epoch, best_val = start["epoch"], start["best_val"]
     else:
-        params, start_epoch = build_from_spec(cfg.spec, topo, cfg.seed), 0
+        params, start_epoch, best_val = build_from_spec(cfg.spec, topo, cfg.seed), 0, math.inf
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
-    return fit_pairs(params, train_set, val_set, cfg, out_dir, start_epoch)
+    return fit_pairs(params, train_set, val_set, cfg, out_dir, start_epoch, best_val,
+                     ds.target_length)
 
 
 def evaluate(ckpt_path: str, pairs: PairSet, topology: HandTopology,

@@ -15,6 +15,7 @@ from tgl.analysis import (ClusterReport, NodeFeatureStack, compare_force_traces,
                           write_node_map_svg)
 from tgl.dataset import Trial, encode_labels
 from tgl.models import ModelSpec, build_from_spec
+from tgl.topology import HandTopology, SensorNode
 
 LABELS = encode_labels(heavy=False, soft=False, slippery=False)
 
@@ -63,6 +64,21 @@ def test_extract_validation(tiny_topo, small_topo):
         extract_node_features(mlp, tiny_topo, trials, (0, 5))
     with pytest.raises(ValueError, match="nodes"):
         extract_node_features(params, small_topo, trials, (0, 5))
+
+
+def test_extract_labels_nodes_from_the_model_graph(small_topo):
+    """A graph of other placements, even of the model's node count, is refused."""
+    params = build_from_spec(ModelSpec("GCN", (4,), (8,)), small_topo, seed=0)
+    rng = np.random.default_rng(3)
+    trials = [make_trial(rng.normal(size=(20, 24, 3)))]
+    stack = extract_node_features(params, tgl.build_small_hand(), trials, (0, 5))
+    assert stack.node_labels == [(nd.finger, nd.segment) for nd in small_topo.nodes]
+    palm = HandTopology([SensorNode(i, "palm", "palm", 0, i) for i in range(24)], [])
+    with pytest.raises(ValueError, match="not the model's graph"):
+        extract_node_features(params, palm, trials, (0, 5))
+    edgeless = HandTopology(small_topo.nodes, [])
+    with pytest.raises(ValueError, match="not the model's graph"):
+        extract_node_features(params, edgeless, trials, (0, 5))
 
 
 def test_silhouette_matches_sklearn_on_blobs():

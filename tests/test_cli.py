@@ -39,6 +39,15 @@ def pipeline(tmp_path_factory):
     return root, data, run
 
 
+@pytest.fixture
+def bad_data(tmp_path):
+    """A --data directory whose one CSV is malformed: a command that reads it fails there."""
+    data = tmp_path / "bad_data"
+    data.mkdir()
+    (data / "bad.csv").write_text("not,a,trial\n")
+    return data
+
+
 def test_topology_writes_canonical_files(tmp_path):
     assert main(["topology", "--small", "--out", str(tmp_path)]) == 0
     small = load_topology(str(tmp_path / "small_hand_24.json"))
@@ -198,6 +207,9 @@ def test_train_twice_into_one_directory_keeps_one_run(pipeline, tmp_path):
     (["pca", "--ckpt", "none.ckpt.json", "--window", "abc"], "--window must look like"),
     (["pca", "--ckpt", "none.ckpt.json", "--window", "10:5"], "--window needs 0 <= start < stop"),
     (["train", "--model", "VII"], "invalid choice: 'VII'"),
+    (["train", "--conv", "abc", "--fc", "8"], "--conv must be comma-separated integers, got 'abc'"),
+    (["train", "--conv", "4", "--fc", "8,x"], "--fc must be comma-separated integers, got '8,x'"),
+    (["train", "--lr", "inf"], "learning_rate must be a finite number > 0, got inf"),
 ])
 def test_flags_are_checked_before_any_data_is_read(tmp_path, capsys, argv, named):
     data = tmp_path / "data"
@@ -206,6 +218,20 @@ def test_flags_are_checked_before_any_data_is_read(tmp_path, capsys, argv, named
     capsys.readouterr()
     assert main(argv + ["--data", str(data), "--out", str(tmp_path / "out")]) == 1
     assert named in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["gen-data", "train", "rollout"])
+def test_a_negative_seed_is_refused_before_any_work(pipeline, tmp_path, bad_data, capsys,
+                                                    command):
+    _, _, run = pipeline
+    argv = {"gen-data": ["gen-data", "--topology", "small"],
+            "train": ["train", "--data", str(bad_data)],
+            "rollout": ["rollout", "--ckpt", str(run / "final.ckpt.json"),
+                        "--object", "light,hard,nonslip"]}[command]
+    capsys.readouterr()
+    assert main(argv + ["--seed", "-1", "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == "error: --seed must be >= 0, got -1\n"
     assert not (tmp_path / "out").exists()
 
 
@@ -360,6 +386,73 @@ def test_resume_refuses_another_seed(pipeline, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag, value", [("--target-length", "150"), ("--batch-size", "7"),
+                                         ("--lr", "0.5")])
+def test_resume_refuses_another_recipe(pipeline, tmp_path, bad_data, capsys, flag, value):
+    """The checkpoint is read first: a malformed CSV does not hide the key that differs."""
+    _, _, run = pipeline
+    out = tmp_path / "resumed"
+    capsys.readouterr()
+    assert main(["train", "--resume", str(run / "final.ckpt.json"), flag, value, "--epochs", "1",
+                 "--data", str(bad_data), "--out", str(out)]) == 1
+    recorded = {"--target-length": 330, "--batch-size": 100, "--lr": 0.001}[flag]
+    key = flag[2:]
+    assert f"checkpoint {key} {recorded} is not the run's {key} {value}" in \
+        capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_resume_refuses_another_architecture(pipeline, tmp_path, bad_data, capsys):
+    """So does another graph; both are compared before a malformed CSV is read."""
+    _, _, run = pipeline
+    out = tmp_path / "resumed"
+    for flags, named in ((["--conv", "5", "--fc", "30"], "is not the run's --model/--conv/--fc"),
+                         (["--model", "I"], "is not the run's --model/--conv/--fc"),
+                         (["--topology", "default"], "'topology' is not the graph of --topology")):
+        capsys.readouterr()
+        assert main(["train", *flags, "--resume", str(run / "final.ckpt.json"), "--epochs", "1",
+                     "--data", str(bad_data), "--out", str(out)]) == 1
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_resume_needs_only_the_checkpoint(pipeline, tmp_path):
+    """--resume --data --epochs --out continue a run as a straight run of all the epochs."""
+    _, data, _ = pipeline
+    at = TRAIN.index("--epochs")
+    straight, half, resumed = (tmp_path / name for name in ("straight", "half", "resumed"))
+    assert main(TRAIN[:at] + ["--epochs", "4"] + TRAIN[at + 2:] +
+                ["--data", str(data), "--out", str(straight)]) == 0
+    assert main(TRAIN[:at] + ["--epochs", "2"] + TRAIN[at + 2:] +
+                ["--data", str(data), "--out", str(half)]) == 0
+    assert main(["train", "--resume", str(half / "final.ckpt.json"), "--data", str(data),
+                 "--epochs", "2", "--out", str(resumed)]) == 0
+    a, extra_a = load_checkpoint(str(straight / "final.ckpt.json"))
+    b, extra_b = load_checkpoint(str(resumed / "final.ckpt.json"))
+    assert extra_a == extra_b and extra_a["epoch"] == 4
+    assert np.array_equal(a.buffer, b.buffer)   # values and both Adam moments
+    assert [p.step_count for p in a.parameters()] == [p.step_count for p in b.parameters()]
+    assert (straight / "best.ckpt.bin").read_bytes() == (resumed / "best.ckpt.bin").read_bytes()
+
+
+@pytest.mark.parametrize("command", ["eval", "pca"])
+def test_eval_and_pca_take_the_target_length_from_the_checkpoint(pipeline, tmp_path, capsys,
+                                                                 command):
+    _, data, run = pipeline
+    argv = [command, "--data", str(data), "--out", str(tmp_path / "out")]
+    capsys.readouterr()
+    assert main(argv + ["--ckpt", str(run / "final.ckpt.json"), "--target-length", "100"]) == 1
+    assert "unrecognized arguments: --target-length 100" in capsys.readouterr().err
+    manifest = json.loads((run / "final.ckpt.json").read_text())
+    del manifest["extra"]["target_length"]
+    ckpt = tmp_path / "final.ckpt.json"
+    ckpt.write_text(json.dumps(manifest))
+    shutil.copy(run / "final.ckpt.bin", tmp_path / "final.ckpt.bin")
+    assert main(argv + ["--ckpt", str(ckpt)]) == 1
+    assert f"{ckpt}: extra has no integer 'target_length' >= 2" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_checkpoint_carries_its_graph(pipeline, tmp_path):
     """A checkpoint holds the same graph document that `tgl topology` writes, and no n_nodes."""
     _, _, run = pipeline
@@ -407,7 +500,7 @@ def test_readme_commands_parse():
     commands = [line for block in blocks
                 for line in block.replace("\\\n", " ").splitlines()
                 if line.startswith("tgl ")]
-    assert len(commands) == 9
+    assert len(commands) == 10
     for line in commands:
         build_parser().parse_args(shlex.split(line, comments=True)[1:])
 
@@ -575,19 +668,17 @@ def run(*argv):
     if main(list(argv)) != 0:
         sys.exit(f"failed: {argv}")
 
-small = ["--topology", "small", "--target-length", "100"]
 run("gen-data", "--topology", "small", "--objects", "2", "--trials-per", "2", "--seed", "5",
     "--length", "200", "--out", "data24")
-train = ["train", *small, "--conv", "5,9", "--fc", "30", "--lr", "1e-3", "--seed", "3",
-         "--data", "data24", "--out", "run24"]
-run(*train, "--epochs", "2", "--checkpoint-every", "1")
-run(*train, "--epochs", "1", "--resume", "run24/final.ckpt.json")
-run("eval", "--ckpt", "run24/final.ckpt.json", "--data", "data24", "--target-length", "100",
-    "--out", "eval24")
+run("train", "--topology", "small", "--target-length", "100", "--conv", "5,9", "--fc", "30",
+    "--lr", "1e-3", "--seed", "3", "--data", "data24", "--out", "run24", "--epochs", "2",
+    "--checkpoint-every", "1")
+run("train", "--resume", "run24/final.ckpt.json", "--data", "data24", "--epochs", "1",
+    "--out", "run24")
+run("eval", "--ckpt", "run24/final.ckpt.json", "--data", "data24", "--out", "eval24")
 run("rollout", "--ckpt", "run24/final.ckpt.json", "--object", "heavy,soft,slippery",
     "--max-steps", "40", "--out", "rollout24")
-run("pca", "--ckpt", "run24/final.ckpt.json", "--data", "data24", "--target-length", "100",
-    "--out", "pca24")
+run("pca", "--ckpt", "run24/final.ckpt.json", "--data", "data24", "--out", "pca24")
 run("gen-data", "--objects", "1", "--trials-per", "2", "--seed", "5", "--length", "120",
     "--out", "data384")
 run("train", "--conv", "14,28,56", "--fc", "120,50", "--epochs", "1", "--lr", "1e-3",

@@ -2,7 +2,9 @@
 from __future__ import annotations
 
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -17,7 +19,7 @@ from tgl.models import load_checkpoint
 from tgl.plant import PlantConfig, generate_object_trial, generate_trial, make_object, \
     make_plant, object_catalog
 from tgl.tensor import NonFiniteError
-from tgl.training import TrainConfig, evaluate, fit_pairs, train
+from tgl.training import TrainConfig, evaluate, fit_pairs, recipe, train
 
 SPEC = tgl.ModelSpec("GCN", (5, 9), (30,))
 ADAM = tgl.AdamConfig(learning_rate=1e-3)
@@ -130,26 +132,77 @@ def test_resume_keeps_the_best_checkpoint_of_a_straight_run(world, tmp_path):
 
 
 def test_resume_drops_a_best_checkpoint_from_a_later_epoch(world, tmp_path):
-    """best.ckpt.json of epoch 8 is not this run's: the resumed epoch writes its own."""
+    """best.ckpt.json of epoch 8 is not the best of the run resumed at epoch 3.
+
+    A straight run's best at epoch 4 is still epoch 3's, so the resumed run
+    starts from that val loss, writes no best and leaves none of epoch 8.
+    """
     topo, ds = world
     run = cfg(epochs=8, checkpoint_every=1, adam=tgl.AdamConfig(learning_rate=0.1))
     out = tmp_path / "run"
-    train(ds, run, topo, out_dir=str(out))
+    report = train(ds, run, topo, out_dir=str(out))
     _, extra = load_checkpoint(str(out / "best.ckpt.json"), topo)
     assert extra["epoch"] == 8
-    train(ds, replace(run, epochs=1), topo, out_dir=str(out),
-          resume_from=str(out / "epoch000003.ckpt.json"))
-    _, extra = load_checkpoint(str(out / "best.ckpt.json"), topo)
-    assert extra["epoch"] == 4
+    again = train(ds, replace(run, epochs=1), topo, out_dir=str(out),
+                  resume_from=str(out / "epoch000003.ckpt.json"))
+    assert again.best_val == min(report.val_losses[:3]) == pytest.approx(0.23254, abs=5e-6)
+    assert again.val_losses[0] > again.best_val
+    assert again.best_checkpoint is None
+    assert not (out / "best.ckpt.json").exists() and not (out / "best.ckpt.bin").exists()
 
 
-def test_resume_rejects_architecture_mismatch(world, tmp_path):
+def test_resume_in_another_directory_keeps_the_best_of_a_straight_run(world, tmp_path):
+    """The best val loss so far travels in the checkpoint, not in the run directory."""
+    topo, ds = world
+    run = cfg(epochs=4, adam=tgl.AdamConfig(learning_rate=0.1))
+    straight, first = tmp_path / "straight", tmp_path / "first"
+    report = train(ds, run, topo, out_dir=str(straight))
+    assert report.val_losses[2] == report.best_val < report.val_losses[3]
+    train(ds, replace(run, epochs=3, checkpoint_every=1), topo, out_dir=str(first))
+    # resumed before the best epoch, the run writes the straight run's best
+    before = train(ds, replace(run, epochs=2), topo, out_dir=str(tmp_path / "before"),
+                   resume_from=str(first / "epoch000002.ckpt.json"))
+    assert before.best_val == report.best_val
+    for name in ("best.ckpt.json", "best.ckpt.bin"):
+        assert (tmp_path / "before" / name).read_bytes() == (straight / name).read_bytes()
+    # resumed after it, the run beats no val loss and writes no best
+    after = train(ds, replace(run, epochs=1), topo, out_dir=str(tmp_path / "after"),
+                  resume_from=str(first / "final.ckpt.json"))
+    assert after.best_val == report.best_val and after.best_checkpoint is None
+    assert sorted(os.listdir(tmp_path / "after")) == ["final.ckpt.bin", "final.ckpt.json",
+                                                      "metrics.ndjson"]
+
+
+def test_checkpoints_record_the_recipe(world, tmp_path):
     topo, ds = world
     out = tmp_path / "run"
-    train(ds, cfg(epochs=2), topo, out_dir=str(out))
-    other = cfg(epochs=2, spec=tgl.ModelSpec("GCN", (5,), (30,)))
-    with pytest.raises(ValueError, match="architecture"):
-        train(ds, other, topo, resume_from=str(out / "final.ckpt.json"))
+    report = train(ds, cfg(epochs=2, batch_size=64), topo, out_dir=str(out))
+    _, extra = load_checkpoint(str(out / "final.ckpt.json"), topo)
+    assert extra == {"epoch": 2, "model": "custom", "train_seed": 7, "target_length": 330,
+                     "batch_size": 64, "lr": 1e-3, "best_val": report.best_val}
+    assert recipe("x", extra) == extra
+
+
+@pytest.mark.parametrize("key, value, rule", [
+    ("epoch", -1, "has no integer 'epoch' >= 0"),
+    ("train_seed", True, "has no integer 'train_seed' >= 0"),
+    ("target_length", None, "has no integer 'target_length' >= 2"),
+    ("batch_size", 2.0, "has no integer 'batch_size' >= 1"),
+    ("lr", float("inf"), "'lr': learning_rate must be a finite number > 0"),
+    ("lr", "1e-3", "'lr': learning_rate must be a finite number > 0"),
+    ("best_val", float("nan"), "has no finite 'best_val' >= 0 or null"),
+    ("best_val", -1.0, "has no finite 'best_val' >= 0 or null"),
+])
+def test_recipe_checks_each_value(key, value, rule):
+    """Each recipe value is read from a file: a bad or missing one names the file and key."""
+    extra = {"epoch": 3, "train_seed": 0, "target_length": 330, "batch_size": 100,
+             "lr": 1e-3, "best_val": None}
+    assert recipe("c.ckpt.json", extra)["best_val"] == math.inf
+    with pytest.raises(ValueError, match=re.escape(f"checkpoint c.ckpt.json: extra {rule}")):
+        recipe("c.ckpt.json", extra | {key: value})
+    del extra[key]
+    with pytest.raises(ValueError, match=f"checkpoint c.ckpt.json: extra .*'{key}'"):
+        recipe("c.ckpt.json", extra)
 
 
 def test_evaluate_matches_reported_val_loss(world, tmp_path):
