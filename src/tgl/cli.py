@@ -217,12 +217,12 @@ def _spec(model: str, conv: str | None, fc: str | None) -> models.ModelSpec:
 
 
 def _resumed(path: str) -> tuple[models.ModelSpec, topo_mod.HandTopology, dict]:
-    """A checkpoint's model, graph and recipe by `train` setting; its blob is let go."""
-    params, extra = models.load_checkpoint(path)
-    got = training.recipe(path, extra)
-    return params.spec, params.topology, {"seed": got["train_seed"], "lr": got["lr"],
-                                          "batch-size": got["batch_size"],
-                                          "target-length": got["target_length"]}
+    """A checkpoint's model, graph and recipe by `train` setting; its blob is left unread."""
+    man = models.read_manifest(path)
+    got = training.recipe(path, man.extra)
+    return man.spec, man.topology, {"seed": got["train_seed"], "lr": got["lr"],
+                                    "batch-size": got["batch_size"],
+                                    "target-length": got["target_length"]}
 
 
 def cmd_train(args) -> int:

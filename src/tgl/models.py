@@ -15,6 +15,7 @@ import math
 import os
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -248,12 +249,23 @@ def _same_json(value, expected) -> bool:
     return json.dumps(value, sort_keys=True) == json.dumps(expected, sort_keys=True)
 
 
-def load_checkpoint(path: str, topology: HandTopology | None = None) -> tuple[ModelParams, dict]:
-    """The model a checkpoint holds, with the blob as its buffer, and the manifest's extra.
+class Manifest(NamedTuple):
+    """A checkpoint manifest's model, once `read_manifest` has checked it and its blob's size."""
+    spec: ModelSpec
+    topology: HandTopology
+    seed: int
+    step_counts: list[int]
+    blob: str   # the blob's path
+    extra: dict
+
+
+def read_manifest(path: str, topology: HandTopology | None = None) -> Manifest:
+    """A checkpoint's manifest, checked, without reading its blob.
 
     Its graph is the manifest's; a `topology` given must equal it and is used as is.
     ValueError names the file and the field when a field is missing or of the wrong
-    type, or the manifest disagrees with the layout of its own model spec.
+    type, or the manifest disagrees with the layout of its own model spec; it names
+    the blob when that holds other than `total_elements` values.
     """
     with open(path) as f:
         man = json.load(f)
@@ -300,10 +312,21 @@ def load_checkpoint(path: str, topology: HandTopology | None = None) -> tuple[Mo
     if not isinstance(extra, dict):
         raise ValueError(f"checkpoint {path}: 'extra' must be a JSON object, got {extra!r}")
     blob = os.path.join(os.path.dirname(path) or ".", name)
-    buffer = np.fromfile(blob, dtype=BLOB_DTYPE)
-    if buffer.size != total:
-        raise ValueError(f"checkpoint blob {blob} holds {buffer.size} elements, expected {total}")
-    params = ModelParams(spec=spec, topology=topology, seed=seed, buffer=buffer)
-    for p, count in zip(params.parameters(), steps):
+    size = os.stat(blob).st_size
+    if size != total * np.dtype(BLOB_DTYPE).itemsize:
+        raise ValueError(f"checkpoint blob {blob} holds {size} bytes, expected {total} "
+                         f"{BLOB_DTYPE} values")
+    return Manifest(spec, topology, seed, steps, blob, extra)
+
+
+def load_checkpoint(path: str, topology: HandTopology | None = None) -> tuple[ModelParams, dict]:
+    """The model a checkpoint holds, with the blob as its buffer, and the manifest's extra.
+
+    `read_manifest` checks the manifest first; see there for `topology` and the errors.
+    """
+    man = read_manifest(path, topology)
+    params = ModelParams(spec=man.spec, topology=man.topology, seed=man.seed,
+                         buffer=np.fromfile(man.blob, dtype=BLOB_DTYPE))
+    for p, count in zip(params.parameters(), man.step_counts):
         p.step_count = count
-    return params, extra
+    return params, man.extra

@@ -79,13 +79,17 @@ def _one_blas_thread() -> None:
 _one_blas_thread()
 
 
-# Nonzero fraction above which a SymmetricOperator multiplies with BLAS.  Set
-# from the crossover of the CSR product and BLAS, S @ H summed over C = 3, 14
-# and 28, batch 100, one BLAS thread, on a 2-core Xeon VM.  Ring lattices and
-# Erdos-Renyi graphs cross at 9.4% and 8.5% nonzeros for n = 96 (0.87x at
-# 7.5%, 1.10x at 10.1%), at 15-20% for n = 384 and at 19-21% for n = 768, so
-# 8% sits below every crossover.  The 384-node hand (1.2%) runs 0.13x, 6.3
-# against 50 ms; the 24-node hand (16%) would run 2.0x and stays on BLAS.
+# Nonzero fraction above which a SymmetricOperator, or the one row of a large
+# product's left operand, multiplies with BLAS.  Set from the crossover of the
+# CSR product and BLAS, S @ H summed over C = 3, 14 and 28, batch 100, one
+# BLAS thread, on a 2-core Xeon VM.  Ring lattices and Erdos-Renyi graphs
+# cross at 9.4% and 8.5% nonzeros for n = 96 (0.87x at 7.5%, 1.10x at
+# 10.1%), at 15-20% for n = 384 and at 19-21% for n = 768, so 8% sits below
+# every crossover.  The 384-node hand (1.2%) runs 0.13x, 6.3 against 50 ms;
+# the 24-node hand (16%) would run 2.0x and stays on BLAS.  A one-row product
+# by the 384-node toy GCN's first fc weight, 21,526 x 120 (same setup), took
+# 0.02 ms at 22 nonzeros, 0.17 ms at 5% and 0.31-0.33 ms at 8%, against
+# 0.83-0.94 ms with BLAS at any density.
 SPARSE_MAX_DENSITY = 0.08
 # Samples one block-diagonal CSR product covers: 32 copies of the 384-node
 # hand's S hold 55,040 nonzeros, about 0.7 MB with int32 indices.  On that
@@ -189,11 +193,22 @@ def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     own either way.  A 2-D product splits its output columns at a multiple of
     SPLIT_ALIGN, unless it has one row or column: numpy then makes a
     matrix-vector product, which streams the matrix from memory once, no
-    faster in two pieces than in one.
+    faster in two pieces than in one.  A one-row `a` with at most
+    SPARSE_MAX_DENSITY of it nonzero, such as a batch-1 fc input whose
+    taxels are silent, multiplies only the rows of b its nonzeros select;
+    the sum then runs in another order than BLAS's and may differ from it in
+    the last places.  A skipped row is never read, so a NaN in it would not
+    show: weights are finite by construction and checked at load and after
+    every Adam step.
     """
     if not _splits(max(a.size, b.size)):
         return a @ b
     if a.ndim == 2 and b.ndim == 2:
+        if a.shape[0] == 1:
+            used = a[0] != 0
+            if np.count_nonzero(used) <= SPARSE_MAX_DENSITY * a.size:
+                rows = np.flatnonzero(used)
+                return a[:, rows] @ b[rows]
         if a.shape[0] == 1 or b.shape[1] == 1:
             return a @ b
         out = np.empty((a.shape[0], b.shape[1]), np.result_type(a, b))

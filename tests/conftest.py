@@ -5,13 +5,16 @@ the acceptance suite; unit-test modules stick to cheap local setups.
 """
 from __future__ import annotations
 
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
+from multiprocessing import get_context
 
 import pytest
 from hypothesis import settings
 
 import tgl
 from tgl.dataset import Dataset, preprocess, split
+from tgl.models import ModelParams
 from tgl.plant import (PlantConfig, generate_dataset_trials, generate_trial,
                        make_object, make_plant, object_catalog)
 from tgl.topology import HandTopology, SensorNode
@@ -91,12 +94,25 @@ def overfit_fixture() -> dict:
             "spec": TOY_GCN3, "params": params, "report": report}
 
 
+def _train_catalog_model(ds: Dataset, topo: HandTopology, spec, seed: int, keep: bool):
+    """One catalog training: its last val loss, and with `keep` its buffer and step counts."""
+    tr, va = split(ds, seed=seed)
+    params = tgl.build_from_spec(spec, topo, seed=seed)
+    report = fit_pairs(params, tr, va,
+                       TrainConfig(spec=spec, epochs=50, batch_size=100, seed=seed,
+                                   adam=TOY_ADAM))
+    return report.val_losses[-1], \
+        (params.buffer, [p.step_count for p in params.parameters()]) if keep else None
+
+
 @pytest.fixture(scope="session")
 def catalog_fixture() -> dict:
     """Noisy eight-object dataset and a 5-seed sweep of three model families.
 
     Everything is seeded, so the validation losses recorded here are exact
-    constants of the codebase.
+    constants of the codebase.  The 15 trainings run on 2 worker processes,
+    each with numpy's OpenBLAS on one thread as in this one, so every loss
+    has the bits it would have here.
     """
     topo = tgl.build_small_hand()
     pcfg = replace(PlantConfig(), sensor_noise=0.15)
@@ -108,18 +124,15 @@ def catalog_fixture() -> dict:
         "gcn1": tgl.ModelSpec("GCN", (56,), (120, 50)),
         "mlp": tgl.ModelSpec("MLP", (), (512, 256)),
     }
-    val = {}
-    trained_gcn3 = None
-    for name, spec in specs.items():
-        for seed in range(5):
-            tr, va = split(ds, seed=seed)
-            params = tgl.build_from_spec(spec, topo, seed=seed)
-            report = fit_pairs(
-                params, tr, va,
-                TrainConfig(spec=spec, epochs=50, batch_size=100, seed=seed,
-                            adam=TOY_ADAM))
-            val[(name, seed)] = report.val_losses[-1]
-            if name == "gcn3" and seed == 0:
-                trained_gcn3 = params
+    with ProcessPoolExecutor(max_workers=2, mp_context=get_context("spawn")) as pool:
+        runs = {(name, seed): pool.submit(_train_catalog_model, ds, topo, spec, seed,
+                                          (name, seed) == ("gcn3", 0))
+                for name, spec in specs.items() for seed in range(5)}
+        done = {job: run.result() for job, run in runs.items()}
+    val = {job: loss for job, (loss, _) in done.items()}
+    buffer, steps = done["gcn3", 0][1]
+    trained_gcn3 = ModelParams(spec=TOY_GCN3, topology=topo, seed=0, buffer=buffer)
+    for p, count in zip(trained_gcn3.parameters(), steps):
+        p.step_count = count
     return {"topo": topo, "pcfg": pcfg, "ds": ds, "specs": specs, "val": val,
             "trained_gcn3": trained_gcn3}

@@ -416,6 +416,31 @@ def test_resume_refuses_another_architecture(pipeline, tmp_path, bad_data, capsy
         assert not out.exists()
 
 
+def test_resume_reads_the_blob_once(pipeline, tmp_path, monkeypatch):
+    _, data, run = pipeline
+    reads = []
+    fromfile = np.fromfile
+    monkeypatch.setattr(np, "fromfile", lambda *a, **k: reads.append(a[0]) or fromfile(*a, **k))
+    assert main(["train", "--resume", str(run / "final.ckpt.json"), "--data", str(data),
+                 "--epochs", "1", "--out", str(tmp_path / "resumed")]) == 0
+    assert reads == [str(run / "final.ckpt.bin")]
+
+
+@pytest.mark.parametrize("blob", ["missing", "short"])
+def test_resume_refuses_a_bad_blob_before_any_data_is_read(pipeline, tmp_path, bad_data, capsys,
+                                                           blob):
+    _, _, run = pipeline
+    shutil.copy(run / "final.ckpt.json", tmp_path / "final.ckpt.json")
+    if blob == "short":
+        (tmp_path / "final.ckpt.bin").write_bytes((run / "final.ckpt.bin").read_bytes()[:-8])
+    out = tmp_path / "resumed"
+    capsys.readouterr()
+    assert main(["train", "--resume", str(tmp_path / "final.ckpt.json"), "--epochs", "1",
+                 "--data", str(bad_data), "--out", str(out)]) == 1
+    assert str(tmp_path / "final.ckpt.bin") in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_resume_needs_only_the_checkpoint(pipeline, tmp_path):
     """--resume --data --epochs --out continue a run as a straight run of all the epochs."""
     _, data, _ = pipeline
@@ -659,7 +684,8 @@ def test_unknown_flag_exit_1(tmp_path):
 
 
 # A 24-node chain (gen-data, train, resume, eval, rollout, pca) and a one-epoch
-# 384-node toy GCN train, run through the CLI in the current directory.
+# 384-node toy GCN train and batch-1 rollout, run through the CLI in the current
+# directory.
 _THREAD_COUNT_RUN = """
 import sys
 from tgl.cli import main
@@ -683,6 +709,8 @@ run("gen-data", "--objects", "1", "--trials-per", "2", "--seed", "5", "--length"
     "--out", "data384")
 run("train", "--conv", "14,28,56", "--fc", "120,50", "--epochs", "1", "--lr", "1e-3",
     "--target-length", "100", "--data", "data384", "--out", "run384")
+run("rollout", "--ckpt", "run384/final.ckpt.json", "--object", "heavy,soft,slippery",
+    "--max-steps", "20", "--out", "rollout384")
 """
 
 
@@ -708,5 +736,6 @@ def test_artifacts_do_not_depend_on_the_blas_thread_count(tmp_path):
                            if p.is_file() and p.name != "metrics.ndjson"}
         shutil.rmtree(work)
     assert len(hashes["1"]) > 30 and "run384/final.ckpt.bin" in hashes["1"]
+    assert "rollout384/trace.csv" in hashes["1"]
     assert hashes["2"] == hashes["1"]
     assert hashes[None] == hashes["1"]

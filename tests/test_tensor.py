@@ -293,6 +293,45 @@ def test_split_products_equal_numpy_bit_for_bit(monkeypatch, nodes, batch):
         assert T._product(a, b).tobytes() == (a @ b).tobytes(), name
 
 
+FC0_IN = 384 * TOY_CONV[-1] + 22   # the 384-node toy GCN's first fc layer: 21,526 inputs
+
+
+def _fc0_row(nonzero: np.ndarray, rng) -> np.ndarray:
+    row = np.zeros((1, FC0_IN))
+    row[0, nonzero] = rng.normal(size=len(nonzero))
+    return row
+
+
+@pytest.mark.parametrize("case", ["aux only", "random sparse"])
+def test_a_sparse_row_reads_only_the_weight_rows_it_selects(case):
+    """A silent frame (only the 22 joint and label inputs) or <= 8% nonzeros: numpy's value, fixed bits."""
+    rng = np.random.default_rng(18)
+    w = rng.normal(size=(FC0_IN, TOY_FC))
+    nonzero = np.arange(FC0_IN - 22, FC0_IN) if case == "aux only" else \
+        rng.choice(FC0_IN, int(T.SPARSE_MAX_DENSITY * FC0_IN), replace=False)
+    row = _fc0_row(nonzero, rng)
+    got = T._product(row, w)
+    expected = row @ w
+    assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
+    assert T._product(row.copy(), w.copy()).tobytes() == got.tobytes()
+    unread = w.copy()
+    unread[np.setdiff1d(np.arange(FC0_IN), nonzero)] = np.nan
+    assert T._product(row, unread).tobytes() == got.tobytes()
+    zeros = T._product(np.zeros((1, FC0_IN)), w)
+    assert zeros.shape == (1, TOY_FC) and zeros.tobytes() == bytes(zeros.nbytes)
+
+
+def test_a_nan_in_a_selected_weight_row_still_names_the_fc_layer(default_topo):
+    """Silent taxels select only the joint and label rows; a NaN there is still caught."""
+    params = tgl.build_from_spec(tgl.ModelSpec("GCN", TOY_CONV[1:], (TOY_FC, 50)), default_topo, 0)
+    w = params.fc_weights[0].value.data
+    assert w.shape == (FC0_IN, TOY_FC) and T._splits(w.size)
+    aux = np.concatenate([np.full(16, 0.5), tgl.encode_labels(True, False, True)])[None]
+    w[FC0_IN - 22, 3] = np.nan                          # the first joint's row
+    with pytest.raises(NonFiniteError, match="fc layer 0"):
+        tgl.forward_batch(params, np.zeros((1, 384, 3)), aux)
+
+
 @pytest.mark.parametrize("batch", [100, 60, 1])
 def test_split_mlp_products_equal_numpy_bit_for_bit(batch):
     """Model IV's fc products that split at the default threshold keep their bits too."""
