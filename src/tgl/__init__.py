@@ -10,7 +10,7 @@ from .analysis import ClusterReport, NodeFeatureStack, compare_force_traces, \
 from .dataset import Dataset, PairSet, Trial, TrajectoryRecord, downsample, encode_labels, \
     preprocess, preprocess_dataset, read_trial_csv, smooth, split, trim_static, write_trial_csv
 from .models import MODEL_TABLE, ModelParams, ModelSpec, build_from_spec, conv_features, \
-    forward, forward_batch, load_checkpoint, model_spec, save_checkpoint
+    forward, forward_batch, load_checkpoint, model_spec, predict, save_checkpoint
 from .optim import AdamConfig, Parameter, adam_step, glorot_uniform
 from .pca import pca
 from .plant import Disturbance, Plant, PlantConfig, PlantState, SyntheticObject, \
@@ -18,8 +18,7 @@ from .plant import Disturbance, Plant, PlantConfig, PlantState, SyntheticObject,
     initial_state, make_object, make_plant, object_catalog, plant_step
 from .rollout import RolloutConfig, RolloutTrace, Verdict, judge_success, read_trace_forces, \
     rollout, total_grip_force, write_trace
-from .tensor import NonFiniteError, Tensor, backward, concat, matmul, mse_loss, no_grad, \
-    relu, reshape
+from .tensor import NonFiniteError, Tensor, backward, concat, matmul, mse_loss, relu, reshape
 from .topology import HandTopology, SensorNode, build_default_hand, build_small_hand, \
     load_topology, propagation_for, save_topology
 from .training import TrainConfig, TrainReport, evaluate, fit_pairs, train

@@ -15,7 +15,6 @@ import numpy as np
 from .dataset import Trial, write_json
 from .models import ModelParams, conv_features
 from .pca import pca
-from .tensor import no_grad
 from .topology import HandTopology
 
 
@@ -59,18 +58,17 @@ def extract_node_features(params: ModelParams, topology: HandTopology,
     start, stop = window
     if not (0 <= start < stop):
         raise ValueError(f"empty or invalid window {window}")
-    blocks = []
-    with no_grad():
-        for trial in trials:
-            if stop > len(trial):
-                raise ValueError(f"window {window} exceeds trial {trial.object_name!r} "
-                                 f"of length {len(trial)}")
-            if trial.n_nodes != params.n_nodes:
-                raise ValueError(f"trial {trial.object_name!r} carries {trial.n_nodes} nodes, "
-                                 f"model expects {params.n_nodes}")
-            feats = conv_features(params, trial.tactile[start:stop]).data     # [steps, nodes, c]
-            blocks.append(np.transpose(feats, (1, 0, 2)).reshape(params.n_nodes, -1))
-    features = np.concatenate(blocks, axis=1)
+    # per node, the last conv layer's width; an MLP fails in conv_features
+    features = np.empty((params.n_nodes, len(trials), stop - start, params.spec.flat_width(1)))
+    for k, trial in enumerate(trials):
+        if stop > len(trial):
+            raise ValueError(f"window {window} exceeds trial {trial.object_name!r} "
+                             f"of length {len(trial)}")
+        if trial.n_nodes != params.n_nodes:
+            raise ValueError(f"trial {trial.object_name!r} carries {trial.n_nodes} nodes, "
+                             f"model expects {params.n_nodes}")
+        features[:, k] = np.transpose(conv_features(params, trial.tactile[start:stop]), (1, 0, 2))
+    features = features.reshape(params.n_nodes, -1)
     labels = [(nd.finger, nd.segment) for nd in params.topology.nodes]
     return NodeFeatureStack(features=features, node_labels=labels,
                             meta={"trials": len(trials), "window": [start, stop],
@@ -111,7 +109,7 @@ def pca_node_map(stack: NodeFeatureStack) -> ClusterReport:
     Nodes that are all identical leave nothing to map: every coordinate is 0.
     """
     n, labels = stack.features.shape[0], list(stack.node_labels)
-    degenerate = bool((np.ptp(stack.features, axis=0).max() if n else 0.0) == 0.0)
+    degenerate = bool((stack.features == stack.features[:1]).all())
     coords, variances = (np.zeros((n, 2)), [0.0, 0.0]) if degenerate \
         else pca(stack.features, k=2)[1:]
     centroids = {key: coords[[i for i, l in enumerate(labels) if l == key]].mean(axis=0)

@@ -42,7 +42,7 @@ def validate_labels(labels: np.ndarray) -> None:
     labels = np.asarray(labels)
     if labels.shape != (LABEL_DIM,):
         raise ValueError(f"labels must have shape ({LABEL_DIM},), got {labels.shape}")
-    if not np.isin(labels, (0.0, 1.0)).all():
+    if not ((labels == 0.0) | (labels == 1.0)).all():
         raise ValueError("labels must be 0/1 valued")
     for k, (a, b) in enumerate(((0, 1), (2, 3), (4, 5))):
         if labels[a] + labels[b] != 1.0:

@@ -21,8 +21,8 @@ import numpy as np
 
 from .dataset import HORIZON, JOINT_DIM, LABEL_DIM, validate_labels, write_json
 from .optim import Parameter, glorot_uniform
-from .tensor import NonFiniteError, SymmetricOperator, Tensor, concat, matmul, no_grad, relu, \
-    reshape
+from .tensor import NonFiniteError, SymmetricOperator, Tensor, _all_finite, _elementwise, \
+    _product, as_tensor, concat, matmul, relu, reshape
 from .topology import HandTopology, propagation_for, topology_doc, topology_from_doc
 
 TACTILE_AXES = 3                  # input channels per node: a tri-axial reading
@@ -158,32 +158,63 @@ def _named_layer(stage: str):
         raise NonFiniteError(f"{stage}: {e}") from e
 
 
-def conv_features(params: ModelParams, tactile) -> Tensor:
-    """Run the conv stack only; returns node features [..., nodes, c_last]."""
+def _finite(arr: np.ndarray, stage: str = "") -> np.ndarray:
+    """arr, checked where the tape checks an op's output; the error reads as the tape's."""
+    if not _all_finite(arr):
+        raise NonFiniteError(f"{stage}non-finite values in tensor data")
+    return arr
+
+
+def _check_nodes(params: ModelParams, shape: tuple[int, ...]) -> None:
+    if shape[-2:] != (params.n_nodes, TACTILE_AXES):
+        raise ValueError(f"tactile must end in ({params.n_nodes}, {TACTILE_AXES}), got {shape}")
+
+
+def conv_features(params: ModelParams, tactile) -> np.ndarray:
+    """Run the conv stack only, off the tape; returns node features [..., nodes, c_last]."""
     if params.spec.kind != "GCN":
         raise ValueError("no conv features: model has no graph-conv layers")
-    x = tactile if isinstance(tactile, Tensor) else Tensor(tactile)
-    if x.shape[-2:] != (params.n_nodes, TACTILE_AXES):
-        raise ValueError(f"tactile must end in ({params.n_nodes}, {TACTILE_AXES}), got {x.shape}")
+    x = _finite(np.asarray(tactile, dtype=np.float64))
+    _check_nodes(params, x.shape)
     for i, w in enumerate(params.conv_weights):
-        with _named_layer(f"conv layer {i}"):
-            x = relu(matmul(matmul(params.s_tensor, x), w.value))
+        stage = f"conv layer {i}: "
+        h = _finite(params.s_tensor.apply(x), stage)
+        x = _elementwise(np.maximum, _finite(_product(h, w.value.data), stage), 0.0)
     return x
 
 
+def predict(params: ModelParams, tactile, aux) -> np.ndarray:
+    """`forward_batch` on arrays: the same primitives in the same order, the same bits and
+    checks, and no tape.  tactile [B, nodes, 3], aux [B, 22] -> joints [B, 16].
+    """
+    aux = _finite(np.asarray(aux, dtype=np.float64))
+    if aux.ndim != 2 or aux.shape[1] != AUX_DIM:
+        raise ValueError(f"aux must be [batch, {AUX_DIM}], got {aux.shape}")
+    x = conv_features(params, tactile) if params.spec.kind == "GCN" \
+        else _finite(np.asarray(tactile, dtype=np.float64))
+    h = np.concatenate([x.reshape(len(aux), params.spec.flat_width(params.n_nodes)), aux], axis=1)
+    last = len(params.fc_weights) - 1
+    for i, (w, b) in enumerate(zip(params.fc_weights, params.fc_biases)):
+        stage = "output layer: " if i == last else f"fc layer {i}: "
+        h = _finite(_finite(_product(h, w.value.data), stage) + b.value.data, stage)
+        if i != last:
+            h = _elementwise(np.maximum, h, 0.0)
+    return h
+
+
 def forward_batch(params: ModelParams, tactile, aux) -> Tensor:
-    """Batched forward: tactile [B, nodes, 3], aux [B, 22] -> joints [B, 16]."""
-    aux_t = aux if isinstance(aux, Tensor) else Tensor(aux)
+    """The training forward, on the tape: tactile [B, nodes, 3], aux [B, 22] -> joints [B, 16]."""
+    aux_t = as_tensor(aux)
     if aux_t.ndim != 2 or aux_t.shape[1] != AUX_DIM:
         raise ValueError(f"aux must be [batch, {AUX_DIM}], got {aux_t.shape}")
-    batch = aux_t.shape[0]
+    x = as_tensor(tactile)
     if params.spec.kind == "GCN":
-        feats = conv_features(params, tactile)
-        flat = reshape(feats, (batch, params.spec.flat_width(params.n_nodes)))
-    else:
-        x = tactile if isinstance(tactile, Tensor) else Tensor(tactile)
-        flat = reshape(x, (batch, params.spec.flat_width(params.n_nodes)))
-    h = concat([flat, aux_t], axis=1)
+        _check_nodes(params, x.shape)
+    for i, w in enumerate(params.conv_weights):
+        with _named_layer(f"conv layer {i}"):
+            x = relu(matmul(matmul(params.s_tensor, x), w.value))
+    h = concat([reshape(x, (aux_t.shape[0], params.spec.flat_width(params.n_nodes))), aux_t],
+               axis=1)
     last = len(params.fc_weights) - 1
     for i, (w, b) in enumerate(zip(params.fc_weights, params.fc_biases)):
         stage = "output layer" if i == last else f"fc layer {i}"
@@ -204,10 +235,7 @@ def forward(params: ModelParams, tactile, joints, labels) -> np.ndarray:
     if joints.shape != (JOINT_DIM,):
         raise ValueError(f"joints must be ({JOINT_DIM},), got {joints.shape}")
     validate_labels(labels)
-    with no_grad():
-        aux = np.concatenate([joints, labels])[None, :]
-        out = forward_batch(params, tactile[None, :, :], aux)
-    return out.data[0].copy()
+    return predict(params, tactile[None, :, :], np.concatenate([joints, labels])[None, :])[0]
 
 
 # ---------------------------------------------------------------------------

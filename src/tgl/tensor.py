@@ -1,7 +1,9 @@
 """Dense float64 tensors with a reverse-mode gradient tape.
 
 The tape has the six ops the models run: matmul, add, relu, reshape,
-concat and mse_loss; `backward` sweeps it from a scalar loss.
+concat and mse_loss; `backward` sweeps it from a scalar loss.  It records
+training steps only: an op records whenever an input requires a gradient,
+and inference (`models.predict`) runs the same primitives on plain arrays.
 Arrays are float64 throughout; matmul follows numpy semantics, so a
 leading batch dimension broadcasts against a plain 2-D operand.  A fixed
 symmetric operator (`SymmetricOperator`, the graph propagation S) is
@@ -27,7 +29,6 @@ import os
 import platform
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
 
 import numpy as np
 
@@ -253,21 +254,6 @@ def _all_finite(arr: np.ndarray) -> bool:
     return all(_in_pieces(len(arr), lambda _, lo, hi: np.isfinite(arr[lo:hi], out=ok[lo:hi]).all()))
 
 
-_grad_enabled = True
-
-
-@contextmanager
-def no_grad():
-    """Suspend tape recording (inference, evaluation, plant stepping)."""
-    global _grad_enabled
-    prev = _grad_enabled
-    _grad_enabled = False
-    try:
-        yield
-    finally:
-        _grad_enabled = prev
-
-
 def _check_finite(arr: np.ndarray, what: str) -> None:
     if not _all_finite(arr):
         raise NonFiniteError(f"non-finite values in {what}")
@@ -304,7 +290,7 @@ class Tensor:
                  known_finite: bool = False) -> "Tensor":
         """An op's output; known_finite skips the scan where finite inputs give finite data."""
         out = cls(data, known_finite=known_finite)
-        if _grad_enabled and any(p.requires_grad for p in parents):
+        if any(p.requires_grad for p in parents):
             out.requires_grad = True
             out._parents = parents
             out._backward = backward
@@ -458,8 +444,7 @@ def add(a, b) -> Tensor:
 def relu(x) -> Tensor:
     x = as_tensor(x)
     # gradient is exactly 0 at the kink; only a recorded op's backward reads the mask
-    mask = _elementwise(np.greater, x.data, 0, bool) if _grad_enabled and x.requires_grad \
-        else None
+    mask = _elementwise(np.greater, x.data, 0, bool) if x.requires_grad else None
 
     def back(g):
         return (_elementwise(np.multiply, g, mask),) if x.requires_grad else (None,)

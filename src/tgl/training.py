@@ -12,9 +12,9 @@ import numpy as np
 
 from .dataset import Dataset, PairSet, split
 from .models import MODEL_TABLE, ModelParams, ModelSpec, build_from_spec, checkpoint_blob, \
-    forward_batch, load_checkpoint, save_checkpoint
+    forward_batch, load_checkpoint, predict, save_checkpoint
 from .optim import AdamConfig, adam_step
-from .tensor import NonFiniteError, Tensor, backward, mse_loss, no_grad
+from .tensor import NonFiniteError, Tensor, backward, mse_loss
 from .topology import HandTopology
 
 
@@ -48,17 +48,15 @@ class TrainReport:
 
 
 def mean_loss(params: ModelParams, pairs: PairSet, batch_size: int = 100) -> float:
-    """Mean MSE over all pairs, computed in batches without touching grads."""
+    """Mean MSE over all pairs, computed in batches off the tape (`predict`)."""
     if pairs.tactile.shape[1] != params.n_nodes:
         raise ValueError(f"pairs carry {pairs.tactile.shape[1]} nodes, "
                          f"model expects {params.n_nodes}")
     total = 0.0
-    with no_grad():
-        for s in range(0, len(pairs), batch_size):
-            batch = pairs[s:s + batch_size]
-            pred = forward_batch(params, Tensor(batch.tactile), Tensor(batch.aux()))
-            diff = pred.data - batch.targets
-            total += float((diff * diff).sum())
+    for s in range(0, len(pairs), batch_size):
+        batch = pairs[s:s + batch_size]
+        diff = predict(params, batch.tactile, batch.aux()) - batch.targets
+        total += float((diff * diff).sum())
     return total / (len(pairs) * pairs.targets.shape[1])
 
 

@@ -19,10 +19,10 @@ from tgl import analysis, plant, training
 from tgl.cli import main as cli_main
 from tgl.dataset import Dataset, encode_labels, preprocess, split
 from tgl.models import (AUX_DIM, ModelSpec, build_from_spec, forward_batch,
-                        load_checkpoint, model_spec, save_checkpoint)
+                        load_checkpoint, model_spec, predict, save_checkpoint)
 from tgl.optim import AdamConfig
 from tgl.rollout import Disturbance, RolloutConfig, rollout
-from tgl.tensor import backward, mse_loss, no_grad
+from tgl.tensor import backward, mse_loss
 from tgl.topology import HandTopology, SensorNode, propagation_for
 from tgl.training import TrainConfig
 
@@ -83,9 +83,7 @@ def test_criterion_02_gradient_fidelity_vs_finite_differences(tiny_topo):
         backward(mse_loss(forward_batch(params, tactile, aux), target))
 
         def loss_value() -> float:
-            with no_grad():
-                return mse_loss(forward_batch(params, tactile, aux),
-                                target).item()
+            return float(np.mean((predict(params, tactile, aux) - target) ** 2))
 
         for p in params.parameters():
             analytic = p.grad
@@ -128,9 +126,8 @@ def test_criterion_03_architecture_table_conformance(default_topo):
     params = build_from_spec(model_spec("IV"), default_topo, seed=0)
     assert params.parameter_count() == 12_104_016
     assert params.fc_weights[-1].value.shape[1] == 16
-    with no_grad():   # all-zero labels are no valid label vector, so forward would refuse them
-        out = forward_batch(params, np.zeros((1, default_topo.n, 3)),
-                            np.zeros((1, AUX_DIM))).data[0]
+    # all-zero labels are no valid label vector, so forward would refuse them
+    out = predict(params, np.zeros((1, default_topo.n, 3)), np.zeros((1, AUX_DIM)))[0]
     assert out.shape == (16,)
     assert np.all(out == 0.0)
     _note("criterion 3: four model rows conform; full MLP build has "

@@ -684,8 +684,8 @@ def test_unknown_flag_exit_1(tmp_path):
 
 
 # A 24-node chain (gen-data, train, resume, eval, rollout, pca) and a one-epoch
-# 384-node toy GCN train and batch-1 rollout, run through the CLI in the current
-# directory.
+# 384-node toy GCN train, eval, batch-1 rollout and pca, run through the CLI in the
+# current directory.
 _THREAD_COUNT_RUN = """
 import sys
 from tgl.cli import main
@@ -709,8 +709,10 @@ run("gen-data", "--objects", "1", "--trials-per", "2", "--seed", "5", "--length"
     "--out", "data384")
 run("train", "--conv", "14,28,56", "--fc", "120,50", "--epochs", "1", "--lr", "1e-3",
     "--target-length", "100", "--data", "data384", "--out", "run384")
+run("eval", "--ckpt", "run384/final.ckpt.json", "--data", "data384", "--out", "eval384")
 run("rollout", "--ckpt", "run384/final.ckpt.json", "--object", "heavy,soft,slippery",
     "--max-steps", "20", "--out", "rollout384")
+run("pca", "--ckpt", "run384/final.ckpt.json", "--data", "data384", "--out", "pca384")
 """
 
 
@@ -737,5 +739,6 @@ def test_artifacts_do_not_depend_on_the_blas_thread_count(tmp_path):
         shutil.rmtree(work)
     assert len(hashes["1"]) > 30 and "run384/final.ckpt.bin" in hashes["1"]
     assert "rollout384/trace.csv" in hashes["1"]
+    assert {"eval384/eval.json", "pca384/node_map.csv"} <= hashes["1"].keys()
     assert hashes["2"] == hashes["1"]
     assert hashes[None] == hashes["1"]

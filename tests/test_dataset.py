@@ -51,6 +51,18 @@ def test_label_validation():
         validate_labels(np.array([1, 0, 1, 0, 1], dtype=float))  # wrong length
 
 
+@pytest.mark.parametrize("value, valid", [(0.0, True), (1.0, True), (-0.0, True), (0.5, False),
+                                          (np.nan, False), (np.inf, False), (-np.inf, False),
+                                          (2.0, False)])
+def test_label_values_must_be_zero_or_one(value, valid):
+    labels = np.array([value, 1.0 - value, 1.0, 0.0, 1.0, 0.0])
+    if valid:
+        validate_labels(labels)
+    else:
+        with pytest.raises(ValueError, match="0/1 valued"):
+            validate_labels(labels)
+
+
 def test_trim_static_cuts_leading_and_trailing_rest():
     # at rest for 50 frames, moving for next 200 frame-to-frame diffs, then rest
     trial = ramp_trial(329, 50, 250)

@@ -8,10 +8,15 @@ import numpy as np
 import pytest
 
 import tgl
+from tgl.analysis import extract_node_features
+from tgl.dataset import PairSet, Trial, encode_labels
 from tgl.models import (MODEL_TABLE, OUTPUT_DIM, ModelSpec, build_from_spec, conv_features,
-                        forward, forward_batch, load_checkpoint, model_spec, save_checkpoint)
-from tgl.tensor import CSR_BLOCK_SAMPLES, NonFiniteError, Tensor, backward, matmul, mse_loss, \
-    no_grad
+                        forward, forward_batch, load_checkpoint, model_spec, predict,
+                        save_checkpoint)
+from tgl.plant import PlantConfig, make_object, make_plant
+from tgl.rollout import RolloutConfig, rollout
+from tgl.tensor import CSR_BLOCK_SAMPLES, NonFiniteError, Tensor, backward, matmul, mse_loss
+from tgl.training import mean_loss
 from tgl.topology import HandTopology, SensorNode, propagation_for
 
 
@@ -91,7 +96,7 @@ def test_graph_conv_two_node_by_hand():
     h = np.array([[1.0, 2.0, 3.0], [-1.0, 0.0, 1.0]])
     out = conv_features(m, h[None])
     # S = [[.5,.5],[.5,.5]]; S H = [[0,1,2],[0,1,2]]; (S H) W = [[2,2],[2,2]]
-    np.testing.assert_allclose(out.data[0], [[2.0, 2.0], [2.0, 2.0]])
+    np.testing.assert_allclose(out[0], [[2.0, 2.0], [2.0, 2.0]])
 
 
 def test_conv_features_permutation_equivariant():
@@ -195,8 +200,7 @@ def test_conv_gradients_on_the_default_hand_match_finite_differences(default_top
     backward(mse_loss(forward_batch(m, tactile, aux), target))
 
     def loss_value() -> float:
-        with no_grad():
-            return mse_loss(forward_batch(m, Tensor(tactile.data), aux), target).item()
+        return float(np.mean((predict(m, tactile.data, aux) - target) ** 2))
 
     h = 1e-5
     for arr, grad in ((m.conv_weights[0].value.data, m.conv_weights[0].grad),
@@ -210,6 +214,69 @@ def test_conv_gradients_on_the_default_hand_match_finite_differences(default_top
             arr.flat[idx] = orig
             fd = (up - down) / (2.0 * h)
             assert grad.flat[idx] == pytest.approx(fd, rel=1e-4, abs=1e-9)
+
+
+# The benchmark's toy GCN: on the 384-node hand its first fc weight, 21,526 x 120, splits
+# into pieces, and a batch-1 input with silent taxels takes the one-row sparse product.
+BENCH_GCN = ModelSpec("GCN", (14, 28, 56), (120, 50))
+
+
+@pytest.mark.parametrize("spec, hand", [(BENCH_GCN, "small_topo"), (BENCH_GCN, "default_topo"),
+                                        (ModelSpec("MLP", (), (300, 50)), "default_topo")])
+def test_predict_is_forward_batch_bit_for_bit(spec, hand, request):
+    topo = request.getfixturevalue(hand)
+    m = build_from_spec(spec, topo, seed=4)
+    rng = np.random.default_rng(9)
+    for batch in (1, 7, 100):
+        touched = rng.uniform(-1.0, 1.0, (batch, topo.n, 3))
+        silent = np.where(rng.random((batch, topo.n, 1)) < 0.02, touched, 0.0)
+        aux = np.concatenate([rng.uniform(-1.0, 1.0, (batch, 16)),
+                              np.tile(encode_labels(True, False, True), (batch, 1))], axis=1)
+        for tactile in (touched, silent, np.zeros_like(touched)):
+            got, want = predict(m, tactile, aux), forward_batch(m, tactile, aux).data
+            assert got.shape == want.shape == (batch, OUTPUT_DIM)
+            assert got.tobytes() == want.tobytes()
+
+
+LABELS = encode_labels(heavy=False, soft=True, slippery=False)
+
+
+def _trial(topo, rng, frames: int = 20) -> Trial:
+    return Trial("obj", np.arange(frames), rng.uniform(-1.0, 1.0, (frames, 16)),
+                 rng.uniform(-1.0, 1.0, (frames, topo.n, 3)), LABELS)
+
+
+@pytest.mark.parametrize("layer, stage", [("conv1", "conv layer 1"), ("fc0", "fc layer 0"),
+                                          ("fc1", "output layer")])
+def test_a_nan_weight_names_its_layer_off_the_tape(layer, stage, tiny_topo):
+    m = build_from_spec(TOY, tiny_topo, seed=0)
+    weights = {p.name: p for p in m.parameters()}
+    weights[layer if layer.startswith("conv") else f"{layer}.weight"].value.data[:] = np.nan
+    pairs = PairSet([_trial(tiny_topo, np.random.default_rng(1))])
+    calls = [lambda: forward(m, pairs.tactile[0], pairs.joints[0], LABELS),
+             lambda: mean_loss(m, pairs, batch_size=4)]
+    if layer.startswith("conv"):
+        calls.append(lambda: conv_features(m, pairs.tactile))
+    for call in calls:
+        with pytest.raises(NonFiniteError, match=f"^{stage}: non-finite values in tensor data$"):
+            call()
+
+
+def test_inference_builds_no_tensor(small_topo, monkeypatch):
+    m = build_from_spec(BENCH_GCN, small_topo, seed=0)
+    trial = _trial(small_topo, np.random.default_rng(2), frames=30)
+    pairs = PairSet([trial])
+    plant = make_plant(small_topo, make_object(heavy=False, soft=True, slippery=False),
+                       PlantConfig())
+
+    def no_tensor(*args, **kwargs):
+        raise AssertionError("inference built a Tensor")
+
+    monkeypatch.setattr(Tensor, "__init__", no_tensor)
+    forward(m, pairs.tactile[0], pairs.joints[0], LABELS)
+    mean_loss(m, pairs, batch_size=7)
+    extract_node_features(m, small_topo, [trial, trial], (5, 25))
+    rollout(m, plant, RolloutConfig(max_steps=15, labels=LABELS), seed=0)
 
 
 def test_checkpoint_round_trip_bitwise(tmp_path, tiny_topo, default_topo):
