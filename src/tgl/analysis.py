@@ -64,9 +64,6 @@ def extract_node_features(params: ModelParams, topology: HandTopology,
         if stop > len(trial):
             raise ValueError(f"window {window} exceeds trial {trial.object_name!r} "
                              f"of length {len(trial)}")
-        if trial.n_nodes != params.n_nodes:
-            raise ValueError(f"trial {trial.object_name!r} carries {trial.n_nodes} nodes, "
-                             f"model expects {params.n_nodes}")
         features[:, k] = np.transpose(conv_features(params, trial.tactile[start:stop]), (1, 0, 2))
     features = features.reshape(params.n_nodes, -1)
     labels = [(nd.finger, nd.segment) for nd in params.topology.nodes]

@@ -54,6 +54,13 @@ def _ensure_out(path: str) -> str:
     return path
 
 
+def _out_dir(path: str) -> str:
+    """--out, checked as it is parsed: a directory, or a path that is not there yet."""
+    if os.path.exists(path) and not os.path.isdir(path):
+        raise argparse.ArgumentTypeError(f"{path} exists and is not a directory")
+    return path
+
+
 def _load_topology(spec: str) -> topo_mod.HandTopology:
     builders = {"default": topo_mod.build_default_hand, "small": topo_mod.build_small_hand}
     if spec in builders:
@@ -233,6 +240,8 @@ def cmd_train(args) -> int:
         defaults |= recorded | {"model": "", "topology": ""}
     settings = _settings(args, defaults)
     seed, epochs, batch, lr, model, target_length, topo_spec = settings.values()
+    if target_length < 2:   # a trial is downsampled to frames that include both its ends
+        raise CliError(f"--target-length must be >= 2, got {target_length}")
     if not args.resume:
         spec, topo = _spec(model, args.conv, args.fc), _load_topology(topo_spec)
     else:   # only a flag or --config value can differ from the checkpoint
@@ -317,9 +326,14 @@ def cmd_pca(args) -> int:
         if not 0 <= start < stop:
             raise CliError(f"--window needs 0 <= start < stop, got {args.window!r}")
     params, extra = models.load_checkpoint(args.ckpt)
+    if params.spec.kind != "GCN":
+        raise CliError(f"pca maps a GCN's node features; {args.ckpt} holds an {params.spec.kind}")
     target_length = training.recipe(args.ckpt, extra)["target_length"]
     if not args.window:
         start, stop = max(0, target_length - 45), target_length
+    elif stop > target_length:
+        raise CliError(f"--window {args.window} ends past the checkpoint's target length "
+                       f"{target_length}")
     ds = _read_dataset(args.data, target_length)
     stack = analysis.extract_node_features(params, params.topology, ds.trials, (start, stop))
     report = analysis.pca_node_map(stack)
@@ -364,11 +378,11 @@ def build_parser() -> _Parser:
 
     sp = sub.add_parser("topology", help="write a sensor-graph JSON (the 384-node hand by default)")
     sp.add_argument("--small", action="store_true", help="24-node desk-scale hand")
-    sp.add_argument("--out", required=True)
+    sp.add_argument("--out", required=True, type=_out_dir)
     sp.set_defaults(func=cmd_topology)
 
     sp = sub.add_parser("gen-data", help="generate synthetic trial CSVs")
-    sp.add_argument("--out", required=True)
+    sp.add_argument("--out", required=True, type=_out_dir)
     sp.add_argument("--config", help="JSON config supplying defaults for the flags")
     sp.add_argument("--objects", type=int, help="number of object property combos (1..8)")
     sp.add_argument("--trials-per", type=int, help="trials per object")
@@ -380,7 +394,7 @@ def build_parser() -> _Parser:
 
     sp = sub.add_parser("train", help="train a model on trial CSVs")
     sp.add_argument("--data", required=True, help="directory of trial CSVs")
-    sp.add_argument("--out", required=True)
+    sp.add_argument("--out", required=True, type=_out_dir)
     sp.add_argument("--config", help="JSON config supplying defaults for the flags")
     sp.add_argument("--model", choices=sorted(models.MODEL_TABLE))
     sp.add_argument("--conv", help="custom conv widths, e.g. 8,16,24 (overrides --model)")
@@ -398,13 +412,13 @@ def build_parser() -> _Parser:
     sp = sub.add_parser("eval", help="mean MSE of a checkpoint over a data split")
     sp.add_argument("--ckpt", required=True)
     sp.add_argument("--data", required=True)
-    sp.add_argument("--out", required=True)
+    sp.add_argument("--out", required=True, type=_out_dir)
     sp.add_argument("--split", choices=("train", "val"), default="val")
     sp.set_defaults(func=cmd_eval)
 
     sp = sub.add_parser("rollout", help="closed-loop rollout of a checkpoint on the plant")
     sp.add_argument("--ckpt", required=True)
-    sp.add_argument("--out", required=True)
+    sp.add_argument("--out", required=True, type=_out_dir)
     sp.add_argument("--object", required=True,
                     help="true object properties, e.g. heavy,soft,nonslip")
     sp.add_argument("--labels", help="labels fed to the model (defaults to the object's)")
@@ -418,14 +432,14 @@ def build_parser() -> _Parser:
     sp = sub.add_parser("pca", help="node-feature PCA map of a trained GCN")
     sp.add_argument("--ckpt", required=True)
     sp.add_argument("--data", required=True)
-    sp.add_argument("--out", required=True)
+    sp.add_argument("--out", required=True, type=_out_dir)
     sp.add_argument("--window", help="start:stop step range (default: final 45 steps)")
     sp.set_defaults(func=cmd_pca)
 
     sp = sub.add_parser("compare-forces", help="compare grip-force series of two traces")
     sp.add_argument("--trace-a", required=True)
     sp.add_argument("--trace-b", required=True)
-    sp.add_argument("--out", required=True)
+    sp.add_argument("--out", required=True, type=_out_dir)
     sp.set_defaults(func=cmd_compare_forces)
     return p
 
@@ -435,7 +449,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except (CliError, ValueError, FileNotFoundError, NotADirectoryError) as e:
+    except (CliError, ValueError, FileNotFoundError, NotADirectoryError, IsADirectoryError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except (NonFiniteError, OSError) as e:

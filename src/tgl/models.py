@@ -170,6 +170,14 @@ def _check_nodes(params: ModelParams, shape: tuple[int, ...]) -> None:
         raise ValueError(f"tactile must end in ({params.n_nodes}, {TACTILE_AXES}), got {shape}")
 
 
+def _check_inputs(params: ModelParams, tactile: tuple[int, ...], aux: tuple[int, ...]) -> None:
+    """ValueError unless the shapes are tactile [B, nodes, 3] and aux [B, 22], one B for both."""
+    batch = aux[:1]
+    if tactile != (*batch, params.n_nodes, TACTILE_AXES) or aux != (*batch, AUX_DIM):
+        raise ValueError(f"inputs must be tactile [B, {params.n_nodes}, {TACTILE_AXES}] and aux "
+                         f"[B, {AUX_DIM}], got {tactile} and {aux}")
+
+
 def conv_features(params: ModelParams, tactile) -> np.ndarray:
     """Run the conv stack only, off the tape; returns node features [..., nodes, c_last]."""
     if params.spec.kind != "GCN":
@@ -187,11 +195,10 @@ def predict(params: ModelParams, tactile, aux) -> np.ndarray:
     """`forward_batch` on arrays: the same primitives in the same order, the same bits and
     checks, and no tape.  tactile [B, nodes, 3], aux [B, 22] -> joints [B, 16].
     """
-    aux = _finite(np.asarray(aux, dtype=np.float64))
-    if aux.ndim != 2 or aux.shape[1] != AUX_DIM:
-        raise ValueError(f"aux must be [batch, {AUX_DIM}], got {aux.shape}")
-    x = conv_features(params, tactile) if params.spec.kind == "GCN" \
-        else _finite(np.asarray(tactile, dtype=np.float64))
+    tactile, aux = np.asarray(tactile, dtype=np.float64), np.asarray(aux, dtype=np.float64)
+    _check_inputs(params, tactile.shape, aux.shape)
+    aux = _finite(aux)
+    x = conv_features(params, tactile) if params.spec.kind == "GCN" else _finite(tactile)
     h = np.concatenate([x.reshape(len(aux), params.spec.flat_width(params.n_nodes)), aux], axis=1)
     last = len(params.fc_weights) - 1
     for i, (w, b) in enumerate(zip(params.fc_weights, params.fc_biases)):
@@ -204,12 +211,8 @@ def predict(params: ModelParams, tactile, aux) -> np.ndarray:
 
 def forward_batch(params: ModelParams, tactile, aux) -> Tensor:
     """The training forward, on the tape: tactile [B, nodes, 3], aux [B, 22] -> joints [B, 16]."""
-    aux_t = as_tensor(aux)
-    if aux_t.ndim != 2 or aux_t.shape[1] != AUX_DIM:
-        raise ValueError(f"aux must be [batch, {AUX_DIM}], got {aux_t.shape}")
-    x = as_tensor(tactile)
-    if params.spec.kind == "GCN":
-        _check_nodes(params, x.shape)
+    aux_t, x = as_tensor(aux), as_tensor(tactile)
+    _check_inputs(params, x.shape, aux_t.shape)
     for i, w in enumerate(params.conv_weights):
         with _named_layer(f"conv layer {i}"):
             x = relu(matmul(matmul(params.s_tensor, x), w.value))
@@ -227,49 +230,48 @@ def forward_batch(params: ModelParams, tactile, aux) -> Tensor:
 
 def forward(params: ModelParams, tactile, joints, labels) -> np.ndarray:
     """Single-step inference; returns the predicted joint vector (16,)."""
-    tactile = np.asarray(tactile, dtype=np.float64)
     joints = np.asarray(joints, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.float64)
-    if tactile.shape != (params.n_nodes, TACTILE_AXES):
-        raise ValueError(f"tactile must be ({params.n_nodes}, {TACTILE_AXES}), got {tactile.shape}")
     if joints.shape != (JOINT_DIM,):
         raise ValueError(f"joints must be ({JOINT_DIM},), got {joints.shape}")
     validate_labels(labels)
-    return predict(params, tactile[None, :, :], np.concatenate([joints, labels])[None, :])[0]
+    return predict(params, np.asarray(tactile, dtype=np.float64)[None],
+                   np.concatenate([joints, labels])[None, :])[0]
 
 
 # ---------------------------------------------------------------------------
 # checkpoints: manifest JSON + one raw little-endian float64 blob
-
-def _blob_tensors(layout: list) -> list[dict]:
-    """The manifest's `tensors`: each stream of each parameter, in blob order."""
-    return [{"name": f"{name}/{stream}", "shape": list(shape),
-             "offset": offset + k * math.prod(shape)}
-            for name, shape, offset in layout for k, stream in enumerate(STREAMS)]
-
 
 def checkpoint_blob(path: str) -> str:
     """The blob file written beside the manifest at `path`."""
     return (path[:-5] if path.endswith(".json") else path) + ".bin"
 
 
-def save_checkpoint(params: ModelParams, path: str, extra: dict | None = None) -> None:
-    blob = checkpoint_blob(path)
-    params.buffer.astype(BLOB_DTYPE, copy=False).tofile(blob)   # one write
-    manifest = {
+def _manifest(spec: ModelSpec, graph: dict, seed: int, step_counts: list, extra: dict,
+              path: str) -> dict:
+    """The manifest of the checkpoint at `path`, in write order; `graph` is a `topology_doc`."""
+    layout, total = parameter_layout(spec, len(graph["nodes"]))
+    return {
         "format_version": CHECKPOINT_FORMAT_VERSION,
-        **asdict(params.spec),   # every ModelSpec field, under its own name
+        **asdict(spec),   # every ModelSpec field, under its own name
         **_FIXED_ENTRIES,
-        "seed": params.seed,
+        "seed": seed,
         "dtype": BLOB_DTYPE,
-        "blob": os.path.basename(blob),
-        "total_elements": params.buffer.size,
-        "step_counts": [p.step_count for p in params.parameters()],
-        "tensors": _blob_tensors(parameter_layout(params.spec, params.n_nodes)[0]),
-        "extra": extra or {},
-        "topology": topology_doc(params.topology),
+        "blob": os.path.basename(checkpoint_blob(path)),
+        "total_elements": total,
+        "step_counts": step_counts,
+        "tensors": [{"name": f"{name}/{stream}", "shape": list(shape),   # in blob order
+                     "offset": offset + k * math.prod(shape)}
+                    for name, shape, offset in layout for k, stream in enumerate(STREAMS)],
+        "extra": extra,
+        "topology": graph,
     }
-    write_json(path, manifest)
+
+
+def save_checkpoint(params: ModelParams, path: str, extra: dict | None = None) -> None:
+    params.buffer.astype(BLOB_DTYPE, copy=False).tofile(checkpoint_blob(path))   # one write
+    write_json(path, _manifest(params.spec, topology_doc(params.topology), params.seed,
+                               [p.step_count for p in params.parameters()], extra or {}, path))
 
 
 def _same_json(value, expected) -> bool:
@@ -292,8 +294,9 @@ def read_manifest(path: str, topology: HandTopology | None = None) -> Manifest:
 
     Its graph is the manifest's; a `topology` given must equal it and is used as is.
     ValueError names the file and the field when a field is missing or of the wrong
-    type, or the manifest disagrees with the layout of its own model spec; it names
-    the blob when that holds other than `total_elements` values.
+    type, or differs from what `save_checkpoint` writes for the manifest's own model
+    spec and graph at `path`; it names the blob when that holds other than
+    `total_elements` values.
     """
     with open(path) as f:
         man = json.load(f)
@@ -306,7 +309,6 @@ def read_manifest(path: str, topology: HandTopology | None = None) -> Manifest:
         return man[key]
 
     entry("format_version", CHECKPOINT_FORMAT_VERSION)
-    entry("dtype", BLOB_DTYPE)
     graph = entry("topology")
     if topology is None:
         try:
@@ -315,31 +317,26 @@ def read_manifest(path: str, topology: HandTopology | None = None) -> Manifest:
             raise ValueError(f"checkpoint {path}: bad 'topology': {e}") from None
     elif not _same_json(graph, topology_doc(topology)):
         raise ValueError(f"checkpoint {path}: 'topology' is not the graph given")
-    for key, value in _FIXED_ENTRIES.items():
-        entry(key, value)
     kind, conv, fc = entry("kind"), entry("conv_channels"), entry("fc_sizes")
     try:
         spec = ModelSpec(kind, tuple(conv), tuple(fc))
     except (TypeError, ValueError) as e:
         raise ValueError(f"checkpoint {path}: bad model spec: {e}") from None
-    layout, total = parameter_layout(spec, topology.n)
-    if not _same_json(entry("tensors"), _blob_tensors(layout)):
+    steps, seed, extra = entry("step_counts"), entry("seed"), man.get("extra", {})
+    expected = _manifest(spec, graph, seed, steps, extra, path)
+    for key in ("dtype", *_FIXED_ENTRIES, "total_elements", "blob"):
+        entry(key, expected[key])
+    if not _same_json(entry("tensors"), expected["tensors"]):
         raise ValueError(f"checkpoint {path}: 'tensors' do not match the layout of its model")
-    entry("total_elements", total)
-    steps, seed, name = entry("step_counts"), entry("seed"), entry("blob")
-    if not (isinstance(steps, list) and len(steps) == len(layout)
+    n_params = len(expected["tensors"]) // len(STREAMS)
+    if not (isinstance(steps, list) and len(steps) == n_params
             and all(type(count) is int and count >= 0 for count in steps)):
-        raise ValueError(f"checkpoint {path}: 'step_counts' must be {len(layout)} counts >= 0")
+        raise ValueError(f"checkpoint {path}: 'step_counts' must be {n_params} counts >= 0")
     if type(seed) is not int:   # a JSON integer, not true or false
         raise ValueError(f"checkpoint {path}: 'seed' must be an integer, got {seed!r}")
-    if not (isinstance(name, str) and name not in ("", ".", "..")
-            and os.path.basename(name) == name):
-        raise ValueError(f"checkpoint {path}: 'blob' must name a file beside the manifest, "
-                         f"got {name!r}")
-    extra = man.get("extra", {})
     if not isinstance(extra, dict):
         raise ValueError(f"checkpoint {path}: 'extra' must be a JSON object, got {extra!r}")
-    blob = os.path.join(os.path.dirname(path) or ".", name)
+    blob, total = checkpoint_blob(path), expected["total_elements"]
     size = os.stat(blob).st_size
     if size != total * np.dtype(BLOB_DTYPE).itemsize:
         raise ValueError(f"checkpoint blob {blob} holds {size} bytes, expected {total} "

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import PIECES, NonFiniteError, Tensor, _all_finite, _in_pieces, _splits
+from .tensor import NonFiniteError, Tensor, _all_finite, _in_pieces, _splits
 
 # Elements per block of the Adam update: value, gradient, both moments and the
 # two scratch buffers then take 768 KiB, inside a core's L2 cache.  On 2.6 M
@@ -80,7 +80,7 @@ def adam_step(params: list[Parameter], cfg: AdamConfig) -> None:
         if not _all_finite(g):
             raise NonFiniteError(f"non-finite gradient in {label}; step aborted")
 
-    scratch = np.empty((PIECES, 2, ADAM_BLOCK))   # each piece's own two buffers
+    scratch = np.empty((2, 2, ADAM_BLOCK))   # each of the two pieces' own two buffers
     for i, p in enumerate(params):
         t = p.step_count + 1
         x, g, m, v = (arr.reshape(-1) for arr in (p.value.data, p.value.grad, p.adam_m, p.adam_v))

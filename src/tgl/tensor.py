@@ -11,10 +11,11 @@ applied by `matmul(S, H)` through its own op: a sparse S multiplies as a
 block-diagonal `scipy.sparse` CSR matrix over a block of samples, a dense
 S with BLAS.
 
-Large products, ReLU and finite checks run in PIECES fixed pieces, the
-caller taking the first and one worker thread the rest (`_in_pieces`).
-Each piece computes what the whole op computes for its part of the output,
-so the bits do not depend on whether, or on how many cores, run the pieces.
+Large products, ReLU and finite checks run in two pieces, the caller
+taking the first and one worker thread the second (`_in_pieces`).  The cut
+depends on the op's shape alone, never on the core count, and each piece
+computes what the whole op computes for its part of the output, so the
+bits do not depend on whether, or on how many cores, run the pieces.
 
 Importing this module sets glibc's heap policy for the process
 (`_keep_freed_blocks_mapped`), so each step reuses the memory the last one
@@ -99,9 +100,6 @@ SPARSE_MAX_DENSITY = 0.08
 # parameter bytes, past the 3.25x that tests/test_models.py allows.
 CSR_BLOCK_SAMPLES = 32
 
-# Work split into pieces always uses this many, whatever the core count, so
-# the cut points and with them the bits are the same on every machine.
-PIECES = 2
 # Elements of the largest array an op reads (a product's larger operand)
 # above which it runs in pieces.  Split against whole, medians of 60
 # interleaved calls, one BLAS thread, 2-core Xeon VM while two threads ran a
@@ -156,35 +154,27 @@ def _splits(size: int) -> bool:
 
 
 def _in_pieces(n: int, run, multiple: int = 1) -> list:
-    """[run(k, lo, hi)] for the pieces k of range(n), cut at multiples of `multiple`.
+    """[run(0, 0, cut), run(1, cut, n)], cut at the multiple of `multiple` nearest n / 2.
 
-    The cuts depend on n, `multiple` and PIECES alone; an empty piece is
-    dropped.  The caller runs piece 0 while the worker works through the
-    rest from the front; then the caller takes back from the back every
-    piece the worker has not started, so a busy worker costs little more
-    than the unsplit op.  `run` may call only numpy, and must write only its
-    own part of an output the caller allocated.  No piece runs on once the
-    call returns or raises.
+    The cut depends on n and `multiple` alone; where it falls at 0 the range
+    runs whole, as [run(0, 0, n)].  The caller runs the first piece while the
+    worker runs the second; the caller then takes the second back if the
+    worker has not started it, so a busy worker costs little more than the
+    unsplit op.  `run` may call only numpy, and must write only its own part
+    of an output the caller allocated.  No piece runs on once the call
+    returns or raises.
     """
-    cuts = [min(n, multiple * round(k * n / (PIECES * multiple))) for k in range(PIECES)] + [n]
-    spans = [(k, lo, hi) for k, (lo, hi) in enumerate(zip(cuts, cuts[1:])) if lo < hi]
-    if len(spans) < 2:
+    cut = multiple * round(n / (2 * multiple))
+    if cut == 0:
         return [run(0, 0, n)]
     context = contextvars.copy_context()   # the caller's np.errstate holds in the worker too
-    futures = [_worker().submit(context.run, run, *span) for span in spans[1:]]
+    second = _worker().submit(context.run, run, 1, cut, n)
     try:
-        results = [run(*spans[0])] + [None] * len(futures)
-        for i in reversed(range(len(futures))):
-            if futures[i].cancel():
-                results[i + 1] = run(*spans[i + 1])
-        for i, fut in enumerate(futures):
-            if not fut.cancelled():
-                results[i + 1] = fut.result()
+        first = run(0, 0, cut)
+        return [first, run(1, cut, n) if second.cancel() else second.result()]
     finally:
-        for fut in futures:
-            if not fut.cancel():
-                fut.exception()   # waits for a piece still running
-    return results
+        if not second.cancel():
+            second.exception()   # waits for a piece still running
 
 
 def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:

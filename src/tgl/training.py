@@ -12,7 +12,7 @@ import numpy as np
 
 from .dataset import Dataset, PairSet, split
 from .models import MODEL_TABLE, ModelParams, ModelSpec, build_from_spec, checkpoint_blob, \
-    forward_batch, load_checkpoint, predict, save_checkpoint
+    forward_batch, load_checkpoint, predict, read_manifest, save_checkpoint
 from .optim import AdamConfig, adam_step
 from .tensor import NonFiniteError, Tensor, backward, mse_loss
 from .topology import HandTopology
@@ -49,9 +49,6 @@ class TrainReport:
 
 def mean_loss(params: ModelParams, pairs: PairSet, batch_size: int = 100) -> float:
     """Mean MSE over all pairs, computed in batches off the tape (`predict`)."""
-    if pairs.tactile.shape[1] != params.n_nodes:
-        raise ValueError(f"pairs carry {pairs.tactile.shape[1]} nodes, "
-                         f"model expects {params.n_nodes}")
     total = 0.0
     for s in range(0, len(pairs), batch_size):
         batch = pairs[s:s + batch_size]
@@ -143,11 +140,10 @@ def _metrics_before(path: str, epoch: int) -> list[str]:
 
 
 def _best_kept(out_dir: str, epoch: int, best_val: float) -> str | None:
-    """best.ckpt.json if it holds best_val from no later epoch; another run's is removed."""
+    """best.ckpt.json if it loads and holds best_val from no later epoch; else it is removed."""
     path = os.path.join(out_dir, "best.ckpt.json")
-    with suppress(OSError, ValueError, KeyError, TypeError):   # none that can be read
-        with open(path) as f:
-            saved = json.load(f)["extra"]
+    with suppress(OSError, ValueError):   # a manifest or blob that does not load
+        saved = recipe(path, read_manifest(path).extra)
         if saved["best_val"] == best_val and saved["epoch"] <= epoch:
             return path
     for stale in (path, checkpoint_blob(path)):

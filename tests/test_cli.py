@@ -210,6 +210,7 @@ def test_train_twice_into_one_directory_keeps_one_run(pipeline, tmp_path):
     (["train", "--conv", "abc", "--fc", "8"], "--conv must be comma-separated integers, got 'abc'"),
     (["train", "--conv", "4", "--fc", "8,x"], "--fc must be comma-separated integers, got '8,x'"),
     (["train", "--lr", "inf"], "learning_rate must be a finite number > 0, got inf"),
+    (["train", "--target-length", "1"], "--target-length must be >= 2, got 1"),
 ])
 def test_flags_are_checked_before_any_data_is_read(tmp_path, capsys, argv, named):
     data = tmp_path / "data"
@@ -607,14 +608,77 @@ def test_pca_outputs(pipeline, tmp_path):
     assert doc["nodes"] == 24
 
 
-def test_pca_rejects_mlp_checkpoint(pipeline, tmp_path):
+def test_pca_rejects_mlp_checkpoint(pipeline, tmp_path, bad_data, capsys):
+    """Before any data is read: a malformed CSV does not hide the model's kind."""
     _, data, _ = pipeline
     run = tmp_path / "mlp_run"
     assert main(["train", "--topology", "small", "--fc", "16", "--epochs", "1",
                  "--lr", "1e-3", "--seed", "0", "--data", str(data),
                  "--out", str(run)]) == 0
-    assert main(["pca", "--ckpt", str(run / "final.ckpt.json"), "--data", str(data),
+    capsys.readouterr()
+    assert main(["pca", "--ckpt", str(run / "final.ckpt.json"), "--data", str(bad_data),
                  "--out", str(tmp_path / "pca")]) == 1
+    assert "holds an MLP" in capsys.readouterr().err
+    assert not (tmp_path / "pca").exists()
+
+
+def test_pca_refuses_a_window_past_the_target_length_before_any_data_is_read(
+        pipeline, tmp_path, bad_data, capsys):
+    _, _, run = pipeline   # trained at the default target length, 330
+    capsys.readouterr()
+    assert main(["pca", "--ckpt", str(run / "final.ckpt.json"), "--window", "300:331",
+                 "--data", str(bad_data), "--out", str(tmp_path / "pca")]) == 1
+    assert "--window 300:331 ends past the checkpoint's target length 330" in \
+        capsys.readouterr().err
+    assert not (tmp_path / "pca").exists()
+
+
+def test_an_out_that_is_a_file_exits_1_before_any_work(pipeline, tmp_path, capsys):
+    root, data, run = pipeline
+    ckpt = str(run / "final.ckpt.json")
+    trace_dir = tmp_path / "trace"
+    assert main(["rollout", "--ckpt", ckpt, "--object", "light,hard,nonslip", "--max-steps", "10",
+                 "--out", str(trace_dir)]) == 0
+    trace = str(trace_dir / "trace.csv")
+    commands = {
+        "topology": ["topology", "--small"],
+        "gen-data": GEN,
+        "train": TRAIN + ["--epochs", "1", "--data", str(data)],
+        "eval": ["eval", "--ckpt", ckpt, "--data", str(data)],
+        "rollout": ["rollout", "--ckpt", ckpt, "--object", "light,hard,nonslip",
+                    "--max-steps", "10"],
+        "pca": ["pca", "--ckpt", ckpt, "--data", str(data)],
+        "compare-forces": ["compare-forces", "--trace-a", trace, "--trace-b", trace],
+    }
+    subcommands, = (a.choices for a in build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction))
+    assert set(commands) == set(subcommands)
+    out = tmp_path / "out.txt"
+    out.write_text("not a directory\n")
+    for argv in commands.values():
+        capsys.readouterr()
+        assert main(argv + ["--out", str(out)]) == 1
+        assert capsys.readouterr().err == \
+            f"error: argument --out: {out} exists and is not a directory\n"
+        assert out.read_text() == "not a directory\n"
+
+
+def test_a_directory_given_for_an_input_file_exits_1(pipeline, tmp_path, capsys):
+    _, data, _ = pipeline
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    for argv in (["eval", "--ckpt", str(folder), "--data", str(data)],
+                 ["rollout", "--ckpt", str(folder), "--object", "light,hard,nonslip"],
+                 ["pca", "--ckpt", str(folder), "--data", str(data)],
+                 ["train", "--resume", str(folder), "--data", str(data)],
+                 ["train", "--config", str(folder), "--data", str(data)],
+                 ["gen-data", "--config", str(folder)],
+                 ["compare-forces", "--trace-a", str(folder), "--trace-b", str(folder)]):
+        capsys.readouterr()
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Is a directory" in err and str(folder) in err
+        assert not (tmp_path / "out").exists()
 
 
 def test_missing_checkpoint_exit_1(tmp_path):
@@ -648,6 +712,7 @@ MALFORMED_MANIFESTS = {
     "bool-seed": (lambda m: m.update(seed=False), "seed"),
     "number-blob": (lambda m: m.update(blob=5), "blob"),
     "blob-path": (lambda m: m.update(blob=os.path.join("..", m["blob"])), "blob"),
+    "other-blob": (lambda m: m.update(blob="other.ckpt.bin"), "blob"),
     "list-extra": (lambda m: m.update(extra=[1]), "extra"),
     "bool-horizon": (lambda m: m.update(horizon=True), "horizon"),
     "other-horizon": (lambda m: m.update(horizon=5), "horizon"),
@@ -667,6 +732,7 @@ def test_malformed_checkpoint_exit_1(pipeline, tmp_path, capsys, case):
     ckpt = tmp_path / "final.ckpt.json"
     ckpt.write_text(json.dumps(manifest))
     shutil.copy(run / "final.ckpt.bin", tmp_path / "final.ckpt.bin")
+    shutil.copy(run / "final.ckpt.bin", tmp_path / "other.ckpt.bin")   # a well-formed blob
     with pytest.raises(ValueError, match=rf"{re.escape(str(ckpt))}.*'{named}'"):
         load_checkpoint(str(ckpt), build_small_hand())
     for argv in (["eval", "--data", str(data)],

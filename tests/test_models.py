@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import gc
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -21,6 +22,10 @@ from tgl.topology import HandTopology, SensorNode, propagation_for
 
 
 TOY = ModelSpec("GCN", (4, 5), (8,))
+
+# The benchmark's toy GCN: on the 384-node hand its first fc weight, 21,526 x 120, splits
+# into pieces, and a batch-1 input with silent taxels takes the one-row sparse product.
+BENCH_GCN = ModelSpec("GCN", (14, 28, 56), (120, 50))
 
 
 def test_architecture_table():
@@ -146,6 +151,23 @@ def test_forward_validation(tiny_topo):
         forward(m, np.zeros((6, 3)), np.zeros(16), np.ones(6))
 
 
+@pytest.mark.parametrize("spec", [BENCH_GCN, ModelSpec("MLP", (), (9,))], ids=["GCN", "MLP"])
+@pytest.mark.parametrize("tactile, aux", [
+    ((2, 12, 3), (1, 22)),   # as many elements as one 24-node sample: a flat reshape would pass
+    ((2, 24, 3), (1, 22)),
+    ((1, 24, 3), (2, 22)),
+    ((1, 12, 3), (1, 22)),
+    ((1, 24, 2), (1, 22)),
+    ((1, 24, 3), (1, 21)),
+    ((24, 3), (1, 22)),
+])
+def test_both_forwards_refuse_tactile_that_does_not_match_aux(small_topo, spec, tactile, aux):
+    m = build_from_spec(spec, small_topo, seed=0)
+    for run in (predict, forward_batch):
+        with pytest.raises(ValueError, match=r"inputs must be tactile \[B, 24, 3\] and aux"):
+            run(m, np.zeros(tactile), np.zeros(aux))
+
+
 def test_conv_features_rejects_mlp(tiny_topo):
     mlp = build_from_spec(ModelSpec("MLP", (), (9,)), tiny_topo, seed=0)
     with pytest.raises(ValueError):
@@ -214,11 +236,6 @@ def test_conv_gradients_on_the_default_hand_match_finite_differences(default_top
             arr.flat[idx] = orig
             fd = (up - down) / (2.0 * h)
             assert grad.flat[idx] == pytest.approx(fd, rel=1e-4, abs=1e-9)
-
-
-# The benchmark's toy GCN: on the 384-node hand its first fc weight, 21,526 x 120, splits
-# into pieces, and a batch-1 input with silent taxels takes the one-row sparse product.
-BENCH_GCN = ModelSpec("GCN", (14, 28, 56), (120, 50))
 
 
 @pytest.mark.parametrize("spec, hand", [(BENCH_GCN, "small_topo"), (BENCH_GCN, "default_topo"),
@@ -298,6 +315,24 @@ def test_checkpoint_round_trip_bitwise(tmp_path, tiny_topo, default_topo):
             np.testing.assert_array_equal(a.adam_m, b.adam_m)
             np.testing.assert_array_equal(a.adam_v, b.adam_v)
             assert a.step_count == b.step_count
+
+
+# sha256 of the manifest and the blob of an untrained toy GCN on the 24-node hand, seed 0.
+# Its weights come from numpy's seeded uniform draws and a scalar sqrt, with no BLAS, so
+# these hold on any machine with this numpy.  A change of the checkpoint layout changes
+# them, and then CHECKPOINT_FORMAT_VERSION changes with them.
+GOLDEN_CHECKPOINT = {
+    "toy.ckpt.json": "fb68fb96f6b9003c9a5e804090a95f54c09943b9267143ab314ac3a6e779209e",
+    "toy.ckpt.bin": "ccb3bc917d2534f227caac670e57038ee6d6d6ac033775f091377a7e2e3b7ef8",
+}
+
+
+def test_checkpoint_format_is_pinned(tmp_path, small_topo):
+    assert tgl.models.CHECKPOINT_FORMAT_VERSION == 2
+    save_checkpoint(build_from_spec(BENCH_GCN, small_topo, seed=0), str(tmp_path / "toy.ckpt.json"))
+    got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+           for name in GOLDEN_CHECKPOINT}
+    assert got == GOLDEN_CHECKPOINT
 
 
 def test_values_and_moments_are_views_of_one_buffer_laid_out_as_the_blob(tmp_path, tiny_topo):

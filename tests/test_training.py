@@ -151,6 +151,22 @@ def test_resume_drops_a_best_checkpoint_from_a_later_epoch(world, tmp_path):
     assert not (out / "best.ckpt.json").exists() and not (out / "best.ckpt.bin").exists()
 
 
+def test_resume_drops_a_best_checkpoint_whose_blob_is_short(world, tmp_path):
+    """Epoch 3's best would be kept, but its blob was cut short: it is not this run's."""
+    topo, ds = world
+    run = cfg(epochs=4, adam=tgl.AdamConfig(learning_rate=0.1))
+    out = tmp_path / "run"
+    report = train(ds, replace(run, epochs=3), topo, out_dir=str(out))
+    assert report.best_checkpoint == str(out / "best.ckpt.json")
+    blob = out / "best.ckpt.bin"
+    blob.write_bytes(blob.read_bytes()[:-8])
+    again = train(ds, replace(run, epochs=1), topo, out_dir=str(out),
+                  resume_from=str(out / "final.ckpt.json"))
+    assert again.val_losses[0] > again.best_val == report.best_val
+    assert again.best_checkpoint is None
+    assert not (out / "best.ckpt.json").exists() and not blob.exists()
+
+
 def test_resume_in_another_directory_keeps_the_best_of_a_straight_run(world, tmp_path):
     """The best val loss so far travels in the checkpoint, not in the run directory."""
     topo, ds = world
