@@ -1,6 +1,6 @@
 """Graph-convolutional motion generation for a tactile multi-fingered hand.
 
-From-scratch numeric core (tensors with reverse-mode autodiff, Adam,
+From-scratch numeric core (a layer tape with hand-written backwards, Adam,
 PCA), a 384-node hand sensor graph, GCN/MLP motion models, trajectory
 preprocessing, a synthetic plant, training, closed-loop rollouts, and
 node-feature analysis, behind one `tgl` command-line tool.
@@ -18,7 +18,7 @@ from .plant import Disturbance, Plant, PlantConfig, PlantState, SyntheticObject,
     initial_state, make_object, make_plant, object_catalog, plant_step
 from .rollout import RolloutConfig, RolloutTrace, Verdict, judge_success, read_trace_forces, \
     rollout, total_grip_force, write_trace
-from .tensor import NonFiniteError, Tensor, backward, concat, matmul, mse_loss, relu, reshape
+from .tensor import NonFiniteError, Tensor, backward, mse_loss
 from .topology import HandTopology, SensorNode, build_default_hand, build_small_hand, \
     load_topology, propagation_for, save_topology
 from .training import TrainConfig, TrainReport, evaluate, fit_pairs, train

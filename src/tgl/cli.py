@@ -223,20 +223,14 @@ def _spec(model: str, conv: str | None, fc: str | None) -> models.ModelSpec:
     return models.ModelSpec("GCN" if sizes[0] else "MLP", *sizes)
 
 
-def _resumed(path: str) -> tuple[models.ModelSpec, topo_mod.HandTopology, dict]:
-    """A checkpoint's model, graph and recipe by `train` setting; its blob is left unread."""
-    man = models.read_manifest(path)
-    got = training.recipe(path, man.extra)
-    return man.spec, man.topology, {"seed": got["train_seed"], "lr": got["lr"],
-                                    "batch-size": got["batch_size"],
-                                    "target-length": got["target_length"]}
-
-
 def cmd_train(args) -> int:
     defaults = {"seed": 0, "epochs": 200, "batch-size": 100, "lr": 1e-5, "model": "III",
                 "target-length": dataset.DEFAULT_TARGET_LENGTH, "topology": "default"}
-    if args.resume:   # the checkpoint's recipe is the run's; "" stands for its model and graph
-        spec, topo, recorded = _resumed(args.resume)
+    resume = training.resume_point(args.resume) if args.resume else None
+    if resume:   # the checkpoint's recipe is the run's; "" stands for its model and graph
+        spec, topo, got = resume.spec, resume.topology, resume.extra
+        recorded = {"seed": got["train_seed"], "lr": got["lr"], "batch-size": got["batch_size"],
+                    "target-length": got["target_length"]}
         defaults |= recorded | {"model": "", "topology": ""}
     settings = _settings(args, defaults)
     seed, epochs, batch, lr, model, target_length, topo_spec = settings.values()
@@ -259,7 +253,7 @@ def cmd_train(args) -> int:
                                checkpoint_every=args.checkpoint_every or 0, spec=spec)
     ds = _read_dataset(args.data, target_length)
     # training.train creates --out once the run is set up
-    report = training.train(ds, cfg, topo, out_dir=args.out, resume_from=args.resume)
+    report = training.train(ds, cfg, topo, out_dir=args.out, resume_from=resume)
     outputs = [p for base in (report.final_checkpoint, report.best_checkpoint) if base
                for p in (base, models.checkpoint_blob(base))]
     config = {"seed": seed, "epochs": epochs, "batch_size": batch, "lr": lr,

@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 import math
 import os
-from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from typing import NamedTuple
 
@@ -22,7 +21,7 @@ import numpy as np
 from .dataset import HORIZON, JOINT_DIM, LABEL_DIM, validate_labels, write_json
 from .optim import Parameter, glorot_uniform
 from .tensor import NonFiniteError, SymmetricOperator, Tensor, _all_finite, _elementwise, \
-    _product, as_tensor, concat, matmul, relu, reshape
+    _product
 from .topology import HandTopology, propagation_for, topology_doc, topology_from_doc
 
 TACTILE_AXES = 3                  # input channels per node: a tri-axial reading
@@ -145,21 +144,18 @@ def build_from_spec(spec: ModelSpec, topology: HandTopology, seed: int) -> Model
     rng = np.random.default_rng(seed)
     for p in params.parameters():
         if p.value.ndim == 2:   # a weight; biases stay zero
-            p.value.data[:] = glorot_uniform(rng, *p.shape)
+            p.value[:] = glorot_uniform(rng, *p.shape)
     return params
 
 
-@contextmanager
-def _named_layer(stage: str):
-    """Re-raise non-finite errors naming the first offending layer."""
-    try:
-        yield
-    except NonFiniteError as e:
-        raise NonFiniteError(f"{stage}: {e}") from e
+def matmul(a, b) -> np.ndarray:
+    """a @ b for every product of a forward: S·H through `SymmetricOperator.apply`, any other
+    through `_product`."""
+    return a.apply(b) if isinstance(a, SymmetricOperator) else _product(a, b)
 
 
 def _finite(arr: np.ndarray, stage: str = "") -> np.ndarray:
-    """arr, checked where the tape checks an op's output; the error reads as the tape's."""
+    """arr, checked for NaN and Inf; the error names the layer `stage`."""
     if not _all_finite(arr):
         raise NonFiniteError(f"{stage}non-finite values in tensor data")
     return arr
@@ -178,54 +174,96 @@ def _check_inputs(params: ModelParams, tactile: tuple[int, ...], aux: tuple[int,
                          f"[B, {AUX_DIM}], got {tactile} and {aux}")
 
 
-def conv_features(params: ModelParams, tactile) -> np.ndarray:
-    """Run the conv stack only, off the tape; returns node features [..., nodes, c_last]."""
-    if params.spec.kind != "GCN":
-        raise ValueError("no conv features: model has no graph-conv layers")
-    x = _finite(np.asarray(tactile, dtype=np.float64))
-    _check_nodes(params, x.shape)
+def _layer(stage: str, h: np.ndarray, w: Parameter, b: Parameter | None, hidden: bool,
+           tape: list | None) -> np.ndarray:
+    """h·W (+ b), through ReLU when hidden; on a tape, records h, the ReLU mask, w and b.
+
+    The product and the bias sum are checked finite; ReLU keeps finite values finite.
+    """
+    y = _finite(matmul(h, w.value), stage)
+    if b is not None:
+        y = _finite(y + b.value, stage)
+    if tape is not None:
+        # the gradient is exactly 0 at the kink
+        tape.append((h, _elementwise(np.greater, y, 0, bool) if hidden else None, w, b))
+    # maximum(y, 0.0) returns +0.0 for -0.0, matching where(y > 0, y, 0.0) bit for bit
+    return _elementwise(np.maximum, y, 0.0) if hidden else y
+
+
+def _conv_stack(params: ModelParams, x: np.ndarray, tape: list | None = None) -> np.ndarray:
     for i, w in enumerate(params.conv_weights):
         stage = f"conv layer {i}: "
-        h = _finite(params.s_tensor.apply(x), stage)
-        x = _elementwise(np.maximum, _finite(_product(h, w.value.data), stage), 0.0)
+        x = _layer(stage, _finite(matmul(params.s_tensor, x), stage), w, None, True, tape)
     return x
 
 
-def predict(params: ModelParams, tactile, aux) -> np.ndarray:
-    """`forward_batch` on arrays: the same primitives in the same order, the same bits and
-    checks, and no tape.  tactile [B, nodes, 3], aux [B, 22] -> joints [B, 16].
+def _walk(params: ModelParams, tactile, aux, tape: list | None = None) -> np.ndarray:
+    """The network: tactile [B, nodes, 3], aux [B, 22] -> joints [B, 16].
+
+    A layer's NonFiniteError names it as `conv layer i`, `fc layer i` or `output layer`.
+    With a tape, each layer appends its cache, first layer first (see `_layer`).
     """
     tactile, aux = np.asarray(tactile, dtype=np.float64), np.asarray(aux, dtype=np.float64)
     _check_inputs(params, tactile.shape, aux.shape)
     aux = _finite(aux)
-    x = conv_features(params, tactile) if params.spec.kind == "GCN" else _finite(tactile)
+    x = _conv_stack(params, _finite(tactile), tape)
     h = np.concatenate([x.reshape(len(aux), params.spec.flat_width(params.n_nodes)), aux], axis=1)
     last = len(params.fc_weights) - 1
     for i, (w, b) in enumerate(zip(params.fc_weights, params.fc_biases)):
-        stage = "output layer: " if i == last else f"fc layer {i}: "
-        h = _finite(_finite(_product(h, w.value.data), stage) + b.value.data, stage)
-        if i != last:
-            h = _elementwise(np.maximum, h, 0.0)
+        h = _layer("output layer: " if i == last else f"fc layer {i}: ", h, w, b, i != last, tape)
     return h
+
+
+def _walk_back(params: ModelParams, tape: list, g: np.ndarray) -> None:
+    """Hand the output gradient g back through the tape's layers, last first.
+
+    Each parameter adds its gradient to its `grad`.  The first layer's input needs no
+    gradient, and the aux inputs beside the conv features get none.
+    """
+    n_conv = len(params.conv_weights)
+    for k in reversed(range(len(tape))):
+        h, mask, w, b = tape[k]
+        if mask is not None:
+            g = _elementwise(np.multiply, g, mask)
+        if b is not None:
+            _accumulate(b, g.sum(axis=0))
+        g_w = _product(h.swapaxes(-1, -2), g)
+        _accumulate(w, g_w.sum(axis=0) if g_w.ndim > 2 else g_w)   # a conv weight's, over samples
+        if k == 0:
+            break
+        g = _product(g, w.value.swapaxes(-1, -2))
+        if k < n_conv:      # a conv layer's input gradient goes back through S
+            g = params.s_tensor.apply(g, transpose=True)
+        elif k == n_conv:   # the first fc layer's: its conv-feature columns, node by node
+            g = g[:, :params.spec.flat_width(params.n_nodes)].reshape(len(g), params.n_nodes, -1)
+
+
+def _accumulate(p: Parameter, g: np.ndarray) -> None:
+    p.grad = g if p.grad is None else p.grad + g
+
+
+def conv_features(params: ModelParams, tactile) -> np.ndarray:
+    """Run the conv stack only; returns node features [..., nodes, c_last]."""
+    if params.spec.kind != "GCN":
+        raise ValueError("no conv features: model has no graph-conv layers")
+    x = _finite(np.asarray(tactile, dtype=np.float64))
+    _check_nodes(params, x.shape)
+    return _conv_stack(params, x)
+
+
+def predict(params: ModelParams, tactile, aux) -> np.ndarray:
+    """Inference: tactile [B, nodes, 3], aux [B, 22] -> joints [B, 16], recording nothing."""
+    return _walk(params, tactile, aux)
 
 
 def forward_batch(params: ModelParams, tactile, aux) -> Tensor:
-    """The training forward, on the tape: tactile [B, nodes, 3], aux [B, 22] -> joints [B, 16]."""
-    aux_t, x = as_tensor(aux), as_tensor(tactile)
-    _check_inputs(params, x.shape, aux_t.shape)
-    for i, w in enumerate(params.conv_weights):
-        with _named_layer(f"conv layer {i}"):
-            x = relu(matmul(matmul(params.s_tensor, x), w.value))
-    h = concat([reshape(x, (aux_t.shape[0], params.spec.flat_width(params.n_nodes))), aux_t],
-               axis=1)
-    last = len(params.fc_weights) - 1
-    for i, (w, b) in enumerate(zip(params.fc_weights, params.fc_biases)):
-        stage = "output layer" if i == last else f"fc layer {i}"
-        with _named_layer(stage):
-            h = matmul(h, w.value) + b.value
-            if i != last:
-                h = relu(h)
-    return h
+    """The training forward: `predict`'s walk, recording each layer on a tape.
+
+    The Tensor's backward walks that tape back, adding to each parameter's `grad`.
+    """
+    tape: list = []
+    out = _walk(params, tactile, aux, tape)
+    return Tensor(out, lambda g: _walk_back(params, tape, g))
 
 
 def forward(params: ModelParams, tactile, joints, labels) -> np.ndarray:
@@ -287,6 +325,14 @@ class Manifest(NamedTuple):
     step_counts: list[int]
     blob: str   # the blob's path
     extra: dict
+
+    def model(self) -> ModelParams:
+        """The model, with the blob read as its buffer."""
+        params = ModelParams(spec=self.spec, topology=self.topology, seed=self.seed,
+                             buffer=np.fromfile(self.blob, dtype=BLOB_DTYPE))
+        for p, count in zip(params.parameters(), self.step_counts):
+            p.step_count = count
+        return params
 
 
 def read_manifest(path: str, topology: HandTopology | None = None) -> Manifest:
@@ -350,8 +396,4 @@ def load_checkpoint(path: str, topology: HandTopology | None = None) -> tuple[Mo
     `read_manifest` checks the manifest first; see there for `topology` and the errors.
     """
     man = read_manifest(path, topology)
-    params = ModelParams(spec=man.spec, topology=man.topology, seed=man.seed,
-                         buffer=np.fromfile(man.blob, dtype=BLOB_DTYPE))
-    for p, count in zip(params.parameters(), man.step_counts):
-        p.step_count = count
-    return params, man.extra
+    return man.model(), man.extra

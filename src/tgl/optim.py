@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import NonFiniteError, Tensor, _all_finite, _in_pieces, _splits
+from .tensor import NonFiniteError, _all_finite, _check_finite, _in_pieces, _splits
 
 # Elements per block of the Adam update: value, gradient, both moments and the
 # two scratch buffers then take 768 KiB, inside a core's L2 cache.  On 2.6 M
@@ -29,28 +29,26 @@ class AdamConfig:
 
 
 class Parameter:
-    """A trainable tensor and its Adam moments: the rows of one block [3, *shape].
+    """A trainable array and its Adam moments: the rows of one block [3, *shape].
 
-    `value.data`, `adam_m` and `adam_v` are views of block[0], block[1] and
-    block[2], so `adam_step` updates the block in place.
+    `value`, `adam_m` and `adam_v` are views of block[0], block[1] and block[2],
+    so `adam_step` updates the block in place.  The value must be finite.
+    `grad` is the gradient a backward pass added, until `adam_step` takes it.
     """
 
-    __slots__ = ("name", "value", "adam_m", "adam_v", "step_count")
+    __slots__ = ("name", "value", "grad", "adam_m", "adam_v", "step_count")
 
     def __init__(self, block: np.ndarray, name: str):
         if block.dtype != np.float64 or not block.flags.c_contiguous or block.shape[:1] != (3,):
             raise ValueError(f"parameter {name!r} needs a C-contiguous float64 block "
                              f"[3, *shape], got {block.dtype} {block.shape}")
-        self.name, self.value, self.step_count = name, Tensor(block[0], requires_grad=True), 0
+        _check_finite(block[0], "tensor data")
+        self.name, self.value, self.grad, self.step_count = name, block[0], None, 0
         self.adam_m, self.adam_v = block[1], block[2]
 
     @property
     def shape(self) -> tuple[int, ...]:
         return self.value.shape
-
-    @property
-    def grad(self):
-        return self.value.grad
 
     def __repr__(self) -> str:
         return f"Parameter({self.name}, shape={self.shape}, steps={self.step_count})"
@@ -71,7 +69,7 @@ def adam_step(params: list[Parameter], cfg: AdamConfig) -> None:
     missing, mis-shaped, or non-finite.
     """
     for i, p in enumerate(params):
-        g = p.value.grad
+        g = p.grad
         label = f"parameter {i} ({p.name})"
         if g is None:
             raise ValueError(f"{label} has no gradient; run backward before adam_step")
@@ -83,7 +81,7 @@ def adam_step(params: list[Parameter], cfg: AdamConfig) -> None:
     scratch = np.empty((2, 2, ADAM_BLOCK))   # each of the two pieces' own two buffers
     for i, p in enumerate(params):
         t = p.step_count + 1
-        x, g, m, v = (arr.reshape(-1) for arr in (p.value.data, p.value.grad, p.adam_m, p.adam_v))
+        x, g, m, v = (arr.reshape(-1) for arr in (p.value, p.grad, p.adam_m, p.adam_v))
 
         def update(k, lo, hi):
             _adam_update(x[lo:hi], g[lo:hi], m[lo:hi], v[lo:hi], cfg, t, *scratch[k])
@@ -93,8 +91,8 @@ def adam_step(params: list[Parameter], cfg: AdamConfig) -> None:
         else:
             update(0, 0, x.size)
         p.step_count = t
-        p.value.grad = None
-        if not _all_finite(p.value.data):
+        p.grad = None
+        if not _all_finite(p.value):
             raise NonFiniteError(f"non-finite value in parameter {i} after Adam step {t}")
 
 

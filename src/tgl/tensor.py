@@ -1,15 +1,12 @@
-"""Dense float64 tensors with a reverse-mode gradient tape.
+"""Float64 array primitives, the propagation operator and the training tape.
 
-The tape has the six ops the models run: matmul, add, relu, reshape,
-concat and mse_loss; `backward` sweeps it from a scalar loss.  It records
-training steps only: an op records whenever an input requires a gradient,
-and inference (`models.predict`) runs the same primitives on plain arrays.
-Arrays are float64 throughout; matmul follows numpy semantics, so a
-leading batch dimension broadcasts against a plain 2-D operand.  A fixed
-symmetric operator (`SymmetricOperator`, the graph propagation S) is
-applied by `matmul(S, H)` through its own op: a sparse S multiplies as a
-block-diagonal `scipy.sparse` CSR matrix over a block of samples, a dense
-S with BLAS.
+The models multiply with `_product`, apply the graph propagation S with
+`SymmetricOperator.apply` (a sparse S as a block-diagonal `scipy.sparse` CSR
+matrix over a block of samples, a dense S with BLAS) and take ReLU and its
+mask with `_elementwise`.  The tape is a chain of `Tensor`s: a training
+forward (`models.forward_batch`) returns one whose backward closure walks
+the layers it recorded, `mse_loss` adds the loss, and `backward` runs the
+chain from the loss into the parameters' gradients.
 
 Large products, ReLU and finite checks run in two pieces, the caller
 taking the first and one worker thread the second (`_in_pieces`).  The cut
@@ -249,75 +246,8 @@ def _check_finite(arr: np.ndarray, what: str) -> None:
         raise NonFiniteError(f"non-finite values in {what}")
 
 
-def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Sum `grad` down to `shape`, inverting numpy broadcasting."""
-    extra = grad.ndim - len(shape)
-    if extra > 0:
-        grad = grad.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, n in enumerate(shape) if n == 1 and grad.shape[i] != 1)
-    if axes:
-        grad = grad.sum(axis=axes, keepdims=True)
-    return grad.reshape(shape)
-
-
-class Tensor:
-    """A dense float64 array, optionally recorded on the gradient tape."""
-
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
-
-    def __init__(self, data, requires_grad: bool = False, *, known_finite: bool = False):
-        arr = np.asarray(data, dtype=np.float64)
-        if not known_finite:
-            _check_finite(arr, "tensor data")
-        self.data = arr
-        self.grad: np.ndarray | None = None
-        self.requires_grad = bool(requires_grad)
-        self._parents: tuple[Tensor, ...] = ()
-        self._backward = None
-
-    @classmethod
-    def _from_op(cls, data: np.ndarray, parents: tuple["Tensor", ...], backward,
-                 known_finite: bool = False) -> "Tensor":
-        """An op's output; known_finite skips the scan where finite inputs give finite data."""
-        out = cls(data, known_finite=known_finite)
-        if any(p.requires_grad for p in parents):
-            out.requires_grad = True
-            out._parents = parents
-            out._backward = backward
-        return out
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.data.shape
-
-    @property
-    def ndim(self) -> int:
-        return self.data.ndim
-
-    @property
-    def size(self) -> int:
-        return self.data.size
-
-    def item(self) -> float:
-        if self.data.size != 1:
-            raise ValueError(f"item() needs a one-element tensor, got shape {self.shape}")
-        return float(self.data.reshape(()))
-
-    def __repr__(self) -> str:
-        flag = ", requires_grad=True" if self.requires_grad else ""
-        return f"Tensor(shape={self.shape}{flag})"
-
-    # `models` writes fc layers as `matmul(h, w) + b`
-    def __add__(self, other):
-        return add(self, other)
-
-
-def as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
-
-
 class SymmetricOperator:
-    """A fixed symmetric n x n matrix S; `matmul(S, H)` computes S @ H for H [..., n, C].
+    """A fixed symmetric n x n matrix S; `apply(H)` computes S @ H for H [..., n, C].
 
     When at most SPARSE_MAX_DENSITY of S is nonzero, `block` holds
     CSR_BLOCK_SAMPLES copies of S down the diagonal of one `scipy.sparse`
@@ -392,138 +322,45 @@ class SymmetricOperator:
         return out.reshape(h.shape)
 
 
-def _propagate(op: SymmetricOperator, x: Tensor) -> Tensor:
-    if x.ndim < 2 or x.shape[-2] != op.shape[1]:
-        raise ValueError(f"matmul dimension mismatch: {op.shape} @ {x.shape}")
+class Tensor:
+    """A node of the training tape: an array, checked finite, and the closure that hands the
+    gradient of a loss with respect to it back to what made it (None: no gradient flows)."""
 
-    def back(g):
-        return (op.apply(g, transpose=True) if x.requires_grad else None,)
+    __slots__ = ("data", "_backward")
 
-    return Tensor._from_op(op.apply(x.data), (x,), back)
+    def __init__(self, data, backward=None):
+        arr = np.asarray(data, dtype=np.float64)
+        _check_finite(arr, "tensor data")
+        self.data, self._backward = arr, backward
 
-
-def matmul(a, b) -> Tensor:
-    if isinstance(a, SymmetricOperator):
-        return _propagate(a, as_tensor(b))
-    a, b = as_tensor(a), as_tensor(b)
-    if a.ndim < 2 or b.ndim < 2:
-        raise ValueError(f"matmul needs >=2-D operands, got {a.shape} @ {b.shape}")
-    if a.shape[-1] != b.shape[-2]:
-        raise ValueError(f"matmul dimension mismatch: {a.shape} @ {b.shape}")
-    ad, bd = a.data, b.data
-
-    def back(g):
-        ga = _unbroadcast(_product(g, bd.swapaxes(-1, -2)), a.shape) if a.requires_grad else None
-        gb = _unbroadcast(_product(ad.swapaxes(-1, -2), g), b.shape) if b.requires_grad else None
-        return ga, gb
-
-    return Tensor._from_op(_product(ad, bd), (a, b), back)
+    @property
+    def requires_grad(self) -> bool:
+        return self._backward is not None
 
 
-def add(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-
-    def back(g):
-        ga = _unbroadcast(g, a.shape) if a.requires_grad else None
-        gb = _unbroadcast(g, b.shape) if b.requires_grad else None
-        return ga, gb
-
-    return Tensor._from_op(a.data + b.data, (a, b), back)
-
-
-def relu(x) -> Tensor:
-    x = as_tensor(x)
-    # gradient is exactly 0 at the kink; only a recorded op's backward reads the mask
-    mask = _elementwise(np.greater, x.data, 0, bool) if x.requires_grad else None
-
-    def back(g):
-        return (_elementwise(np.multiply, g, mask),) if x.requires_grad else (None,)
-
-    # maximum(x, 0.0) returns +0.0 for -0.0, matching where(mask, x, 0.0) bit for bit
-    return Tensor._from_op(_elementwise(np.maximum, x.data, 0.0), (x,), back, known_finite=True)
-
-
-def reshape(x, shape) -> Tensor:
-    x = as_tensor(x)
-    old = x.shape
-
-    def back(g):
-        return (g.reshape(old),) if x.requires_grad else (None,)
-
-    return Tensor._from_op(x.data.reshape(shape), (x,), back, known_finite=True)
-
-
-def concat(tensors, axis: int = 0) -> Tensor:
-    ts = [as_tensor(t) for t in tensors]
-    if not ts:
-        raise ValueError("concat of an empty sequence")
-    sizes = [t.shape[axis] for t in ts]
-    bounds = np.cumsum(sizes)[:-1]
-
-    def back(g):
-        pieces = np.split(g, bounds, axis=axis)
-        return tuple(p if t.requires_grad else None for t, p in zip(ts, pieces))
-
-    return Tensor._from_op(np.concatenate([t.data for t in ts], axis=axis), tuple(ts), back,
-                           known_finite=True)
-
-
-def mse_loss(pred, target) -> Tensor:
-    pred, target = as_tensor(pred), as_tensor(target)
-    if pred.shape != target.shape:
-        raise ValueError(f"mse_loss shape mismatch: {pred.shape} vs {target.shape}")
-    diff = pred.data - target.data
+def mse_loss(pred: Tensor, target) -> Tensor:
+    """mean((pred - target)^2), on the tape when pred is; target is checked finite."""
+    target = np.asarray(target, dtype=np.float64)
+    _check_finite(target, "tensor data")
+    if pred.data.shape != target.shape:
+        raise ValueError(f"mse_loss shape mismatch: {pred.data.shape} vs {target.shape}")
+    diff = pred.data - target
     n = diff.size
 
     def back(g):
-        base = (2.0 / n) * diff * g
-        gp = base if pred.requires_grad else None
-        gt = -base if target.requires_grad else None
-        return gp, gt
+        pred._backward((2.0 / n) * diff * g)
 
-    return Tensor._from_op(np.asarray(np.mean(diff * diff)), (pred, target), back)
+    return Tensor(np.mean(diff * diff), back if pred.requires_grad else None)
 
 
 def backward(loss: Tensor) -> None:
-    """Reverse-mode sweep from a scalar loss; accumulates into the .grad of leaves.
+    """Run the tape back from a scalar loss.
 
-    A leaf is a tensor no op produced (`_backward is None`), such as a
-    parameter value or an input.  Intermediates hand their gradient to
-    their parents through the local flow table and keep no .grad.  Each
-    call adds one full gradient to the leaves' .grad, so repeated calls
-    without zeroing accumulate once per call.
+    The tape ends in the parameters, and each call adds one full gradient to their
+    `grad` (see `models.forward_batch`).
     """
     if loss.data.size != 1:
-        raise ValueError(f"backward requires a scalar loss, got shape {loss.shape}")
+        raise ValueError(f"backward requires a scalar loss, got shape {loss.data.shape}")
     if not loss.requires_grad:
         raise ValueError("loss is not attached to the gradient tape")
-
-    topo: list[Tensor] = []
-    seen: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(loss, False)]
-    while stack:
-        node, done = stack.pop()
-        if done:
-            topo.append(node)
-            continue
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        stack.append((node, True))
-        for p in node._parents:
-            if p.requires_grad and id(p) not in seen:
-                stack.append((p, False))
-
-    flow: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-    for node in reversed(topo):
-        g = flow.pop(id(node), None)
-        if g is None:
-            continue
-        if node._backward is None:
-            node.grad = g if node.grad is None else node.grad + g
-            continue
-        for parent, gp in zip(node._parents, node._backward(g)):
-            if gp is None or not parent.requires_grad:
-                continue
-            key = id(parent)
-            flow[key] = gp if key not in flow else flow[key] + gp
+    loss._backward(np.ones_like(loss.data))

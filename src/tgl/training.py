@@ -11,10 +11,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dataset import Dataset, PairSet, split
-from .models import MODEL_TABLE, ModelParams, ModelSpec, build_from_spec, checkpoint_blob, \
-    forward_batch, load_checkpoint, predict, read_manifest, save_checkpoint
+from .models import MODEL_TABLE, Manifest, ModelParams, ModelSpec, build_from_spec, \
+    checkpoint_blob, forward_batch, load_checkpoint, predict, read_manifest, save_checkpoint
 from .optim import AdamConfig, adam_step
-from .tensor import NonFiniteError, Tensor, backward, mse_loss
+from .tensor import NonFiniteError, backward, mse_loss
 from .topology import HandTopology
 
 
@@ -95,14 +95,14 @@ def fit_pairs(params: ModelParams, train_set: PairSet, val_set: PairSet | None,
         for b, s in enumerate(range(0, n, cfg.batch_size)):
             batch = train_set[perm[s:s + cfg.batch_size]]
             try:
-                pred = forward_batch(params, Tensor(batch.tactile), Tensor(batch.aux()))
-                loss = mse_loss(pred, Tensor(batch.targets))
+                pred = forward_batch(params, batch.tactile, batch.aux())
+                loss = mse_loss(pred, batch.targets)
             except NonFiniteError as e:
                 raise NonFiniteError(
                     f"non-finite training loss at epoch {epoch}, batch {b}: {e}") from e
             backward(loss)
             adam_step(params.parameters(), cfg.adam)
-            sq_sum += loss.item() * len(batch)
+            sq_sum += float(loss.data) * len(batch)
         train_loss = sq_sum / n
         train_losses.append(train_loss)
 
@@ -178,19 +178,26 @@ def recipe(path: str, extra: dict) -> dict:
     return extra | {"best_val": math.inf if best is None else best}
 
 
+def resume_point(path: str, topology: HandTopology | None = None) -> Manifest:
+    """The manifest of a checkpoint to resume from (`read_manifest`), its extra the checked
+    `recipe`; the blob is left unread."""
+    man = read_manifest(path, topology)
+    return man._replace(extra=recipe(path, man.extra))
+
+
 def train(ds: Dataset, cfg: TrainConfig, topo: HandTopology, out_dir: str | None = None,
-          resume_from: str | None = None) -> TrainReport:
+          resume_from: Manifest | None = None) -> TrainReport:
     """Split the dataset, build or resume the model, and fit.
 
-    When resuming, cfg.epochs counts the additional epochs to run; the shuffle
-    schedule and the best val loss continue from the checkpoint's.  The caller
-    sees that cfg and ds.target_length are the checkpoint's recipe.
+    `resume_from` is a `resume_point`; cfg.epochs then counts the additional epochs
+    to run, and the shuffle schedule and the best val loss continue from the
+    checkpoint's.  The caller sees that cfg, topo and ds.target_length are the
+    checkpoint's.
     """
     train_set, val_set = split(ds, cfg.seed)
     if resume_from is not None:
-        params, extra = load_checkpoint(resume_from, topo)
-        start = recipe(resume_from, extra)
-        start_epoch, best_val = start["epoch"], start["best_val"]
+        params = resume_from.model()
+        start_epoch, best_val = resume_from.extra["epoch"], resume_from.extra["best_val"]
     else:
         params, start_epoch, best_val = build_from_spec(cfg.spec, topo, cfg.seed), 0, math.inf
     if out_dir:

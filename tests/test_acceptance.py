@@ -89,12 +89,12 @@ def test_criterion_02_gradient_fidelity_vs_finite_differences(tiny_topo):
             analytic = p.grad
             count = min(6, p.value.size)
             for idx in data_rng.choice(p.value.size, size=count, replace=False):
-                orig = p.value.data.flat[idx]
-                p.value.data.flat[idx] = orig + h
+                orig = p.value.flat[idx]
+                p.value.flat[idx] = orig + h
                 up = loss_value()
-                p.value.data.flat[idx] = orig - h
+                p.value.flat[idx] = orig - h
                 down = loss_value()
-                p.value.data.flat[idx] = orig
+                p.value.flat[idx] = orig
                 fd = (up - down) / (2.0 * h)
                 an = float(analytic.flat[idx])
                 worst = max(worst, abs(an - fd) / max(abs(an), abs(fd), 1e-6))
@@ -258,7 +258,7 @@ def _assert_params_bitwise_equal(a, b) -> None:
     pa, pb = a.parameters(), b.parameters()
     assert len(pa) == len(pb)
     for x, y in zip(pa, pb):
-        assert x.value.data.tobytes() == y.value.data.tobytes()
+        assert x.value.tobytes() == y.value.tobytes()
         for mx, my in ((x.adam_m, y.adam_m), (x.adam_v, y.adam_v)):
             if mx is None or my is None:
                 assert mx is None and my is None
@@ -284,7 +284,7 @@ def test_criterion_10_determinism_and_round_trips(overfit_fixture, tmp_path):
                            adam=cfg.adam)
     training.train(fx["ds"], half_cfg, fx["topo"], out_dir=half_dir)
     training.train(fx["ds"], half_cfg, fx["topo"], out_dir=resume_dir,
-                   resume_from=f"{half_dir}/final.ckpt.json")
+                   resume_from=training.resume_point(f"{half_dir}/final.ckpt.json", fx["topo"]))
     straight, _ = load_checkpoint(f"{full_dir}/final.ckpt.json", fx["topo"])
     resumed, extra = load_checkpoint(f"{resume_dir}/final.ckpt.json", fx["topo"])
     assert extra["epoch"] == 20

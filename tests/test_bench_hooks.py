@@ -11,6 +11,7 @@ would notice either.
 from __future__ import annotations
 
 import importlib.util
+import math
 import sys
 from pathlib import Path
 
@@ -42,6 +43,27 @@ def test_benchmark_pipeline_passes_its_checks(tmp_path):
     run.run()
     failed = [name for name, ok in run.checks if not ok]
     assert run.checks and not failed, failed
+
+
+# per-layer metrics of the training step and its layers, which a silent span leaves NaN
+TRACED = ("models.propagate_ms", "models.channel_mix_ms", "models.fc_ms",
+          "models.forward_batch_ms", "tensor.backward_ms", "tensor.mse_loss_ms",
+          "optim.adam_step_ms", "training.step_ms_p50")
+
+
+def test_the_traced_benchmark_times_every_layer(tmp_path):
+    """The traced smoke pass of the train-24 workload, as `bench/run.py --trace 1 --smoke` runs it."""
+    bench, spans = _load(PIPELINE_PY), _load(SPANS_PY)
+    tracer = spans.Tracer()
+    run = bench.Pipeline(bench.smoke_plan(bench.WORKLOADS["train-24"]), 5, 0.0, str(tmp_path),
+                         tracer, min_samples=bench.TRACE_SAMPLES)
+    with spans.installed(tracer):
+        run.run()
+    failed = [name for name, ok in run.checks if not ok]
+    assert run.checks and not failed, failed
+    metrics, _ = spans.layer_metrics(tracer)
+    silent = [name for name in TRACED if not math.isfinite(metrics[name])]
+    assert not silent, silent
 
 
 @pytest.mark.parametrize("topo_name", ["tiny_topo", "default_topo"])

@@ -427,6 +427,24 @@ def test_resume_reads_the_blob_once(pipeline, tmp_path, monkeypatch):
     assert reads == [str(run / "final.ckpt.bin")]
 
 
+def test_resume_reads_its_manifest_once(pipeline, tmp_path, monkeypatch):
+    """The manifest checked before any CSV is read is the one training resumes from."""
+    _, data, run = pipeline
+    ckpt = str(run / "final.ckpt.json")
+    reads = []
+    read_manifest = tgl.models.read_manifest
+
+    def counted(path, *args, **kwargs):
+        reads.append(path)
+        return read_manifest(path, *args, **kwargs)
+
+    for module in (tgl.models, tgl.training):   # wherever a caller looks the name up
+        monkeypatch.setattr(module, "read_manifest", counted)
+    assert main(["train", "--resume", ckpt, "--data", str(data), "--epochs", "1",
+                 "--out", str(tmp_path / "resumed")]) == 0
+    assert reads.count(ckpt) == 1
+
+
 @pytest.mark.parametrize("blob", ["missing", "short"])
 def test_resume_refuses_a_bad_blob_before_any_data_is_read(pipeline, tmp_path, bad_data, capsys,
                                                            blob):

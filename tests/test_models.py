@@ -12,11 +12,11 @@ import tgl
 from tgl.analysis import extract_node_features
 from tgl.dataset import PairSet, Trial, encode_labels
 from tgl.models import (MODEL_TABLE, OUTPUT_DIM, ModelSpec, build_from_spec, conv_features,
-                        forward, forward_batch, load_checkpoint, model_spec, predict,
+                        forward, forward_batch, load_checkpoint, matmul, model_spec, predict,
                         save_checkpoint)
 from tgl.plant import PlantConfig, make_object, make_plant
 from tgl.rollout import RolloutConfig, rollout
-from tgl.tensor import CSR_BLOCK_SAMPLES, NonFiniteError, Tensor, backward, matmul, mse_loss
+from tgl.tensor import CSR_BLOCK_SAMPLES, NonFiniteError, Tensor, backward, mse_loss
 from tgl.training import mean_loss
 from tgl.topology import HandTopology, SensorNode, propagation_for
 
@@ -76,9 +76,9 @@ def test_build_deterministic(tiny_topo):
     a = build_from_spec(TOY, tiny_topo, seed=3)
     b = build_from_spec(TOY, tiny_topo, seed=3)
     for pa, pb in zip(a.parameters(), b.parameters()):
-        np.testing.assert_array_equal(pa.value.data, pb.value.data)
+        np.testing.assert_array_equal(pa.value, pb.value)
     c = build_from_spec(TOY, tiny_topo, seed=4)
-    assert any(not np.array_equal(pa.value.data, pc.value.data)
+    assert any(not np.array_equal(pa.value, pc.value)
                for pa, pc in zip(a.parameters(), c.parameters()))
 
 
@@ -97,7 +97,7 @@ def test_graph_conv_two_node_by_hand():
     topo = HandTopology(nodes, [(0, 1)])
     m = build_from_spec(ModelSpec("GCN", (2,), (4,)), topo, seed=0)
     w = m.conv_weights[0]
-    w.value.data[:] = np.array([[1.0, -1.0], [0.0, 2.0], [1.0, 0.0]])
+    w.value[:] = np.array([[1.0, -1.0], [0.0, 2.0], [1.0, 0.0]])
     h = np.array([[1.0, 2.0, 3.0], [-1.0, 0.0, 1.0]])
     out = conv_features(m, h[None])
     # S = [[.5,.5],[.5,.5]]; S H = [[0,1,2],[0,1,2]]; (S H) W = [[2,2],[2,2]]
@@ -109,25 +109,30 @@ def test_conv_features_permutation_equivariant():
     edges = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5), (1, 4)]
     nodes = [SensorNode(i, "palm", "palm", 0, i) for i in range(6)]
     perm = rng.permutation(6)
-    w = Tensor(rng.normal(size=(3, 4)))
+    w = rng.normal(size=(3, 4))
     h = rng.normal(size=(6, 3))
     # node i of the permuted graph is node perm[i] of the original
     where = np.argsort(perm)
-    s = Tensor(propagation_for(HandTopology(nodes, edges)))
-    s_perm = Tensor(propagation_for(HandTopology(nodes, [(where[a], where[b]) for a, b in edges])))
-    from tgl.tensor import matmul, relu
-    base = relu(matmul(matmul(s, Tensor(h)), w)).data
-    permuted = relu(matmul(matmul(s_perm, Tensor(h[perm])), w)).data
+    base, permuted = (
+        _conv_features_on(HandTopology(nodes, graph), w, x)
+        for graph, x in ((edges, h), ([(where[a], where[b]) for a, b in edges], h[perm])))
     np.testing.assert_allclose(permuted, base[perm], atol=1e-12)
+
+
+def _conv_features_on(topo: HandTopology, w: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """relu(S·h·w) on the graph `topo`, through a one-conv-layer model."""
+    m = build_from_spec(ModelSpec("GCN", (w.shape[1],), (8,)), topo, seed=0)
+    m.conv_weights[0].value[:] = w
+    return conv_features(m, h)
 
 
 def test_forward_batch_shapes(tiny_topo):
     m = build_from_spec(TOY, tiny_topo, seed=1)
     out = forward_batch(m, np.zeros((7, 6, 3)), np.zeros((7, 22)))
-    assert out.shape == (7, 16)
+    assert out.data.shape == (7, 16)
     mlp = build_from_spec(ModelSpec("MLP", (), (9,)), tiny_topo, seed=1)
     out = forward_batch(mlp, np.zeros((7, 6, 3)), np.zeros((7, 22)))
-    assert out.shape == (7, 16)
+    assert out.data.shape == (7, 16)
 
 
 def test_zero_input_zero_labels_gives_zero_output(tiny_topo):
@@ -179,7 +184,7 @@ def test_overflow_names_the_layer(tiny_topo, default_topo):
     # the 6-node graph propagates with BLAS, the 384-node hand with the CSR op
     for topo in (tiny_topo, default_topo):
         m = build_from_spec(TOY, topo, seed=0)
-        m.conv_weights[1].value.data[:] = 1e300
+        m.conv_weights[1].value[:] = 1e300
         with pytest.raises(NonFiniteError, match="conv layer 1"):
             forward_batch(m, np.full((1, topo.n, 3), 1e10), np.zeros((1, 22)))
 
@@ -189,10 +194,10 @@ def test_propagation_of_a_sample_ignores_its_batch(default_topo):
     assert m.s_tensor.sparse
     block = CSR_BLOCK_SAMPLES
     h = np.random.default_rng(3).normal(size=(2 * block + 5, default_topo.n, 14))
-    batch = matmul(m.s_tensor, Tensor(h)).data
+    batch = matmul(m.s_tensor, h)
     # first and last of the first two blocks, and the partial block at the end
     for i in (0, block - 1, block, 2 * block - 1, 2 * block, len(h) - 1):
-        alone = matmul(m.s_tensor, Tensor(h[i:i + 1])).data
+        alone = matmul(m.s_tensor, h[i:i + 1])
         assert np.array_equal(batch[i], alone[0])
 
 
@@ -207,26 +212,30 @@ def test_propagation_sums_each_row_diagonal_first_then_by_column(default_topo):
             if j != i:
                 acc = acc + s[i, j] * h[:, j]
         expect[:, i] = acc
-    assert np.array_equal(matmul(m.s_tensor, Tensor(h)).data, expect)
+    assert np.array_equal(matmul(m.s_tensor, h), expect)
 
 
 def test_conv_gradients_on_the_default_hand_match_finite_differences(default_topo):
-    """One conv layer on the 384-node hand: both the weight and the input
-    gradient go through the sparse propagation op."""
-    m = build_from_spec(ModelSpec("GCN", (4,), (8,)), default_topo, seed=2)
-    assert m.s_tensor.sparse
+    """The first conv weight's gradient on the 384-node hand: with one conv layer it comes
+    from the sparse S·H, with two it also goes back through conv layer 1's sparse Sᵀ.
+
+    Two conv layers put about 6,000 ReLU inputs behind the first weight; at a step of 1e-5
+    some of them cross 0 between the two sides of a central difference, so that case steps
+    1e-7.
+    """
     rng = np.random.default_rng(8)
-    tactile = Tensor(rng.uniform(-1.0, 1.0, (2, default_topo.n, 3)), requires_grad=True)
-    aux = rng.uniform(-1.0, 1.0, (2, 22))
-    target = rng.uniform(-1.0, 1.0, (2, 16))
-    backward(mse_loss(forward_batch(m, tactile, aux), target))
+    for conv, h in (((4,), 1e-5), ((4, 4), 1e-7)):
+        m = build_from_spec(ModelSpec("GCN", conv, (8,)), default_topo, seed=2)
+        assert m.s_tensor.sparse
+        tactile = rng.uniform(-1.0, 1.0, (2, default_topo.n, 3))
+        aux = rng.uniform(-1.0, 1.0, (2, 22))
+        target = rng.uniform(-1.0, 1.0, (2, 16))
+        backward(mse_loss(forward_batch(m, tactile, aux), target))
 
-    def loss_value() -> float:
-        return float(np.mean((predict(m, tactile.data, aux) - target) ** 2))
+        def loss_value() -> float:
+            return float(np.mean((predict(m, tactile, aux) - target) ** 2))
 
-    h = 1e-5
-    for arr, grad in ((m.conv_weights[0].value.data, m.conv_weights[0].grad),
-                      (tactile.data, tactile.grad)):
+        arr, grad = m.conv_weights[0].value, m.conv_weights[0].grad
         for idx in rng.choice(arr.size, size=6, replace=False):
             orig = arr.flat[idx]
             arr.flat[idx] = orig + h
@@ -268,7 +277,7 @@ def _trial(topo, rng, frames: int = 20) -> Trial:
 def test_a_nan_weight_names_its_layer_off_the_tape(layer, stage, tiny_topo):
     m = build_from_spec(TOY, tiny_topo, seed=0)
     weights = {p.name: p for p in m.parameters()}
-    weights[layer if layer.startswith("conv") else f"{layer}.weight"].value.data[:] = np.nan
+    weights[layer if layer.startswith("conv") else f"{layer}.weight"].value[:] = np.nan
     pairs = PairSet([_trial(tiny_topo, np.random.default_rng(1))])
     calls = [lambda: forward(m, pairs.tactile[0], pairs.joints[0], LABELS),
              lambda: mean_loss(m, pairs, batch_size=4)]
@@ -311,7 +320,7 @@ def test_checkpoint_round_trip_bitwise(tmp_path, tiny_topo, default_topo):
         assert loaded.spec == m.spec
         for a, b in zip(m.parameters(), loaded.parameters(), strict=True):
             assert a.name == b.name
-            np.testing.assert_array_equal(a.value.data, b.value.data)
+            np.testing.assert_array_equal(a.value, b.value)
             np.testing.assert_array_equal(a.adam_m, b.adam_m)
             np.testing.assert_array_equal(a.adam_v, b.adam_v)
             assert a.step_count == b.step_count
@@ -344,7 +353,7 @@ def test_values_and_moments_are_views_of_one_buffer_laid_out_as_the_blob(tmp_pat
     for model in (built, loaded):
         offset = 0   # elements: every parameter's value, adam_m, adam_v, end to end
         for p in model.parameters():
-            for arr in (p.value.data, p.adam_m, p.adam_v):
+            for arr in (p.value, p.adam_m, p.adam_v):
                 assert np.shares_memory(arr, model.buffer)
                 assert arr.ctypes.data == model.buffer.ctypes.data + offset * 8
                 offset += arr.size

@@ -19,19 +19,22 @@ def _param(value, name: str) -> Parameter:
 
 
 def quadratic_grad(p: Parameter, target: np.ndarray) -> None:
-    loss = mse_loss(p.value, Tensor(target))
-    backward(loss)
+    """The gradient of mean((value - target)^2), handed to p through the tape."""
+    def into_p(g):
+        p.grad = g
+
+    backward(mse_loss(Tensor(p.value, into_p), target))
 
 
 def test_first_step_matches_hand_computed_update():
     cfg = AdamConfig(learning_rate=0.1)
     p = _param(np.array([1.0, -2.0]), "w")
-    p.value.grad = np.array([0.5, -0.25])
-    g = p.value.grad.copy()
+    p.grad = np.array([0.5, -0.25])
+    g = p.grad.copy()
     adam_step([p], cfg)
     # fresh moments: m_hat = g, v_hat = g^2, so step = lr * g / (|g| + eps)
     expect = np.array([1.0, -2.0]) - cfg.learning_rate * g / (np.abs(g) + EPSILON)
-    np.testing.assert_allclose(p.value.data, expect, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(p.value, expect, rtol=0, atol=1e-12)
     assert p.step_count == 1
     assert p.grad is None  # consumed by the step
 
@@ -39,20 +42,20 @@ def test_first_step_matches_hand_computed_update():
 def test_many_steps_match_reference_implementation():
     cfg = AdamConfig(learning_rate=0.05)
     p = _param(np.array([[0.3, -1.2], [2.0, 0.0]]), "w")
-    ref_w = p.value.data.copy()
+    ref_w = p.value.copy()
     ref_m = np.zeros_like(ref_w)
     ref_v = np.zeros_like(ref_w)
     rng = np.random.default_rng(9)
     for t in range(1, 31):
         g = rng.normal(size=ref_w.shape)
-        p.value.grad = g.copy()
+        p.grad = g.copy()
         adam_step([p], cfg)
         ref_m = BETA1 * ref_m + (1 - BETA1) * g
         ref_v = BETA2 * ref_v + (1 - BETA2) * g * g
         m_hat = ref_m / (1 - BETA1 ** t)
         v_hat = ref_v / (1 - BETA2 ** t)
         ref_w = ref_w - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + EPSILON)
-        np.testing.assert_allclose(p.value.data, ref_w, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(p.value, ref_w, rtol=0, atol=1e-12)
 
 
 # (21526, 120) is the 384-node toy GCN's first fc weight, which adam_step updates in pieces
@@ -62,10 +65,10 @@ def test_blocked_step_is_bitwise_textbook_adam(shape):
     cfg = AdamConfig(learning_rate=3e-3)
     rng = np.random.default_rng(shape[0])
     p = _param(rng.normal(size=shape), "w")
-    x, m, v = p.value.data.copy(), np.zeros(shape), np.zeros(shape)
+    x, m, v = p.value.copy(), np.zeros(shape), np.zeros(shape)
     for t in range(1, 6):
         g = rng.normal(size=shape)
-        p.value.grad = g.copy()
+        p.grad = g.copy()
         adam_step([p], cfg)
         # Kingma & Ba, Algorithm 1, written out whole-array
         m = BETA1 * m + (1.0 - BETA1) * g
@@ -73,7 +76,7 @@ def test_blocked_step_is_bitwise_textbook_adam(shape):
         m_hat = m / (1.0 - BETA1 ** t)
         v_hat = v / (1.0 - BETA2 ** t)
         x = x - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + EPSILON)
-        np.testing.assert_array_equal(p.value.data, x)
+        np.testing.assert_array_equal(p.value, x)
         np.testing.assert_array_equal(p.adam_m, m)
         np.testing.assert_array_equal(p.adam_v, v)
     assert p.step_count == 5
@@ -86,18 +89,18 @@ def test_converges_on_scalar_quadratic():
     for _ in range(400):
         quadratic_grad(p, target)
         adam_step([p], cfg)
-    assert abs(p.value.data[0] - 3.0) < 1e-2
+    assert abs(p.value[0] - 3.0) < 1e-2
 
 
 def test_missing_gradient_aborts_whole_step():
     cfg = AdamConfig()
     a = _param(np.array([1.0]), "a")
     b = _param(np.array([2.0]), "b")
-    a.value.grad = np.array([0.5])
+    a.grad = np.array([0.5])
     with pytest.raises(ValueError, match="no gradient"):
         adam_step([a, b], cfg)
     # the valid parameter must be untouched too
-    assert a.value.data.tolist() == [1.0]
+    assert a.value.tolist() == [1.0]
     assert a.step_count == 0
 
 
@@ -105,12 +108,12 @@ def test_non_finite_gradient_aborts_whole_step():
     cfg = AdamConfig()
     a = _param(np.array([1.0]), "a")
     b = _param(np.array([2.0]), "b")
-    a.value.grad = np.array([0.5])
-    b.value.grad = np.array([float("nan")])
+    a.grad = np.array([0.5])
+    b.grad = np.array([float("nan")])
     with pytest.raises(NonFiniteError):
         adam_step([a, b], cfg)
-    assert a.value.data.tolist() == [1.0]
-    assert b.value.data.tolist() == [2.0]
+    assert a.value.tolist() == [1.0]
+    assert b.value.tolist() == [2.0]
 
 
 def test_non_finite_gradient_in_the_last_piece_aborts_whole_step():
@@ -118,17 +121,17 @@ def test_non_finite_gradient_in_the_last_piece_aborts_whole_step():
     shape = (21526, 120)
     assert _splits(math.prod(shape))
     a = _param(np.ones(shape), "a")
-    a.value.grad = np.ones(shape)
-    a.value.grad[-1, -1] = np.nan
+    a.grad = np.ones(shape)
+    a.grad[-1, -1] = np.nan
     with pytest.raises(NonFiniteError):
         adam_step([a], cfg)
-    assert (a.value.data == 1.0).all() and a.step_count == 0
+    assert (a.value == 1.0).all() and a.step_count == 0
 
 
 def test_shape_mismatch_rejected():
     cfg = AdamConfig()
     a = _param(np.array([1.0, 2.0]), "a")
-    a.value.grad = np.array([0.5])
+    a.grad = np.array([0.5])
     with pytest.raises(ValueError, match="shape"):
         adam_step([a], cfg)
 
@@ -141,7 +144,7 @@ def test_parameter_needs_a_contiguous_three_row_block():
         Parameter(np.zeros((2, 4)), "w")
     block = np.zeros((3, 4))
     p = Parameter(block, "w")
-    assert np.shares_memory(p.value.data, block) and p.adam_v.base is block
+    assert np.shares_memory(p.value, block) and p.adam_v.base is block
 
 
 def test_config_validation():

@@ -1,4 +1,4 @@
-"""Tensor library: forward values, gradients, broadcasting, error handling."""
+"""Array primitives, the propagation operator and the tape: values, bits, gradients, errors."""
 from __future__ import annotations
 
 import os
@@ -15,128 +15,71 @@ from hypothesis import example, given, strategies as st
 import tgl
 from tgl import tensor as T
 from tgl.tensor import NonFiniteError, SymmetricOperator, Tensor, backward
+from tgl.topology import propagation_for
 
 
-def _dot(y: Tensor, g: np.ndarray) -> Tensor:
-    """The scalar sum(y * g) on the tape, so backward hands y the gradient g."""
-    return T.matmul(T.reshape(y, (1, y.size)), Tensor(g.reshape(-1, 1)))
+TINY_GCN = tgl.ModelSpec("GCN", (4,), (8,))
 
 
-def test_matmul_forward_and_grads():
-    a = Tensor([[1.0, 2.0]], requires_grad=True)
-    b = Tensor([[3.0], [4.0]], requires_grad=True)
-    out = T.matmul(a, b)
-    assert out.data.tolist() == [[11.0]]
-    backward(out)
-    assert a.grad.tolist() == [[3.0, 4.0]]
-    assert b.grad.tolist() == [[1.0], [2.0]]
-
-
-def test_relu_value_and_subgradient():
-    x = Tensor([-1.0, 0.0, 2.0], requires_grad=True)
-    y = T.relu(x)
-    assert y.data.tolist() == [0.0, 0.0, 2.0]
-    backward(_dot(y, np.ones(3)))
-    # subgradient at the kink is 0
-    assert x.grad.tolist() == [0.0, 0.0, 1.0]
+def test_relu_value_and_subgradient(tiny_topo):
+    """A hidden layer's ReLU passes [-1, 0, 2] on as [0, 0, 2] and a gradient of ones back
+    as [0, 0, 1]: the subgradient at the kink is 0."""
+    m = tgl.build_from_spec(tgl.ModelSpec("MLP", (), (3,)), tiny_topo, seed=0)
+    hidden = m.fc_biases[0]
+    m.fc_weights[0].value[:] = 0.0
+    hidden.value[:] = [-1.0, 0.0, 2.0]
+    m.fc_weights[1].value[:] = np.eye(3, 16)   # the output repeats the hidden units
+    pred = tgl.forward_batch(m, np.zeros((1, 6, 3)), np.zeros((1, 22)))
+    assert pred.data[0, :3].tolist() == [0.0, 0.0, 2.0]
+    backward(T.mse_loss(pred, pred.data - 8.0))   # d loss / d pred = 2 * 8 / 16 = 1
+    assert hidden.grad.tolist() == [0.0, 0.0, 1.0]
 
 
 @pytest.mark.parametrize("shape", [(7, 5), (3, 24, 6)])
 def test_relu_bits_match_where_including_signed_zeros(shape):
+    """ReLU and its backward as the layers take them: maximum, and the product with the mask."""
     rng = np.random.default_rng(0)
     data = rng.normal(size=shape)
     data.flat[::3] = -0.0
     data.flat[1::7] = 0.0
-    x = Tensor(data, requires_grad=True)
-    y = T.relu(x)
+    y = T._elementwise(np.maximum, data, 0.0)
     ref = np.where(data > 0, data, 0.0)
-    assert y.data.tobytes() == ref.tobytes()
-    assert not np.signbit(y.data).any()
+    assert y.tobytes() == ref.tobytes()
+    assert not np.signbit(y).any()
     g = rng.normal(size=shape)
-    backward(_dot(y, g))
-    assert x.grad.tobytes() == (g * (data > 0)).tobytes()
+    mask = T._elementwise(np.greater, data, 0, bool)
+    assert T._elementwise(np.multiply, g, mask).tobytes() == (g * (data > 0)).tobytes()
 
 
 def test_mse_loss_value_and_grad():
-    pred = Tensor([1.0, 1.0], requires_grad=True)
-    target = Tensor([0.0, 2.0])
-    loss = T.mse_loss(pred, target)
-    assert loss.item() == pytest.approx(1.0)
+    handed = []
+    pred = Tensor([1.0, 1.0], handed.append)
+    loss = T.mse_loss(pred, [0.0, 2.0])
+    assert float(loss.data) == pytest.approx(1.0)
     backward(loss)
     # d/dpred mean((p - t)^2) = 2 (p - t) / n
-    assert pred.grad.tolist() == [1.0, -1.0]
-
-
-def test_reshape_grad_restores_shape():
-    x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
-    backward(_dot(T.reshape(x, 6), np.arange(6.0)))
-    assert x.grad.shape == (2, 3)
-    np.testing.assert_allclose(x.grad, np.arange(6.0).reshape(2, 3))
-
-
-def test_concat_routes_grads_to_parents():
-    a = Tensor(np.ones((2, 2)), requires_grad=True)
-    b = Tensor(np.ones((3, 2)), requires_grad=True)
-    out = T.concat([a, b], axis=0)
-    assert out.shape == (5, 2)
-    w = np.arange(10.0).reshape(5, 2)
-    backward(_dot(out, w))
-    np.testing.assert_allclose(a.grad, w[:2])
-    np.testing.assert_allclose(b.grad, w[2:])
-
-
-def test_broadcast_add_unbroadcasts_grad():
-    x = Tensor(np.ones((4, 3)), requires_grad=True)
-    bias = Tensor(np.zeros(3), requires_grad=True)
-    backward(_dot(x + bias, np.ones((4, 3))))
-    assert bias.grad.shape == (3,)
-    np.testing.assert_allclose(bias.grad, [4.0, 4.0, 4.0])
+    assert handed[0].tolist() == [1.0, -1.0]
 
 
 def test_batched_matmul_against_per_item_loop():
     rng = np.random.default_rng(0)
     s = rng.normal(size=(5, 5))
     h = rng.normal(size=(7, 5, 2))
-    out = T.matmul(Tensor(s), Tensor(h))
+    out = T._product(s, h)
     expect = np.stack([s @ h[i] for i in range(7)])
-    np.testing.assert_allclose(out.data, expect)
+    np.testing.assert_allclose(out, expect)
 
 
-def test_batched_matmul_grad_matches_finite_differences():
-    rng = np.random.default_rng(1)
-    s = rng.normal(size=(3, 3))
-    h0 = rng.normal(size=(2, 3, 2))
-    h = Tensor(h0.copy(), requires_grad=True)
-    loss = T.mse_loss(T.matmul(Tensor(s), h), Tensor(np.zeros((2, 3, 2))))
+def test_repeated_backward_accumulates_once_per_call(tiny_topo):
+    m = tgl.build_from_spec(TINY_GCN, tiny_topo, seed=0)
+    rng = np.random.default_rng(3)
+    loss = T.mse_loss(tgl.forward_batch(m, rng.normal(size=(4, 6, 3)), rng.normal(size=(4, 22))),
+                      rng.normal(size=(4, 16)))
     backward(loss)
-    eps = 1e-6
-    flat = h.data.ravel()
-    for i in rng.choice(flat.size, size=4, replace=False):
-        orig = flat[i]
-        flat[i] = orig + eps
-        up = T.mse_loss(T.matmul(Tensor(s), Tensor(h.data)), Tensor(np.zeros((2, 3, 2)))).item()
-        flat[i] = orig - eps
-        dn = T.mse_loss(T.matmul(Tensor(s), Tensor(h.data)), Tensor(np.zeros((2, 3, 2)))).item()
-        flat[i] = orig
-        fd = (up - dn) / (2 * eps)
-        assert h.grad.ravel()[i] == pytest.approx(fd, rel=1e-5, abs=1e-9)
-
-
-def test_repeated_backward_accumulates_once_per_call():
-    x = Tensor([3.0], requires_grad=True)
-    y = _dot(x + x, np.array([3.0]))  # reused node: grad must not double-count within a call
-    backward(y)
-    np.testing.assert_allclose(x.grad, [6.0])
-    backward(y)
-    np.testing.assert_allclose(x.grad, [12.0])
-
-
-def test_diamond_graph_accumulates_through_both_paths():
-    x = Tensor([[2.0]], requires_grad=True)
-    a = T.matmul(x, Tensor([[3.0]]))
-    b = T.matmul(x, Tensor([[5.0]]))
-    backward(a + b)
-    np.testing.assert_allclose(x.grad, [[8.0]])
+    once = [p.grad.copy() for p in m.parameters()]
+    backward(loss)
+    for p, g in zip(m.parameters(), once):
+        assert p.grad.tobytes() == (g + g).tobytes(), p.name
 
 
 def test_non_finite_inputs_rejected():
@@ -147,9 +90,66 @@ def test_non_finite_inputs_rejected():
 
 
 def test_backward_requires_scalar():
-    x = Tensor([1.0, 2.0], requires_grad=True)
-    with pytest.raises(ValueError):
-        backward(x + x)
+    with pytest.raises(ValueError, match="scalar"):
+        backward(Tensor([1.0, 2.0], lambda g: None))
+    with pytest.raises(ValueError, match="tape"):
+        backward(Tensor(1.0))
+
+
+# the benchmark's toy GCN and a small MLP
+REFERENCE_SPECS = {"toy GCN": tgl.ModelSpec("GCN", (14, 28, 56), (120, 50)),
+                   "MLP": tgl.ModelSpec("MLP", (), (30, 20))}
+
+
+def _reference_step(params, topo, tactile, aux, target) -> tuple[float, dict]:
+    """The loss and every parameter's gradient, by hand: dense S, @ and np.maximum."""
+    s = propagation_for(topo)
+    x, conv = tactile, []
+    for w in params.conv_weights:
+        h = s @ x
+        z = h @ w.value
+        conv.append((h, z))
+        x = np.maximum(z, 0.0)
+    h, fc = np.concatenate([x.reshape(len(x), -1), aux], axis=1), []
+    last = len(params.fc_weights) - 1
+    for i, (w, b) in enumerate(zip(params.fc_weights, params.fc_biases)):
+        z = h @ w.value + b.value
+        fc.append((h, z))
+        h = np.maximum(z, 0.0) if i != last else z
+    diff = h - target
+    grads, g = {}, 2.0 * diff / diff.size
+    for i in reversed(range(len(fc))):
+        h, z = fc[i]
+        g = g if i == last else g * (z > 0)
+        grads[f"fc{i}.bias"], grads[f"fc{i}.weight"] = g.sum(axis=0), h.T @ g
+        g = g @ params.fc_weights[i].value.T
+    g = g[:, :x[0].size].reshape(x.shape)
+    for i in reversed(range(len(conv))):
+        h, z = conv[i]
+        g = g * (z > 0)
+        grads[f"conv{i}"] = np.einsum("bnc,bnd->cd", h, g)
+        g = s.T @ (g @ params.conv_weights[i].value.T)
+    return float(np.mean(diff * diff)), grads
+
+
+@pytest.mark.parametrize("batch", [1, 7])
+@pytest.mark.parametrize("model, hand", [("toy GCN", "small_topo"), ("toy GCN", "default_topo"),
+                                         ("MLP", "small_topo")])
+def test_a_training_step_matches_a_float64_reference(request, model, hand, batch):
+    """forward_batch, mse_loss and backward, as fit_pairs runs them, against `_reference_step`."""
+    topo = request.getfixturevalue(hand)
+    m = tgl.build_from_spec(REFERENCE_SPECS[model], topo, seed=6)
+    rng = np.random.default_rng(batch)
+    tactile = rng.uniform(-1.0, 1.0, (batch, topo.n, 3))
+    aux = rng.uniform(-1.0, 1.0, (batch, 22))
+    target = rng.uniform(-1.0, 1.0, (batch, 16))
+    loss = T.mse_loss(tgl.forward_batch(m, tactile, aux), target)
+    backward(loss)
+    want_loss, want = _reference_step(m, topo, tactile, aux, target)
+    assert abs(float(loss.data) - want_loss) <= 1e-12 * want_loss
+    assert sorted(want) == sorted(p.name for p in m.parameters())
+    for p in m.parameters():
+        assert np.abs(p.grad - want[p.name]).max() <= 1e-12 * np.abs(want[p.name]).max(), p.name
 
 
 def random_symmetric(n: int, edge_p: float, diag_p: float, seed: int,
@@ -179,13 +179,12 @@ def test_symmetric_operator_matches_dense_product(n, edge_p, diag_p, seed, isola
     op = SymmetricOperator(s)
     assert op.sparse == (np.count_nonzero(s) <= T.SPARSE_MAX_DENSITY * s.size)
     rng = np.random.default_rng(seed + 1)
-    h = Tensor(rng.normal(size=lead + (n, channels)), requires_grad=True)
+    h = rng.normal(size=lead + (n, channels))
     g = rng.normal(size=h.shape)
-    out = T.matmul(op, h)
+    out = op.apply(h)
     assert out.shape == h.shape
-    np.testing.assert_allclose(out.data, s @ h.data, rtol=0, atol=1e-12)
-    backward(_dot(out, g))
-    np.testing.assert_allclose(h.grad, s @ g, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(out, s @ h, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(op.apply(g, transpose=True), s.T @ g, rtol=0, atol=1e-12)
 
 
 def test_symmetric_operator_examples_take_both_paths():
@@ -215,7 +214,7 @@ def test_symmetric_operator_rejects_asymmetric_and_non_finite():
     with pytest.raises(NonFiniteError):
         SymmetricOperator([[float("nan")]])
     with pytest.raises(ValueError, match="mismatch"):
-        T.matmul(SymmetricOperator(np.eye(3)), Tensor(np.ones((2, 4))))
+        SymmetricOperator(np.eye(3)).apply(np.ones((2, 4)))
 
 
 # Six rounds of eight 16 MB arrays, allocated then all freed, as one step's
@@ -311,7 +310,7 @@ def test_a_sparse_row_reads_only_the_weight_rows_it_selects(case):
 def test_a_nan_in_a_selected_weight_row_still_names_the_fc_layer(default_topo):
     """Silent taxels select only the joint and label rows; a NaN there is still caught."""
     params = tgl.build_from_spec(tgl.ModelSpec("GCN", TOY_CONV[1:], (TOY_FC, 50)), default_topo, 0)
-    w = params.fc_weights[0].value.data
+    w = params.fc_weights[0].value
     assert w.shape == (FC0_IN, TOY_FC) and T._splits(w.size)
     aux = np.concatenate([np.full(16, 0.5), tgl.encode_labels(True, False, True)])[None]
     w[FC0_IN - 22, 3] = np.nan                          # the first joint's row
@@ -339,12 +338,11 @@ def test_split_relu_equals_numpy_bit_for_bit(monkeypatch, shape):
     rng = np.random.default_rng(len(shape))
     data = rng.normal(size=shape)
     data.flat[::3] = -0.0
-    x = Tensor(data, requires_grad=True)
-    y = T.relu(x)
-    assert y.data.tobytes() == np.maximum(data, 0.0).tobytes()
+    y = T._elementwise(np.maximum, data, 0.0)
+    assert y.tobytes() == np.maximum(data, 0.0).tobytes()
     g = rng.normal(size=shape)
-    backward(_dot(y, g))
-    assert x.grad.tobytes() == (g * (data > 0)).tobytes()
+    mask = T._elementwise(np.greater, data, 0, bool)
+    assert T._elementwise(np.multiply, g, mask).tobytes() == (g * (data > 0)).tobytes()
 
 
 @pytest.mark.parametrize("where", [0, -1])

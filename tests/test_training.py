@@ -19,7 +19,7 @@ from tgl.models import load_checkpoint
 from tgl.plant import PlantConfig, generate_object_trial, generate_trial, make_object, \
     make_plant, object_catalog
 from tgl.tensor import NonFiniteError
-from tgl.training import TrainConfig, evaluate, fit_pairs, recipe, train
+from tgl.training import TrainConfig, evaluate, fit_pairs, recipe, resume_point, train
 
 SPEC = tgl.ModelSpec("GCN", (5, 9), (30,))
 ADAM = tgl.AdamConfig(learning_rate=1e-3)
@@ -81,13 +81,13 @@ def test_resume_matches_straight_run(world, tmp_path):
     train(ds, cfg(epochs=10), topo, out_dir=str(a))
     train(ds, cfg(epochs=5), topo, out_dir=str(b))
     r = train(ds, cfg(epochs=5), topo, out_dir=str(c),
-              resume_from=str(b / "final.ckpt.json"))
+              resume_from=resume_point(str(b / "final.ckpt.json"), topo))
     assert r.start_epoch == 5
     full, _ = load_checkpoint(str(a / "final.ckpt.json"), topo)
     resumed, extra = load_checkpoint(str(c / "final.ckpt.json"), topo)
     assert extra["epoch"] == 10
     for x, y in zip(full.parameters(), resumed.parameters()):
-        np.testing.assert_array_equal(x.value.data, y.value.data)
+        np.testing.assert_array_equal(x.value, y.value)
         np.testing.assert_array_equal(x.adam_m, y.adam_m)
         np.testing.assert_array_equal(x.adam_v, y.adam_v)
         assert x.step_count == y.step_count
@@ -105,11 +105,12 @@ def test_metrics_hold_one_run(world, tmp_path):
     train(ds, cfg(epochs=3, checkpoint_every=2), topo, out_dir=str(out))
     assert epochs() == [0, 1, 2]
     train(ds, cfg(epochs=2), topo, out_dir=str(out),
-          resume_from=str(out / "epoch000002.ckpt.json"))
+          resume_from=resume_point(str(out / "epoch000002.ckpt.json"), topo))
     assert epochs() == [0, 1, 2, 3]
     with open(out / "metrics.ndjson", "a") as f:
         f.write('{"epoch": 4, "train_lo')  # a line cut off mid-write
-    train(ds, cfg(epochs=1), topo, out_dir=str(out), resume_from=str(out / "final.ckpt.json"))
+    train(ds, cfg(epochs=1), topo, out_dir=str(out),
+          resume_from=resume_point(str(out / "final.ckpt.json"), topo))
     assert epochs() == [0, 1, 2, 3, 4]
 
 
@@ -122,7 +123,7 @@ def test_resume_keeps_the_best_checkpoint_of_a_straight_run(world, tmp_path):
     assert report.val_losses[2] < report.val_losses[3]
     train(ds, replace(run, epochs=3), topo, out_dir=str(resumed))
     again = train(ds, replace(run, epochs=1), topo, out_dir=str(resumed),
-                  resume_from=str(resumed / "final.ckpt.json"))
+                  resume_from=resume_point(str(resumed / "final.ckpt.json"), topo))
     assert again.best_val == report.best_val
     assert again.best_checkpoint == str(resumed / "best.ckpt.json")
     assert (straight / "best.ckpt.bin").read_bytes() == (resumed / "best.ckpt.bin").read_bytes()
@@ -144,7 +145,7 @@ def test_resume_drops_a_best_checkpoint_from_a_later_epoch(world, tmp_path):
     _, extra = load_checkpoint(str(out / "best.ckpt.json"), topo)
     assert extra["epoch"] == 8
     again = train(ds, replace(run, epochs=1), topo, out_dir=str(out),
-                  resume_from=str(out / "epoch000003.ckpt.json"))
+                  resume_from=resume_point(str(out / "epoch000003.ckpt.json"), topo))
     assert again.best_val == min(report.val_losses[:3]) == pytest.approx(0.23254, abs=5e-6)
     assert again.val_losses[0] > again.best_val
     assert again.best_checkpoint is None
@@ -161,7 +162,7 @@ def test_resume_drops_a_best_checkpoint_whose_blob_is_short(world, tmp_path):
     blob = out / "best.ckpt.bin"
     blob.write_bytes(blob.read_bytes()[:-8])
     again = train(ds, replace(run, epochs=1), topo, out_dir=str(out),
-                  resume_from=str(out / "final.ckpt.json"))
+                  resume_from=resume_point(str(out / "final.ckpt.json"), topo))
     assert again.val_losses[0] > again.best_val == report.best_val
     assert again.best_checkpoint is None
     assert not (out / "best.ckpt.json").exists() and not blob.exists()
@@ -177,13 +178,13 @@ def test_resume_in_another_directory_keeps_the_best_of_a_straight_run(world, tmp
     train(ds, replace(run, epochs=3, checkpoint_every=1), topo, out_dir=str(first))
     # resumed before the best epoch, the run writes the straight run's best
     before = train(ds, replace(run, epochs=2), topo, out_dir=str(tmp_path / "before"),
-                   resume_from=str(first / "epoch000002.ckpt.json"))
+                   resume_from=resume_point(str(first / "epoch000002.ckpt.json"), topo))
     assert before.best_val == report.best_val
     for name in ("best.ckpt.json", "best.ckpt.bin"):
         assert (tmp_path / "before" / name).read_bytes() == (straight / name).read_bytes()
     # resumed after it, the run beats no val loss and writes no best
     after = train(ds, replace(run, epochs=1), topo, out_dir=str(tmp_path / "after"),
-                  resume_from=str(first / "final.ckpt.json"))
+                  resume_from=resume_point(str(first / "final.ckpt.json"), topo))
     assert after.best_val == report.best_val and after.best_checkpoint is None
     assert sorted(os.listdir(tmp_path / "after")) == ["final.ckpt.bin", "final.ckpt.json",
                                                       "metrics.ndjson"]
@@ -284,7 +285,7 @@ def test_default_hand_trains_and_repeats_bitwise(default_topo):
     assert losses_a[-1] < losses_a[0]
     assert losses_a == losses_b
     for pa, pb in zip(a.parameters(), b.parameters()):
-        assert np.array_equal(pa.value.data, pb.value.data)
+        assert np.array_equal(pa.value, pb.value)
         assert np.array_equal(pa.adam_m, pb.adam_m)
         assert np.array_equal(pa.adam_v, pb.adam_v)
 
@@ -301,7 +302,7 @@ def test_default_hand_resume_matches_straight_run(default_topo, tmp_path):
     straight = train(ds, run, default_topo, out_dir=str(a))
     first = train(ds, replace(run, epochs=1), default_topo, out_dir=str(b))
     resumed = train(ds, replace(run, epochs=1), default_topo, out_dir=str(c),
-                    resume_from=str(b / "final.ckpt.json"))
+                    resume_from=resume_point(str(b / "final.ckpt.json"), default_topo))
     assert first.train_losses + resumed.train_losses == straight.train_losses
     assert first.val_losses + resumed.val_losses == straight.val_losses
     for name in ("final.ckpt.json", "final.ckpt.bin"):
