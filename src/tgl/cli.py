@@ -234,8 +234,8 @@ def cmd_train(args) -> int:
         defaults |= recorded | {"model": "", "topology": ""}
     settings = _settings(args, defaults)
     seed, epochs, batch, lr, model, target_length, topo_spec = settings.values()
-    if target_length < 2:   # a trial is downsampled to frames that include both its ends
-        raise CliError(f"--target-length must be >= 2, got {target_length}")
+    if target_length <= dataset.HORIZON:   # a trial of no more frames yields no pairs
+        raise CliError(f"--target-length must be >= {dataset.HORIZON + 1}, got {target_length}")
     if not args.resume:
         spec, topo = _spec(model, args.conv, args.fc), _load_topology(topo_spec)
     else:   # only a flag or --config value can differ from the checkpoint

@@ -20,8 +20,7 @@ import numpy as np
 
 from .dataset import HORIZON, JOINT_DIM, LABEL_DIM, validate_labels, write_json
 from .optim import Parameter, glorot_uniform
-from .tensor import NonFiniteError, SymmetricOperator, Tensor, _all_finite, _elementwise, \
-    _product
+from .tensor import SymmetricOperator, Tensor, _elementwise, _finite, _product
 from .topology import HandTopology, propagation_for, topology_doc, topology_from_doc
 
 TACTILE_AXES = 3                  # input channels per node: a tri-axial reading
@@ -154,13 +153,6 @@ def matmul(a, b) -> np.ndarray:
     return a.apply(b) if isinstance(a, SymmetricOperator) else _product(a, b)
 
 
-def _finite(arr: np.ndarray, stage: str = "") -> np.ndarray:
-    """arr, checked for NaN and Inf; the error names the layer `stage`."""
-    if not _all_finite(arr):
-        raise NonFiniteError(f"{stage}non-finite values in tensor data")
-    return arr
-
-
 def _check_nodes(params: ModelParams, shape: tuple[int, ...]) -> None:
     if shape[-2:] != (params.n_nodes, TACTILE_AXES):
         raise ValueError(f"tactile must end in ({params.n_nodes}, {TACTILE_AXES}), got {shape}")
@@ -180,9 +172,9 @@ def _layer(stage: str, h: np.ndarray, w: Parameter, b: Parameter | None, hidden:
 
     The product and the bias sum are checked finite; ReLU keeps finite values finite.
     """
-    y = _finite(matmul(h, w.value), stage)
+    y = _finite(matmul(h, w.value), stage=stage)
     if b is not None:
-        y = _finite(y + b.value, stage)
+        y = _finite(y + b.value, stage=stage)
     if tape is not None:
         # the gradient is exactly 0 at the kink
         tape.append((h, _elementwise(np.greater, y, 0, bool) if hidden else None, w, b))
@@ -193,7 +185,7 @@ def _layer(stage: str, h: np.ndarray, w: Parameter, b: Parameter | None, hidden:
 def _conv_stack(params: ModelParams, x: np.ndarray, tape: list | None = None) -> np.ndarray:
     for i, w in enumerate(params.conv_weights):
         stage = f"conv layer {i}: "
-        x = _layer(stage, _finite(matmul(params.s_tensor, x), stage), w, None, True, tape)
+        x = _layer(stage, _finite(matmul(params.s_tensor, x), stage=stage), w, None, True, tape)
     return x
 
 

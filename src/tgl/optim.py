@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import NonFiniteError, _all_finite, _check_finite, _in_pieces, _splits
+from .tensor import NonFiniteError, _all_finite, _finite, _in_pieces, _splits
 
 # Elements per block of the Adam update: value, gradient, both moments and the
 # two scratch buffers then take 768 KiB, inside a core's L2 cache.  On 2.6 M
@@ -42,7 +42,7 @@ class Parameter:
         if block.dtype != np.float64 or not block.flags.c_contiguous or block.shape[:1] != (3,):
             raise ValueError(f"parameter {name!r} needs a C-contiguous float64 block "
                              f"[3, *shape], got {block.dtype} {block.shape}")
-        _check_finite(block[0], "tensor data")
+        _finite(block[0])
         self.name, self.value, self.grad, self.step_count = name, block[0], None, 0
         self.adam_m, self.adam_v = block[1], block[2]
 
@@ -78,18 +78,18 @@ def adam_step(params: list[Parameter], cfg: AdamConfig) -> None:
         if not _all_finite(g):
             raise NonFiniteError(f"non-finite gradient in {label}; step aborted")
 
-    scratch = np.empty((2, 2, ADAM_BLOCK))   # each of the two pieces' own two buffers
+    scratch = np.empty((2, 2, ADAM_BLOCK))   # two buffers per piece; the worker allocates none
     for i, p in enumerate(params):
         t = p.step_count + 1
         x, g, m, v = (arr.reshape(-1) for arr in (p.value, p.grad, p.adam_m, p.adam_v))
 
-        def update(k, lo, hi):
-            _adam_update(x[lo:hi], g[lo:hi], m[lo:hi], v[lo:hi], cfg, t, *scratch[k])
+        def update(lo, hi):
+            _adam_update(x[lo:hi], g[lo:hi], m[lo:hi], v[lo:hi], cfg, t, *scratch[int(lo > 0)])
 
         if _splits(x.size):   # in pieces of whole blocks
             _in_pieces(x.size, update, ADAM_BLOCK)
         else:
-            update(0, 0, x.size)
+            update(0, x.size)
         p.step_count = t
         p.grad = None
         if not _all_finite(p.value):

@@ -9,7 +9,9 @@ the layers it recorded, `mse_loss` adds the loss, and `backward` runs the
 chain from the loss into the parameters' gradients.
 
 Large products, ReLU and finite checks run in two pieces, the caller
-taking the first and one worker thread the second (`_in_pieces`).  The cut
+taking the first and one worker thread the second (`_in_pieces`); the
+worker is a `ThreadPoolExecutor` built at import, whose thread starts on
+the first split op, and a forked child builds its own.  The cut
 depends on the op's shape alone, never on the core count, and each piece
 computes what the whole op computes for its part of the output, so the
 bits do not depend on whether, or on how many cores, run the pieces.
@@ -25,7 +27,6 @@ import ctypes
 import glob
 import os
 import platform
-import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -122,27 +123,19 @@ class NonFiniteError(ArithmeticError):
     """NaN or Inf showed up where the numeric contracts forbid it."""
 
 
-_pool: ThreadPoolExecutor | None = None
-_pool_lock = threading.Lock()
+def _new_worker() -> None:
+    """Bind `_worker`, the one thread that runs pieces beside the caller, to a new executor.
+
+    Run at import, and in a forked child, which inherits the executor but not its thread.
+    The executor starts its thread on the first submit.
+    """
+    global _worker
+    _worker = ThreadPoolExecutor(max_workers=1, thread_name_prefix="tgl-piece")
 
 
-def _worker() -> ThreadPoolExecutor:
-    """The one worker thread that runs pieces beside the caller, started on first use."""
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            _pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="tgl-piece")
-        return _pool
-
-
-def _forget_worker() -> None:
-    """A forked child has no worker thread; it starts its own on first use."""
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
-
-
+_new_worker()
 if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_worker)
+    os.register_at_fork(after_in_child=_new_worker)
 
 
 def _splits(size: int) -> bool:
@@ -151,10 +144,10 @@ def _splits(size: int) -> bool:
 
 
 def _in_pieces(n: int, run, multiple: int = 1) -> list:
-    """[run(0, 0, cut), run(1, cut, n)], cut at the multiple of `multiple` nearest n / 2.
+    """[run(0, cut), run(cut, n)], cut at the multiple of `multiple` nearest n / 2.
 
     The cut depends on n and `multiple` alone; where it falls at 0 the range
-    runs whole, as [run(0, 0, n)].  The caller runs the first piece while the
+    runs whole, as [run(0, n)].  The caller runs the first piece while the
     worker runs the second; the caller then takes the second back if the
     worker has not started it, so a busy worker costs little more than the
     unsplit op.  `run` may call only numpy, and must write only its own part
@@ -163,12 +156,12 @@ def _in_pieces(n: int, run, multiple: int = 1) -> list:
     """
     cut = multiple * round(n / (2 * multiple))
     if cut == 0:
-        return [run(0, 0, n)]
+        return [run(0, n)]
     context = contextvars.copy_context()   # the caller's np.errstate holds in the worker too
-    second = _worker().submit(context.run, run, 1, cut, n)
+    second = _worker.submit(context.run, run, cut, n)
     try:
-        first = run(0, 0, cut)
-        return [first, run(1, cut, n) if second.cancel() else second.result()]
+        first = run(0, cut)
+        return [first, run(cut, n) if second.cancel() else second.result()]
     finally:
         if not second.cancel():
             second.exception()   # waits for a piece still running
@@ -201,7 +194,7 @@ def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
             return a @ b
         out = np.empty((a.shape[0], b.shape[1]), np.result_type(a, b))
 
-        def columns(_, lo, hi):
+        def columns(lo, hi):
             np.matmul(a, b[:, lo:hi], out=out[:, lo:hi])
 
         _in_pieces(b.shape[1], columns, SPLIT_ALIGN)
@@ -212,7 +205,7 @@ def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     cut_a = a.ndim == out.ndim and a.shape[0] == out.shape[0]
     cut_b = b.ndim == out.ndim and b.shape[0] == out.shape[0]
 
-    def samples(_, lo, hi):
+    def samples(lo, hi):
         np.matmul(a[lo:hi] if cut_a else a, b[lo:hi] if cut_b else b, out=out[lo:hi])
 
     _in_pieces(len(out), samples)
@@ -226,7 +219,7 @@ def _elementwise(ufunc, x: np.ndarray, y, dtype=np.float64) -> np.ndarray:
     out = np.empty(x.shape, dtype)
     whole = np.ndim(y) == 0
 
-    def rows(_, lo, hi):
+    def rows(lo, hi):
         ufunc(x[lo:hi], y if whole else y[lo:hi], out=out[lo:hi])
 
     _in_pieces(len(x), rows)
@@ -238,12 +231,14 @@ def _all_finite(arr: np.ndarray) -> bool:
     if not _splits(arr.size):
         return bool(np.isfinite(arr).all())
     ok = np.empty(arr.shape, bool)
-    return all(_in_pieces(len(arr), lambda _, lo, hi: np.isfinite(arr[lo:hi], out=ok[lo:hi]).all()))
+    return all(_in_pieces(len(arr), lambda lo, hi: np.isfinite(arr[lo:hi], out=ok[lo:hi]).all()))
 
 
-def _check_finite(arr: np.ndarray, what: str) -> None:
+def _finite(arr: np.ndarray, what: str = "tensor data", stage: str = "") -> np.ndarray:
+    """arr, checked for NaN and Inf; the error names `what`, after the layer `stage` if any."""
     if not _all_finite(arr):
-        raise NonFiniteError(f"non-finite values in {what}")
+        raise NonFiniteError(f"{stage}non-finite values in {what}")
+    return arr
 
 
 class SymmetricOperator:
@@ -264,7 +259,7 @@ class SymmetricOperator:
         s = np.asarray(s, dtype=np.float64)
         if s.ndim != 2 or s.shape[0] != s.shape[1]:
             raise ValueError(f"operator must be square, got shape {s.shape}")
-        _check_finite(s, "operator")
+        _finite(s, "operator")
         if not np.array_equal(s, s.T):
             raise ValueError("operator must be symmetric")
         self.dense = s
@@ -329,9 +324,7 @@ class Tensor:
     __slots__ = ("data", "_backward")
 
     def __init__(self, data, backward=None):
-        arr = np.asarray(data, dtype=np.float64)
-        _check_finite(arr, "tensor data")
-        self.data, self._backward = arr, backward
+        self.data, self._backward = _finite(np.asarray(data, dtype=np.float64)), backward
 
     @property
     def requires_grad(self) -> bool:
@@ -340,8 +333,7 @@ class Tensor:
 
 def mse_loss(pred: Tensor, target) -> Tensor:
     """mean((pred - target)^2), on the tape when pred is; target is checked finite."""
-    target = np.asarray(target, dtype=np.float64)
-    _check_finite(target, "tensor data")
+    target = _finite(np.asarray(target, dtype=np.float64))
     if pred.data.shape != target.shape:
         raise ValueError(f"mse_loss shape mismatch: {pred.data.shape} vs {target.shape}")
     diff = pred.data - target

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import Dataset, PairSet, split
+from .dataset import HORIZON, Dataset, PairSet, split
 from .models import MODEL_TABLE, Manifest, ModelParams, ModelSpec, build_from_spec, \
     checkpoint_blob, forward_batch, load_checkpoint, predict, read_manifest, save_checkpoint
 from .optim import AdamConfig, adam_step
@@ -128,23 +128,33 @@ def fit_pairs(params: ModelParams, train_set: PairSet, val_set: PairSet | None,
 
 
 def _metrics_before(path: str, epoch: int) -> list[str]:
-    """Complete lines of an earlier run's metrics for epochs before `epoch`.
+    """Lines of an earlier run's metrics for epochs before `epoch`.
 
     A fresh run (epoch 0) keeps none and a resumed one keeps the history
-    up to its checkpoint, so the file never mixes two runs.
+    up to its checkpoint, so the file never mixes two runs.  A line cut off
+    mid-write (no newline), or not a JSON object with an integer epoch once
+    read as UTF-8 with bad bytes replaced, is not kept.
     """
     if epoch == 0 or not os.path.exists(path):
         return []
-    with open(path) as f:  # a last line without its newline was cut off mid-write
-        return [line for line in f if line.endswith("\n") and json.loads(line)["epoch"] < epoch]
+    kept = []
+    with open(path, errors="replace") as f:
+        for line in f:
+            with suppress(ValueError):
+                record = json.loads(line)
+                if line.endswith("\n") and isinstance(record, dict) \
+                        and type(record.get("epoch")) is int and record["epoch"] < epoch:
+                    kept.append(line)
+    return kept
 
 
 def _best_kept(out_dir: str, epoch: int, best_val: float) -> str | None:
-    """best.ckpt.json if it loads and holds best_val from no later epoch; else it is removed."""
+    """best.ckpt.json if it loads and its extra holds best_val from no later epoch, else removed."""
     path = os.path.join(out_dir, "best.ckpt.json")
     with suppress(OSError, ValueError):   # a manifest or blob that does not load
-        saved = recipe(path, read_manifest(path).extra)
-        if saved["best_val"] == best_val and saved["epoch"] <= epoch:
+        extra = read_manifest(path).extra
+        saved, at = extra.get("best_val"), extra.get("epoch")
+        if (math.inf if saved is None else saved) == best_val and type(at) is int and at <= epoch:
             return path
     for stale in (path, checkpoint_blob(path)):
         with suppress(FileNotFoundError):
@@ -152,8 +162,9 @@ def _best_kept(out_dir: str, epoch: int, best_val: float) -> str | None:
     return None
 
 
-# The recipe's integer keys in a checkpoint's extra, each with its least value
-_RECIPE_INTEGERS = {"epoch": 0, "train_seed": 0, "target_length": 2, "batch_size": 1}
+# The recipe's integer keys in a checkpoint's extra, each with its least value: a trial
+# yields pairs only with more frames than the horizon
+_RECIPE_INTEGERS = {"epoch": 0, "train_seed": 0, "target_length": HORIZON + 1, "batch_size": 1}
 
 
 def recipe(path: str, extra: dict) -> dict:

@@ -201,6 +201,20 @@ def test_train_twice_into_one_directory_keeps_one_run(pipeline, tmp_path):
     assert [json.loads(l)["epoch"] for l in lines] == [0, 1]
 
 
+def test_resume_skips_metrics_lines_that_hold_no_epoch(pipeline, tmp_path):
+    """metrics.ndjson is unhashed telemetry: a malformed line is dropped, not fatal."""
+    _, data, _ = pipeline
+    out = tmp_path / "run"
+    assert main(["train", "--topology", "small", "--conv", "5", "--fc", "8", "--epochs", "2",
+                 "--lr", "1e-3", "--data", str(data), "--out", str(out)]) == 0
+    with open(out / "metrics.ndjson", "ab") as f:
+        f.write(b"[]\n{}\ngarbage\n\xff\n")
+    assert main(["train", "--resume", str(out / "final.ckpt.json"), "--data", str(data),
+                 "--epochs", "1", "--out", str(out)]) == 0
+    lines = (out / "metrics.ndjson").read_text().splitlines()
+    assert [json.loads(l)["epoch"] for l in lines] == [0, 1, 2]
+
+
 @pytest.mark.parametrize("argv, named", [
     (["train", "--batch-size", "0"], "batch_size must be >= 1"),
     (["train", "--conv", "4"], "--conv requires --fc"),
@@ -210,7 +224,8 @@ def test_train_twice_into_one_directory_keeps_one_run(pipeline, tmp_path):
     (["train", "--conv", "abc", "--fc", "8"], "--conv must be comma-separated integers, got 'abc'"),
     (["train", "--conv", "4", "--fc", "8,x"], "--fc must be comma-separated integers, got '8,x'"),
     (["train", "--lr", "inf"], "learning_rate must be a finite number > 0, got inf"),
-    (["train", "--target-length", "1"], "--target-length must be >= 2, got 1"),
+    (["train", "--target-length", "1"], "--target-length must be >= 11, got 1"),
+    (["train", "--target-length", "10"], "--target-length must be >= 11, got 10"),
 ])
 def test_flags_are_checked_before_any_data_is_read(tmp_path, capsys, argv, named):
     data = tmp_path / "data"
@@ -493,7 +508,7 @@ def test_eval_and_pca_take_the_target_length_from_the_checkpoint(pipeline, tmp_p
     ckpt.write_text(json.dumps(manifest))
     shutil.copy(run / "final.ckpt.bin", tmp_path / "final.ckpt.bin")
     assert main(argv + ["--ckpt", str(ckpt)]) == 1
-    assert f"{ckpt}: extra has no integer 'target_length' >= 2" in capsys.readouterr().err
+    assert f"{ckpt}: extra has no integer 'target_length' >= 11" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

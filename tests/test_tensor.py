@@ -3,9 +3,11 @@ from __future__ import annotations
 
 import os
 import platform
+import signal
 import subprocess
 import sys
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -359,7 +361,7 @@ def test_pieces_cover_the_range_at_the_cut_multiples():
     """The last piece ends at n even where n is no multiple; too short a range stays whole."""
     for n, multiple, pieces in [(21526, 64, 2), (120, 64, 2), (50, 64, 1), (2_583_120, 16384, 2),
                                 (7, 1, 2), (1, 1, 1)]:
-        spans = T._in_pieces(n, lambda k, lo, hi: (lo, hi), multiple)
+        spans = T._in_pieces(n, lambda lo, hi: (lo, hi), multiple)
         assert spans[0][0] == 0 and spans[-1][1] == n and len(spans) == pieces
         assert all(a[1] == b[0] and a[1] % multiple == 0 for a, b in zip(spans, spans[1:]))
 
@@ -369,11 +371,11 @@ def test_pieces_the_worker_never_starts_run_in_the_caller(monkeypatch):
     monkeypatch.setattr(T, "SPLIT_MIN_ELEMENTS", 0)
     pairs = _toy_gcn_products(384, 100, np.random.default_rng(5))
     gate = threading.Event()
-    blocker = T._worker().submit(gate.wait)
+    blocker = T._worker.submit(gate.wait)
     try:
         for name, (a, b) in pairs.items():
             assert T._product(a, b).tobytes() == (a @ b).tobytes(), name
-        runners = T._in_pieces(10, lambda k, lo, hi: threading.current_thread().name)
+        runners = T._in_pieces(10, lambda lo, hi: threading.current_thread().name)
         assert runners == [threading.current_thread().name] * 2
     finally:
         gate.set()
@@ -381,12 +383,12 @@ def test_pieces_the_worker_never_starts_run_in_the_caller(monkeypatch):
 
 
 def test_a_failing_piece_raises_in_the_caller():
-    def run(k, lo, hi):
-        if k == 1:
-            raise ZeroDivisionError(f"piece {k}")
-        return k
+    def run(lo, hi):
+        if lo > 0:
+            raise ZeroDivisionError(f"piece from {lo}")
+        return lo
 
-    with pytest.raises(ZeroDivisionError, match="piece 1"):
+    with pytest.raises(ZeroDivisionError, match="piece from 5"):
         T._in_pieces(10, run)
 
 
@@ -416,6 +418,73 @@ def test_concurrent_split_products_match_sequential_ones(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert got == expected
+
+
+def test_the_worker_is_one_thread_started_by_the_first_split_op():
+    """In a fresh interpreter: none at import, one after a split op, still one after 200
+    split products from four threads at once."""
+    code = ("import threading\n"
+            "from concurrent.futures import ThreadPoolExecutor\n"
+            "import numpy as np\n"
+            "import tgl\n"
+            "from tgl import tensor as T\n"
+            "def pieces():\n"
+            "    return sum(t.name.startswith('tgl-piece') for t in threading.enumerate())\n"
+            "print(threading.active_count(), pieces())\n"
+            "T.SPLIT_MIN_ELEMENTS = 0\n"
+            "a, b = np.ones((20, 200)), np.ones((200, 120))\n"
+            "T._product(a, b)\n"
+            "print(pieces())\n"
+            "with ThreadPoolExecutor(max_workers=4) as pool:\n"
+            "    list(pool.map(lambda _: T._product(a, b), range(200)))\n"
+            "print(pieces())\n")
+    src = os.path.dirname(os.path.dirname(T.__file__))
+    done = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=120, check=True)
+    assert done.stdout.split("\n") == ["1 0", "1", "1", ""]
+
+
+def _pieces_in_this_process(a: np.ndarray, b: np.ndarray) -> str:
+    """'ok' if a split product has a @ b's bits and a second piece runs on a tgl-piece thread
+    while the first waits for it; else what went wrong."""
+    if T._product(a, b).tobytes() != (a @ b).tobytes():
+        return "a split product lost a @ b's bits"
+    signalled = threading.Event()
+
+    def run(lo, hi):
+        if lo == 0:
+            return signalled.wait(10)
+        signalled.set()
+        return threading.current_thread().name
+
+    waited, runner = T._in_pieces(10, run)
+    return "ok" if waited and runner.startswith("tgl-piece") else f"piece 1 ran on {runner}"
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_a_forked_child_runs_pieces_on_a_worker_of_its_own(monkeypatch):
+    monkeypatch.setattr(T, "SPLIT_MIN_ELEMENTS", 0)
+    rng = np.random.default_rng(4)
+    a, b = rng.normal(size=(20, 200)), rng.normal(size=(200, 120))
+    assert _pieces_in_this_process(a, b) == "ok"   # the parent's worker has run
+    read, write = os.pipe()
+    pid = os.fork()
+    if pid == 0:   # the child reports through the pipe and leaves without pytest's teardown
+        try:
+            os.write(write, _pieces_in_this_process(a, b).encode())
+        finally:
+            os._exit(0)
+    os.close(write)
+    deadline = time.monotonic() + 60
+    while (ended := os.waitpid(pid, os.WNOHANG)) == (0, 0) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    if ended == (0, 0):
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+    with os.fdopen(read) as f:
+        report = f.read()
+    assert ended != (0, 0), "the child did not end within 60 s"
+    assert report == "ok"
 
 
 def test_blas_runs_on_one_thread_in_a_child_whatever_the_environment():

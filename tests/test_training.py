@@ -132,6 +132,25 @@ def test_resume_keeps_the_best_checkpoint_of_a_straight_run(world, tmp_path):
     assert extra_straight["epoch"] == extra_resumed["epoch"] == 3
 
 
+def test_a_bare_fit_pairs_run_keeps_its_best_checkpoint_when_it_resumes(world, tmp_path):
+    """Called without target_length, fit_pairs records a null one; the best it wrote still
+    holds the run's best val loss when the run resumes into its own directory."""
+    topo, ds = world
+    run = cfg(epochs=3, adam=tgl.AdamConfig(learning_rate=0.1))
+    train_set, val_set = split(ds, run.seed)
+    params = tgl.build_from_spec(run.spec, topo, run.seed)
+    out = tmp_path / "run"
+    out.mkdir()
+    first = fit_pairs(params, train_set, val_set, run, str(out))
+    assert first.best_checkpoint == str(out / "best.ckpt.json")
+    best = (out / "best.ckpt.bin").read_bytes()
+    again = fit_pairs(params, train_set, val_set, replace(run, epochs=1), str(out),
+                      start_epoch=3, best_val=first.best_val)
+    assert again.val_losses[0] > again.best_val == first.best_val
+    assert again.best_checkpoint == str(out / "best.ckpt.json")
+    assert (out / "best.ckpt.bin").read_bytes() == best
+
+
 def test_resume_drops_a_best_checkpoint_from_a_later_epoch(world, tmp_path):
     """best.ckpt.json of epoch 8 is not the best of the run resumed at epoch 3.
 
@@ -203,7 +222,7 @@ def test_checkpoints_record_the_recipe(world, tmp_path):
 @pytest.mark.parametrize("key, value, rule", [
     ("epoch", -1, "has no integer 'epoch' >= 0"),
     ("train_seed", True, "has no integer 'train_seed' >= 0"),
-    ("target_length", None, "has no integer 'target_length' >= 2"),
+    ("target_length", None, "has no integer 'target_length' >= 11"),
     ("batch_size", 2.0, "has no integer 'batch_size' >= 1"),
     ("lr", float("inf"), "'lr': learning_rate must be a finite number > 0"),
     ("lr", "1e-3", "'lr': learning_rate must be a finite number > 0"),
