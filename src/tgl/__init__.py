@@ -8,7 +8,7 @@ node-feature analysis, behind one `tgl` command-line tool.
 from .analysis import ClusterReport, NodeFeatureStack, compare_force_traces, \
     extract_node_features, pca_node_map, silhouette
 from .dataset import Dataset, PairSet, Trial, TrajectoryRecord, downsample, encode_labels, \
-    preprocess, preprocess_dataset, read_trial_csv, smooth, split, trim_static, write_trial_csv
+    preprocess, read_trial_csv, smooth, split, trim_static, write_trial_csv
 from .models import MODEL_TABLE, ModelParams, ModelSpec, build_from_spec, conv_features, \
     forward, forward_batch, load_checkpoint, model_spec, predict, save_checkpoint
 from .optim import AdamConfig, Parameter, adam_step, glorot_uniform

@@ -22,7 +22,6 @@ from .topology import HandTopology
 class NodeFeatureStack:
     features: np.ndarray              # [nodes, trials*steps*channels]
     node_labels: list[tuple[str, str]]  # (finger, segment) per node
-    meta: dict
 
     def __post_init__(self):
         if self.features.ndim != 2:
@@ -51,7 +50,7 @@ def extract_node_features(params: ModelParams, topology: HandTopology,
     channel) order.  Nodes are labelled from the model's graph, which `topology`
     must equal.
     """
-    if topology.nodes != params.topology.nodes or topology.edges != params.topology.edges:
+    if topology != params.topology:
         raise ValueError("topology is not the model's graph: their nodes or edges differ")
     if not trials:
         raise ValueError("no trials to extract from")
@@ -67,9 +66,7 @@ def extract_node_features(params: ModelParams, topology: HandTopology,
         features[:, k] = np.transpose(conv_features(params, trial.tactile[start:stop]), (1, 0, 2))
     features = features.reshape(params.n_nodes, -1)
     labels = [(nd.finger, nd.segment) for nd in params.topology.nodes]
-    return NodeFeatureStack(features=features, node_labels=labels,
-                            meta={"trials": len(trials), "window": [start, stop],
-                                  "channels": params.spec.conv_channels[-1]})
+    return NodeFeatureStack(features=features, node_labels=labels)
 
 
 def silhouette(points: np.ndarray, labels: list) -> float:

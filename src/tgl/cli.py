@@ -61,6 +61,15 @@ def _out_dir(path: str) -> str:
     return path
 
 
+def _refuse_strays(out: str, what: str, suffixes: tuple[str, ...], wanted: set[str]) -> None:
+    """CliError naming the files in `out` with these suffixes that the run would not write."""
+    stray = sorted(p for p in os.listdir(out) if p.endswith(suffixes) and p not in wanted) \
+        if os.path.isdir(out) else []
+    if stray:
+        raise CliError(f"{out} holds {what} this run would not write: {', '.join(stray)}; "
+                       "remove them or choose another --out")
+
+
 def _load_topology(spec: str) -> topo_mod.HandTopology:
     builders = {"default": topo_mod.build_default_hand, "small": topo_mod.build_small_hand}
     if spec in builders:
@@ -100,8 +109,9 @@ def _read_dataset(data_dir: str, target_length: int) -> dataset.Dataset:
     paths = sorted(p for p in os.listdir(data_dir) if p.endswith(".csv"))
     if not paths:
         raise CliError(f"no trial CSVs in {data_dir}")
-    trials = [dataset.read_trial_csv(os.path.join(data_dir, p)) for p in paths]
-    return dataset.preprocess_dataset(dataset.Dataset(trials, target_length=target_length))
+    # each raw trial is dropped once preprocessed, so only one is held at a time
+    return dataset.Dataset([dataset.preprocess(dataset.read_trial_csv(os.path.join(data_dir, p)),
+                                               target_length) for p in paths], target_length)
 
 
 def _settings(args: argparse.Namespace, defaults: dict) -> dict:
@@ -191,12 +201,8 @@ def cmd_gen_data(args) -> int:
         raise CliError(f"--objects must lie in 1..{len(catalog)}, got {n_objects}")
     jobs = [(obj, oi, k) for oi, obj in enumerate(catalog[:n_objects]) for k in range(trials_per)]
     # train, eval and pca read every CSV in a data directory: another run's would join this one
-    wanted = {f"{plant.trial_name(obj, k)}.csv" for obj, _, k in jobs}
-    stale = sorted(p for p in os.listdir(args.out) if p.endswith(".csv") and p not in wanted) \
-        if os.path.isdir(args.out) else []
-    if stale:
-        raise CliError(f"{args.out} holds trial CSVs this run would not write: "
-                       f"{', '.join(stale)}; remove them or choose another --out")
+    _refuse_strays(args.out, "trial CSVs", (".csv",),
+                   {f"{plant.trial_name(obj, k)}.csv" for obj, _, k in jobs})
     out = _ensure_out(args.out)
     paths = []
     for job in jobs:
@@ -245,14 +251,19 @@ def cmd_train(args) -> int:
                 raise CliError(f"{where} {key} {value} is not the run's {key} {settings[key]}")
         if (model or args.conv or args.fc) and _spec(model, args.conv, args.fc) != spec:
             raise CliError(f"{where} model {spec} is not the run's --model/--conv/--fc")
-        if topo_spec and topo_mod.topology_doc(_load_topology(topo_spec)) != \
-                topo_mod.topology_doc(topo):
+        if topo_spec and _load_topology(topo_spec) != topo:
             raise CliError(f"{where} 'topology' is not the graph of --topology {topo_spec}")
     cfg = training.TrainConfig(batch_size=batch, epochs=epochs,
                                adam=AdamConfig(learning_rate=lr), seed=seed,
                                checkpoint_every=args.checkpoint_every or 0, spec=spec)
+    if not args.resume:   # another run's checkpoints would pass for this one's
+        every = cfg.checkpoint_every
+        saved = range(every, epochs + 1, every) if every else ()
+        own = {f"{name}.ckpt.{ext}" for name in ("best", "final", *(f"epoch{e:06d}" for e in saved))
+               for ext in ("json", "bin")}
+        _refuse_strays(args.out, "checkpoint files", (".ckpt.json", ".ckpt.bin"), own)
     ds = _read_dataset(args.data, target_length)
-    # training.train creates --out once the run is set up
+    # fit_pairs creates --out once the run is set up
     report = training.train(ds, cfg, topo, out_dir=args.out, resume_from=resume)
     outputs = [p for base in (report.final_checkpoint, report.best_checkpoint) if base
                for p in (base, models.checkpoint_blob(base))]
@@ -372,11 +383,9 @@ def build_parser() -> _Parser:
 
     sp = sub.add_parser("topology", help="write a sensor-graph JSON (the 384-node hand by default)")
     sp.add_argument("--small", action="store_true", help="24-node desk-scale hand")
-    sp.add_argument("--out", required=True, type=_out_dir)
     sp.set_defaults(func=cmd_topology)
 
     sp = sub.add_parser("gen-data", help="generate synthetic trial CSVs")
-    sp.add_argument("--out", required=True, type=_out_dir)
     sp.add_argument("--config", help="JSON config supplying defaults for the flags")
     sp.add_argument("--objects", type=int, help="number of object property combos (1..8)")
     sp.add_argument("--trials-per", type=int, help="trials per object")
@@ -388,7 +397,6 @@ def build_parser() -> _Parser:
 
     sp = sub.add_parser("train", help="train a model on trial CSVs")
     sp.add_argument("--data", required=True, help="directory of trial CSVs")
-    sp.add_argument("--out", required=True, type=_out_dir)
     sp.add_argument("--config", help="JSON config supplying defaults for the flags")
     sp.add_argument("--model", choices=sorted(models.MODEL_TABLE))
     sp.add_argument("--conv", help="custom conv widths, e.g. 8,16,24 (overrides --model)")
@@ -406,13 +414,11 @@ def build_parser() -> _Parser:
     sp = sub.add_parser("eval", help="mean MSE of a checkpoint over a data split")
     sp.add_argument("--ckpt", required=True)
     sp.add_argument("--data", required=True)
-    sp.add_argument("--out", required=True, type=_out_dir)
     sp.add_argument("--split", choices=("train", "val"), default="val")
     sp.set_defaults(func=cmd_eval)
 
     sp = sub.add_parser("rollout", help="closed-loop rollout of a checkpoint on the plant")
     sp.add_argument("--ckpt", required=True)
-    sp.add_argument("--out", required=True, type=_out_dir)
     sp.add_argument("--object", required=True,
                     help="true object properties, e.g. heavy,soft,nonslip")
     sp.add_argument("--labels", help="labels fed to the model (defaults to the object's)")
@@ -426,15 +432,15 @@ def build_parser() -> _Parser:
     sp = sub.add_parser("pca", help="node-feature PCA map of a trained GCN")
     sp.add_argument("--ckpt", required=True)
     sp.add_argument("--data", required=True)
-    sp.add_argument("--out", required=True, type=_out_dir)
     sp.add_argument("--window", help="start:stop step range (default: final 45 steps)")
     sp.set_defaults(func=cmd_pca)
 
     sp = sub.add_parser("compare-forces", help="compare grip-force series of two traces")
     sp.add_argument("--trace-a", required=True)
     sp.add_argument("--trace-b", required=True)
-    sp.add_argument("--out", required=True, type=_out_dir)
     sp.set_defaults(func=cmd_compare_forces)
+    for sp in sub.choices.values():   # every subcommand writes into its --out directory
+        sp.add_argument("--out", required=True, type=_out_dir)
     return p
 
 

@@ -173,11 +173,6 @@ def preprocess(trial: Trial, target_length: int = DEFAULT_TARGET_LENGTH) -> Tria
     return downsample(smooth(trim_static(trial)), target_length)
 
 
-def preprocess_dataset(ds: Dataset) -> Dataset:
-    trials = [preprocess(t, ds.target_length) for t in ds.trials]
-    return replace(ds, trials=trials)
-
-
 def split(ds: Dataset, seed: int) -> tuple[PairSet, PairSet]:
     """Assign whole trials to train/validation at SPLIT_RATIO: (train set, validation set).
 
@@ -254,8 +249,16 @@ def csv_line(t: int, joints: np.ndarray, tactile: np.ndarray, labels: np.ndarray
 
 
 def write_trial_csv(trial: Trial, path: str) -> None:
+    """The trial as a CSV that `read_trial_csv` reads back to the same bits; a cell that is not
+    finite would not read back, so ValueError names it before the file is opened."""
+    header = csv_header(trial.n_nodes)
+    cells = np.concatenate([trial.joints, trial.tactile.reshape(len(trial), -1)], axis=1)
+    if not np.isfinite(cells).all():
+        row, col = np.argwhere(~np.isfinite(cells))[0]
+        raise ValueError(f"trial {trial.object_name!r}: {header[col + 1]} is {cells[row, col]} "
+                         f"at t {trial.t[row]}; every cell must be finite")
     with open(path, "w") as f:
-        f.write(",".join(csv_header(trial.n_nodes)) + "\n")
+        f.write(",".join(header) + "\n")
         f.writelines(csv_line(t, j, x, trial.labels)
                      for t, j, x in zip(trial.t.tolist(), trial.joints, trial.tactile))
 

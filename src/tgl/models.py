@@ -118,6 +118,8 @@ class ModelParams:
     _parameters: list[Parameter] = field(init=False, repr=False)
 
     def __post_init__(self):
+        if type(self.seed) is not int:   # a checkpoint records it as a JSON integer
+            raise ValueError(f"model seed must be an integer, got {self.seed!r}")
         self.n_nodes = self.topology.n
         self.s_tensor = SymmetricOperator(propagation_for(self.topology)) \
             if self.spec.kind == "GCN" else None
@@ -151,11 +153,6 @@ def matmul(a, b) -> np.ndarray:
     """a @ b for every product of a forward: S·H through `SymmetricOperator.apply`, any other
     through `_product`."""
     return a.apply(b) if isinstance(a, SymmetricOperator) else _product(a, b)
-
-
-def _check_nodes(params: ModelParams, shape: tuple[int, ...]) -> None:
-    if shape[-2:] != (params.n_nodes, TACTILE_AXES):
-        raise ValueError(f"tactile must end in ({params.n_nodes}, {TACTILE_AXES}), got {shape}")
 
 
 def _check_inputs(params: ModelParams, tactile: tuple[int, ...], aux: tuple[int, ...]) -> None:
@@ -239,7 +236,8 @@ def conv_features(params: ModelParams, tactile) -> np.ndarray:
     if params.spec.kind != "GCN":
         raise ValueError("no conv features: model has no graph-conv layers")
     x = _finite(np.asarray(tactile, dtype=np.float64))
-    _check_nodes(params, x.shape)
+    if x.shape[-2:] != (params.n_nodes, TACTILE_AXES):
+        raise ValueError(f"tactile must end in ({params.n_nodes}, {TACTILE_AXES}), got {x.shape}")
     return _conv_stack(params, x)
 
 
@@ -260,10 +258,6 @@ def forward_batch(params: ModelParams, tactile, aux) -> Tensor:
 
 def forward(params: ModelParams, tactile, joints, labels) -> np.ndarray:
     """Single-step inference; returns the predicted joint vector (16,)."""
-    joints = np.asarray(joints, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.float64)
-    if joints.shape != (JOINT_DIM,):
-        raise ValueError(f"joints must be ({JOINT_DIM},), got {joints.shape}")
     validate_labels(labels)
     return predict(params, np.asarray(tactile, dtype=np.float64)[None],
                    np.concatenate([joints, labels])[None, :])[0]

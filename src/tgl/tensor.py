@@ -282,10 +282,6 @@ class SymmetricOperator:
             self._blocks[CSR_BLOCK_SAMPLES] = self.block
 
     @property
-    def sparse(self) -> bool:
-        return self.block is not None
-
-    @property
     def shape(self) -> tuple[int, ...]:
         return self.dense.shape
 

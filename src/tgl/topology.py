@@ -10,7 +10,7 @@ a palm row.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -30,14 +30,26 @@ class SensorNode:
     col: int
 
 
+def _integer(value, what: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 class HandTopology:
-    """An undirected sensor graph with per-node placement metadata."""
+    """An undirected sensor graph with per-node placement metadata, checked here: ValueError names
+    the node or edge.  Ids, rows, cols and endpoints are integers, not bools, and a numpy integer is
+    stored as `int`.  Two graphs are equal when their nodes, placement included, and edges are."""
 
     def __init__(self, nodes: list[SensorNode], edges: list[tuple[int, int]]):
         n = len(nodes)
         if n == 0:
             raise ValueError("topology needs at least one node")
-        for pos, node in enumerate(nodes):
+        self.nodes = list(nodes)
+        for pos, node in enumerate(self.nodes):
+            if not (type(node.id) is type(node.row) is type(node.col) is int):   # else rebuilt
+                node = self.nodes[pos] = replace(node, **{
+                    k: _integer(getattr(node, k), f"node {pos} {k}") for k in ("id", "row", "col")})
             if node.id != pos:
                 raise ValueError(f"node ids must be 0..n-1 in order, got id {node.id} at position {pos}")
             for name in ("segment", "finger"):
@@ -45,17 +57,22 @@ class HandTopology:
                 if not value or not isinstance(value, str):
                     raise ValueError(f"node {pos} {name} must be a non-empty string, got {value!r}")
         seen: set[tuple[int, int]] = set()
-        for i, j in edges:
+        for pos, (i, j) in enumerate(edges):
+            if not (type(i) is type(j) is int):
+                i, j = (_integer(v, f"edge {pos} endpoint") for v in (i, j))
             if not (0 <= i < n) or not (0 <= j < n):
                 raise ValueError(f"edge ({i}, {j}) references a node outside 0..{n - 1}")
             if i == j:
                 raise ValueError(f"self-loop edge ({i}, {j}) is not allowed")
-            key = (min(i, j), max(i, j))
+            key = (i, j) if i < j else (j, i)
             if key in seen:
                 raise ValueError(f"duplicate edge ({i}, {j})")
             seen.add(key)
-        self.nodes = list(nodes)
         self.edges = sorted(seen)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, HandTopology) and self.nodes == other.nodes \
+            and self.edges == other.edges
 
     @property
     def n(self) -> int:
@@ -127,20 +144,13 @@ def build_small_hand() -> HandTopology:
 def topology_doc(topology: HandTopology) -> dict:
     """The graph as a JSON document: its nodes with their placement, and its edges."""
     return {
-        "nodes": [{"id": nd.id, "segment": nd.segment, "finger": nd.finger,
-                   "row": nd.row, "col": nd.col} for nd in topology.nodes],
+        "nodes": [vars(nd).copy() for nd in topology.nodes],   # id, segment, finger, row, col
         "edges": [[i, j] for i, j in topology.edges],
     }
 
 
 def save_topology(topology: HandTopology, path: str) -> None:
     write_json(path, topology_doc(topology))
-
-
-def _require_int(value, what: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{what} must be an integer, got {value!r}")
-    return value
 
 
 def topology_from_doc(doc, where: str) -> HandTopology:
@@ -155,23 +165,14 @@ def topology_from_doc(doc, where: str) -> HandTopology:
         if not isinstance(entry, dict):
             raise ValueError(f"node entry {pos} must be an object")
         try:
-            node = SensorNode(
-                id=_require_int(entry["id"], f"node {pos} id"),
-                segment=entry["segment"],
-                finger=entry["finger"],
-                row=_require_int(entry["row"], f"node {pos} row"),
-                col=_require_int(entry["col"], f"node {pos} col"),
-            )
+            nodes.append(SensorNode(entry["id"], entry["segment"], entry["finger"],
+                                    entry["row"], entry["col"]))
         except KeyError as e:
             raise ValueError(f"node entry {pos} is missing field {e.args[0]!r}") from e
-        nodes.append(node)
-    edges = []
     for pos, entry in enumerate(doc["edges"]):
         if (not isinstance(entry, (list, tuple))) or len(entry) != 2:
             raise ValueError(f"edge entry {pos} must be a pair, got {entry!r}")
-        edges.append((_require_int(entry[0], f"edge {pos} endpoint"),
-                      _require_int(entry[1], f"edge {pos} endpoint")))
-    return HandTopology(nodes, edges)
+    return HandTopology(nodes, doc["edges"])
 
 
 def load_topology(path: str) -> HandTopology:

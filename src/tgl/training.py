@@ -20,6 +20,7 @@ from .topology import HandTopology
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """A training recipe; the counts and the seed are ints, not bools, as a checkpoint records them."""
     batch_size: int = 100
     epochs: int = 200            # desk-scale default; full-scale runs pass 5000
     adam: AdamConfig = field(default_factory=AdamConfig)
@@ -28,9 +29,11 @@ class TrainConfig:
     spec: ModelSpec = MODEL_TABLE["III"]
 
     def __post_init__(self):
-        for name, least in (("batch_size", 1), ("epochs", 1), ("checkpoint_every", 0)):
-            if getattr(self, name) < least:
-                raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)}")
+        for name, least in (("batch_size", 1), ("epochs", 1), ("checkpoint_every", 0), ("seed", 0)):
+            value = getattr(self, name)
+            if type(value) is not int or value < least:
+                rule = f">= {least}" if type(value) is int else "an integer"
+                raise ValueError(f"{name} must be {rule}, got {value!r}")
 
 
 @dataclass
@@ -60,7 +63,7 @@ def mean_loss(params: ModelParams, pairs: PairSet, batch_size: int = 100) -> flo
 def fit_pairs(params: ModelParams, train_set: PairSet, val_set: PairSet | None,
               cfg: TrainConfig, out_dir: str | None = None, start_epoch: int = 0,
               best_val: float = math.inf, target_length: int | None = None) -> TrainReport:
-    """Run cfg.epochs epochs starting at start_epoch.
+    """Run cfg.epochs epochs starting at start_epoch, writing into out_dir (made if missing).
 
     Shuffle order for epoch e is seeded by (cfg.seed, e), so resuming
     from a checkpoint replays exactly the batches a straight-through run
@@ -83,6 +86,7 @@ def fit_pairs(params: ModelParams, train_set: PairSet, val_set: PairSet | None,
 
     metrics_path = os.path.join(out_dir, "metrics.ndjson") if out_dir else None
     if metrics_path:
+        os.makedirs(out_dir, exist_ok=True)
         kept = _metrics_before(metrics_path, start_epoch)
         with open(metrics_path, "w") as f:
             f.writelines(kept)
@@ -211,8 +215,6 @@ def train(ds: Dataset, cfg: TrainConfig, topo: HandTopology, out_dir: str | None
         start_epoch, best_val = resume_from.extra["epoch"], resume_from.extra["best_val"]
     else:
         params, start_epoch, best_val = build_from_spec(cfg.spec, topo, cfg.seed), 0, math.inf
-    if out_dir:
-        os.makedirs(out_dir, exist_ok=True)
     return fit_pairs(params, train_set, val_set, cfg, out_dir, start_epoch, best_val,
                      ds.target_length)
 

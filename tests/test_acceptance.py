@@ -233,7 +233,7 @@ def test_criterion_09_node_feature_pca(catalog_fixture):
     blob = analysis.NodeFeatureStack(
         features=np.concatenate([np.concatenate(rows),
                                  rng.normal(size=(16, 6)) * 0.01], axis=1),
-        node_labels=labels, meta={})
+        node_labels=labels)
     separable = analysis.pca_node_map(blob)
     assert separable.coordinates.shape == (16, 2)
     assert separable.silhouette is not None and separable.silhouette > 0.5

@@ -35,7 +35,7 @@ def blob_stack(rng, separation: float) -> NodeFeatureStack:
         rows.append(centers[g] + 0.1 * rng.normal(size=(count, 2)))
     features = np.concatenate([np.concatenate(rows), rng.normal(size=(16, 6)) * 0.01],
                               axis=1)
-    return NodeFeatureStack(features=features, node_labels=labels, meta={})
+    return NodeFeatureStack(features=features, node_labels=labels)
 
 
 def test_extract_shapes_and_labels(tiny_topo):
@@ -46,7 +46,6 @@ def test_extract_shapes_and_labels(tiny_topo):
     assert stack.features.shape == (6, 3 * 15 * 7)
     assert stack.node_labels[0] == ("f0", "proximal_lower")
     assert stack.node_labels[4] == ("palm", "palm")
-    assert stack.meta["channels"] == 7
 
 
 def test_extract_validation(tiny_topo, small_topo):
@@ -154,7 +153,7 @@ def test_separable_fixture_scores_high():
 
 def test_degenerate_stack_flagged(tiny_topo):
     labels = [(node.finger, node.segment) for node in tiny_topo.nodes]
-    stack = NodeFeatureStack(features=np.ones((6, 20)), node_labels=labels, meta={})
+    stack = NodeFeatureStack(features=np.ones((6, 20)), node_labels=labels)
     report = pca_node_map(stack)
     assert report.degenerate
     assert report.silhouette is None

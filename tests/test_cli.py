@@ -201,6 +201,30 @@ def test_train_twice_into_one_directory_keeps_one_run(pipeline, tmp_path):
     assert [json.loads(l)["epoch"] for l in lines] == [0, 1]
 
 
+def test_a_fresh_train_refuses_an_out_holding_other_checkpoints(pipeline, tmp_path, bad_data,
+                                                               capsys):
+    """Another run's epoch checkpoints would sit beside this run's best and final."""
+    _, data, _ = pipeline
+    out = tmp_path / "run"
+    first = ["train", "--topology", "small", "--conv", "4", "--fc", "8", "--epochs", "3",
+             "--checkpoint-every", "1", "--lr", "1e-3", "--out", str(out)]
+    assert main(first + ["--data", str(data)]) == 0
+    assert main(first + ["--data", str(data)]) == 0          # its own files are not stray
+    written = {p.name: p.read_bytes() for p in out.iterdir()}
+    capsys.readouterr()
+    second = ["train", "--topology", "small", "--conv", "6", "--fc", "8", "--seed", "5",
+              "--epochs", "1", "--lr", "1e-3", "--out", str(out)]
+    assert main(second + ["--data", str(bad_data)]) == 1     # refused before any CSV is read
+    stray = [f"epoch{e:06d}.ckpt.{ext}" for e in (1, 2, 3) for ext in ("bin", "json")]
+    assert capsys.readouterr().err == (
+        f"error: {out} holds checkpoint files this run would not write: {', '.join(stray)}; "
+        "remove them or choose another --out\n")
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == written
+    assert main(second[:-2] + ["--checkpoint-every", "1", "--out", str(out),
+                               "--data", str(data)]) == 1   # epoch 1 alone is its own
+    assert "epoch000002.ckpt.bin, epoch000002.ckpt.json, epoch000003" in capsys.readouterr().err
+
+
 def test_resume_skips_metrics_lines_that_hold_no_epoch(pipeline, tmp_path):
     """metrics.ndjson is unhashed telemetry: a malformed line is dropped, not fatal."""
     _, data, _ = pipeline

@@ -344,6 +344,22 @@ def test_csv_round_trip_over_random_float64_bit_patterns(tmp_path_factory, bits,
         assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
 
 
+@pytest.mark.parametrize("array, index, value, cell", [
+    ("joints", (2, 3), np.nan, "j03 is nan at t 2"),
+    ("tactile", (1, 1, 1), np.inf, "s001y is inf at t 1"),
+])
+def test_write_trial_csv_refuses_a_cell_that_is_not_finite(tmp_path, array, index, value, cell):
+    """The file would not read back, so none is written; the error names the trial and the cell."""
+    rng = np.random.default_rng(2)
+    trial = Trial("n", np.arange(4), rng.normal(size=(4, 16)), rng.normal(size=(4, 2, 3)), LABELS)
+    getattr(trial, array)[index] = value
+    trial.tactile[3, 0, 0] = np.nan   # a later row's cell is not the one named
+    path = tmp_path / "n.csv"
+    with pytest.raises(ValueError, match=rf"^trial 'n': {cell}; every cell must be finite$"):
+        write_trial_csv(trial, str(path))
+    assert not path.exists()
+
+
 def _written(tmp_path, rows: int = 4) -> tuple[str, list[str]]:
     rng = np.random.default_rng(1)
     trial = Trial("w", np.arange(rows), rng.normal(size=(rows, 16)),

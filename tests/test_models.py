@@ -191,7 +191,7 @@ def test_overflow_names_the_layer(tiny_topo, default_topo):
 
 def test_propagation_of_a_sample_ignores_its_batch(default_topo):
     m = build_from_spec(TOY, default_topo, seed=0)
-    assert m.s_tensor.sparse
+    assert m.s_tensor.block is not None
     block = CSR_BLOCK_SAMPLES
     h = np.random.default_rng(3).normal(size=(2 * block + 5, default_topo.n, 14))
     batch = matmul(m.s_tensor, h)
@@ -226,7 +226,7 @@ def test_conv_gradients_on_the_default_hand_match_finite_differences(default_top
     rng = np.random.default_rng(8)
     for conv, h in (((4,), 1e-5), ((4, 4), 1e-7)):
         m = build_from_spec(ModelSpec("GCN", conv, (8,)), default_topo, seed=2)
-        assert m.s_tensor.sparse
+        assert m.s_tensor.block is not None
         tactile = rng.uniform(-1.0, 1.0, (2, default_topo.n, 3))
         aux = rng.uniform(-1.0, 1.0, (2, 22))
         target = rng.uniform(-1.0, 1.0, (2, 16))

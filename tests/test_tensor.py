@@ -179,7 +179,7 @@ def test_symmetric_operator_matches_dense_product(n, edge_p, diag_p, seed, isola
                                                   channels):
     s = random_symmetric(n, edge_p, diag_p, seed, isolated)
     op = SymmetricOperator(s)
-    assert op.sparse == (np.count_nonzero(s) <= T.SPARSE_MAX_DENSITY * s.size)
+    assert (op.block is not None) == (np.count_nonzero(s) <= T.SPARSE_MAX_DENSITY * s.size)
     rng = np.random.default_rng(seed + 1)
     h = rng.normal(size=lead + (n, channels))
     g = rng.normal(size=h.shape)
@@ -190,10 +190,10 @@ def test_symmetric_operator_matches_dense_product(n, edge_p, diag_p, seed, isola
 
 
 def test_symmetric_operator_examples_take_both_paths():
-    assert not SymmetricOperator(random_symmetric(24, 0.3, 1.0, 0, False)).sparse
+    assert SymmetricOperator(random_symmetric(24, 0.3, 1.0, 0, False)).block is None
     s = random_symmetric(120, 0.01, 0.5, 1, True)
     op = SymmetricOperator(s)
-    assert op.sparse
+    assert op.block is not None
     n, block = len(s), op.block
     assert block.shape == (n * T.CSR_BLOCK_SAMPLES,) * 2
     starts, ends = block.indptr[:-1], block.indptr[1:]

@@ -5,12 +5,14 @@ import hashlib
 import json
 import re
 from collections import deque
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import tgl
-from tgl.topology import HandTopology, SensorNode, load_topology, propagation_for, save_topology
+from tgl.topology import HandTopology, SensorNode, load_topology, propagation_for, save_topology, \
+    topology_doc
 
 from conftest import build_tiny_topology
 
@@ -100,6 +102,46 @@ def test_topology_validation_errors():
     bad = [SensorNode(0, "palm", "palm", 0, 0), SensorNode(2, "palm", "palm", 0, 1)]
     with pytest.raises(ValueError):
         HandTopology(bad, [])  # ids must be 0..n-1 in order
+
+
+def test_graphs_compare_by_their_nodes_and_edges(small_topo):
+    nodes, edges = small_topo.nodes, small_topo.edges
+    assert tgl.build_small_hand() == small_topo
+    assert not tgl.build_small_hand() != small_topo
+    assert HandTopology(nodes, [(j, i) for i, j in reversed(edges)]) == small_topo
+    assert HandTopology(nodes, edges[1:]) != small_topo
+    assert HandTopology([replace(nodes[0], col=1), *nodes[1:]], edges) != small_topo
+    assert HandTopology([replace(nodes[0], finger="ring"), *nodes[1:]], edges) != small_topo
+    assert small_topo != topology_doc(small_topo)
+    assert small_topo != tgl.build_default_hand()
+
+
+@pytest.mark.parametrize("nodes, edges, message", [
+    ([SensorNode(True, "palm", "palm", 0, 0)], [], "node 0 id must be an integer, got True"),
+    ([SensorNode(0, "palm", "palm", 0, 0), SensorNode(1, "palm", "palm", 1.5, 0)], [],
+     "node 1 row must be an integer, got 1.5"),
+    ([SensorNode(0, "palm", "palm", 0, np.float64(2.0))], [],
+     "node 0 col must be an integer, got np.float64(2.0)"),
+    ([SensorNode(i, "palm", "palm", 0, i) for i in range(3)], [(0, 1), (1, np.True_)],
+     "edge 1 endpoint must be an integer, got np.True_"),
+    ([SensorNode(i, "palm", "palm", 0, i) for i in range(3)], [(0, 1.0)],
+     "edge 0 endpoint must be an integer, got 1.0"),
+])
+def test_a_graph_refuses_what_its_document_cannot_hold(nodes, edges, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        HandTopology(nodes, edges)
+
+
+def test_a_graph_stores_numpy_integers_as_int(tmp_path, small_topo):
+    """numpy integers read as the ints they hold, so the graph saves and loads as the int one."""
+    nodes = [SensorNode(np.int64(nd.id), nd.segment, nd.finger, np.int32(nd.row), np.uint8(nd.col))
+             for nd in small_topo.nodes]
+    topo = HandTopology(nodes, [(np.int64(i), np.int16(j)) for i, j in small_topo.edges])
+    assert topo == small_topo
+    assert {type(v) for nd in topo.nodes for v in (nd.id, nd.row, nd.col)} == {int}
+    assert {type(v) for edge in topo.edges for v in edge} == {int}
+    save_topology(topo, str(tmp_path / "hand.json"))
+    assert load_topology(str(tmp_path / "hand.json")) == small_topo
 
 
 def test_json_round_trip(tmp_path, small_topo):

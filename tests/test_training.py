@@ -7,18 +7,21 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import tgl
-from tgl.dataset import Dataset, PairSet, preprocess, split
-from tgl.models import load_checkpoint
+from tgl.dataset import HORIZON, Dataset, PairSet, Trial, encode_labels, preprocess, split
+from tgl.models import load_checkpoint, save_checkpoint
 from tgl.plant import PlantConfig, generate_object_trial, generate_trial, make_object, \
     make_plant, object_catalog
 from tgl.tensor import NonFiniteError
+from tgl.topology import HandTopology, SensorNode, load_topology, save_topology
 from tgl.training import TrainConfig, evaluate, fit_pairs, recipe, resume_point, train
 
 SPEC = tgl.ModelSpec("GCN", (5, 9), (30,))
@@ -278,6 +281,31 @@ def test_config_validation():
         TrainConfig(checkpoint_every=-1)
 
 
+def test_config_and_model_refuse_a_seed_or_count_a_checkpoint_cannot_record(tiny_topo):
+    for kw, message in (({"seed": True}, "seed must be an integer, got True"),
+                        ({"seed": -1}, "seed must be >= 0, got -1"),
+                        ({"batch_size": True}, "batch_size must be an integer, got True"),
+                        ({"epochs": 2.0}, "epochs must be an integer, got 2.0"),
+                        ({"checkpoint_every": np.int64(1)},
+                         "checkpoint_every must be an integer, got np.int64(1)")):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            TrainConfig(**kw)
+    for seed in (True, 1.0, np.int64(1)):
+        message = f"model seed must be an integer, got {seed!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            tgl.build_from_spec(SPEC, tiny_topo, seed)
+
+
+def test_fit_pairs_creates_its_run_directory(world, tmp_path):
+    topo, ds = world
+    train_set, val_set = split(ds, 7)
+    out = tmp_path / "a" / "b"
+    report = fit_pairs(tgl.build_from_spec(SPEC, topo, 7), train_set, val_set, cfg(epochs=1),
+                       str(out))
+    assert report.final_checkpoint == str(out / "final.ckpt.json")
+    assert (out / "final.ckpt.json").exists() and (out / "metrics.ndjson").exists()
+
+
 def test_fit_pairs_without_validation_set(world):
     topo, ds = world
     tr, _ = split(ds, seed=7)
@@ -350,3 +378,83 @@ print("scipy.sparse" in sys.modules)
     out = subprocess.run([sys.executable, "-c", script], env=env, cwd=tmp_path,
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+# how an integer field may arrive: as an int, a bool, a float or a numpy integer
+_KINDS = (int, bool, float, np.int64, np.int32)
+GCN_4_8 = tgl.ModelSpec("GCN", (4,), (8,))
+
+
+@st.composite
+def _given_as(draw, bases: list[int]) -> list:
+    """`bases`, with none, one or two of them passed through one of _KINDS."""
+    values = list(bases)
+    for at in draw(st.lists(st.integers(0, len(values) - 1), max_size=2, unique=True)):
+        values[at] = draw(st.sampled_from(_KINDS))(values[at])
+    return values
+
+
+@st.composite
+def _graph_parts(draw):
+    """Nodes and edges of a graph of 1 to 4 nodes, its integer fields drawn by `_given_as`."""
+    n = draw(st.integers(1, 4))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    places = draw(st.lists(st.integers(0, 3), min_size=2 * n, max_size=2 * n))
+    v = draw(_given_as([*range(n), *places, *(i for pair in chosen for i in pair)]))
+    nodes = [SensorNode(v[i], "palm", "palm", v[n + 2 * i], v[n + 2 * i + 1]) for i in range(n)]
+    return nodes, list(zip(v[3 * n::2], v[3 * n + 1::2]))
+
+
+# a recipe's batch_size, epochs, checkpoint_every and seed
+_RECIPE = st.tuples(st.integers(1, 3), st.integers(1, 2), st.integers(0, 1),
+                    st.integers(-1, 3)).flatmap(lambda bases: _given_as(list(bases)))
+_MODEL_SEED = st.integers(0, 3).flatmap(lambda base: _given_as([base])).map(lambda v: v[0])
+
+
+@given(parts=_graph_parts(), counts=_RECIPE, model_seed=_MODEL_SEED)
+def test_what_a_type_accepts_its_files_hold(parts, counts, model_seed):
+    """A graph, a training config and a model seed are each refused by name when built, or
+    else the files written from them load back: the graph equal, the checkpoint accepted."""
+    least = {"batch_size": 1, "epochs": 1, "checkpoint_every": 0, "seed": 0}
+    fields = dict(zip(least, counts))
+    bad = [name for name, v in fields.items() if type(v) is not int or v < least[name]]
+    run = None
+    if bad:
+        with pytest.raises(ValueError, match=f"^{bad[0]} must be "):
+            TrainConfig(spec=GCN_4_8, adam=ADAM, **fields)
+    else:
+        run = TrainConfig(spec=GCN_4_8, adam=ADAM, **fields)
+
+    nodes, edges = parts
+    integers = [v for nd in nodes for v in (nd.id, nd.row, nd.col)] + [v for e in edges for v in e]
+    if not all(type(v) is int or isinstance(v, np.integer) for v in integers):
+        with pytest.raises(ValueError, match=r"^(node \d+ (id|row|col)|edge \d+ endpoint) "
+                                             r"must be an integer, got "):
+            HandTopology(nodes, edges)
+        return
+    topo = HandTopology(nodes, edges)
+    with tempfile.TemporaryDirectory() as tmp:
+        save_topology(topo, os.path.join(tmp, "hand.json"))
+        assert load_topology(os.path.join(tmp, "hand.json")) == topo
+        save_checkpoint(tgl.build_from_spec(GCN_4_8, topo, 0), os.path.join(tmp, "m.ckpt.json"))
+        assert load_checkpoint(os.path.join(tmp, "m.ckpt.json"))[0].topology == topo
+
+        if type(model_seed) is not int:
+            with pytest.raises(ValueError, match="^model seed must be an integer, got "):
+                tgl.build_from_spec(GCN_4_8, topo, model_seed)
+            return
+        params = tgl.build_from_spec(GCN_4_8, topo, model_seed)
+        if run is None:
+            return
+        frames = HORIZON + 3
+        trial = Trial("t", np.arange(frames), np.linspace(0, 1, frames * 16).reshape(frames, 16),
+                      np.ones((frames, topo.n, 3)), encode_labels(False, False, False))
+        pairs = PairSet([trial])
+        final = fit_pairs(params, pairs, pairs, run, os.path.join(tmp, "run"),
+                          target_length=frames).final_checkpoint
+        man = resume_point(final, topo)
+        loaded, extra = load_checkpoint(final)
+        assert man.seed == loaded.seed == model_seed
+        assert man.extra["train_seed"] == extra["train_seed"] == run.seed
+        assert man.extra["batch_size"] == run.batch_size and loaded.topology == topo
