@@ -23,13 +23,9 @@ DEFAULT_TOPOLOGY_FILE = "allegro_uskin_384.json"
 SMALL_TOPOLOGY_FILE = "small_hand_24.json"
 
 
-class CliError(Exception):
-    """Validation failure: maps to exit code 1."""
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse would exit(2); usage errors are validation errors
-        raise CliError(message)
+        raise ValueError(message)
 
 
 def _sha256(path: str) -> str:
@@ -61,13 +57,15 @@ def _out_dir(path: str) -> str:
     return path
 
 
-def _refuse_strays(out: str, what: str, suffixes: tuple[str, ...], wanted: set[str]) -> None:
-    """CliError naming the files in `out` with these suffixes that the run would not write."""
-    stray = sorted(p for p in os.listdir(out) if p.endswith(suffixes) and p not in wanted) \
+def _refuse_strays(out: str, what: str, suffixes: tuple[str, ...], own) -> None:
+    """ValueError naming the files in `out` with these suffixes that `own(name, k)` refuses, k
+    the number the name's digits spell or -1: the run's naming rule, tested file by file."""
+    stray = sorted(p for p in os.listdir(out) if p.endswith(suffixes)
+                   and not own(p, int("".join(filter(str.isdecimal, p)) or -1))) \
         if os.path.isdir(out) else []
     if stray:
-        raise CliError(f"{out} holds {what} this run would not write: {', '.join(stray)}; "
-                       "remove them or choose another --out")
+        raise ValueError(f"{out} holds {what} this run would not write: {', '.join(stray)}; "
+                         "remove them or choose another --out")
 
 
 def _load_topology(spec: str) -> topo_mod.HandTopology:
@@ -75,7 +73,7 @@ def _load_topology(spec: str) -> topo_mod.HandTopology:
     if spec in builders:
         return builders[spec]()
     if not os.path.exists(spec):
-        raise CliError(f"topology file not found: {spec}")
+        raise ValueError(f"topology file not found: {spec}")
     return topo_mod.load_topology(spec)
 
 
@@ -83,13 +81,13 @@ def _parse_triple(text: str) -> tuple[bool, bool, bool]:
     """'heavy,soft,slippery' -> property booleans, any order-fixed triple."""
     parts = [p.strip().lower() for p in text.split(",")]
     if len(parts) != 3:
-        raise CliError(f"property triple must have 3 parts, got {text!r}")
+        raise ValueError(f"property triple must have 3 parts, got {text!r}")
     table = ({"light": False, "heavy": True},
              {"hard": False, "soft": True},
              {"non-slippery": False, "nonslip": False, "non_slippery": False, "slippery": True})
     for part, options in zip(parts, table):
         if part not in options:
-            raise CliError(f"unknown property {part!r}; expected one of {sorted(options)}")
+            raise ValueError(f"unknown property {part!r}; expected one of {sorted(options)}")
     return tuple(options[part] for part, options in zip(parts, table))  # type: ignore[return-value]
 
 
@@ -98,17 +96,17 @@ def _parse_disturbance(text: str) -> Disturbance:
         step, kind, mag = text.split(":")
         step, mag = int(step), float(mag)
     except ValueError:
-        raise CliError(f"--disturb must look like step:kind:magnitude, got {text!r}") from None
+        raise ValueError(f"--disturb must look like step:kind:magnitude, got {text!r}") from None
     return Disturbance(step=step, kind=kind, magnitude=mag)
 
 
 def _read_dataset(data_dir: str, target_length: int) -> dataset.Dataset:
     """Every trial CSV in data_dir, preprocessed to target_length."""
     if not os.path.isdir(data_dir):
-        raise CliError(f"data directory not found: {data_dir}")
+        raise ValueError(f"data directory not found: {data_dir}")
     paths = sorted(p for p in os.listdir(data_dir) if p.endswith(".csv"))
     if not paths:
-        raise CliError(f"no trial CSVs in {data_dir}")
+        raise ValueError(f"no trial CSVs in {data_dir}")
     # each raw trial is dropped once preprocessed, so only one is held at a time
     return dataset.Dataset([dataset.preprocess(dataset.read_trial_csv(os.path.join(data_dir, p)),
                                                target_length) for p in paths], target_length)
@@ -120,23 +118,16 @@ def _settings(args: argparse.Namespace, defaults: dict) -> dict:
     The config file may hold only these keys; it is checked before anything
     is resolved.  A seed must be >= 0: numpy's generators take no other.
     """
-    path, config = args.config, {}
-    if path is not None:
-        if not os.path.exists(path):
-            raise CliError(f"config file not found: {path}")
-        with open(path) as f:
-            try:
-                config = json.load(f)
-            except json.JSONDecodeError as e:
-                raise CliError(f"config {path} is not valid JSON: {e}") from None
-        if not isinstance(config, dict):
-            raise CliError(f"config {path} must hold a JSON object")
+    path = args.config
+    config = {} if path is None else dataset.read_json(path)
+    if not isinstance(config, dict):
+        raise ValueError(f"config {path} must hold a JSON object")
     unknown = sorted(set(config) - set(defaults))
     if unknown:
-        raise CliError(f"config {path} has unknown keys {unknown}; accepted: {sorted(defaults)}")
+        raise ValueError(f"config {path} has unknown keys {unknown}; accepted: {sorted(defaults)}")
     settings = {key: _resolve(args, config, key, default) for key, default in defaults.items()}
     if settings.get("seed", 0) < 0:
-        raise CliError(f"--seed must be >= 0, got {settings['seed']}")
+        raise ValueError(f"--seed must be >= 0, got {settings['seed']}")
     return settings
 
 
@@ -159,7 +150,7 @@ def _resolve(args: argparse.Namespace, config: dict, key: str, default):
     value = config[key]
     allowed, name = _CONFIG_TYPES[type(default)]
     if isinstance(value, bool) or not isinstance(value, allowed):
-        raise CliError(f"config key {key!r} must be {name}, got {json.dumps(value)}")
+        raise ValueError(f"config key {key!r} must be {name}, got {json.dumps(value)}")
     return value
 
 
@@ -184,25 +175,25 @@ def cmd_gen_data(args) -> int:
                                 "noise": plant.PlantConfig().sensor_noise})
     seed, n_objects, trials_per, length, topo_spec, noise = settings.values()
     if trials_per < 1:
-        raise CliError(f"--trials-per must be >= 1, got {trials_per}")
+        raise ValueError(f"--trials-per must be >= 1, got {trials_per}")
     if length < plant.MIN_TRIAL_LENGTH:
-        raise CliError(f"--length must be >= {plant.MIN_TRIAL_LENGTH}, got {length}")
+        raise ValueError(f"--length must be >= {plant.MIN_TRIAL_LENGTH}, got {length}")
     topo = _load_topology(topo_spec)
     # generate_trial holds four [length, nodes, 3] float64 arrays at once: the
     # readings, the noise, the noise masked by contact and their sum
     need = 4 * length * topo.n * 3 * 8
     memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     if need > memory:
-        raise CliError(f"--length {length} needs about {need / 2**30:,.0f} GiB for one trial, "
-                       f"more than this machine's {memory / 2**30:,.1f} GiB of memory")
+        raise ValueError(f"--length {length} needs about {need / 2**30:,.0f} GiB for one trial, "
+                         f"more than this machine's {memory / 2**30:,.1f} GiB of memory")
     pcfg = plant.PlantConfig(sensor_noise=noise)
     catalog = plant.object_catalog()
     if not (1 <= n_objects <= len(catalog)):
-        raise CliError(f"--objects must lie in 1..{len(catalog)}, got {n_objects}")
-    jobs = [(obj, oi, k) for oi, obj in enumerate(catalog[:n_objects]) for k in range(trials_per)]
+        raise ValueError(f"--objects must lie in 1..{len(catalog)}, got {n_objects}")
+    jobs = ((obj, oi, k) for oi, obj in enumerate(catalog[:n_objects]) for k in range(trials_per))
     # train, eval and pca read every CSV in a data directory: another run's would join this one
-    _refuse_strays(args.out, "trial CSVs", (".csv",),
-                   {f"{plant.trial_name(obj, k)}.csv" for obj, _, k in jobs})
+    _refuse_strays(args.out, "trial CSVs", (".csv",), lambda name, k: 0 <= k < trials_per and any(
+        name == f"{plant.trial_name(obj, k)}.csv" for obj in catalog[:n_objects]))
     out = _ensure_out(args.out)
     paths = []
     for job in jobs:
@@ -219,13 +210,13 @@ def _spec(model: str, conv: str | None, fc: str | None) -> models.ModelSpec:
     if conv is None and fc is None:
         return models.model_spec(model)
     if fc is None:
-        raise CliError("--conv requires --fc")
+        raise ValueError("--conv requires --fc")
     sizes = []
     for flag, text in (("--conv", conv or ""), ("--fc", fc)):
         try:
             sizes.append(tuple(int(x) for x in text.split(",") if x))
         except ValueError:
-            raise CliError(f"{flag} must be comma-separated integers, got {text!r}") from None
+            raise ValueError(f"{flag} must be comma-separated integers, got {text!r}") from None
     return models.ModelSpec("GCN" if sizes[0] else "MLP", *sizes)
 
 
@@ -241,27 +232,27 @@ def cmd_train(args) -> int:
     settings = _settings(args, defaults)
     seed, epochs, batch, lr, model, target_length, topo_spec = settings.values()
     if target_length <= dataset.HORIZON:   # a trial of no more frames yields no pairs
-        raise CliError(f"--target-length must be >= {dataset.HORIZON + 1}, got {target_length}")
+        raise ValueError(f"--target-length must be >= {dataset.HORIZON + 1}, got {target_length}")
     if not args.resume:
         spec, topo = _spec(model, args.conv, args.fc), _load_topology(topo_spec)
     else:   # only a flag or --config value can differ from the checkpoint
         where = f"--resume {args.resume}: checkpoint"
         for key, value in recorded.items():
             if settings[key] != value:
-                raise CliError(f"{where} {key} {value} is not the run's {key} {settings[key]}")
+                raise ValueError(f"{where} {key} {value} is not the run's {key} {settings[key]}")
         if (model or args.conv or args.fc) and _spec(model, args.conv, args.fc) != spec:
-            raise CliError(f"{where} model {spec} is not the run's --model/--conv/--fc")
+            raise ValueError(f"{where} model {spec} is not the run's --model/--conv/--fc")
         if topo_spec and _load_topology(topo_spec) != topo:
-            raise CliError(f"{where} 'topology' is not the graph of --topology {topo_spec}")
+            raise ValueError(f"{where} 'topology' is not the graph of --topology {topo_spec}")
     cfg = training.TrainConfig(batch_size=batch, epochs=epochs,
                                adam=AdamConfig(learning_rate=lr), seed=seed,
                                checkpoint_every=args.checkpoint_every or 0, spec=spec)
     if not args.resume:   # another run's checkpoints would pass for this one's
         every = cfg.checkpoint_every
-        saved = range(every, epochs + 1, every) if every else ()
-        own = {f"{name}.ckpt.{ext}" for name in ("best", "final", *(f"epoch{e:06d}" for e in saved))
-               for ext in ("json", "bin")}
-        _refuse_strays(args.out, "checkpoint files", (".ckpt.json", ".ckpt.bin"), own)
+        saved = range(every, epochs + 1, every) if every else ()   # k in saved tests, lists none
+        _refuse_strays(args.out, "checkpoint files", (".ckpt.json", ".ckpt.bin"), lambda name, k:
+                       name.rsplit(".ckpt.", 1)[0] in ("best", "final")
+                       or k in saved and name.rsplit(".ckpt.", 1)[0] == f"epoch{k:06d}")
     ds = _read_dataset(args.data, target_length)
     # fit_pairs creates --out once the run is set up
     report = training.train(ds, cfg, topo, out_dir=args.out, resume_from=resume)
@@ -278,13 +269,12 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    params, extra = models.load_checkpoint(args.ckpt)
-    done = training.recipe(args.ckpt, extra)   # the pairs training split and validated on
-    seed, target_length = done["train_seed"], done["target_length"]
+    man = training.resume_point(args.ckpt)   # the pairs training split and validated on
+    seed, target_length = man.extra["train_seed"], man.extra["target_length"]
     ds = _read_dataset(args.data, target_length)
     train_set, val_set = dataset.split(ds, seed)
     pairs = train_set if args.split == "train" else val_set
-    loss = training.mean_loss(params, pairs)
+    loss = training.mean_loss(man.model(), pairs)
     out = _ensure_out(args.out)
     path = os.path.join(out, "eval.json")
     dataset.write_json(path, {"split": args.split, "pairs": len(pairs), "mse": loss})
@@ -297,7 +287,7 @@ def cmd_eval(args) -> int:
 
 def cmd_rollout(args) -> int:
     if args.seed < 0:   # as _settings checks the other commands' seeds
-        raise CliError(f"--seed must be >= 0, got {args.seed}")
+        raise ValueError(f"--seed must be >= 0, got {args.seed}")
     heavy, soft, slippery = _parse_triple(args.object)
     obj = plant.make_object(heavy, soft, slippery, radius=args.radius)
     labels = dataset.encode_labels(*_parse_triple(args.labels)) if args.labels \
@@ -327,20 +317,20 @@ def cmd_pca(args) -> int:
         try:
             start, stop = (int(x) for x in args.window.split(":"))
         except ValueError:
-            raise CliError(f"--window must look like start:stop, got {args.window!r}") from None
+            raise ValueError(f"--window must look like start:stop, got {args.window!r}") from None
         if not 0 <= start < stop:
-            raise CliError(f"--window needs 0 <= start < stop, got {args.window!r}")
-    params, extra = models.load_checkpoint(args.ckpt)
-    if params.spec.kind != "GCN":
-        raise CliError(f"pca maps a GCN's node features; {args.ckpt} holds an {params.spec.kind}")
-    target_length = training.recipe(args.ckpt, extra)["target_length"]
+            raise ValueError(f"--window needs 0 <= start < stop, got {args.window!r}")
+    man = training.resume_point(args.ckpt)
+    if man.spec.kind != "GCN":
+        raise ValueError(f"pca maps a GCN's node features; {args.ckpt} holds an {man.spec.kind}")
+    target_length = man.extra["target_length"]
     if not args.window:
         start, stop = max(0, target_length - 45), target_length
     elif stop > target_length:
-        raise CliError(f"--window {args.window} ends past the checkpoint's target length "
-                       f"{target_length}")
+        raise ValueError(f"--window {args.window} ends past the checkpoint's target length "
+                         f"{target_length}")
     ds = _read_dataset(args.data, target_length)
-    stack = analysis.extract_node_features(params, params.topology, ds.trials, (start, stop))
+    stack = analysis.extract_node_features(man.model(), man.topology, ds.trials, (start, stop))
     report = analysis.pca_node_map(stack)
     out = _ensure_out(args.out)
     csv_path = os.path.join(out, "node_map.csv")
@@ -449,7 +439,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except (CliError, ValueError, FileNotFoundError, NotADirectoryError, IsADirectoryError) as e:
+    except (ValueError, FileNotFoundError, NotADirectoryError, IsADirectoryError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except (NonFiniteError, OSError) as e:

@@ -9,8 +9,8 @@ at t+horizon) pairs.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass, replace
+from pathlib import Path
 from typing import NoReturn
 
 import numpy as np
@@ -272,14 +272,14 @@ def read_csv(path: str, extra: tuple[str, ...] = ()) -> tuple[int, np.ndarray, n
     pairs.  Errors name path:line.  Blank lines are skipped.  The checked
     lines are parsed in one np.loadtxt call.
     """
-    with open(path) as f:
-        header = f.readline().rstrip("\n").split(",")
-        width = len(header)
-        n, rem = divmod(width - 1 - JOINT_DIM - LABEL_DIM - len(extra), 3)
-        if n < 1 or rem or header != csv_header(n, extra):
-            raise ValueError(f"{path}: header is not t, j00..j15, s<node><x|y|z> per node, "
-                             f"l0..l5{''.join(', ' + c for c in extra)}")
-        rows = [(lineno, line) for lineno, line in enumerate(map(str.strip, f), start=2) if line]
+    first, *lines = read_text(path).split("\n")
+    header = first.split(",")
+    width = len(header)
+    n, rem = divmod(width - 1 - JOINT_DIM - LABEL_DIM - len(extra), 3)
+    if n < 1 or rem or header != csv_header(n, extra):
+        raise ValueError(f"{path}: header is not t, j00..j15, s<node><x|y|z> per node, "
+                         f"l0..l5{''.join(', ' + c for c in extra)}")
+    rows = [(lineno, line) for lineno, line in enumerate(map(str.strip, lines), start=2) if line]
     ts: list[int] = []
 
     def fail(row: int, message) -> NoReturn:
@@ -326,9 +326,25 @@ def read_trial_csv(path: str) -> Trial:
     """The trial a CSV holds, named after its file without `.csv`."""
     n, t, cells = read_csv(path)
     end = JOINT_DIM + 3 * n   # the labels follow the tactile cells
-    name = os.path.basename(path).removesuffix(".csv")
+    name = Path(path).name.removesuffix(".csv")
     return Trial(name, t, cells[:, :JOINT_DIM], cells[:, JOINT_DIM:end].reshape(-1, n, 3),
                  cells[:1, end:].ravel())
+
+
+def read_text(path: str) -> str:
+    """The file's UTF-8 text, newlines as text mode reads them; ValueError names a non-UTF-8 one."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise ValueError(f"{path} is not UTF-8 text: {e}") from None
+
+
+def read_json(path: str):
+    """The JSON document a file holds; ValueError names a file that is not UTF-8 or not JSON."""
+    try:
+        return json.loads(read_text(path))
+    except json.JSONDecodeError as e:
+        raise ValueError(f"{path} is not valid JSON: {e}") from None
 
 
 def write_json(path: str, doc, sort_keys: bool = False) -> None:

@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dataset import HORIZON, JOINT_DIM, LABEL_DIM, validate_labels, write_json
+from .dataset import HORIZON, JOINT_DIM, LABEL_DIM, read_json, validate_labels, write_json
 from .optim import Parameter, glorot_uniform
 from .tensor import SymmetricOperator, Tensor, _elementwise, _finite, _product
 from .topology import HandTopology, propagation_for, topology_doc, topology_from_doc
@@ -330,8 +330,7 @@ def read_manifest(path: str, topology: HandTopology | None = None) -> Manifest:
     spec and graph at `path`; it names the blob when that holds other than
     `total_elements` values.
     """
-    with open(path) as f:
-        man = json.load(f)
+    man = read_json(path)
 
     def entry(key: str, expected=None):
         if not isinstance(man, dict) or key not in man:

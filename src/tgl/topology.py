@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dataset import write_json
+from .dataset import read_json, write_json
 
 FINGERTIP_ROWS = 6
 PHALANX_ROWS = 4
@@ -176,9 +176,4 @@ def topology_from_doc(doc, where: str) -> HandTopology:
 
 
 def load_topology(path: str) -> HandTopology:
-    with open(path) as f:
-        try:
-            doc = json.load(f)
-        except json.JSONDecodeError as e:
-            raise ValueError(f"{path} is not valid JSON: {e}") from e
-    return topology_from_doc(doc, path)
+    return topology_from_doc(read_json(path), path)

@@ -2,7 +2,9 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import os
 import re
@@ -10,10 +12,12 @@ import shlex
 import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import tgl
 from tgl.cli import _resolve, build_parser, main
@@ -223,6 +227,36 @@ def test_a_fresh_train_refuses_an_out_holding_other_checkpoints(pipeline, tmp_pa
     assert main(second[:-2] + ["--checkpoint-every", "1", "--out", str(out),
                                "--data", str(data)]) == 1   # epoch 1 alone is its own
     assert "epoch000002.ckpt.bin, epoch000002.ckpt.json, epoch000003" in capsys.readouterr().err
+
+
+# main in a process that may map at most 1 GiB, so a run that lists a name per epoch or
+# per trial before it starts dies of MemoryError instead of filling this machine's memory
+_UNDER_1_GIB = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from tgl.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("command", ["train", "gen-data"])
+def test_a_run_of_10_to_the_12_checks_its_out_by_rule(tmp_path, bad_data, command):
+    """The stray check tests the names in --out; it builds no name per epoch or per trial."""
+    huge = "1000000000000"
+    out = tmp_path / "out"
+    if command == "train":
+        argv, named = ["train", "--topology", "small", "--epochs", huge, "--checkpoint-every", "1",
+                       "--data", str(bad_data)], bad_data / "bad.csv"
+    else:
+        out.mkdir()
+        (out / "stray.csv").write_text("t\n")
+        argv, named = ["gen-data", "--topology", "small", "--trials-per", huge], "stray.csv"
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(tgl.__file__)),
+           "OPENBLAS_NUM_THREADS": "1"}
+    run = subprocess.run([sys.executable, "-c", _UNDER_1_GIB, *argv, "--out", str(out)],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 1
+    assert run.stderr.startswith("error: ") and str(named) in run.stderr, run.stderr
 
 
 def test_resume_skips_metrics_lines_that_hold_no_epoch(pipeline, tmp_path):
@@ -456,13 +490,23 @@ def test_resume_refuses_another_architecture(pipeline, tmp_path, bad_data, capsy
         assert not out.exists()
 
 
-def test_resume_reads_the_blob_once(pipeline, tmp_path, monkeypatch):
-    _, data, run = pipeline
+def _blob_reads(monkeypatch) -> list[str]:
+    """The paths np.fromfile reads from here on: a checkpoint's blob is read by no other call."""
     reads = []
     fromfile = np.fromfile
     monkeypatch.setattr(np, "fromfile", lambda *a, **k: reads.append(a[0]) or fromfile(*a, **k))
-    assert main(["train", "--resume", str(run / "final.ckpt.json"), "--data", str(data),
-                 "--epochs", "1", "--out", str(tmp_path / "resumed")]) == 0
+    return reads
+
+
+@pytest.mark.parametrize("command", ["train", "eval", "pca"])
+def test_resume_reads_the_blob_once(pipeline, tmp_path, monkeypatch, command):
+    """train --resume, eval and pca check the manifest and the recipe, then read the blob once."""
+    _, data, run = pipeline
+    ckpt = str(run / "final.ckpt.json")
+    argv = {"train": ["train", "--resume", ckpt, "--epochs", "1"],
+            "eval": ["eval", "--ckpt", ckpt], "pca": ["pca", "--ckpt", ckpt]}[command]
+    reads = _blob_reads(monkeypatch)
+    assert main(argv + ["--data", str(data), "--out", str(tmp_path / "out")]) == 0
     assert reads == [str(run / "final.ckpt.bin")]
 
 
@@ -520,7 +564,7 @@ def test_resume_needs_only_the_checkpoint(pipeline, tmp_path):
 
 @pytest.mark.parametrize("command", ["eval", "pca"])
 def test_eval_and_pca_take_the_target_length_from_the_checkpoint(pipeline, tmp_path, capsys,
-                                                                 command):
+                                                                 monkeypatch, command):
     _, data, run = pipeline
     argv = [command, "--data", str(data), "--out", str(tmp_path / "out")]
     capsys.readouterr()
@@ -531,9 +575,11 @@ def test_eval_and_pca_take_the_target_length_from_the_checkpoint(pipeline, tmp_p
     ckpt = tmp_path / "final.ckpt.json"
     ckpt.write_text(json.dumps(manifest))
     shutil.copy(run / "final.ckpt.bin", tmp_path / "final.ckpt.bin")
+    reads = _blob_reads(monkeypatch)
     assert main(argv + ["--ckpt", str(ckpt)]) == 1
     assert f"{ckpt}: extra has no integer 'target_length' >= 11" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+    assert reads == []   # the recipe is checked before the blob is read
 
 
 def test_checkpoint_carries_its_graph(pipeline, tmp_path):
@@ -665,18 +711,20 @@ def test_pca_outputs(pipeline, tmp_path):
     assert doc["nodes"] == 24
 
 
-def test_pca_rejects_mlp_checkpoint(pipeline, tmp_path, bad_data, capsys):
-    """Before any data is read: a malformed CSV does not hide the model's kind."""
+def test_pca_rejects_mlp_checkpoint(pipeline, tmp_path, bad_data, capsys, monkeypatch):
+    """Before any data or the blob is read: a malformed CSV does not hide the model's kind."""
     _, data, _ = pipeline
     run = tmp_path / "mlp_run"
     assert main(["train", "--topology", "small", "--fc", "16", "--epochs", "1",
                  "--lr", "1e-3", "--seed", "0", "--data", str(data),
                  "--out", str(run)]) == 0
     capsys.readouterr()
+    reads = _blob_reads(monkeypatch)
     assert main(["pca", "--ckpt", str(run / "final.ckpt.json"), "--data", str(bad_data),
                  "--out", str(tmp_path / "pca")]) == 1
     assert "holds an MLP" in capsys.readouterr().err
     assert not (tmp_path / "pca").exists()
+    assert reads == []
 
 
 def test_pca_refuses_a_window_past_the_target_length_before_any_data_is_read(
@@ -798,6 +846,66 @@ def test_malformed_checkpoint_exit_1(pipeline, tmp_path, capsys, case):
         assert main(argv + ["--ckpt", str(ckpt), "--out", str(tmp_path / argv[0])]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and f"'{named}'" in err and "Traceback" not in err
+
+
+# (input kind, command that reads it)
+INPUT_CASES = [("trial CSV", "train"), ("trial CSV", "eval"), ("trial CSV", "pca"),
+               ("trace CSV", "compare-forces"), ("topology JSON", "gen-data"),
+               ("config JSON", "gen-data"), ("config JSON", "train"),
+               ("manifest", "eval"), ("manifest", "rollout"), ("manifest", "pca"),
+               ("manifest", "train")]
+
+
+def _an_input(kind: str, command: str, tmp: Path, data: Path, run: Path) -> tuple[Path, list]:
+    """A good file of this kind in tmp, and the argv, less --out, by which command reads it."""
+    ckpt = str(run / "final.ckpt.json")
+    if kind == "trial CSV":
+        (tmp / "data").mkdir()
+        path = Path(shutil.copy(sorted(data.glob("*.csv"))[0], tmp / "data"))
+        return path, {"train": TRAIN, "eval": ["eval", "--ckpt", ckpt],
+                      "pca": ["pca", "--ckpt", ckpt]}[command] + ["--data", str(tmp / "data")]
+    if kind == "trace CSV":
+        assert main(["rollout", "--ckpt", ckpt, "--object", "light,hard,nonslip",
+                     "--max-steps", "5", "--out", str(tmp / "rollout")]) == 0
+        path = tmp / "rollout" / "trace.csv"
+        return path, ["compare-forces", "--trace-a", str(path), "--trace-b", str(path)]
+    if kind == "topology JSON":
+        path = tmp / "hand.json"
+        save_topology(build_small_hand(), str(path))
+        return path, ["gen-data", "--topology", str(path)]
+    if kind == "config JSON":
+        path = tmp / "config.json"
+        path.write_text(json.dumps({"seed": 1}))
+        return path, (GEN if command == "gen-data" else TRAIN + ["--data", str(data)]) + \
+            ["--config", str(path)]
+    shutil.copy(run / "final.ckpt.bin", tmp)
+    path = Path(shutil.copy(ckpt, tmp))
+    return path, {"eval": ["eval", "--ckpt", str(path), "--data", str(data)],
+                  "rollout": ["rollout", "--ckpt", str(path), "--object", "light,hard,nonslip"],
+                  "pca": ["pca", "--ckpt", str(path), "--data", str(data)],
+                  "train": ["train", "--resume", str(path), "--epochs", "1",
+                            "--data", str(data)]}[command]
+
+
+@given(case=st.sampled_from(INPUT_CASES), draw=st.data())
+def test_every_input_file_fails_by_name(pipeline, case, draw):
+    """A 0xff byte in any input file, or a JSON input cut short, exits 1 with one line naming it."""
+    _, data, run = pipeline
+    with tempfile.TemporaryDirectory() as tmp:
+        path, argv = _an_input(*case, Path(tmp), data, run)
+        raw = path.read_bytes()
+        if path.suffix == ".json" and draw.draw(st.booleans(), label="cut"):
+            end = draw.draw(st.integers(0, len(raw.rstrip()) - 1), label="cut before")
+            path.write_bytes(raw[:end])
+        else:
+            at = draw.draw(st.integers(0, len(raw)), label="0xff at")
+            path.write_bytes(raw[:at] + b"\xff" + raw[at:])
+        out = Path(tmp) / "out"
+        with contextlib.redirect_stderr(io.StringIO()) as err:
+            assert main(argv + ["--out", str(out)]) == 1
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ") and str(path) in lines[0], lines
+        assert not out.exists()
 
 
 def test_unknown_flag_exit_1(tmp_path):

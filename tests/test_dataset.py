@@ -422,15 +422,21 @@ def test_write_json_layout(tmp_path):
     assert path.read_text() == '{\n "a": 2,\n "b": 1\n}\n'
 
 
-def test_only_write_json_calls_json_dump():
-    """Every JSON artifact goes through write_json, so a change to how they are written is one edit."""
+@pytest.mark.parametrize("call, owners", [
+    ("json.dump(", [("dataset.py", "write_json")]),
+    # metrics.ndjson is unhashed telemetry, read line by line and leniently by design
+    ("json.load", [("dataset.py", "read_json"), ("training.py", "_metrics_before")]),
+], ids=["dump", "load"])
+def test_only_the_json_owners_call_json(call, owners):
+    """Every JSON artifact is written by write_json and every JSON input read by read_json, so
+    a change to either is one edit."""
     found = []
     for path in sorted(Path(tgl.__file__).parent.rglob("*.py")):
         text = path.read_text()
         defs = [f for f in ast.walk(ast.parse(text)) if isinstance(f, ast.FunctionDef)]
         for lineno, line in enumerate(text.splitlines(), start=1):
-            if "json.dump(" in line:
-                owners = [f for f in defs if f.lineno <= lineno <= f.end_lineno]
-                innermost = max(owners, key=lambda f: f.lineno, default=None)
+            if call in line:
+                owners_here = [f for f in defs if f.lineno <= lineno <= f.end_lineno]
+                innermost = max(owners_here, key=lambda f: f.lineno, default=None)
                 found.append((path.name, innermost.name if innermost else None))
-    assert found == [("dataset.py", "write_json")]
+    assert found == owners
