@@ -1,9 +1,10 @@
 """Command-line pipeline: topology, gen-data, train, eval, rollout, pca, compare-forces.
 
-Every run writes its outputs into --out plus a manifest.json recording
-the resolved configuration, seeds, and sha256 hashes of the primary
-outputs, so identical manifests imply byte-identical artifacts (wall
-times live only in metrics.ndjson, which is not hashed).
+Each option is declared once, in `COMMANDS`.  Every run writes its outputs
+into --out plus a manifest.json recording the resolved configuration,
+seeds, and sha256 hashes of the primary outputs, so identical manifests
+imply byte-identical artifacts (wall times live only in metrics.ndjson,
+which is not hashed).
 """
 from __future__ import annotations
 
@@ -11,7 +12,9 @@ import argparse
 import hashlib
 import json
 import os
+import shutil
 import sys
+from typing import NamedTuple
 
 from . import analysis, dataset, models, plant, topology as topo_mod, training
 from .rollout import Disturbance, RolloutConfig, read_trace_forces, rollout as run_rollout, \
@@ -21,6 +24,26 @@ from .tensor import NonFiniteError
 
 DEFAULT_TOPOLOGY_FILE = "allegro_uskin_384.json"
 SMALL_TOPOLOGY_FILE = "small_hand_24.json"
+
+
+class Option(NamedTuple):
+    """One flag of a subcommand: the parser, a --config file, a train --resume and the run
+    manifest all read it, as tyro and SimpleParsing build a command line from one declaration."""
+    flag: str
+    type: type = str            # int, float or str as parsed and in --config; bool: a switch
+    default: object = None      # when neither the flag nor --config gives a value
+    help: str | None = None
+    key: str | None = ""        # its key in the manifest's config: "" its dest, None not recorded
+    config: bool = False        # a --config file may set it, under the flag's name
+    least: int | None = None    # the least value the command line takes
+    recipe: str | None = None   # its key in a train checkpoint's extra: --resume's default
+    path: bool = False          # an input path: required, and recorded absolute
+    required: bool = False
+    choices: tuple | None = None
+
+    @property
+    def dest(self) -> str:
+        return self.flag[2:].replace("-", "_")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -36,18 +59,17 @@ def _sha256(path: str) -> str:
     return h.hexdigest()
 
 
-def _write_manifest(out_dir: str, command: str, config: dict, outputs: list[str]) -> None:
+def _write_manifest(args: argparse.Namespace, outputs: list[str], **derived) -> None:
+    """--out's manifest.json: the config (each declared option's value under its key, a path
+    made absolute, then the values the run derived, which win) and each output's sha256."""
+    config = {opt.key or opt.dest: os.path.abspath(getattr(args, opt.dest)) if opt.path
+              else getattr(args, opt.dest) for opt in OPTIONS[args.command] if opt.key is not None}
     manifest = {
-        "command": command,
-        "config": config,
+        "command": args.command,
+        "config": config | derived,
         "outputs": {os.path.basename(p): _sha256(p) for p in sorted(outputs)},
     }
-    dataset.write_json(os.path.join(out_dir, "manifest.json"), manifest, sort_keys=True)
-
-
-def _ensure_out(path: str) -> str:
-    os.makedirs(path, exist_ok=True)
-    return path
+    dataset.write_json(os.path.join(args.out, "manifest.json"), manifest, sort_keys=True)
 
 
 def _out_dir(path: str) -> str:
@@ -70,11 +92,7 @@ def _refuse_strays(out: str, what: str, suffixes: tuple[str, ...], own) -> None:
 
 def _load_topology(spec: str) -> topo_mod.HandTopology:
     builders = {"default": topo_mod.build_default_hand, "small": topo_mod.build_small_hand}
-    if spec in builders:
-        return builders[spec]()
-    if not os.path.exists(spec):
-        raise ValueError(f"topology file not found: {spec}")
-    return topo_mod.load_topology(spec)
+    return builders[spec]() if spec in builders else topo_mod.load_topology(spec)
 
 
 def _parse_triple(text: str) -> tuple[bool, bool, bool]:
@@ -102,8 +120,6 @@ def _parse_disturbance(text: str) -> Disturbance:
 
 def _read_dataset(data_dir: str, target_length: int) -> dataset.Dataset:
     """Every trial CSV in data_dir, preprocessed to target_length."""
-    if not os.path.isdir(data_dir):
-        raise ValueError(f"data directory not found: {data_dir}")
     paths = sorted(p for p in os.listdir(data_dir) if p.endswith(".csv"))
     if not paths:
         raise ValueError(f"no trial CSVs in {data_dir}")
@@ -112,101 +128,97 @@ def _read_dataset(data_dir: str, target_length: int) -> dataset.Dataset:
                                                target_length) for p in paths], target_length)
 
 
-def _settings(args: argparse.Namespace, defaults: dict) -> dict:
-    """Each key of defaults, resolved from its flag, the --config file or the default.
+# the JSON values a --config key takes, by its option's declared type: an int stands for a
+# float as is, and true/false is never a number
+_JSON_TYPES = {int: ((int,), "an integer"), float: ((int, float), "a number"),
+               str: ((str,), "a string")}
 
-    The config file may hold only these keys; it is checked before anything
-    is resolved.  A seed must be >= 0: numpy's generators take no other.
-    """
-    path = args.config
+
+def _settings(args: argparse.Namespace, defaults: dict | None = None) -> None:
+    """Resolve each declared option of the command in args: its flag, else its --config key
+    (the file is checked first), else its default (`defaults`, by dest, or the declared one)."""
+    options, path = OPTIONS[args.command], getattr(args, "config", None)
     config = {} if path is None else dataset.read_json(path)
     if not isinstance(config, dict):
         raise ValueError(f"config {path} must hold a JSON object")
-    unknown = sorted(set(config) - set(defaults))
+    accepted = sorted(opt.flag[2:] for opt in options if opt.config)
+    unknown = sorted(set(config) - set(accepted))
     if unknown:
-        raise ValueError(f"config {path} has unknown keys {unknown}; accepted: {sorted(defaults)}")
-    settings = {key: _resolve(args, config, key, default) for key, default in defaults.items()}
-    if settings.get("seed", 0) < 0:
-        raise ValueError(f"--seed must be >= 0, got {settings['seed']}")
-    return settings
-
-
-# JSON types a config value may take, by the type of the flag's default
-_CONFIG_TYPES = {int: ((int,), "an integer"), float: ((int, float), "a number"),
-                 str: ((str,), "a string")}
-
-
-def _resolve(args: argparse.Namespace, config: dict, key: str, default):
-    """Precedence: explicit flag > config file > default.
-
-    A config value must have the default's type; an int stands for a float
-    as is, and a JSON true/false is never a number.
-    """
-    flag = getattr(args, key.replace("-", "_"), None)
-    if flag is not None:
-        return flag
-    if key not in config:
-        return default
-    value = config[key]
-    allowed, name = _CONFIG_TYPES[type(default)]
-    if isinstance(value, bool) or not isinstance(value, allowed):
-        raise ValueError(f"config key {key!r} must be {name}, got {json.dumps(value)}")
-    return value
+        raise ValueError(f"config {path} has unknown keys {unknown}; accepted: {accepted}")
+    for opt in options:
+        value, key = getattr(args, opt.dest), opt.flag[2:]
+        if value is None and key in config:
+            value = config[key]
+            allowed, name = _JSON_TYPES[opt.type]
+            if isinstance(value, bool) or not isinstance(value, allowed):
+                raise ValueError(f"config key {key!r} must be {name}, got {json.dumps(value)}")
+        if value is None:
+            value = (defaults or {}).get(opt.dest, opt.default)
+        if opt.least is not None:
+            training.at_least(opt.flag, value, opt.least)
+        setattr(args, opt.dest, value)
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
 def cmd_topology(args) -> int:
-    out = _ensure_out(args.out)
+    os.makedirs(args.out, exist_ok=True)
     topo, name = (topo_mod.build_small_hand(), SMALL_TOPOLOGY_FILE) if args.small \
         else (topo_mod.build_default_hand(), DEFAULT_TOPOLOGY_FILE)
-    path = os.path.join(out, name)
+    path = os.path.join(args.out, name)
     topo_mod.save_topology(topo, path)
-    _write_manifest(out, "topology", {"small": bool(args.small), "nodes": topo.n,
-                                      "edges": len(topo.edges)}, [path])
+    _write_manifest(args, [path], nodes=topo.n, edges=len(topo.edges))
     print(f"wrote {path} ({topo.n} nodes, {len(topo.edges)} edges)")
     return 0
 
 
 def cmd_gen_data(args) -> int:
-    settings = _settings(args, {"seed": 7, "objects": 8, "trials-per": 10, "length": 700,
-                                "topology": "default",
-                                "noise": plant.PlantConfig().sensor_noise})
-    seed, n_objects, trials_per, length, topo_spec, noise = settings.values()
-    if trials_per < 1:
-        raise ValueError(f"--trials-per must be >= 1, got {trials_per}")
-    if length < plant.MIN_TRIAL_LENGTH:
-        raise ValueError(f"--length must be >= {plant.MIN_TRIAL_LENGTH}, got {length}")
-    topo = _load_topology(topo_spec)
+    _settings(args)
+    topo = _load_topology(args.topology)
     # generate_trial holds four [length, nodes, 3] float64 arrays at once: the
     # readings, the noise, the noise masked by contact and their sum
-    need = 4 * length * topo.n * 3 * 8
+    need = 4 * args.length * topo.n * 3 * 8
     memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     if need > memory:
-        raise ValueError(f"--length {length} needs about {need / 2**30:,.0f} GiB for one trial, "
-                         f"more than this machine's {memory / 2**30:,.1f} GiB of memory")
-    pcfg = plant.PlantConfig(sensor_noise=noise)
+        raise ValueError(f"--length {args.length} needs about {need / 2**30:,.0f} GiB for one "
+                         f"trial, more than this machine's {memory / 2**30:,.1f} GiB of memory")
+    pcfg = plant.PlantConfig(sensor_noise=args.noise)
     catalog = plant.object_catalog()
-    if not (1 <= n_objects <= len(catalog)):
-        raise ValueError(f"--objects must lie in 1..{len(catalog)}, got {n_objects}")
-    jobs = ((obj, oi, k) for oi, obj in enumerate(catalog[:n_objects]) for k in range(trials_per))
+    if not (1 <= args.objects <= len(catalog)):
+        raise ValueError(f"--objects must lie in 1..{len(catalog)}, got {args.objects}")
+    objects, trials_per = catalog[:args.objects], args.trials_per
+    jobs = ((obj, oi, k) for oi, obj in enumerate(objects) for k in range(trials_per))
     # train, eval and pca read every CSV in a data directory: another run's would join this one
     _refuse_strays(args.out, "trial CSVs", (".csv",), lambda name, k: 0 <= k < trials_per and any(
-        name == f"{plant.trial_name(obj, k)}.csv" for obj in catalog[:n_objects]))
-    out = _ensure_out(args.out)
+        name == f"{plant.trial_name(obj, k)}.csv" for obj in objects))
+    # each cell of a row but t is a repr(float) of 3 or more characters and a comma or newline,
+    # so the CSVs surely take this much: more than is free, with the run's own that they
+    # replace, is refused
+    need = len(objects) * trials_per * args.length * 4 * (
+        dataset.JOINT_DIM + 3 * topo.n + dataset.LABEL_DIM)
+    there = os.path.abspath(args.out)
+    while not os.path.exists(there):
+        there = os.path.dirname(there)
+    own = os.listdir(there) if there == os.path.abspath(args.out) else []
+    free = shutil.disk_usage(there).free + sum(os.path.getsize(os.path.join(there, p))
+                                               for p in own if p.endswith(".csv"))
+    if need > free:
+        raise ValueError(f"--out {args.out}: the trial CSVs need at least {need / 2**30:,.1f} "
+                         f"GiB, more than the {free / 2**30:,.1f} GiB free on {there}")
+    os.makedirs(args.out, exist_ok=True)
     paths = []
     for job in jobs:
-        trial = plant.generate_object_trial(topo, *job, seed=seed, length=length, cfg=pcfg)
-        paths.append(os.path.join(out, f"{trial.object_name}.csv"))
+        trial = plant.generate_object_trial(topo, *job, seed=args.seed, length=args.length,
+                                            cfg=pcfg)
+        paths.append(os.path.join(args.out, f"{trial.object_name}.csv"))
         dataset.write_trial_csv(trial, paths[-1])
-    # the keys --config reads, so this config reproduces the run
-    _write_manifest(out, "gen-data", settings, paths)
-    print(f"wrote {len(paths)} trial CSVs to {out}")
+    _write_manifest(args, paths)   # its config, fed back as --config, reruns the run
+    print(f"wrote {len(paths)} trial CSVs to {args.out}")
     return 0
 
 
-def _spec(model: str, conv: str | None, fc: str | None) -> models.ModelSpec:
+def _spec(model: str | None, conv: str | None, fc: str | None) -> models.ModelSpec:
     if conv is None and fc is None:
         return models.model_spec(model)
     if fc is None:
@@ -221,48 +233,38 @@ def _spec(model: str, conv: str | None, fc: str | None) -> models.ModelSpec:
 
 
 def cmd_train(args) -> int:
-    defaults = {"seed": 0, "epochs": 200, "batch-size": 100, "lr": 1e-5, "model": "III",
-                "target-length": dataset.DEFAULT_TARGET_LENGTH, "topology": "default"}
     resume = training.resume_point(args.resume) if args.resume else None
-    if resume:   # the checkpoint's recipe is the run's; "" stands for its model and graph
-        spec, topo, got = resume.spec, resume.topology, resume.extra
-        recorded = {"seed": got["train_seed"], "lr": got["lr"], "batch-size": got["batch_size"],
-                    "target-length": got["target_length"]}
-        defaults |= recorded | {"model": "", "topology": ""}
-    settings = _settings(args, defaults)
-    seed, epochs, batch, lr, model, target_length, topo_spec = settings.values()
-    if target_length <= dataset.HORIZON:   # a trial of no more frames yields no pairs
-        raise ValueError(f"--target-length must be >= {dataset.HORIZON + 1}, got {target_length}")
-    if not args.resume:
-        spec, topo = _spec(model, args.conv, args.fc), _load_topology(topo_spec)
+    recipe = [opt for opt in OPTIONS["train"] if opt.recipe]
+    # the checkpoint's recipe is the run's; None stands for its model and graph
+    _settings(args, {opt.dest: resume.extra[opt.recipe] for opt in recipe}
+              | {"model": None, "topology": None} if resume else None)
+    if not resume:
+        spec, topo = _spec(args.model, args.conv, args.fc), _load_topology(args.topology)
     else:   # only a flag or --config value can differ from the checkpoint
-        where = f"--resume {args.resume}: checkpoint"
-        for key, value in recorded.items():
-            if settings[key] != value:
-                raise ValueError(f"{where} {key} {value} is not the run's {key} {settings[key]}")
-        if (model or args.conv or args.fc) and _spec(model, args.conv, args.fc) != spec:
+        spec, topo, where = resume.spec, resume.topology, f"--resume {args.resume}: checkpoint"
+        for opt in recipe:
+            theirs, ours, key = resume.extra[opt.recipe], getattr(args, opt.dest), opt.flag[2:]
+            if ours != theirs:
+                raise ValueError(f"{where} {key} {theirs} is not the run's {key} {ours}")
+        if (args.model or args.conv or args.fc) and _spec(args.model, args.conv, args.fc) != spec:
             raise ValueError(f"{where} model {spec} is not the run's --model/--conv/--fc")
-        if topo_spec and _load_topology(topo_spec) != topo:
-            raise ValueError(f"{where} 'topology' is not the graph of --topology {topo_spec}")
-    cfg = training.TrainConfig(batch_size=batch, epochs=epochs,
-                               adam=AdamConfig(learning_rate=lr), seed=seed,
-                               checkpoint_every=args.checkpoint_every or 0, spec=spec)
-    if not args.resume:   # another run's checkpoints would pass for this one's
+        if args.topology and _load_topology(args.topology) != topo:
+            raise ValueError(f"{where} 'topology' is not the graph of --topology {args.topology}")
+    cfg = training.TrainConfig(batch_size=args.batch_size, epochs=args.epochs,
+                               adam=AdamConfig(learning_rate=args.lr), seed=args.seed,
+                               checkpoint_every=args.checkpoint_every, spec=spec)
+    if not resume:   # another run's checkpoints would pass for this one's
         every = cfg.checkpoint_every
-        saved = range(every, epochs + 1, every) if every else ()   # k in saved tests, lists none
+        saved = range(every, cfg.epochs + 1, every) if every else ()  # k in saved tests, lists none
         _refuse_strays(args.out, "checkpoint files", (".ckpt.json", ".ckpt.bin"), lambda name, k:
                        name.rsplit(".ckpt.", 1)[0] in ("best", "final")
                        or k in saved and name.rsplit(".ckpt.", 1)[0] == f"epoch{k:06d}")
-    ds = _read_dataset(args.data, target_length)
+    ds = _read_dataset(args.data, args.target_length)
     # fit_pairs creates --out once the run is set up
     report = training.train(ds, cfg, topo, out_dir=args.out, resume_from=resume)
     outputs = [p for base in (report.final_checkpoint, report.best_checkpoint) if base
                for p in (base, models.checkpoint_blob(base))]
-    config = {"seed": seed, "epochs": epochs, "batch_size": batch, "lr": lr,
-              "model": model or None, "conv": args.conv, "fc": args.fc,
-              "target_length": target_length, "topology": topo_spec or None,
-              "resume": args.resume, "data": os.path.abspath(args.data)}
-    _write_manifest(args.out, "train", config, sorted(set(outputs)))
+    _write_manifest(args, sorted(set(outputs)))
     print(f"trained {report.epochs_run} epochs; final train loss "
           f"{report.train_losses[-1]:.6g}, best val {report.best_val:.6g}")
     return 0
@@ -275,19 +277,16 @@ def cmd_eval(args) -> int:
     train_set, val_set = dataset.split(ds, seed)
     pairs = train_set if args.split == "train" else val_set
     loss = training.mean_loss(man.model(), pairs)
-    out = _ensure_out(args.out)
-    path = os.path.join(out, "eval.json")
+    os.makedirs(args.out, exist_ok=True)
+    path = os.path.join(args.out, "eval.json")
     dataset.write_json(path, {"split": args.split, "pairs": len(pairs), "mse": loss})
-    _write_manifest(out, "eval", {"ckpt": os.path.abspath(args.ckpt), "split": args.split,
-                                  "seed": seed, "data": os.path.abspath(args.data),
-                                  "target_length": target_length}, [path])
+    _write_manifest(args, [path], seed=seed, target_length=target_length)
     print(f"{args.split} MSE over {len(pairs)} pairs: {loss:.6g}")
     return 0
 
 
 def cmd_rollout(args) -> int:
-    if args.seed < 0:   # as _settings checks the other commands' seeds
-        raise ValueError(f"--seed must be >= 0, got {args.seed}")
+    _settings(args)   # no --config here: it holds --seed to its least
     heavy, soft, slippery = _parse_triple(args.object)
     obj = plant.make_object(heavy, soft, slippery, radius=args.radius)
     labels = dataset.encode_labels(*_parse_triple(args.labels)) if args.labels \
@@ -299,13 +298,10 @@ def cmd_rollout(args) -> int:
     params, _ = models.load_checkpoint(args.ckpt)
     pl = plant.make_plant(params.topology, obj)
     trace = run_rollout(params, pl, cfg, seed=args.seed)
-    out = _ensure_out(args.out)
-    csv_path = os.path.join(out, "trace.csv")
+    os.makedirs(args.out, exist_ok=True)
+    csv_path = os.path.join(args.out, "trace.csv")
     sidecar = write_trace(trace, csv_path)
-    config = {"ckpt": os.path.abspath(args.ckpt), "object": args.object,
-              "labels": labels.tolist(), "max_steps": args.max_steps, "seed": args.seed,
-              "disturb": args.disturb, "stride": args.stride, "radius": args.radius}
-    _write_manifest(out, "rollout", config, [csv_path, sidecar])
+    _write_manifest(args, [csv_path, sidecar], labels=labels.tolist())
     v = trace.verdict
     print(f"rollout {'succeeded' if v.success else 'failed'}: "
           f"distance {v.final_distance:.3f}, tilt {v.final_angle:.2f}")
@@ -332,17 +328,15 @@ def cmd_pca(args) -> int:
     ds = _read_dataset(args.data, target_length)
     stack = analysis.extract_node_features(man.model(), man.topology, ds.trials, (start, stop))
     report = analysis.pca_node_map(stack)
-    out = _ensure_out(args.out)
-    csv_path = os.path.join(out, "node_map.csv")
-    svg_path = os.path.join(out, "node_map.svg")
-    json_path = os.path.join(out, "cluster_report.json")
+    os.makedirs(args.out, exist_ok=True)
+    csv_path = os.path.join(args.out, "node_map.csv")
+    svg_path = os.path.join(args.out, "node_map.svg")
+    json_path = os.path.join(args.out, "cluster_report.json")
     analysis.write_node_map_csv(report, csv_path)
     analysis.write_node_map_svg(report, svg_path)
     analysis.write_cluster_report_json(report, json_path)
-    _write_manifest(out, "pca", {"ckpt": os.path.abspath(args.ckpt), "window": [start, stop],
-                                 "data": os.path.abspath(args.data),
-                                 "target_length": target_length},
-                    [csv_path, svg_path, json_path])
+    _write_manifest(args, [csv_path, svg_path, json_path], window=[start, stop],
+                    target_length=target_length)
     sil = "undefined" if report.silhouette is None else f"{report.silhouette:.4f}"
     print(f"node map over {stack.features.shape[1]} feature dims; silhouette {sil}")
     return 0
@@ -351,86 +345,88 @@ def cmd_pca(args) -> int:
 def cmd_compare_forces(args) -> int:
     cmp = analysis.compare_force_traces(read_trace_forces(args.trace_a),
                                         read_trace_forces(args.trace_b))
-    out = _ensure_out(args.out)
-    path = os.path.join(out, "force_comparison.json")
+    os.makedirs(args.out, exist_ok=True)
+    path = os.path.join(args.out, "force_comparison.json")
     dataset.write_json(path, {"fraction_b_higher": cmp.fraction_b_higher,
                               "mean_final_quarter_a": cmp.mean_final_quarter_a,
                               "mean_final_quarter_b": cmp.mean_final_quarter_b,
                               "steps": int(cmp.differences.shape[0])})
-    _write_manifest(out, "compare-forces",
-                    {"trace_a": os.path.abspath(args.trace_a),
-                     "trace_b": os.path.abspath(args.trace_b)}, [path])
+    _write_manifest(args, [path])
     print(f"fraction b>a: {cmp.fraction_b_higher:.3f}; final-quarter means "
           f"{cmp.mean_final_quarter_a:.4f} vs {cmp.mean_final_quarter_b:.4f}")
     return 0
 
 
 # ---------------------------------------------------------------------------
+# the command line: each subcommand, and each of its options once
+
+_TRAIN = training.TrainConfig()   # train's defaults
+_CKPT = Option("--ckpt", path=True)
+_DATA = Option("--data", help="directory of trial CSVs", path=True)
+
+COMMANDS = {   # name: (function, help, options)
+    "topology": (cmd_topology, "write a sensor-graph JSON (the 384-node hand by default)", [
+        Option("--small", bool, False, "24-node desk-scale hand")]),
+    "gen-data": (cmd_gen_data, "generate synthetic trial CSVs", [   # keyed as --config is,
+        # its manifest's config reruns the run
+        Option("--objects", int, 8, "number of object property combos (1..8)", config=True),
+        Option("--trials-per", int, 10, "trials per object", key="trials-per", config=True,
+               least=1),
+        Option("--seed", int, 7, config=True, least=0),
+        Option("--length", int, 700, "raw trial length before preprocessing", config=True,
+               least=plant.MIN_TRIAL_LENGTH),
+        Option("--topology", str, "default", "default | small | path to topology JSON",
+               config=True),
+        Option("--noise", float, plant.PlantConfig().sensor_noise,
+               "per-node tactile noise std while in contact", config=True)]),
+    "train": (cmd_train, "train a model on trial CSVs", [
+        _DATA,
+        Option("--model", str, "III", config=True, choices=tuple(sorted(models.MODEL_TABLE))),
+        Option("--conv", help="custom conv widths, e.g. 8,16,24 (overrides --model)"),
+        Option("--fc", help="custom hidden fc widths, e.g. 64,32"),
+        Option("--epochs", int, _TRAIN.epochs, config=True),
+        Option("--batch-size", int, _TRAIN.batch_size, config=True, recipe="batch_size"),
+        Option("--lr", float, _TRAIN.adam.learning_rate, config=True, recipe="lr"),
+        Option("--seed", int, _TRAIN.seed, config=True, least=0, recipe="train_seed"),
+        Option("--target-length", int, dataset.DEFAULT_TARGET_LENGTH, config=True,
+               least=training.LEAST_TARGET_LENGTH, recipe="target_length"),
+        Option("--topology", str, "default", config=True),
+        Option("--resume", help="checkpoint manifest to continue from"),
+        Option("--checkpoint-every", int, _TRAIN.checkpoint_every, key=None)]),
+    "eval": (cmd_eval, "mean MSE of a checkpoint over a data split", [
+        _CKPT, _DATA, Option("--split", str, "val", choices=("train", "val"))]),
+    "rollout": (cmd_rollout, "closed-loop rollout of a checkpoint on the plant", [
+        _CKPT,
+        Option("--object", help="true object properties, e.g. heavy,soft,nonslip",
+               required=True),
+        Option("--labels", help="labels fed to the model (defaults to the object's)"),
+        Option("--max-steps", int, 120),
+        Option("--seed", int, 0, least=0),
+        Option("--disturb", help="step:kind:magnitude, e.g. 60:pull_down:2.0"),
+        Option("--stride", int, 1),
+        Option("--radius", float)]),
+    "pca": (cmd_pca, "node-feature PCA map of a trained GCN", [
+        _CKPT, _DATA, Option("--window", help="start:stop step range (default: final 45 steps)")]),
+    "compare-forces": (cmd_compare_forces, "compare grip-force series of two traces", [
+        Option("--trace-a", path=True), Option("--trace-b", path=True)]),
+}
+OPTIONS = {command: options for command, (_, _, options) in COMMANDS.items()}
+
 
 def build_parser() -> _Parser:
     p = _Parser(prog="tgl", description="tactile graph-learning pipeline")
     sub = p.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("topology", help="write a sensor-graph JSON (the 384-node hand by default)")
-    sp.add_argument("--small", action="store_true", help="24-node desk-scale hand")
-    sp.set_defaults(func=cmd_topology)
-
-    sp = sub.add_parser("gen-data", help="generate synthetic trial CSVs")
-    sp.add_argument("--config", help="JSON config supplying defaults for the flags")
-    sp.add_argument("--objects", type=int, help="number of object property combos (1..8)")
-    sp.add_argument("--trials-per", type=int, help="trials per object")
-    sp.add_argument("--seed", type=int)
-    sp.add_argument("--length", type=int, help="raw trial length before preprocessing")
-    sp.add_argument("--topology", help="default | small | path to topology JSON")
-    sp.add_argument("--noise", type=float, help="per-node tactile noise std while in contact")
-    sp.set_defaults(func=cmd_gen_data)
-
-    sp = sub.add_parser("train", help="train a model on trial CSVs")
-    sp.add_argument("--data", required=True, help="directory of trial CSVs")
-    sp.add_argument("--config", help="JSON config supplying defaults for the flags")
-    sp.add_argument("--model", choices=sorted(models.MODEL_TABLE))
-    sp.add_argument("--conv", help="custom conv widths, e.g. 8,16,24 (overrides --model)")
-    sp.add_argument("--fc", help="custom hidden fc widths, e.g. 64,32")
-    sp.add_argument("--epochs", type=int)
-    sp.add_argument("--batch-size", type=int)
-    sp.add_argument("--lr", type=float)
-    sp.add_argument("--seed", type=int)
-    sp.add_argument("--target-length", type=int)
-    sp.add_argument("--topology")
-    sp.add_argument("--resume", help="checkpoint manifest to continue from")
-    sp.add_argument("--checkpoint-every", type=int)
-    sp.set_defaults(func=cmd_train)
-
-    sp = sub.add_parser("eval", help="mean MSE of a checkpoint over a data split")
-    sp.add_argument("--ckpt", required=True)
-    sp.add_argument("--data", required=True)
-    sp.add_argument("--split", choices=("train", "val"), default="val")
-    sp.set_defaults(func=cmd_eval)
-
-    sp = sub.add_parser("rollout", help="closed-loop rollout of a checkpoint on the plant")
-    sp.add_argument("--ckpt", required=True)
-    sp.add_argument("--object", required=True,
-                    help="true object properties, e.g. heavy,soft,nonslip")
-    sp.add_argument("--labels", help="labels fed to the model (defaults to the object's)")
-    sp.add_argument("--max-steps", type=int, default=120)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--disturb", help="step:kind:magnitude, e.g. 60:pull_down:2.0")
-    sp.add_argument("--stride", type=int, default=1)
-    sp.add_argument("--radius", type=float)
-    sp.set_defaults(func=cmd_rollout)
-
-    sp = sub.add_parser("pca", help="node-feature PCA map of a trained GCN")
-    sp.add_argument("--ckpt", required=True)
-    sp.add_argument("--data", required=True)
-    sp.add_argument("--window", help="start:stop step range (default: final 45 steps)")
-    sp.set_defaults(func=cmd_pca)
-
-    sp = sub.add_parser("compare-forces", help="compare grip-force series of two traces")
-    sp.add_argument("--trace-a", required=True)
-    sp.add_argument("--trace-b", required=True)
-    sp.set_defaults(func=cmd_compare_forces)
-    for sp in sub.choices.values():   # every subcommand writes into its --out directory
-        sp.add_argument("--out", required=True, type=_out_dir)
+    for command, (func, text, options) in COMMANDS.items():
+        sp = sub.add_parser(command, help=text)
+        if any(opt.config for opt in options):
+            sp.add_argument("--config", help="JSON config supplying defaults for the flags")
+        for opt in options:   # what --config may set is resolved once the file is read
+            sp.add_argument(opt.flag, help=opt.help, required=opt.required or opt.path,
+                            default=None if opt.config else opt.default,
+                            **{"action": "store_true"} if opt.type is bool
+                            else {"type": opt.type, "choices": opt.choices})
+        sp.add_argument("--out", required=True, type=_out_dir)   # where every command writes
+        sp.set_defaults(func=func)
     return p
 
 

@@ -18,6 +18,14 @@ from .tensor import NonFiniteError, backward, mse_loss
 from .topology import HandTopology
 
 
+def at_least(name: str, value, least: int) -> None:
+    """ValueError unless value is an int, not a bool, >= least: the one rule of each count,
+    seed and length a run takes, from a flag, a config file or a checkpoint."""
+    if type(value) is not int or value < least:
+        rule = f">= {least}" if type(value) is int else "an integer"
+        raise ValueError(f"{name} must be {rule}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     """A training recipe; the counts and the seed are ints, not bools, as a checkpoint records them."""
@@ -30,10 +38,7 @@ class TrainConfig:
 
     def __post_init__(self):
         for name, least in (("batch_size", 1), ("epochs", 1), ("checkpoint_every", 0), ("seed", 0)):
-            value = getattr(self, name)
-            if type(value) is not int or value < least:
-                rule = f">= {least}" if type(value) is int else "an integer"
-                raise ValueError(f"{name} must be {rule}, got {value!r}")
+            at_least(name, getattr(self, name), least)
 
 
 @dataclass
@@ -166,30 +171,30 @@ def _best_kept(out_dir: str, epoch: int, best_val: float) -> str | None:
     return None
 
 
-# The recipe's integer keys in a checkpoint's extra, each with its least value: a trial
-# yields pairs only with more frames than the horizon
-_RECIPE_INTEGERS = {"epoch": 0, "train_seed": 0, "target_length": HORIZON + 1, "batch_size": 1}
+# a trial yields pairs only with more frames than the horizon
+LEAST_TARGET_LENGTH = HORIZON + 1
+# The least value of each recipe integer no type owns; TrainConfig owns the recipe's
+# train_seed, batch_size and lr (as its seed, batch_size and learning_rate)
+_RECIPE_INTEGERS = {"epoch": 0, "target_length": LEAST_TARGET_LENGTH}
 
 
 def recipe(path: str, extra: dict) -> dict:
     """A checkpoint's extra once its recipe is checked, a null best_val (no val loss yet) read
     as +inf.  The recipe's values come from a file, so ValueError names the file and the
-    missing or bad key.
+    missing key, or the rule a value breaks.
     """
-    def bad(rule: str, key: str) -> ValueError:
-        got = json.dumps(extra[key]) if key in extra else "nothing"
-        return ValueError(f"checkpoint {path}: extra has no {rule}, got {got}")
-
-    for key, least in _RECIPE_INTEGERS.items():   # JSON integers, not true or false
-        if type(extra.get(key)) is not int or extra[key] < least:
-            raise bad(f"integer {key!r} >= {least}", key)
     try:
-        AdamConfig(learning_rate=extra.get("lr"))
+        for key, least in _RECIPE_INTEGERS.items():
+            at_least(key, extra[key], least)
+        TrainConfig(batch_size=extra["batch_size"], seed=extra["train_seed"],
+                    adam=AdamConfig(learning_rate=extra["lr"]))
+        best = extra["best_val"]
+        if best is not None and not (type(best) in (int, float) and 0 <= best < math.inf):
+            raise ValueError(f"best_val must be a finite number >= 0 or null, got {best!r}")
+    except KeyError as e:
+        raise ValueError(f"checkpoint {path}: extra has no {e}") from None
     except ValueError as e:
-        raise ValueError(f"checkpoint {path}: extra 'lr': {e}") from None
-    best = extra.get("best_val", math.nan)
-    if best is not None and not (type(best) in (int, float) and 0 <= best < math.inf):
-        raise bad("finite 'best_val' >= 0 or null", "best_val")
+        raise ValueError(f"checkpoint {path}: extra {e}") from None
     return extra | {"best_val": math.inf if best is None else best}
 
 

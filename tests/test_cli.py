@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import tgl
-from tgl.cli import _resolve, build_parser, main
+from tgl.cli import OPTIONS, build_parser, main
 from tgl.dataset import read_trial_csv, write_trial_csv
 from tgl.models import load_checkpoint
 from tgl.plant import generate_dataset_trials, object_catalog, trial_name
@@ -145,7 +145,9 @@ def test_gen_data_validation_exit_1(pipeline, tmp_path, capsys):
             (rollout + ["--plant-config", "x"], "--plant-config"),
             (rollout + ["--stride", "0"], "stride"),
             (rollout + ["--radius", "-3"], "radius"),
-            (rollout + ["--disturb", "5:pull_side:nan"], "magnitude"))):
+            (rollout + ["--disturb", "5:pull_side:nan"], "magnitude"),
+            (["gen-data", "--topology", str(tmp_path / "none.json")],
+             str(tmp_path / "none.json")))):
         out = tmp_path / f"bad{i}"
         capsys.readouterr()
         assert main(argv + ["--out", str(out)]) == 1
@@ -259,6 +261,22 @@ def test_a_run_of_10_to_the_12_checks_its_out_by_rule(tmp_path, bad_data, comman
     assert run.stderr.startswith("error: ") and str(named) in run.stderr, run.stderr
 
 
+def test_gen_data_refuses_csvs_no_disk_holds(tmp_path):
+    """10^12 trials of each object would fill any disk: one error: line, and no --out.  In a
+    child with a timeout, so that a run that starts writing fails here instead of filling it."""
+    out = tmp_path / "data"
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(tgl.__file__)),
+           "OPENBLAS_NUM_THREADS": "1"}
+    run = subprocess.run([sys.executable, "-c", _UNDER_1_GIB, "gen-data", "--topology", "small",
+                          "--trials-per", str(10**12), "--out", str(out)],
+                         env=env, capture_output=True, text=True, timeout=60)
+    lines = run.stderr.splitlines()
+    assert run.returncode == 1 and len(lines) == 1, run.stderr
+    assert lines[0].startswith(f"error: --out {out}: the trial CSVs need at least ") \
+        and "GiB free on " in lines[0]
+    assert not out.exists()
+
+
 def test_resume_skips_metrics_lines_that_hold_no_epoch(pipeline, tmp_path):
     """metrics.ndjson is unhashed telemetry: a malformed line is dropped, not fatal."""
     _, data, _ = pipeline
@@ -292,6 +310,27 @@ def test_flags_are_checked_before_any_data_is_read(tmp_path, capsys, argv, named
     capsys.readouterr()
     assert main(argv + ["--data", str(data), "--out", str(tmp_path / "out")]) == 1
     assert named in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+# -1 for each int option of these commands, and -1 and nan for each float option
+OUT_OF_RANGE = [(command, opt.flag, value) for command in ("gen-data", "train", "rollout")
+                for opt in OPTIONS[command] if opt.type in (int, float)
+                for value in ("-1", "nan")[:1 + (opt.type is float)]]
+
+
+@pytest.mark.parametrize("command, flag, value", OUT_OF_RANGE)
+def test_each_declared_number_out_of_range_exits_1(pipeline, tmp_path, capsys, command, flag,
+                                                   value):
+    """Driven by the declaration, so an option added later is swept too."""
+    _, data, run = pipeline
+    argv = {"gen-data": GEN, "train": TRAIN + ["--data", str(data)],
+            "rollout": ["rollout", "--ckpt", str(run / "final.ckpt.json"),
+                        "--object", "light,hard,nonslip"]}[command]
+    capsys.readouterr()
+    assert main(argv + [flag, value, "--out", str(tmp_path / "out")]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
     assert not (tmp_path / "out").exists()
 
 
@@ -397,9 +436,18 @@ def test_config_unknown_key_exit_1(pipeline, tmp_path, capsys, command, doc, acc
     assert not out.exists()
 
 
-def test_config_int_stands_for_a_float_unchanged():
-    value = _resolve(argparse.Namespace(lr=None), {"lr": 1}, "lr", 1e-5)
-    assert value == 1 and type(value) is int
+def test_config_int_stands_for_a_float_unchanged(pipeline, tmp_path):
+    """A --config {"lr": 1} trains at 1, and the manifest and the checkpoint record 1, not 1.0."""
+    _, data, _ = pipeline
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"lr": 1}))
+    at = TRAIN.index("--lr")
+    out = tmp_path / "run"
+    assert main(TRAIN[:at] + TRAIN[at + 2:] + ["--epochs", "1", "--config", str(cfg),
+                                               "--data", str(data), "--out", str(out)]) == 0
+    recorded = (json.loads((out / "manifest.json").read_text())["config"]["lr"],
+                load_checkpoint(str(out / "final.ckpt.json"))[1]["lr"])
+    assert recorded == (1, 1) and [type(lr) for lr in recorded] == [int, int]
 
 
 def test_eval_writes_json(pipeline, tmp_path):
@@ -436,7 +484,7 @@ def test_eval_splits_by_the_train_seed(pipeline, tmp_path, capsys):
     capsys.readouterr()
     assert main(["eval", "--data", str(bad_data), "--ckpt", str(ckpt),
                  "--out", str(tmp_path / "x")]) == 1
-    assert f"{ckpt}: extra has no integer 'train_seed'" in capsys.readouterr().err
+    assert f"{ckpt}: extra has no 'train_seed'" in capsys.readouterr().err
     assert not (tmp_path / "x").exists()
 
 
@@ -577,7 +625,7 @@ def test_eval_and_pca_take_the_target_length_from_the_checkpoint(pipeline, tmp_p
     shutil.copy(run / "final.ckpt.bin", tmp_path / "final.ckpt.bin")
     reads = _blob_reads(monkeypatch)
     assert main(argv + ["--ckpt", str(ckpt)]) == 1
-    assert f"{ckpt}: extra has no integer 'target_length' >= 11" in capsys.readouterr().err
+    assert f"{ckpt}: extra has no 'target_length'" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
     assert reads == []   # the recipe is checked before the blob is read
 
@@ -906,6 +954,54 @@ def test_every_input_file_fails_by_name(pipeline, case, draw):
         lines = err.getvalue().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ") and str(path) in lines[0], lines
         assert not out.exists()
+
+
+def _manifest_cases(out: Path) -> dict:
+    """(argv, its manifest's exact config) of each command, run from the pipeline's root with
+    relative input paths: the manifest records them absolute, `--resume` as given."""
+    cwd = os.getcwd()
+    ckpt, trace = "run/final.ckpt.json", os.path.relpath(out / "rolled" / "trace.csv")
+    common = {"ckpt": os.path.join(cwd, ckpt), "data": os.path.join(cwd, "data"),
+              "target_length": 330}
+    train = {"seed": 3, "epochs": 1, "batch_size": 100, "lr": 0.001, "model": "III",
+             "conv": "5,9", "fc": "30", "target_length": 330, "topology": "small",
+             "resume": None, "data": common["data"]}
+    at = TRAIN.index("--epochs")
+    return {
+        "topology": (["topology", "--small"], {"small": True, "nodes": 24, "edges": 34}),
+        "gen-data": (GEN, {"seed": 5, "objects": 2, "trials-per": 2, "length": 700,
+                           "topology": "small", "noise": 0.0}),
+        "train": (TRAIN[:at] + ["--epochs", "1"] + TRAIN[at + 2:] + ["--data", "data"], train),
+        "train --resume": (["train", "--resume", ckpt, "--epochs", "1", "--data", "data"],
+                           train | {"model": None, "conv": None, "fc": None, "topology": None,
+                                    "resume": ckpt}),
+        "eval": (["eval", "--ckpt", ckpt, "--data", "data"], common | {"split": "val", "seed": 3}),
+        "rollout": (["rollout", "--ckpt", ckpt, "--object", "light,hard,nonslip",
+                     "--labels", "heavy,hard,slippery", "--max-steps", "5",
+                     "--disturb", "3:pull_down:1.0", "--radius", "4"],
+                    {"ckpt": common["ckpt"], "object": "light,hard,nonslip",
+                     "labels": [0.0, 1.0, 1.0, 0.0, 0.0, 1.0], "max_steps": 5, "seed": 0,
+                     "disturb": "3:pull_down:1.0", "stride": 1, "radius": 4.0}),
+        "pca": (["pca", "--ckpt", ckpt, "--data", "data"], common | {"window": [285, 330]}),
+        "compare-forces": (["compare-forces", "--trace-a", trace, "--trace-b", trace],
+                           {"trace_a": str(out / "rolled" / "trace.csv"),
+                            "trace_b": str(out / "rolled" / "trace.csv")}),
+    }
+
+
+@pytest.mark.parametrize("command", ["topology", "gen-data", "train", "train --resume", "eval",
+                                     "rollout", "pca", "compare-forces"])
+def test_each_manifest_records_its_exact_config(pipeline, tmp_path, monkeypatch, command):
+    """Keys, their spellings and each value's JSON type: 1 is not 1.0, nor null an empty string."""
+    root, _, _ = pipeline
+    monkeypatch.chdir(root)
+    if command == "compare-forces":   # the trace it compares
+        assert main(["rollout", "--ckpt", "run/final.ckpt.json", "--object", "light,hard,nonslip",
+                     "--max-steps", "5", "--out", str(tmp_path / "rolled")]) == 0
+    argv, expected = _manifest_cases(tmp_path)[command]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 0
+    config = json.loads((tmp_path / "out" / "manifest.json").read_text())["config"]
+    assert json.dumps(config, sort_keys=True) == json.dumps(expected, sort_keys=True)
 
 
 def test_unknown_flag_exit_1(tmp_path):

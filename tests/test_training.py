@@ -223,17 +223,20 @@ def test_checkpoints_record_the_recipe(world, tmp_path):
 
 
 @pytest.mark.parametrize("key, value, rule", [
-    ("epoch", -1, "has no integer 'epoch' >= 0"),
-    ("train_seed", True, "has no integer 'train_seed' >= 0"),
-    ("target_length", None, "has no integer 'target_length' >= 11"),
-    ("batch_size", 2.0, "has no integer 'batch_size' >= 1"),
-    ("lr", float("inf"), "'lr': learning_rate must be a finite number > 0"),
-    ("lr", "1e-3", "'lr': learning_rate must be a finite number > 0"),
-    ("best_val", float("nan"), "has no finite 'best_val' >= 0 or null"),
-    ("best_val", -1.0, "has no finite 'best_val' >= 0 or null"),
+    ("epoch", -1, "epoch must be >= 0, got -1"),
+    ("train_seed", -1, "seed must be >= 0, got -1"),
+    ("train_seed", True, "seed must be an integer, got True"),
+    ("target_length", 10, "target_length must be >= 11, got 10"),
+    ("target_length", None, "target_length must be an integer, got None"),
+    ("batch_size", 2.0, "batch_size must be an integer, got 2.0"),
+    ("lr", float("inf"), "learning_rate must be a finite number > 0, got inf"),
+    ("lr", "1e-3", "learning_rate must be a finite number > 0, got '1e-3'"),
+    ("best_val", float("nan"), "best_val must be a finite number >= 0 or null, got nan"),
+    ("best_val", -1.0, "best_val must be a finite number >= 0 or null, got -1.0"),
 ])
 def test_recipe_checks_each_value(key, value, rule):
-    """Each recipe value is read from a file: a bad or missing one names the file and key."""
+    """Each recipe value is read from a file: a bad one names the file and the rule of the type
+    that owns it (TrainConfig's seed for train_seed), a missing one the file and the key."""
     extra = {"epoch": 3, "train_seed": 0, "target_length": 330, "batch_size": 100,
              "lr": 1e-3, "best_val": None}
     assert recipe("c.ckpt.json", extra)["best_val"] == math.inf
