@@ -37,7 +37,7 @@ class Option(NamedTuple):
     config: bool = False        # a --config file may set it, under the flag's name
     least: int | None = None    # the least value the command line takes
     recipe: str | None = None   # its key in a train checkpoint's extra: --resume's default
-    path: bool = False          # an input path: required, and recorded absolute
+    path: bool = False          # an input path: recorded absolute when given
     required: bool = False
     choices: tuple | None = None
 
@@ -62,8 +62,11 @@ def _sha256(path: str) -> str:
 def _write_manifest(args: argparse.Namespace, outputs: list[str], **derived) -> None:
     """--out's manifest.json: the config (each declared option's value under its key, a path
     made absolute, then the values the run derived, which win) and each output's sha256."""
-    config = {opt.key or opt.dest: os.path.abspath(getattr(args, opt.dest)) if opt.path
-              else getattr(args, opt.dest) for opt in OPTIONS[args.command] if opt.key is not None}
+    config = {}
+    for opt in OPTIONS[args.command]:
+        value = getattr(args, opt.dest)
+        if opt.key is not None:
+            config[opt.key or opt.dest] = os.path.abspath(value) if opt.path and value else value
     manifest = {
         "command": args.command,
         "config": config | derived,
@@ -361,8 +364,8 @@ def cmd_compare_forces(args) -> int:
 # the command line: each subcommand, and each of its options once
 
 _TRAIN = training.TrainConfig()   # train's defaults
-_CKPT = Option("--ckpt", path=True)
-_DATA = Option("--data", help="directory of trial CSVs", path=True)
+_CKPT = Option("--ckpt", path=True, required=True)
+_DATA = Option("--data", help="directory of trial CSVs", path=True, required=True)
 
 COMMANDS = {   # name: (function, help, options)
     "topology": (cmd_topology, "write a sensor-graph JSON (the 384-node hand by default)", [
@@ -385,13 +388,14 @@ COMMANDS = {   # name: (function, help, options)
         Option("--conv", help="custom conv widths, e.g. 8,16,24 (overrides --model)"),
         Option("--fc", help="custom hidden fc widths, e.g. 64,32"),
         Option("--epochs", int, _TRAIN.epochs, config=True),
-        Option("--batch-size", int, _TRAIN.batch_size, config=True, recipe="batch_size"),
+        Option("--batch-size", int, _TRAIN.batch_size, config=True, least=1,
+               recipe="batch_size"),
         Option("--lr", float, _TRAIN.adam.learning_rate, config=True, recipe="lr"),
         Option("--seed", int, _TRAIN.seed, config=True, least=0, recipe="train_seed"),
         Option("--target-length", int, dataset.DEFAULT_TARGET_LENGTH, config=True,
                least=training.LEAST_TARGET_LENGTH, recipe="target_length"),
         Option("--topology", str, "default", config=True),
-        Option("--resume", help="checkpoint manifest to continue from"),
+        Option("--resume", help="checkpoint manifest to continue from", path=True),
         Option("--checkpoint-every", int, _TRAIN.checkpoint_every, key=None)]),
     "eval": (cmd_eval, "mean MSE of a checkpoint over a data split", [
         _CKPT, _DATA, Option("--split", str, "val", choices=("train", "val"))]),
@@ -400,15 +404,16 @@ COMMANDS = {   # name: (function, help, options)
         Option("--object", help="true object properties, e.g. heavy,soft,nonslip",
                required=True),
         Option("--labels", help="labels fed to the model (defaults to the object's)"),
-        Option("--max-steps", int, 120),
+        Option("--max-steps", int, 120, least=1),
         Option("--seed", int, 0, least=0),
         Option("--disturb", help="step:kind:magnitude, e.g. 60:pull_down:2.0"),
-        Option("--stride", int, 1),
+        Option("--stride", int, 1, least=1),
         Option("--radius", float)]),
     "pca": (cmd_pca, "node-feature PCA map of a trained GCN", [
         _CKPT, _DATA, Option("--window", help="start:stop step range (default: final 45 steps)")]),
     "compare-forces": (cmd_compare_forces, "compare grip-force series of two traces", [
-        Option("--trace-a", path=True), Option("--trace-b", path=True)]),
+        Option("--trace-a", path=True, required=True),
+        Option("--trace-b", path=True, required=True)]),
 }
 OPTIONS = {command: options for command, (_, _, options) in COMMANDS.items()}
 
@@ -421,7 +426,7 @@ def build_parser() -> _Parser:
         if any(opt.config for opt in options):
             sp.add_argument("--config", help="JSON config supplying defaults for the flags")
         for opt in options:   # what --config may set is resolved once the file is read
-            sp.add_argument(opt.flag, help=opt.help, required=opt.required or opt.path,
+            sp.add_argument(opt.flag, help=opt.help, required=opt.required,
                             default=None if opt.config else opt.default,
                             **{"action": "store_true"} if opt.type is bool
                             else {"type": opt.type, "choices": opt.choices})

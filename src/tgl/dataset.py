@@ -42,12 +42,13 @@ def validate_labels(labels: np.ndarray) -> None:
     labels = np.asarray(labels)
     if labels.shape != (LABEL_DIM,):
         raise ValueError(f"labels must have shape ({LABEL_DIM},), got {labels.shape}")
-    if not ((labels == 0.0) | (labels == 1.0)).all():
+    values = labels.tolist()   # six Python numbers: cheaper to check than numpy ops on six
+    if not all(v == 0.0 or v == 1.0 for v in values):
         raise ValueError("labels must be 0/1 valued")
-    for k, (a, b) in enumerate(((0, 1), (2, 3), (4, 5))):
-        if labels[a] + labels[b] != 1.0:
+    for a, b in ((0, 1), (2, 3), (4, 5)):
+        if values[a] + values[b] != 1.0:
             pair = f"{LABEL_NAMES[a]}/{LABEL_NAMES[b]}"
-            raise ValueError(f"label pair {pair} must have exactly one bit set, got {labels.tolist()}")
+            raise ValueError(f"label pair {pair} must have exactly one bit set, got {values}")
 
 
 @dataclass(frozen=True)

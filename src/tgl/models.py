@@ -167,11 +167,12 @@ def _layer(stage: str, h: np.ndarray, w: Parameter, b: Parameter | None, hidden:
            tape: list | None) -> np.ndarray:
     """h·W (+ b), through ReLU when hidden; on a tape, records h, the ReLU mask, w and b.
 
-    The product and the bias sum are checked finite; ReLU keeps finite values finite.
+    The layer is checked finite once, after its last product or sum: a NaN or Inf in h or
+    in h·W reaches every later sum of its row (BLAS makes inf · 0 NaN), and ReLU keeps
+    finite values finite.
     """
-    y = _finite(matmul(h, w.value), stage=stage)
-    if b is not None:
-        y = _finite(y + b.value, stage=stage)
+    y = matmul(h, w.value)
+    y = _finite(y if b is None else y + b.value, stage=stage)
     if tape is not None:
         # the gradient is exactly 0 at the kink
         tape.append((h, _elementwise(np.greater, y, 0, bool) if hidden else None, w, b))
@@ -180,9 +181,8 @@ def _layer(stage: str, h: np.ndarray, w: Parameter, b: Parameter | None, hidden:
 
 
 def _conv_stack(params: ModelParams, x: np.ndarray, tape: list | None = None) -> np.ndarray:
-    for i, w in enumerate(params.conv_weights):
-        stage = f"conv layer {i}: "
-        x = _layer(stage, _finite(matmul(params.s_tensor, x), stage=stage), w, None, True, tape)
+    for i, w in enumerate(params.conv_weights):   # S·H is checked with its ·W
+        x = _layer(f"conv layer {i}: ", matmul(params.s_tensor, x), w, None, True, tape)
     return x
 
 

@@ -183,11 +183,17 @@ def make_plant(topology: HandTopology, obj: SyntheticObject,
     return Plant(obj=obj, cfg=cfg, onsets=onsets, finger_block=blocks, tangential=tangential)
 
 
+def _mean(x: np.ndarray, axis: int | None = None, keepdims: bool = False):
+    """x.mean(axis) as numpy computes it, one sum and one division, without its dispatch."""
+    return np.add.reduce(x, axis=axis, keepdims=keepdims) / (x.size if axis is None
+                                                            else x.shape[axis])
+
+
 def _closures(plant: Plant, joints: np.ndarray) -> np.ndarray:
     """Per-node driving closure: the node's finger block mean, or hand mean; joints (..., 16)."""
-    blocks = joints.reshape(*joints.shape[:-1], 4, 4).mean(axis=-1)
-    hand = joints.mean(axis=-1, keepdims=True)
-    return np.where(plant.finger_block >= 0, blocks[..., np.clip(plant.finger_block, 0, 3)], hand)
+    blocks = _mean(joints.reshape(*joints.shape[:-1], 4, 4), axis=-1)
+    means = np.concatenate([blocks, _mean(joints, axis=-1, keepdims=True)], axis=-1)
+    return means[..., plant.finger_block]   # block -1, the last mean, is the hand's
 
 
 def _penetration(plant: Plant, joints: np.ndarray, sag: float) -> np.ndarray:
@@ -202,14 +208,14 @@ def tactile_from_contact(plant: Plant, contact_map: np.ndarray) -> np.ndarray:
 
 
 def _support(plant: Plant, contact_map: np.ndarray) -> float:
-    mean_force = float((plant.obj.stiffness * contact_map).mean())
+    mean_force = float(_mean(plant.obj.stiffness * contact_map))
     return plant.obj.friction * mean_force / (plant.obj.mass_proxy * GRAVITY)
 
 
 def _reference_height(joints: np.ndarray) -> float:
-    closure = float(joints.mean())
+    closure = float(_mean(joints))
     frac = (closure - LIFT_START) / (LIFT_FULL - LIFT_START)
-    return GRASP_SPAN * float(np.clip(frac, 0.0, 1.0))
+    return GRASP_SPAN * min(max(frac, 0.0), 1.0)
 
 
 def _sag(peak_height: float, height: float) -> float:
@@ -245,8 +251,8 @@ def plant_step(plant: Plant, state: PlantState,
     contact = _penetration(plant, joints, _sag(state.peak_height, state.object_height))
     supported = _support(plant, contact) >= 1.0
     h_ref = _reference_height(joints) if supported else 0.0
-    delta = np.clip(h_ref - state.object_height, -FALL_RATE, RISE_RATE)
-    height = max(0.0, state.object_height + float(delta))
+    delta = min(max(h_ref - state.object_height, -FALL_RATE), RISE_RATE)
+    height = max(0.0, state.object_height + delta)
     if supported:
         tilt = max(0.0, state.object_tilt - TILT_RECOVER)
     else:

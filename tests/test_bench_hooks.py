@@ -20,12 +20,15 @@ import pytest
 
 from tgl import AdamConfig, ModelSpec, build_from_spec
 from tgl.dataset import HORIZON, PairSet, Trial
+from tgl.plant import make_object, make_plant
+from tgl.rollout import RolloutConfig, rollout
 from tgl.training import TrainConfig, evaluate, fit_pairs
 
 SPANS_PY = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
 PIPELINE_PY = SPANS_PY.with_name("pipeline.py")
 HOOKED = ("topology.propagation", "models.propagate", "models.channel_mix", "models.fc",
-          "optim.adam_step", "models.save_checkpoint", "models.load_checkpoint")
+          "optim.adam_step", "models.save_checkpoint", "models.load_checkpoint",
+          "models.forward", "plant.plant_step")
 
 
 def _load(path: Path):
@@ -68,7 +71,8 @@ def test_the_traced_benchmark_times_every_layer(tmp_path):
 
 @pytest.mark.parametrize("topo_name", ["tiny_topo", "default_topo"])
 def test_every_hooked_span_fires(tmp_path, request, topo_name):
-    """On the 6-node graph S·H runs on BLAS, on the 384-node hand on the CSR op."""
+    """On the 6-node graph S·H runs on BLAS, on the 384-node hand on the CSR op; a 5-step
+    rollout on each fires the spans the rollout stage's metrics read."""
     topo = request.getfixturevalue(topo_name)
     spans = _load(SPANS_PY)
     rng = np.random.default_rng(0)
@@ -82,5 +86,7 @@ def test_every_hooked_span_fires(tmp_path, request, topo_name):
         params = build_from_spec(spec, topo, seed=0)
         report = fit_pairs(params, pairs, None, cfg, str(tmp_path))
         evaluate(report.final_checkpoint, pairs, topo)
+        rollout(params, make_plant(topo, make_object(False, False, False)),
+                RolloutConfig(max_steps=5, labels=labels))
     fired = {name for name, *_ in tracer.spans}
     assert fired >= set(HOOKED), sorted(set(HOOKED) - fired)

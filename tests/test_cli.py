@@ -143,7 +143,7 @@ def test_gen_data_validation_exit_1(pipeline, tmp_path, capsys):
             (gen + ["--config", str(tmp_path / "noise.json")], "'sensor_noise'"),
             (gen + ["--plant-config", "x"], "--plant-config"),
             (rollout + ["--plant-config", "x"], "--plant-config"),
-            (rollout + ["--stride", "0"], "stride"),
+            (rollout + ["--stride", "0"], "--stride must be >= 1, got 0"),
             (rollout + ["--radius", "-3"], "radius"),
             (rollout + ["--disturb", "5:pull_side:nan"], "magnitude"),
             (["gen-data", "--topology", str(tmp_path / "none.json")],
@@ -292,7 +292,8 @@ def test_resume_skips_metrics_lines_that_hold_no_epoch(pipeline, tmp_path):
 
 
 @pytest.mark.parametrize("argv, named", [
-    (["train", "--batch-size", "0"], "batch_size must be >= 1"),
+    pytest.param(["train", "--batch-size", "0"], "--batch-size must be >= 1, got 0",
+                 id="argv0-batch_size must be >= 1"),
     (["train", "--conv", "4"], "--conv requires --fc"),
     (["pca", "--ckpt", "none.ckpt.json", "--window", "abc"], "--window must look like"),
     (["pca", "--ckpt", "none.ckpt.json", "--window", "10:5"], "--window needs 0 <= start < stop"),
@@ -310,6 +311,15 @@ def test_flags_are_checked_before_any_data_is_read(tmp_path, capsys, argv, named
     capsys.readouterr()
     assert main(argv + ["--data", str(data), "--out", str(tmp_path / "out")]) == 1
     assert named in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("flag", ["--max-steps", "--stride"])
+def test_rollout_counts_are_checked_before_the_checkpoint_is_read(tmp_path, capsys, flag):
+    argv = ["rollout", "--ckpt", str(tmp_path / "none.ckpt.json"), "--object", "light,hard,nonslip"]
+    capsys.readouterr()
+    assert main(argv + [flag, "0", "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"error: {flag} must be >= 1, got 0\n"
     assert not (tmp_path / "out").exists()
 
 
@@ -958,7 +968,7 @@ def test_every_input_file_fails_by_name(pipeline, case, draw):
 
 def _manifest_cases(out: Path) -> dict:
     """(argv, its manifest's exact config) of each command, run from the pipeline's root with
-    relative input paths: the manifest records them absolute, `--resume` as given."""
+    relative input paths: the manifest records them absolute, `--resume` too."""
     cwd = os.getcwd()
     ckpt, trace = "run/final.ckpt.json", os.path.relpath(out / "rolled" / "trace.csv")
     common = {"ckpt": os.path.join(cwd, ckpt), "data": os.path.join(cwd, "data"),
@@ -974,7 +984,7 @@ def _manifest_cases(out: Path) -> dict:
         "train": (TRAIN[:at] + ["--epochs", "1"] + TRAIN[at + 2:] + ["--data", "data"], train),
         "train --resume": (["train", "--resume", ckpt, "--epochs", "1", "--data", "data"],
                            train | {"model": None, "conv": None, "fc": None, "topology": None,
-                                    "resume": ckpt}),
+                                    "resume": common["ckpt"]}),
         "eval": (["eval", "--ckpt", ckpt, "--data", "data"], common | {"split": "val", "seed": 3}),
         "rollout": (["rollout", "--ckpt", ckpt, "--object", "light,hard,nonslip",
                      "--labels", "heavy,hard,slippery", "--max-steps", "5",

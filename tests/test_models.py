@@ -189,6 +189,97 @@ def test_overflow_names_the_layer(tiny_topo, default_topo):
             forward_batch(m, np.full((1, topo.n, 3), 1e10), np.zeros((1, 22)))
 
 
+# A forward checks each layer once, after its last product or sum.  That is enough because
+# a NaN or Inf in a product's input reaches every output of its row, as the tests below show.
+NON_FINITE = "non-finite values in tensor data"
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+def test_the_blas_in_use_makes_inf_times_zero_nan():
+    """A weight row of zeros does not hide an Inf in the input: inf · 0 is NaN."""
+    rng = np.random.default_rng(5)
+    w = rng.normal(size=(32, 24))
+    w[7] = 0.0
+    x = rng.normal(size=(3, 40, 32))
+    x[1, 5, 7] = np.inf
+    for y in (x[1] @ w, (x @ w)[1]):   # a 2-D product and a stacked one
+        assert np.isnan(y[5]).all()
+        assert np.isfinite(np.delete(y, 5, axis=0)).all()
+    # a batch-1 fc input whose taxels are silent takes the one-row product: an Inf is nonzero
+    one = np.zeros((1, 4096))
+    one[0, [3, 50]] = 1.0, np.inf
+    big = rng.normal(size=(4096, 80))
+    big[50] = 0.0
+    assert np.isnan(matmul(one, big)).all()
+
+
+def _overflowing(s, x: np.ndarray) -> bool:
+    """Whether S·x overflows where x is finite."""
+    with np.errstate(over="ignore"):
+        return np.isfinite(x).all() and np.isinf(matmul(s, x)).any()
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+@pytest.mark.parametrize("topo_name", ["small_topo", "default_topo"])   # BLAS S·H, CSR S·H
+def test_an_inf_that_s_h_makes_names_its_conv_layer(request, topo_name):
+    """S·H is checked with its ·W: the Inf it makes reaches ·W, whose check names the layer.
+
+    Rows of S sum to more than 1 at some nodes, so S·H overflows near the largest float.
+    A tiny next weight keeps every row that S·H left finite finite.
+    """
+    topo = request.getfixturevalue(topo_name)
+    m = build_from_spec(TOY, topo, seed=0)
+    top, rows = np.finfo(np.float64).max, propagation_for(topo).sum(axis=1)
+    ones = np.ones((1, topo.n, 3))
+    # layer 0: S·H of the input overflows
+    m.conv_weights[0].value[:] = 1e-10
+    assert _overflowing(m.s_tensor, top / 1.01 * ones)
+    for call in (lambda: predict(m, top / 1.01 * ones, np.zeros((1, 22))),
+                 lambda: forward(m, top / 1.01 * ones[0], np.zeros(16), LABELS)):
+        with pytest.raises(NonFiniteError, match=f"^conv layer 0: {NON_FINITE}$"):
+            call()
+    # layer 1: the layer-0 output, 3w times each row sum of S, is finite, and S times it is not
+    w = top / (1.005 * 3 * rows.max())
+    m.conv_weights[0].value[:] = w
+    m.conv_weights[1].value[:] = 1e-10
+    assert _overflowing(m.s_tensor, np.tile(3 * w * rows[:, None], (1, 1, 4)))
+    for call in (lambda: predict(m, ones, np.zeros((1, 22))),
+                 lambda: forward(m, ones[0], np.zeros(16), LABELS)):
+        with pytest.raises(NonFiniteError, match=f"^conv layer 1: {NON_FINITE}$"):
+            call()
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize("layer", [0, 1])
+def test_an_fc_product_that_overflows_before_its_bias_names_its_layer(layer, tiny_topo):
+    m = build_from_spec(ModelSpec("GCN", (4,), (8, 8)), tiny_topo, seed=0)
+    for w in m.fc_weights[:layer]:
+        w.value[:] = 1.0
+    m.fc_weights[layer].value[:] = 1e300
+    aux = np.full((1, 22), 1e10)
+    # silent taxels leave the conv features 0, so fc layer 0 sees them and aux, fc layer 1 22e10
+    h = np.full((1, 8), 22e10) if layer \
+        else np.concatenate([np.zeros((1, 4 * tiny_topo.n)), aux], axis=1)
+    with np.errstate(over="ignore"):
+        assert np.isfinite(h).all() and np.isinf(h @ m.fc_weights[layer].value).all()
+    with pytest.raises(NonFiniteError, match=f"^fc layer {layer}: {NON_FINITE}$"):
+        predict(m, np.zeros((1, tiny_topo.n, 3)), aux)
+
+
+@pytest.mark.parametrize("topo_name", ["small_topo", "default_topo"])
+def test_a_forward_makes_one_finite_check_per_layer(request, topo_name, monkeypatch):
+    """The toy GCN's two inputs, three conv layers and three fc layers: 8 checks."""
+    topo = request.getfixturevalue(topo_name)
+    m = build_from_spec(BENCH_GCN, topo, seed=0)
+    checks = []
+    monkeypatch.setattr(tgl.tensor, "_all_finite",
+                        lambda arr, check=tgl.tensor._all_finite: checks.append(1) or check(arr))
+    tactile = np.random.default_rng(6).uniform(0.0, 1.0, (2, topo.n, 3))
+    forward(m, tactile[0], np.zeros(16), LABELS)
+    assert len(checks) == 8
+    predict(m, tactile, np.zeros((2, 22)))
+    assert len(checks) == 16
+
+
 def test_propagation_of_a_sample_ignores_its_batch(default_topo):
     m = build_from_spec(TOY, default_topo, seed=0)
     assert m.s_tensor.block is not None

@@ -7,10 +7,12 @@ import numpy as np
 import pytest
 
 from tgl import plant as P
+from tgl.models import ModelSpec, build_from_spec, forward
 from tgl.plant import (Disturbance, PlantConfig, PlantState, apply_disturbance, closure_target,
                        distance_to_palm, generate_dataset_trials, generate_trial,
                        initial_state, make_object, make_plant, object_catalog,
                        plant_step)
+from tgl.rollout import RolloutConfig, rollout
 
 import tgl
 
@@ -234,6 +236,133 @@ def generate_trial_per_frame(plant, seed: int, length: int):
             tactile = tactile + noise[t] * (contact > 0)[:, None]
         frames.append(tactile)
     return joints, np.stack(frames)
+
+
+def contact_per_step(plant, joints, sag: float) -> np.ndarray:
+    """Reference: one step's penetration by the np.where/np.clip/.mean() formulas."""
+    blocks = joints.reshape(4, 4).mean(axis=1)
+    closure = np.where(plant.finger_block >= 0,
+                       blocks[np.clip(plant.finger_block, 0, 3)], joints.mean())
+    return np.maximum(0.0, closure - plant.onsets - sag)
+
+
+def tactile_per_step(plant, contact) -> np.ndarray:
+    normal = plant.obj.stiffness * contact
+    tang = P.TANGENTIAL_GAIN * plant.obj.friction * normal[:, None] * plant.tangential
+    return np.concatenate([tang, normal[:, None]], axis=1)
+
+
+def sag_per_step(peak_height: float, height: float) -> float:
+    return P.SAG_GAIN * max(0.0, peak_height - height) / P.GRASP_SPAN
+
+
+def plant_step_per_step(plant, state, cmd):
+    """Reference: `plant_step` written out with numpy calls on arrays and scalars alike."""
+    cmd = np.asarray(cmd, dtype=np.float64)
+    clipped = np.clip(cmd, P.JOINT_MIN, P.JOINT_MAX)
+    joints = state.joints + np.clip(clipped - state.joints, -P.RATE_LIMIT, P.RATE_LIMIT)
+    contact = contact_per_step(plant, joints, sag_per_step(state.peak_height,
+                                                           state.object_height))
+    mean_force = float((plant.obj.stiffness * contact).mean())
+    supported = plant.obj.friction * mean_force / (plant.obj.mass_proxy * P.GRAVITY) >= 1.0
+    frac = (float(joints.mean()) - P.LIFT_START) / (P.LIFT_FULL - P.LIFT_START)
+    h_ref = P.GRASP_SPAN * float(np.clip(frac, 0.0, 1.0)) if supported else 0.0
+    delta = np.clip(h_ref - state.object_height, -P.FALL_RATE, P.RISE_RATE)
+    height = max(0.0, state.object_height + float(delta))
+    tilt = max(0.0, state.object_tilt - P.TILT_RECOVER) if supported \
+        else min(P.TILT_CAP, state.object_tilt + P.TILT_DRIFT)
+    new = PlantState(joints=joints, object_height=height, object_tilt=tilt, contact_map=contact,
+                     clamped=bool((clipped != cmd).any()),
+                     peak_height=max(state.peak_height, height))
+    return new, tactile_per_step(plant, contact)
+
+
+def apply_disturbance_per_step(plant, state, d):
+    if d.kind == "pull_down":
+        height, tilt = max(0.0, state.object_height - d.magnitude), state.object_tilt
+    else:
+        height, tilt = state.object_height, min(P.TILT_CAP, state.object_tilt + d.magnitude)
+    contact = contact_per_step(plant, state.joints, sag_per_step(state.peak_height, height))
+    return replace(state, object_height=height, object_tilt=tilt, contact_map=contact)
+
+
+def state_bytes(state) -> bytes:
+    return state.joints.tobytes() + state.contact_map.tobytes() + np.array(
+        [state.object_height, state.object_tilt, state.peak_height, state.clamped]).tobytes()
+
+
+def _hand(name):
+    return tgl.build_small_hand() if name == "small" else tgl.build_default_hand()
+
+
+@pytest.mark.parametrize("hand", ["small", "default"])
+def test_plant_step_and_disturbances_match_the_per_step_reference_bitwise(hand):
+    """Closing, lifting, clamping, both pulls and the sag they leave, step by step."""
+    topo, rng = _hand(hand), np.random.default_rng(11)
+    for i, obj in enumerate(object_catalog()[::3]):
+        plant = make_plant(topo, replace(obj, radius=0.85 + 0.1 * i))
+        state = initial_state(plant, seed=i)
+        lifted = sagged = clamped = 0
+        for t in range(160):
+            if t in (70, 110):
+                d = Disturbance(t, "pull_down" if t == 70 else "pull_side", 1.7)
+                got, want = apply_disturbance(plant, state, d), \
+                    apply_disturbance_per_step(plant, state, d)
+                assert state_bytes(got) == state_bytes(want)
+                state = got
+            cmd = min(1.4, 0.05 + 0.012 * t) + rng.uniform(-0.05, 0.05, 16)
+            cmd[t % 16] += 2.0 * (t % 9 == 0)   # out of the joint box now and then
+            (got, tactile), (want, tactile_ref) = plant_step(plant, state, cmd), \
+                plant_step_per_step(plant, state, cmd)
+            assert state_bytes(got) == state_bytes(want), t
+            assert tactile.tobytes() == tactile_ref.tobytes(), t
+            lifted += got.object_height > 0
+            sagged += got.object_height < got.peak_height
+            clamped += got.clamped
+            state = got
+        assert lifted and sagged and clamped   # every branch of the step was taken
+
+
+def rollout_per_step(params, plant, cfg, seed):
+    """Reference: `rollout`'s loop over the per-step plant; (command, state, tactile) a step."""
+    state = initial_state(plant, seed)
+    tactile = tactile_per_step(plant, state.contact_map)
+    command, steps = state.joints.copy(), []
+    for t in range(cfg.max_steps):
+        if cfg.disturbance is not None and t == cfg.disturbance.step:
+            state = apply_disturbance_per_step(plant, state, cfg.disturbance)
+            tactile = tactile_per_step(plant, state.contact_map)
+        if t % cfg.command_stride == 0:
+            command = forward(params, tactile, state.joints, cfg.labels)
+        state, tactile = plant_step_per_step(plant, state, command)
+        steps.append((command.copy(), state, tactile))
+    return steps
+
+
+@pytest.mark.parametrize("hand", ["small", "default"])
+@pytest.mark.parametrize("pull", [None, "pull_down"])
+def test_a_rollout_matches_the_per_step_reference_bitwise(hand, pull):
+    """A GCN whose only nonzero parameter is its output bias commands one closing pose, so
+    the rollout grasps, lifts, and after a pull sags and lifts again."""
+    topo = _hand(hand)
+    params = build_from_spec(ModelSpec("GCN", (2,), (4,)), topo, seed=0)
+    params.buffer[:] = 0.0
+    params.fc_biases[-1].value[:] = 1.3
+    obj = object_catalog()[0]
+    cfg = RolloutConfig(max_steps=90, labels=obj.labels,
+                        disturbance=Disturbance(50, pull, 2.0) if pull else None)
+    plant = make_plant(topo, obj)
+    trace = rollout(params, plant, cfg, seed=3)
+    reference = rollout_per_step(params, plant, cfg, seed=3)
+    assert len(trace) == len(reference)
+    for step, (command, state, tactile) in zip(trace.steps, reference):
+        assert step.commanded.tobytes() == command.tobytes()
+        assert state_bytes(step.state) == state_bytes(state)
+        assert step.tactile.tobytes() == tactile.tobytes()
+    heights = trace.heights()
+    assert heights.max() == P.GRASP_SPAN
+    if pull:
+        assert heights[50] < heights[49] and heights[-1] == P.GRASP_SPAN
 
 
 @pytest.mark.parametrize("hand", ["small", "default"])
