@@ -155,10 +155,13 @@ def _settings(args: argparse.Namespace, defaults: dict | None = None) -> None:
             allowed, name = _JSON_TYPES[opt.type]
             if isinstance(value, bool) or not isinstance(value, allowed):
                 raise ValueError(f"config key {key!r} must be {name}, got {json.dumps(value)}")
+            if opt.choices and value not in opt.choices:   # as argparse checks the flag
+                raise ValueError(f"config key {key!r} must be one of {list(opt.choices)}, "
+                                 f"got {json.dumps(value)}")
         if value is None:
             value = (defaults or {}).get(opt.dest, opt.default)
         if opt.least is not None:
-            training.at_least(opt.flag, value, opt.least)
+            dataset.at_least(opt.flag, value, opt.least)
         setattr(args, opt.dest, value)
 
 
@@ -187,11 +190,7 @@ def cmd_gen_data(args) -> int:
         raise ValueError(f"--length {args.length} needs about {need / 2**30:,.0f} GiB for one "
                          f"trial, more than this machine's {memory / 2**30:,.1f} GiB of memory")
     pcfg = plant.PlantConfig(sensor_noise=args.noise)
-    catalog = plant.object_catalog()
-    if not (1 <= args.objects <= len(catalog)):
-        raise ValueError(f"--objects must lie in 1..{len(catalog)}, got {args.objects}")
-    objects, trials_per = catalog[:args.objects], args.trials_per
-    jobs = ((obj, oi, k) for oi, obj in enumerate(objects) for k in range(trials_per))
+    objects, trials_per = plant.object_catalog()[:args.objects], args.trials_per
     # train, eval and pca read every CSV in a data directory: another run's would join this one
     _refuse_strays(args.out, "trial CSVs", (".csv",), lambda name, k: 0 <= k < trials_per and any(
         name == f"{plant.trial_name(obj, k)}.csv" for obj in objects))
@@ -211,9 +210,8 @@ def cmd_gen_data(args) -> int:
                          f"GiB, more than the {free / 2**30:,.1f} GiB free on {there}")
     os.makedirs(args.out, exist_ok=True)
     paths = []
-    for job in jobs:
-        trial = plant.generate_object_trial(topo, *job, seed=args.seed, length=args.length,
-                                            cfg=pcfg)
+    for trial in plant.generate_dataset_trials(topo, objects, trials_per, args.seed, args.length,
+                                               pcfg):
         paths.append(os.path.join(args.out, f"{trial.object_name}.csv"))
         dataset.write_trial_csv(trial, paths[-1])
     _write_manifest(args, paths)   # its config, fed back as --config, reruns the run
@@ -372,7 +370,8 @@ COMMANDS = {   # name: (function, help, options)
         Option("--small", bool, False, "24-node desk-scale hand")]),
     "gen-data": (cmd_gen_data, "generate synthetic trial CSVs", [   # keyed as --config is,
         # its manifest's config reruns the run
-        Option("--objects", int, 8, "number of object property combos (1..8)", config=True),
+        Option("--objects", int, 8, "number of object property combos", config=True,
+               choices=tuple(range(1, len(plant.object_catalog()) + 1))),
         Option("--trials-per", int, 10, "trials per object", key="trials-per", config=True,
                least=1),
         Option("--seed", int, 7, config=True, least=0),

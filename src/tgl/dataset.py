@@ -9,6 +9,7 @@ at t+horizon) pairs.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import NoReturn
@@ -49,6 +50,26 @@ def validate_labels(labels: np.ndarray) -> None:
         if values[a] + values[b] != 1.0:
             pair = f"{LABEL_NAMES[a]}/{LABEL_NAMES[b]}"
             raise ValueError(f"label pair {pair} must have exactly one bit set, got {values}")
+
+
+def at_least(name: str, value, least: int | float) -> None:
+    """ValueError naming `name` unless value >= least and is never a bool: an int when least is
+    an int (each count, step, seed and length), else a finite int or float (each scale)."""
+    if type(least) is int:
+        if type(value) is not int:
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+        if value < least:
+            raise ValueError(f"{name} must be >= {least}, got {value!r}")
+    elif isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or not least <= value < math.inf:
+        raise ValueError(f"{name} must be a finite number >= {least:g}, got {value!r}")
+
+
+def positive(name: str, value) -> None:
+    """ValueError naming `name` unless value is a finite int or float > 0, never a bool: each
+    strict rate and size."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 < value < math.inf:
+        raise ValueError(f"{name} must be a finite number > 0, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -159,8 +180,7 @@ def smooth(trial: Trial) -> Trial:
 
 def downsample(trial: Trial, target_length: int = DEFAULT_TARGET_LENGTH) -> Trial:
     """Keep round(i*(L-1)/(target-1)) for i in 0..target-1; endpoints survive."""
-    if target_length < 2:
-        raise ValueError(f"target_length must be >= 2, got {target_length}")
+    at_least("target_length", target_length, 2)
     length = len(trial)
     if length < target_length:
         raise ValueError(f"trial has {length} frames, cannot downsample to {target_length}")

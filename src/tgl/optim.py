@@ -1,11 +1,11 @@
 """Parameters and the Adam update rule."""
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .dataset import positive
 from .tensor import NonFiniteError, _all_finite, _finite, _in_pieces, _splits
 
 # Elements per block of the Adam update: value, gradient, both moments and the
@@ -23,9 +23,7 @@ class AdamConfig:
     learning_rate: float = 1e-5
 
     def __post_init__(self):
-        lr = self.learning_rate
-        if isinstance(lr, bool) or not isinstance(lr, (int, float)) or not 0 < lr < math.inf:
-            raise ValueError(f"learning_rate must be a finite number > 0, got {lr!r}")
+        positive("learning_rate", self.learning_rate)
 
 
 class Parameter:

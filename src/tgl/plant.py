@@ -21,12 +21,12 @@ bitwise.
 """
 from __future__ import annotations
 
-import math
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dataset import Trial, encode_labels
+from .dataset import Trial, at_least, encode_labels, positive
 from .topology import HandTopology
 
 GOLDEN_ANGLE = 2.399963229728653
@@ -86,11 +86,7 @@ class PlantConfig:
     sensor_noise: float = 0.0
 
     def __post_init__(self):
-        value = self.sensor_noise
-        if isinstance(value, bool) or not isinstance(value, (int, float)) \
-                or not (math.isfinite(value) and value >= 0):
-            raise ValueError(f"plant config field 'sensor_noise' must be a finite number >= 0, "
-                             f"got {value!r}")
+        at_least("plant config field 'sensor_noise'", self.sensor_noise, 0.0)
 
 
 @dataclass(frozen=True)
@@ -112,8 +108,7 @@ class SyntheticObject:
 def make_object(heavy: bool, soft: bool, slippery: bool, radius: float | None = None,
                 name: str | None = None) -> SyntheticObject:
     radius = BASE_RADIUS if radius is None else radius
-    if not (math.isfinite(radius) and radius > 0):
-        raise ValueError(f"object radius must be finite and > 0, got {radius}")
+    positive("radius", radius)
     stiffness = HARD_STIFFNESS * (SOFT_STIFFNESS_FACTOR if soft else 1.0)
     friction = BASE_FRICTION * (SLIPPERY_FRICTION_FACTOR if slippery else 1.0)
     mass = LIGHT_MASS * (HEAVY_MASS_FACTOR if heavy else 1.0)
@@ -278,9 +273,8 @@ class Disturbance:
         if self.kind not in DISTURBANCE_KINDS:
             raise ValueError(f"unknown disturbance kind {self.kind!r}; "
                              f"expected {' or '.join(DISTURBANCE_KINDS)}")
-        if not (math.isfinite(self.magnitude) and self.magnitude > 0):
-            raise ValueError(f"disturbance magnitude must be finite and positive, "
-                             f"got {self.magnitude}")
+        at_least("step", self.step, 0)
+        positive("magnitude", self.magnitude)
 
 
 def apply_disturbance(plant: Plant, state: PlantState, disturbance: Disturbance) -> PlantState:
@@ -313,8 +307,7 @@ def generate_trial(plant: Plant, seed: int, length: int = 700) -> Trial:
     grip never sags and tactile is a pure function of closure.  Sensor
     noise (if configured) applies only where a node is in contact.
     """
-    if length < MIN_TRIAL_LENGTH:
-        raise ValueError(f"trial length must be >= {MIN_TRIAL_LENGTH}, got {length}")
+    at_least("length", length, MIN_TRIAL_LENGTH)
     rng = np.random.default_rng((202, seed))
     target = closure_target(plant)
     t_mid = MID_FRACTION * length
@@ -356,9 +349,9 @@ def generate_object_trial(topology: HandTopology, obj: SyntheticObject, index: i
 
 def generate_dataset_trials(topology: HandTopology, objects: list[SyntheticObject],
                             trials_per: int, seed: int, length: int = 700,
-                            cfg: PlantConfig = PlantConfig()) -> list[Trial]:
-    """trials_per demonstrations per object, object-major (see generate_object_trial)."""
-    if trials_per < 1:
-        raise ValueError(f"trials_per must be >= 1, got {trials_per}")
-    return [generate_object_trial(topology, obj, oi, k, seed, length, cfg)
-            for oi, obj in enumerate(objects) for k in range(trials_per)]
+                            cfg: PlantConfig = PlantConfig()) -> Iterator[Trial]:
+    """trials_per demonstrations per object, object-major (see generate_object_trial), each
+    drawn as it is taken; trials_per is checked at the call."""
+    at_least("trials_per", trials_per, 1)
+    return (generate_object_trial(topology, obj, oi, k, seed, length, cfg)
+            for oi, obj in enumerate(objects) for k in range(trials_per))

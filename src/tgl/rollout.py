@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import csv_header, csv_line, read_csv, validate_labels, write_json
+from .dataset import at_least, csv_header, csv_line, read_csv, validate_labels, write_json
 from .models import ModelParams, forward
 from .plant import Disturbance, Plant, PlantState, apply_disturbance, distance_to_palm, \
     initial_state, plant_step, tactile_from_contact
@@ -30,14 +30,12 @@ class RolloutConfig:
     command_stride: int = 1   # re-predict every step by default
 
     def __post_init__(self):
-        if self.max_steps < 1:
-            raise ValueError(f"max_steps must be >= 1, got {self.max_steps}")
+        at_least("max_steps", self.max_steps, 1)
+        at_least("command_stride", self.command_stride, 1)
         object.__setattr__(self, "labels", np.asarray(self.labels, dtype=np.float64))
         validate_labels(self.labels)
-        if self.command_stride < 1:
-            raise ValueError(f"command_stride must be >= 1, got {self.command_stride}")
         d = self.disturbance
-        if d is not None and not (0 <= d.step < self.max_steps):
+        if d is not None and d.step >= self.max_steps:   # Disturbance holds step >= 0
             raise ValueError(f"disturbance step {d.step} outside 0..{self.max_steps - 1}")
 
 

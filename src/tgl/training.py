@@ -10,20 +10,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import HORIZON, Dataset, PairSet, split
+from .dataset import HORIZON, Dataset, PairSet, at_least, split
 from .models import MODEL_TABLE, Manifest, ModelParams, ModelSpec, build_from_spec, \
     checkpoint_blob, forward_batch, load_checkpoint, predict, read_manifest, save_checkpoint
 from .optim import AdamConfig, adam_step
 from .tensor import NonFiniteError, backward, mse_loss
 from .topology import HandTopology
-
-
-def at_least(name: str, value, least: int) -> None:
-    """ValueError unless value is an int, not a bool, >= least: the one rule of each count,
-    seed and length a run takes, from a flag, a config file or a checkpoint."""
-    if type(value) is not int or value < least:
-        rule = f">= {least}" if type(value) is int else "an integer"
-        raise ValueError(f"{name} must be {rule}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -173,9 +165,6 @@ def _best_kept(out_dir: str, epoch: int, best_val: float) -> str | None:
 
 # a trial yields pairs only with more frames than the horizon
 LEAST_TARGET_LENGTH = HORIZON + 1
-# The least value of each recipe integer no type owns; TrainConfig owns the recipe's
-# train_seed, batch_size and lr (as its seed, batch_size and learning_rate)
-_RECIPE_INTEGERS = {"epoch": 0, "target_length": LEAST_TARGET_LENGTH}
 
 
 def recipe(path: str, extra: dict) -> dict:
@@ -183,14 +172,14 @@ def recipe(path: str, extra: dict) -> dict:
     as +inf.  The recipe's values come from a file, so ValueError names the file and the
     missing key, or the rule a value breaks.
     """
-    try:
-        for key, least in _RECIPE_INTEGERS.items():
-            at_least(key, extra[key], least)
+    try:   # TrainConfig owns train_seed, batch_size and lr (its seed, batch_size, learning_rate)
+        at_least("epoch", extra["epoch"], 0)
+        at_least("target_length", extra["target_length"], LEAST_TARGET_LENGTH)
         TrainConfig(batch_size=extra["batch_size"], seed=extra["train_seed"],
                     adam=AdamConfig(learning_rate=extra["lr"]))
         best = extra["best_val"]
-        if best is not None and not (type(best) in (int, float) and 0 <= best < math.inf):
-            raise ValueError(f"best_val must be a finite number >= 0 or null, got {best!r}")
+        if best is not None:
+            at_least("best_val", best, 0.0)
     except KeyError as e:
         raise ValueError(f"checkpoint {path}: extra has no {e}") from None
     except ValueError as e:

@@ -117,8 +117,8 @@ def test_gen_data_matches_generate_dataset_trials(tmp_path):
     out = tmp_path / "data"
     assert main(["gen-data", "--topology", "small", "--objects", "2", "--trials-per", "2",
                  "--seed", "5", "--length", "200", "--out", str(out)]) == 0
-    trials = generate_dataset_trials(build_small_hand(), object_catalog()[:2], 2,
-                                     seed=5, length=200)
+    trials = list(generate_dataset_trials(build_small_hand(), object_catalog()[:2], 2,
+                                          seed=5, length=200))
     assert sorted(p for p in os.listdir(out) if p.endswith(".csv")) == \
         sorted(f"{t.object_name}.csv" for t in trials)
     for trial in trials:

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import ast
+import math
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,11 @@ import tgl
 from tgl.dataset import (HORIZON, SMOOTH_MIN_LEN, Dataset, PairSet, Trial, downsample,
                          encode_labels, preprocess, read_trial_csv, smooth, split, trim_static,
                          validate_labels, write_json, write_trial_csv)
+from tgl.optim import AdamConfig
+from tgl.plant import MIN_TRIAL_LENGTH, Disturbance, PlantConfig, generate_dataset_trials, \
+    generate_trial, make_object, make_plant, object_catalog
+from tgl.rollout import RolloutConfig
+from tgl.training import LEAST_TARGET_LENGTH, TrainConfig, recipe
 
 LABELS = encode_labels(heavy=False, soft=False, slippery=False)
 
@@ -430,13 +436,93 @@ def test_write_json_layout(tmp_path):
 def test_only_the_json_owners_call_json(call, owners):
     """Every JSON artifact is written by write_json and every JSON input read by read_json, so
     a change to either is one edit."""
+    assert _owners(lambda line: call in line) == owners
+
+
+def _owners(matches) -> list[tuple[str, str | None]]:
+    """(module, enclosing `Class.function`, or None at module level) of each line of the
+    package's source that `matches`, in file and line order."""
     found = []
     for path in sorted(Path(tgl.__file__).parent.rglob("*.py")):
         text = path.read_text()
-        defs = [f for f in ast.walk(ast.parse(text)) if isinstance(f, ast.FunctionDef)]
+        scopes = [node for node in ast.walk(ast.parse(text))
+                  if isinstance(node, (ast.ClassDef, ast.FunctionDef))]
         for lineno, line in enumerate(text.splitlines(), start=1):
-            if call in line:
-                owners_here = [f for f in defs if f.lineno <= lineno <= f.end_lineno]
-                innermost = max(owners_here, key=lambda f: f.lineno, default=None)
-                found.append((path.name, innermost.name if innermost else None))
-    assert found == owners
+            if matches(line):
+                around = sorted((node for node in scopes
+                                 if node.lineno <= lineno <= node.end_lineno),
+                                key=lambda node: node.lineno)
+                found.append((path.name, ".".join(node.name for node in around) or None))
+    return found
+
+
+RANGE_WORDING = ("must be >=", "must be an integer", "finite number", "must lie in")
+
+
+def test_only_the_rule_owners_state_a_range():
+    """Each count, step, size and rate a library type takes is checked by `at_least` or
+    `positive`, so a rule and its message are one edit; the invariants kept apart are these."""
+    assert sorted(set(_owners(lambda line: any(w in line for w in RANGE_WORDING)))) == [
+        ("dataset.py", "at_least"),
+        ("dataset.py", "positive"),
+        ("models.py", "ModelParams.__post_init__"),   # a seed has no least, as a checkpoint
+        ("models.py", "read_manifest"),               # records it
+        ("pca.py", "pca"),                            # k's range is the data's shape
+        ("plant.py", "PlantState.__post_init__"),     # runs every plant step
+        ("topology.py", "_integer"),                  # takes numpy integers too
+    ]
+
+
+_RECIPE = {"epoch": 3, "train_seed": 0, "target_length": 330, "batch_size": 100, "lr": 1e-3,
+           "best_val": None}
+_SMALL = tgl.build_small_hand()
+
+# (what the message starts with, a call that takes the value, the least value: an int, a
+# float, or None for a number > 0)
+RANGE_RULES = {
+    "AdamConfig.learning_rate": ("learning_rate", lambda v: AdamConfig(learning_rate=v), None),
+    "PlantConfig.sensor_noise": ("plant config field 'sensor_noise'",
+                                 lambda v: PlantConfig(sensor_noise=v), 0.0),
+    "make_object.radius": ("radius", lambda v: make_object(False, False, False, radius=v), None),
+    "Disturbance.step": ("step", lambda v: Disturbance(step=v, kind="pull_side", magnitude=30.0),
+                         0),
+    "Disturbance.magnitude": ("magnitude",
+                              lambda v: Disturbance(step=0, kind="pull_side", magnitude=v), None),
+    "generate_trial.length": ("length", lambda v: generate_trial(
+        make_plant(_SMALL, object_catalog()[0]), seed=0, length=v), MIN_TRIAL_LENGTH),
+    # refused at the call, before the first trial is drawn
+    "generate_dataset_trials.trials_per": ("trials_per", lambda v: generate_dataset_trials(
+        _SMALL, object_catalog()[:1], v, seed=0), 1),
+    "RolloutConfig.max_steps": ("max_steps", lambda v: RolloutConfig(max_steps=v, labels=LABELS),
+                                1),
+    "RolloutConfig.command_stride": ("command_stride", lambda v: RolloutConfig(
+        max_steps=1, labels=LABELS, command_stride=v), 1),
+    "downsample.target_length": ("target_length",
+                                 lambda v: downsample(make_trial(np.zeros((30, 16))), v), 2),
+    "TrainConfig.batch_size": ("batch_size", lambda v: TrainConfig(batch_size=v), 1),
+    "TrainConfig.epochs": ("epochs", lambda v: TrainConfig(epochs=v), 1),
+    "TrainConfig.checkpoint_every": ("checkpoint_every", lambda v: TrainConfig(checkpoint_every=v),
+                                     0),
+    "TrainConfig.seed": ("seed", lambda v: TrainConfig(seed=v), 0),
+    **{f"recipe.{key}": (f"checkpoint c.ckpt.json: extra {key}",
+                         lambda v, key=key: recipe("c.ckpt.json", _RECIPE | {key: v}), least)
+       for key, least in (("epoch", 0), ("target_length", LEAST_TARGET_LENGTH),
+                          ("best_val", 0.0))},
+}
+
+
+@pytest.mark.parametrize("field", RANGE_RULES)
+def test_each_count_step_and_rate_refuses_what_its_rule_does(field):
+    """The least value constructs; a bool, NaN, +-inf, a string, a value just below the least
+    and, for an integer, a float (even a whole one) raise ValueError naming the field."""
+    prefix, call, least = RANGE_RULES[field]
+    call(math.ulp(0.0) if least is None else least)
+    bad = [True, math.nan, math.inf, -math.inf, "1"]
+    if type(least) is int:
+        bad += [float(least), least + 0.5, least - 1]
+    else:
+        bad += [0.0 if least is None else math.nextafter(least, -math.inf)]
+    for value in bad:
+        with pytest.raises(ValueError) as refused:
+            call(value)
+        assert str(refused.value).startswith(f"{prefix} must be "), (value, refused.value)

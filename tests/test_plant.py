@@ -403,11 +403,11 @@ def test_generate_trial_length_floor(topo):
 
 
 def test_generate_dataset_trials_radius_jitter(topo):
-    trials = generate_dataset_trials(topo, object_catalog()[:2], 3, seed=5, length=120)
+    trials = list(generate_dataset_trials(topo, object_catalog()[:2], 3, seed=5, length=120))
     assert len(trials) == 6
     names = [t.object_name for t in trials]
     assert len(set(names)) == 6
-    rerun = generate_dataset_trials(topo, object_catalog()[:2], 3, seed=5, length=120)
+    rerun = list(generate_dataset_trials(topo, object_catalog()[:2], 3, seed=5, length=120))
     for a, b in zip(trials, rerun):
         np.testing.assert_array_equal(a.joints, b.joints)
 

@@ -231,8 +231,8 @@ def test_checkpoints_record_the_recipe(world, tmp_path):
     ("batch_size", 2.0, "batch_size must be an integer, got 2.0"),
     ("lr", float("inf"), "learning_rate must be a finite number > 0, got inf"),
     ("lr", "1e-3", "learning_rate must be a finite number > 0, got '1e-3'"),
-    ("best_val", float("nan"), "best_val must be a finite number >= 0 or null, got nan"),
-    ("best_val", -1.0, "best_val must be a finite number >= 0 or null, got -1.0"),
+    ("best_val", float("nan"), "best_val must be a finite number >= 0, got nan"),
+    ("best_val", -1.0, "best_val must be a finite number >= 0, got -1.0"),
 ])
 def test_recipe_checks_each_value(key, value, rule):
     """Each recipe value is read from a file: a bad one names the file and the rule of the type
