@@ -277,7 +277,7 @@ def cmd_eval(args) -> int:
     ds = _read_dataset(args.data, target_length)
     train_set, val_set = dataset.split(ds, seed)
     pairs = train_set if args.split == "train" else val_set
-    loss = training.mean_loss(man.model(), pairs)
+    loss = training.mean_loss(man.weights(), pairs)
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "eval.json")
     dataset.write_json(path, {"split": args.split, "pairs": len(pairs), "mse": loss})
@@ -296,7 +296,7 @@ def cmd_rollout(args) -> int:
         max_steps=args.max_steps, labels=labels,
         disturbance=_parse_disturbance(args.disturb) if args.disturb else None,
         command_stride=args.stride)
-    params, _ = models.load_checkpoint(args.ckpt)
+    params, _ = models.load_checkpoint(args.ckpt, weights_only=True)
     pl = plant.make_plant(params.topology, obj)
     trace = run_rollout(params, pl, cfg, seed=args.seed)
     os.makedirs(args.out, exist_ok=True)
@@ -327,7 +327,7 @@ def cmd_pca(args) -> int:
         raise ValueError(f"--window {args.window} ends past the checkpoint's target length "
                          f"{target_length}")
     ds = _read_dataset(args.data, target_length)
-    stack = analysis.extract_node_features(man.model(), man.topology, ds.trials, (start, stop))
+    stack = analysis.extract_node_features(man.weights(), man.topology, ds.trials, (start, stop))
     report = analysis.pca_node_map(stack)
     os.makedirs(args.out, exist_ok=True)
     csv_path = os.path.join(args.out, "node_map.csv")

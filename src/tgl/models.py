@@ -164,8 +164,10 @@ def _check_inputs(params: ModelParams, tactile: tuple[int, ...], aux: tuple[int,
 
 
 def _layer(stage: str, h: np.ndarray, w: Parameter, b: Parameter | None, hidden: bool,
-           tape: list | None) -> np.ndarray:
+           tape: list | None, out: np.ndarray | None = None) -> np.ndarray:
     """h·W (+ b), through ReLU when hidden; on a tape, records h, the ReLU mask, w and b.
+
+    A hidden layer's ReLU writes into `out` when it is given.
 
     The layer is checked finite once, after its last product or sum: a NaN or Inf in h or
     in h·W reaches every later sum of its row (BLAS makes inf · 0 NaN), and ReLU keeps
@@ -177,12 +179,16 @@ def _layer(stage: str, h: np.ndarray, w: Parameter, b: Parameter | None, hidden:
         # the gradient is exactly 0 at the kink
         tape.append((h, _elementwise(np.greater, y, 0, bool) if hidden else None, w, b))
     # maximum(y, 0.0) returns +0.0 for -0.0, matching where(y > 0, y, 0.0) bit for bit
-    return _elementwise(np.maximum, y, 0.0) if hidden else y
+    return _elementwise(np.maximum, y, 0.0, out=out) if hidden else y
 
 
-def _conv_stack(params: ModelParams, x: np.ndarray, tape: list | None = None) -> np.ndarray:
+def _conv_stack(params: ModelParams, x: np.ndarray, tape: list | None = None,
+                out: np.ndarray | None = None) -> np.ndarray:
+    """The conv layers' output; the last layer writes it into `out` when that is given."""
+    last = len(params.conv_weights) - 1
     for i, w in enumerate(params.conv_weights):   # S·H is checked with its ·W
-        x = _layer(f"conv layer {i}: ", matmul(params.s_tensor, x), w, None, True, tape)
+        x = _layer(f"conv layer {i}: ", matmul(params.s_tensor, x), w, None, True, tape,
+                   out if i == last else None)
     return x
 
 
@@ -194,9 +200,13 @@ def _walk(params: ModelParams, tactile, aux, tape: list | None = None) -> np.nda
     """
     tactile, aux = np.asarray(tactile, dtype=np.float64), np.asarray(aux, dtype=np.float64)
     _check_inputs(params, tactile.shape, aux.shape)
-    aux = _finite(aux)
-    x = _conv_stack(params, _finite(tactile), tape)
-    h = np.concatenate([x.reshape(len(aux), params.spec.flat_width(params.n_nodes)), aux], axis=1)
+    flat = params.spec.flat_width(params.n_nodes)
+    h = np.empty((len(aux), flat + AUX_DIM))   # the fc input: node features, then aux
+    h[:, flat:] = _finite(aux)
+    head = h[:, :flat].reshape(len(aux), params.n_nodes, -1)   # a view: splits only the last axis
+    x = _conv_stack(params, _finite(tactile), tape, head)
+    if x is not head:   # an MLP: no conv layer wrote it
+        head[...] = x
     last = len(params.fc_weights) - 1
     for i, (w, b) in enumerate(zip(params.fc_weights, params.fc_biases)):
         h = _layer("output layer: " if i == last else f"fc layer {i}: ", h, w, b, i != last, tape)
@@ -314,8 +324,31 @@ class Manifest(NamedTuple):
 
     def model(self) -> ModelParams:
         """The model, with the blob read as its buffer."""
+        return self._with_buffer(np.fromfile(self.blob, dtype=BLOB_DTYPE))
+
+    def weights(self) -> ModelParams:
+        """The model for inference: only each parameter's value run is read from the blob.
+
+        The Adam moments stay the zeros of a fresh buffer, whose pages are never
+        touched, so the model holds about 1x its parameter bytes.  The buffer is
+        read-only: an Adam step on it raises before it changes anything.  A blob
+        that ends inside a value run raises ValueError naming it.
+        """
+        layout, total = parameter_layout(self.spec, self.topology.n)
+        buffer = np.zeros(total, BLOB_DTYPE)
+        with open(self.blob, "rb") as f:
+            for name, shape, offset in layout:
+                values = buffer[offset:offset + math.prod(shape)]
+                f.seek(offset * buffer.itemsize)
+                if f.readinto(values) != values.nbytes:
+                    raise ValueError(f"checkpoint blob {self.blob} ends inside the values "
+                                     f"of {name}")
+        buffer.flags.writeable = False
+        return self._with_buffer(buffer)
+
+    def _with_buffer(self, buffer: np.ndarray) -> ModelParams:
         params = ModelParams(spec=self.spec, topology=self.topology, seed=self.seed,
-                             buffer=np.fromfile(self.blob, dtype=BLOB_DTYPE))
+                             buffer=buffer)
         for p, count in zip(params.parameters(), self.step_counts):
             p.step_count = count
         return params
@@ -375,10 +408,12 @@ def read_manifest(path: str, topology: HandTopology | None = None) -> Manifest:
     return Manifest(spec, topology, seed, steps, blob, extra)
 
 
-def load_checkpoint(path: str, topology: HandTopology | None = None) -> tuple[ModelParams, dict]:
+def load_checkpoint(path: str, topology: HandTopology | None = None,
+                    weights_only: bool = False) -> tuple[ModelParams, dict]:
     """The model a checkpoint holds, with the blob as its buffer, and the manifest's extra.
 
+    With `weights_only`, the model is `Manifest.weights()`: values only, read-only.
     `read_manifest` checks the manifest first; see there for `topology` and the errors.
     """
     man = read_manifest(path, topology)
-    return man.model(), man.extra
+    return man.weights() if weights_only else man.model(), man.extra

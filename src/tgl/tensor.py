@@ -8,8 +8,10 @@ forward (`models.forward_batch`) returns one whose backward closure walks
 the layers it recorded, `mse_loss` adds the loss, and `backward` runs the
 chain from the loss into the parameters' gradients.
 
-Large products, ReLU and finite checks run in two pieces, the caller
-taking the first and one worker thread the second (`_in_pieces`); the
+Large products, the sparse propagation, ReLU and finite checks run in two
+pieces, the caller taking the first and one worker thread the second
+(`_in_pieces`); the sparse propagation cuts at a whole CSR block, and scipy
+releases the GIL while it multiplies, so its pieces run side by side.  The
 worker is a `ThreadPoolExecutor` built at import, whose thread starts on
 the first split op, and a forked child builds its own.  The cut
 depends on the op's shape alone, never on the core count, and each piece
@@ -150,9 +152,9 @@ def _in_pieces(n: int, run, multiple: int = 1) -> list:
     runs whole, as [run(0, n)].  The caller runs the first piece while the
     worker runs the second; the caller then takes the second back if the
     worker has not started it, so a busy worker costs little more than the
-    unsplit op.  `run` may call only numpy, and must write only its own part
-    of an output the caller allocated.  No piece runs on once the call
-    returns or raises.
+    unsplit op.  `run` may call only numpy and scipy's sparse product, and
+    must write only its own part of an output the caller allocated.  No
+    piece runs on once the call returns or raises.
     """
     cut = multiple * round(n / (2 * multiple))
     if cut == 0:
@@ -212,11 +214,14 @@ def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _elementwise(ufunc, x: np.ndarray, y, dtype=np.float64) -> np.ndarray:
-    """ufunc(x, y), y a scalar or an array of x's shape; a large x runs in pieces along axis 0."""
+def _elementwise(ufunc, x: np.ndarray, y, dtype=np.float64,
+                 out: np.ndarray | None = None) -> np.ndarray:
+    """ufunc(x, y), y a scalar or an array of x's shape, into `out` when given; a large x runs
+    in pieces along axis 0."""
     if not _splits(x.size):
-        return ufunc(x, y)
-    out = np.empty(x.shape, dtype)
+        return ufunc(x, y, out=out)
+    if out is None:
+        out = np.empty(x.shape, dtype)
     whole = np.ndim(y) == 0
 
     def rows(lo, hi):
@@ -247,9 +252,10 @@ class SymmetricOperator:
     When at most SPARSE_MAX_DENSITY of S is nonzero, `block` holds
     CSR_BLOCK_SAMPLES copies of S down the diagonal of one `scipy.sparse`
     CSR matrix, and each chunk of that many samples of H, reshaped to
-    (samples * n, C), is one product with it.  Every row stores its
-    diagonal first, zero or not, then its off-diagonal nonzeros in column
-    order, and the product sums them in that order.  Denser operators
+    (samples * n, C), is one product with it; a large H runs its chunks in
+    two pieces cut at a whole chunk.  Every row stores its diagonal first,
+    zero or not, then its off-diagonal nonzeros in column order, and the
+    product sums them in that order.  Denser operators
     multiply with BLAS and leave `block` None.
     """
 
@@ -306,10 +312,17 @@ class SymmetricOperator:
         n, c = h.shape[-2], h.shape[-1]
         flat = np.ascontiguousarray(h).reshape(-1, n, c)
         out = np.empty_like(flat)
-        for s in range(0, len(flat), CSR_BLOCK_SAMPLES):
-            chunk = flat[s:s + CSR_BLOCK_SAMPLES]
-            out[s:s + len(chunk)] = (self._block_of(len(chunk)) @ chunk.reshape(-1, c)) \
-                .reshape(chunk.shape)
+
+        def chunks(lo, hi):   # lo is a multiple of CSR_BLOCK_SAMPLES, so chunks fall as whole
+            for s in range(lo, hi, CSR_BLOCK_SAMPLES):
+                chunk = flat[s:min(s + CSR_BLOCK_SAMPLES, hi)]
+                out[s:s + len(chunk)] = (self._block_of(len(chunk)) @ chunk.reshape(-1, c)) \
+                    .reshape(chunk.shape)
+
+        if _splits(flat.size):
+            _in_pieces(len(flat), chunks, CSR_BLOCK_SAMPLES)
+        else:
+            chunks(0, len(flat))
         return out.reshape(h.shape)
 
 

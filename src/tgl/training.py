@@ -215,6 +215,6 @@ def train(ds: Dataset, cfg: TrainConfig, topo: HandTopology, out_dir: str | None
 
 def evaluate(ckpt_path: str, pairs: PairSet, topology: HandTopology,
              batch_size: int = 100) -> float:
-    """Mean MSE of a stored checkpoint over pairs; read-only."""
-    params, _ = load_checkpoint(ckpt_path, topology)
+    """Mean MSE of a stored checkpoint over pairs; reads only its weights."""
+    params, _ = load_checkpoint(ckpt_path, topology, weights_only=True)
     return mean_loss(params, pairs, batch_size)

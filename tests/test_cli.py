@@ -548,24 +548,32 @@ def test_resume_refuses_another_architecture(pipeline, tmp_path, bad_data, capsy
         assert not out.exists()
 
 
-def _blob_reads(monkeypatch) -> list[str]:
-    """The paths np.fromfile reads from here on: a checkpoint's blob is read by no other call."""
+def _blob_reads(monkeypatch) -> list[tuple[str, str]]:
+    """The blobs read from here on, as ("whole", path) for np.fromfile, which reads a full
+    model, and ("values", path) for `Manifest.weights`: no other call reads a blob."""
     reads = []
-    fromfile = np.fromfile
-    monkeypatch.setattr(np, "fromfile", lambda *a, **k: reads.append(a[0]) or fromfile(*a, **k))
+    fromfile, weights = np.fromfile, tgl.models.Manifest.weights
+    monkeypatch.setattr(np, "fromfile",
+                        lambda *a, **k: reads.append(("whole", a[0])) or fromfile(*a, **k))
+    monkeypatch.setattr(tgl.models.Manifest, "weights",
+                        lambda man: reads.append(("values", man.blob)) or weights(man))
     return reads
 
 
-@pytest.mark.parametrize("command", ["train", "eval", "pca"])
+@pytest.mark.parametrize("command", ["train", "eval", "pca", "rollout"])
 def test_resume_reads_the_blob_once(pipeline, tmp_path, monkeypatch, command):
-    """train --resume, eval and pca check the manifest and the recipe, then read the blob once."""
+    """Each command reads the blob once, after train --resume, eval and pca have checked the
+    manifest and the recipe; every command but train reads only the values."""
     _, data, run = pipeline
     ckpt = str(run / "final.ckpt.json")
-    argv = {"train": ["train", "--resume", ckpt, "--epochs", "1"],
-            "eval": ["eval", "--ckpt", ckpt], "pca": ["pca", "--ckpt", ckpt]}[command]
+    argv = {"train": ["train", "--resume", ckpt, "--epochs", "1", "--data", str(data)],
+            "eval": ["eval", "--ckpt", ckpt, "--data", str(data)],
+            "pca": ["pca", "--ckpt", ckpt, "--data", str(data)],
+            "rollout": ["rollout", "--ckpt", ckpt, "--object", "light,hard,nonslip",
+                        "--max-steps", "5"]}[command]
     reads = _blob_reads(monkeypatch)
-    assert main(argv + ["--data", str(data), "--out", str(tmp_path / "out")]) == 0
-    assert reads == [str(run / "final.ckpt.bin")]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 0
+    assert reads == [("whole" if command == "train" else "values", str(run / "final.ckpt.bin"))]
 
 
 def test_resume_reads_its_manifest_once(pipeline, tmp_path, monkeypatch):

@@ -3,6 +3,9 @@ from __future__ import annotations
 
 import gc
 import hashlib
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -12,8 +15,9 @@ import tgl
 from tgl.analysis import extract_node_features
 from tgl.dataset import PairSet, Trial, encode_labels
 from tgl.models import (MODEL_TABLE, OUTPUT_DIM, ModelSpec, build_from_spec, conv_features,
-                        forward, forward_batch, load_checkpoint, matmul, model_spec, predict,
-                        save_checkpoint)
+                        forward, forward_batch, load_checkpoint, matmul, model_spec,
+                        parameter_layout, predict, read_manifest, save_checkpoint)
+from tgl.optim import AdamConfig, adam_step
 from tgl.plant import PlantConfig, make_object, make_plant
 from tgl.rollout import RolloutConfig, rollout
 from tgl.tensor import CSR_BLOCK_SAMPLES, NonFiniteError, Tensor, backward, mse_loss
@@ -470,6 +474,106 @@ def test_load_holds_little_more_than_the_blob(tmp_path, default_topo):
     assert 8 * loaded.parameter_count() == param_bytes
     assert held <= 3.25 * param_bytes
     assert peak <= 3.5 * param_bytes
+
+
+def _trained_checkpoint(path, topo, spec=TOY):
+    """A checkpoint whose values, moments and step counts all differ from a fresh model's."""
+    m = build_from_spec(spec, topo, seed=3)
+    for i, p in enumerate(m.parameters()):
+        p.value += 0.5 + i
+        p.adam_m[:] = i + 0.125
+        p.adam_v[:] = 2.0 * i + 0.25
+        p.step_count = 4 + i
+    save_checkpoint(m, str(path), extra={"epoch": 4})
+    return m
+
+
+@pytest.mark.parametrize("spec", [TOY, ModelSpec("MLP", (), (9,))])
+def test_weights_are_the_full_models_values_bit_for_bit(tmp_path, tiny_topo, default_topo, spec):
+    for topo in (tiny_topo, default_topo):
+        path = tmp_path / f"m{topo.n}.ckpt.json"
+        _trained_checkpoint(path, topo, spec)
+        man = read_manifest(str(path), topo)
+        full, weights = man.model(), man.weights()
+        for a, b in zip(full.parameters(), weights.parameters(), strict=True):
+            assert (a.name, a.step_count) == (b.name, b.step_count)
+            assert a.value.tobytes() == b.value.tobytes()
+            assert not b.adam_m.any() and not b.adam_v.any()
+        assert load_checkpoint(str(path), topo, weights_only=True)[0].buffer.tobytes() \
+            == weights.buffer.tobytes()
+        rng = np.random.default_rng(topo.n)
+        tactile, aux = rng.normal(size=(5, topo.n, 3)), rng.normal(size=(5, 22))
+        assert predict(full, tactile, aux).tobytes() == predict(weights, tactile, aux).tobytes()
+
+
+def test_an_adam_step_on_the_weights_raises_and_changes_nothing(tmp_path, tiny_topo):
+    path = tmp_path / "m.ckpt.json"
+    _trained_checkpoint(path, tiny_topo)
+    weights = read_manifest(str(path), tiny_topo).weights()
+    assert not weights.buffer.flags.writeable
+    before = weights.buffer.tobytes()
+    for p in weights.parameters():
+        p.grad = np.ones(p.shape)
+    with pytest.raises(ValueError, match="read-only"):
+        adam_step(weights.parameters(), AdamConfig(learning_rate=1e-3))
+    assert weights.buffer.tobytes() == before
+    assert [p.step_count for p in weights.parameters()] == [4, 5, 6, 7, 8, 9]
+
+
+def test_a_nan_in_a_value_run_raises_when_the_weights_load(tmp_path, tiny_topo):
+    path = tmp_path / "m.ckpt.json"
+    m = _trained_checkpoint(path, tiny_topo)
+    p = m.parameters()[2]   # fc0.weight
+    p.value[1, 2] = np.nan
+    save_checkpoint(m, str(path))
+    with pytest.raises(NonFiniteError):
+        read_manifest(str(path), tiny_topo).weights()
+
+
+def test_a_blob_cut_short_after_its_manifest_is_read_names_the_blob(tmp_path, tiny_topo):
+    path = tmp_path / "m.ckpt.json"
+    _trained_checkpoint(path, tiny_topo)
+    man = read_manifest(str(path), tiny_topo)
+    blob = tmp_path / "m.ckpt.bin"
+    name, _, offset = parameter_layout(TOY, tiny_topo.n)[0][-1]   # the output bias
+    with open(blob, "r+b") as f:
+        f.truncate(8 * offset + 8)   # one of its values
+    with pytest.raises(ValueError, match=f"{blob}.*{name}"):
+        man.weights()
+
+
+# Prints the RSS a weights-only load of the 384-node toy GCN and a batch-1 predict add, once
+# a warm-up load and predict have imported scipy and filled the heap, over the value bytes.
+_WEIGHTS_RSS = """
+import gc, os, sys
+import numpy as np
+from tgl.models import predict, read_manifest
+
+def rss():
+    with open("/proc/self/statm") as f:
+        return int(f.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
+
+man = read_manifest(sys.argv[1])
+inputs = np.zeros((1, man.topology.n, 3)), np.zeros((1, 22))
+predict(man.weights(), *inputs)
+gc.collect()
+before = rss()
+m = man.weights()
+predict(m, *inputs)
+print((rss() - before) / (8 * m.parameter_count()))
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/statm"), reason="reads RSS from /proc")
+def test_a_weights_load_and_predict_hold_about_the_value_bytes(tmp_path, default_topo):
+    """A full load holds 3x the value bytes (see above); the weights alone, about 1x."""
+    path = tmp_path / "m.ckpt.json"
+    save_checkpoint(build_from_spec(BENCH_GCN, default_topo, seed=0), str(path))
+    src = os.path.dirname(os.path.dirname(tgl.__file__))
+    done = subprocess.run([sys.executable, "-c", _WEIGHTS_RSS, str(path)],
+                          env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+                          timeout=120, check=True)
+    assert float(done.stdout) <= 1.2
 
 
 def test_checkpoint_topology_mismatch(tmp_path, tiny_topo, small_topo):

@@ -347,6 +347,44 @@ def test_split_relu_equals_numpy_bit_for_bit(monkeypatch, shape):
     assert T._elementwise(np.multiply, g, mask).tobytes() == (g * (data > 0)).tobytes()
 
 
+@pytest.mark.parametrize("split", [False, True])
+def test_relu_into_a_view_of_a_wider_array_writes_only_the_view(monkeypatch, split):
+    """As the last conv layer writes the head of the fc input, leaving its aux tail."""
+    monkeypatch.setattr(T, "SPLIT_MIN_ELEMENTS", 0 if split else 2**62)
+    rng = np.random.default_rng(4)
+    data = rng.normal(size=(70, 24, 5))
+    data.flat[::3] = -0.0
+    wide = np.full((70, 24 * 5 + 22), 7.0)
+    head = np.reshape(wide[:, :120], (70, 24, 5), copy=False)
+    assert T._elementwise(np.maximum, data, 0.0, out=head) is head
+    assert head.tobytes() == np.maximum(data, 0.0).tobytes()
+    assert (wide[:, 120:] == 7.0).all()
+
+
+@pytest.mark.parametrize("transpose", [False, True])
+@pytest.mark.parametrize("graph", ["384-node hand", "random sparse"])
+def test_split_propagation_equals_the_whole_chunk_loop(monkeypatch, default_topo, graph,
+                                                       transpose):
+    """The cut falls on a multiple of CSR_BLOCK_SAMPLES, so each piece makes the same
+    block-diagonal products the whole loop makes."""
+    s = propagation_for(default_topo) if graph == "384-node hand" else \
+        random_symmetric(120, 0.01, 0.5, 7, isolated=True)
+    op = SymmetricOperator(s)
+    assert op.block is not None
+    rng = np.random.default_rng(len(s))
+    batches, split = (1, 20, 31, 32, 33, 60, 64, 100, 129), []
+    in_pieces = T._in_pieces
+    monkeypatch.setattr(T, "_in_pieces", lambda n, *args: split.append(n) or in_pieces(n, *args))
+    for batch in batches:
+        h = rng.normal(size=(batch, len(s), 3))
+        monkeypatch.setattr(T, "SPLIT_MIN_ELEMENTS", 2**62)
+        whole = op.apply(h, transpose)
+        monkeypatch.setattr(T, "SPLIT_MIN_ELEMENTS", 0)
+        assert op.apply(h, transpose).tobytes() == whole.tobytes(), batch
+    assert split == list(batches)
+    np.testing.assert_allclose(whole, s @ h, rtol=1e-13, atol=1e-13)
+
+
 @pytest.mark.parametrize("where", [0, -1])
 def test_split_finite_check_sees_every_piece(monkeypatch, where):
     monkeypatch.setattr(T, "SPLIT_MIN_ELEMENTS", 0)
